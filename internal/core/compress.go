@@ -368,6 +368,7 @@ func compressInternal(ctx context.Context, stream *bitvec.Vector, cfg Config, re
 	}
 	if m := e.m; m != nil {
 		m.observeEmit(bufLen, int(d.next-d.firstCode))
+		m.flush()
 	}
 	res.Codes = codes
 	res.Stats.DynamicFills += dynFills

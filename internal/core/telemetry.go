@@ -66,14 +66,27 @@ func OccupancyBuckets() []float64 {
 	return []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 1}
 }
 
+// emitBatch is how many code emissions compressMetrics buffers before
+// it observes them into the shared histograms in one batch.
+const emitBatch = 128
+
 // compressMetrics holds the per-code hot-loop instruments, resolved
 // once per run so the loop never touches the registry by name. A nil
 // *compressMetrics is the disabled path: one pointer check per emitted
 // code.
+//
+// Emissions are buffered and observed emitBatch at a time. Observing
+// every code straight into the shared histograms made concurrent runs
+// (the frames of a sharded job, two jobs at once) contend on the
+// histograms' atomics, which cost up to a third of the match loop's CPU
+// and made its speed depend on how the runs happened to overlap.
 type compressMetrics struct {
 	matchLen    *telemetry.Histogram
 	occupancy   *telemetry.Histogram
 	stringSpace float64 // N − 2^C_C, the occupancy denominator
+
+	n          int
+	lens, occs [emitBatch]float64
 }
 
 func newCompressMetrics(rec *telemetry.Recorder, cfg Config) *compressMetrics {
@@ -90,14 +103,23 @@ func newCompressMetrics(rec *telemetry.Recorder, cfg Config) *compressMetrics {
 
 // observeEmit records one code emission: its match length and the
 // dictionary occupancy at that moment. used is the current string-entry
-// count.
+// count. The run must call flush once it has emitted its last code.
 func (m *compressMetrics) observeEmit(matchChars, used int) {
-	m.matchLen.Observe(float64(matchChars))
 	occ := 1.0
 	if m.stringSpace > 0 {
 		occ = float64(used) / m.stringSpace
 	}
-	m.occupancy.Observe(occ)
+	m.lens[m.n], m.occs[m.n] = float64(matchChars), occ
+	if m.n++; m.n == emitBatch {
+		m.flush()
+	}
+}
+
+// flush observes the buffered emissions.
+func (m *compressMetrics) flush() {
+	m.matchLen.Observe(m.lens[:m.n]...)
+	m.occupancy.Observe(m.occs[:m.n]...)
+	m.n = 0
 }
 
 // recordCompressRun folds a finished run's Stats into the recorder:

@@ -141,6 +141,36 @@ func TestCompressObservedMetrics(t *testing.T) {
 	}
 }
 
+// TestCompressObservedHistogramsAcrossBatches: a run that emits several
+// emitBatch batches of codes, plus a partial one, still observes every
+// code once, and its match lengths add up to the characters consumed.
+func TestCompressObservedHistogramsAcrossBatches(t *testing.T) {
+	var sb strings.Builder
+	x := uint32(7)
+	for i := 0; i < 4000; i++ {
+		x = x*1664525 + 1013904223
+		sb.WriteByte("01X"[x>>30%3])
+	}
+	cfg := Config{CharBits: 2, DictSize: 16, EntryBits: 0}
+	reg := telemetry.NewRegistry()
+	res, err := CompressObserved(bitvec.MustParse(sb.String()), cfg, telemetry.New(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := res.Stats
+	if st.CodesEmitted <= 2*emitBatch || st.CodesEmitted%emitBatch == 0 {
+		t.Fatalf("%d codes emitted; the test needs several batches and a partial one", st.CodesEmitted)
+	}
+	matchLen := reg.Histogram(MetricCompressMatchLen, "", nil)
+	occupancy := reg.Histogram(MetricCompressOccupancy, "", nil)
+	if matchLen.Count() != int64(st.CodesEmitted) || occupancy.Count() != int64(st.CodesEmitted) {
+		t.Fatalf("histogram counts %d/%d, want %d each", matchLen.Count(), occupancy.Count(), st.CodesEmitted)
+	}
+	if got := matchLen.Sum(); got != float64(st.Chars) {
+		t.Fatalf("match-length sum = %v, want the %d characters consumed", got, st.Chars)
+	}
+}
+
 // TestCompressObservedEmptyRun: zero-input runs must be explicit in
 // telemetry (empty=true event field plus the empty-runs counter), not
 // hidden behind Stats.Ratio's silent 0.

@@ -535,12 +535,13 @@ func (m *Manager) runOne(j *job) {
 	}
 	j.state = StateRunning
 	j.started = m.clock()
+	run := j.run
 	m.running++
 	m.m.running.Set(float64(m.running))
 	m.mu.Unlock()
 
 	rctx, sp := m.rec.StartSpan(j.ctx, SpanJobRun)
-	payload, err := runContained(rctx, j, &j.progress)
+	payload, err := runContained(rctx, j.id, run, &j.progress)
 	// A run that returned because the job was canceled reports the
 	// cancellation, whatever error the pool surfaced it as.
 	if err != nil && j.ctx.Err() != nil {
@@ -568,22 +569,26 @@ func (m *Manager) runOne(j *job) {
 
 // runContained invokes the job body with panic containment: a panic
 // becomes the job's failure, never a dead runner goroutine.
-func runContained(ctx context.Context, j *job, pr *Progress) (p *Payload, err error) {
+func runContained(ctx context.Context, id string, run RunFunc, pr *Progress) (p *Payload, err error) {
 	defer func() {
 		if v := recover(); v != nil {
-			p, err = nil, fmt.Errorf("jobs: job %s panicked: %v", j.id, v)
+			p, err = nil, fmt.Errorf("jobs: job %s panicked: %v", id, v)
 		}
 	}()
-	return j.run(ctx, pr)
+	return run(ctx, pr)
 }
 
 // finishLocked moves a job into a terminal state exactly once. Caller
 // holds mu. Monotonicity is enforced here: a job already terminal is
-// left untouched.
+// left untouched. The run closure is dropped here, so its captures (a
+// compress job's parsed test set) become collectable when the job ends
+// rather than when the TTL sweep deletes the record — even while a
+// canceled job still sits in the admission queue.
 func (m *Manager) finishLocked(j *job, s State, payload *Payload, err error) {
 	if j.state.Terminal() {
 		return
 	}
+	j.run = nil
 	j.state = s
 	j.finished = m.clock()
 	j.expires = j.finished.Add(m.cfg.ResultTTL)

@@ -570,3 +570,101 @@ func TestCloseCancelsOutstanding(t *testing.T) {
 	}
 	m.Close() // idempotent
 }
+
+// capturingJob submits a job whose run closure holds the only reference
+// to a heap object and returns the job ID plus a channel the object's
+// finalizer closes once the collector frees it. Building the closure in
+// this helper keeps it off the calling test's stack.
+func capturingJob(t *testing.T, m *Manager, body func(ctx context.Context) (*Payload, error)) (string, <-chan struct{}) {
+	t.Helper()
+	freed := make(chan struct{})
+	held := new([1 << 16]byte)
+	runtime.SetFinalizer(held, func(*[1 << 16]byte) { close(freed) })
+	st, err := m.Submit(context.Background(), "t", func(ctx context.Context, pr *Progress) (*Payload, error) {
+		runtime.KeepAlive(held)
+		return body(ctx)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st.ID, freed
+}
+
+// waitCollected runs the collector until freed closes, failing at a
+// deadline rather than after a fixed sleep.
+func waitCollected(t *testing.T, freed <-chan struct{}, what string) {
+	t.Helper()
+	deadline := time.NewTimer(5 * time.Second)
+	defer deadline.Stop()
+	tick := time.NewTicker(2 * time.Millisecond)
+	defer tick.Stop()
+	for {
+		runtime.GC()
+		select {
+		case <-freed:
+			return
+		case <-deadline.C:
+			t.Fatalf("%s: the run closure's captures are still reachable", what)
+		case <-tick.C:
+		}
+	}
+}
+
+// TestFinishedJobReleasesRunClosure pins that a job's run closure, and
+// so the test set a compress job captures, becomes collectable as soon
+// as the job is done, failed or canceled — not when the TTL sweep
+// deletes the record, which is still retained here.
+func TestFinishedJobReleasesRunClosure(t *testing.T) {
+	m, _ := newTestManager(t, Config{Concurrent: 1})
+	bodies := map[string]func(ctx context.Context) (*Payload, error){
+		"done":   func(context.Context) (*Payload, error) { return &Payload{Data: []byte("ok")}, nil },
+		"failed": func(context.Context) (*Payload, error) { return nil, errors.New("boom") },
+		"panicked": func(context.Context) (*Payload, error) {
+			panic("kaboom")
+		},
+	}
+	for name, body := range bodies {
+		id, freed := capturingJob(t, m, body)
+		waitTerminal(t, m, id)
+		waitCollected(t, freed, name)
+		if _, err := m.Get(id); err != nil {
+			t.Fatalf("%s: job record should still be retained: %v", name, err)
+		}
+	}
+
+	started := make(chan struct{})
+	id, freed := capturingJob(t, m, func(ctx context.Context) (*Payload, error) {
+		close(started)
+		<-ctx.Done()
+		return nil, ctx.Err()
+	})
+	<-started
+	if _, err := m.Cancel(id); err != nil {
+		t.Fatal(err)
+	}
+	if st := waitTerminal(t, m, id); st.State != StateCanceled {
+		t.Fatalf("canceled while running: state %s", st.State)
+	}
+	waitCollected(t, freed, "canceled while running")
+}
+
+// TestCanceledQueuedJobReleasesRunClosure covers the job that never
+// runs: canceled while it still sits in the admission queue behind a
+// blocker, its closure must be collectable before a runner dequeues it.
+func TestCanceledQueuedJobReleasesRunClosure(t *testing.T) {
+	m, _ := newTestManager(t, Config{Concurrent: 1})
+	release := make(chan struct{})
+	defer close(release)
+	blocker, started := blockingJob(release)
+	if _, err := m.Submit(context.Background(), "t", blocker); err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	id, freed := capturingJob(t, m, func(context.Context) (*Payload, error) {
+		return &Payload{}, nil
+	})
+	if st, err := m.Cancel(id); err != nil || st.State != StateCanceled {
+		t.Fatalf("cancel queued: %v %v", st.State, err)
+	}
+	waitCollected(t, freed, "canceled while queued")
+}

@@ -104,6 +104,46 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	}
 }
 
+// TestHistogramObserveBatch: observing a batch records exactly what
+// observing its values one at a time does, for histograms with fewer
+// and with more buckets than Observe tallies on its stack, and a batch
+// into a small histogram allocates nothing.
+func TestHistogramObserveBatch(t *testing.T) {
+	for _, nb := range []int{3, 40} {
+		bounds := make([]float64, nb)
+		for i := range bounds {
+			bounds[i] = float64(i + 1)
+		}
+		reg := NewRegistry()
+		one := reg.Histogram("lzwtc_test_one", "", bounds)
+		batch := reg.Histogram("lzwtc_test_batch", "", bounds)
+		var vs []float64
+		for i := 0; i < 200; i++ {
+			vs = append(vs, float64(i%(nb+3))*0.75)
+		}
+		for _, v := range vs {
+			one.Observe(v)
+		}
+		batch.Observe(vs[:77]...)
+		batch.Observe()
+		batch.Observe(vs[77:]...)
+		a, b := one.Snapshot(), batch.Snapshot()
+		if a.Count != b.Count || a.Sum != b.Sum {
+			t.Fatalf("%d bounds: batch count/sum %d/%v, one at a time %d/%v", nb, b.Count, b.Sum, a.Count, a.Sum)
+		}
+		for i := range a.Buckets {
+			if a.Buckets[i] != b.Buckets[i] {
+				t.Fatalf("%d bounds: bucket %d batch %+v, one at a time %+v", nb, i, b.Buckets[i], a.Buckets[i])
+			}
+		}
+	}
+	h := NewRegistry().Histogram("lzwtc_test_allocs", "", []float64{1, 2, 4})
+	vs := []float64{0.5, 3, 9}
+	if n := testing.AllocsPerRun(100, func() { h.Observe(vs...) }); n != 0 {
+		t.Fatalf("Observe of a batch allocates %v times, want 0", n)
+	}
+}
+
 // TestRegistryConcurrency hammers one registry from many goroutines;
 // `make race` runs it under the race detector.
 func TestRegistryConcurrency(t *testing.T) {

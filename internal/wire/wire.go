@@ -191,18 +191,30 @@ func encodeEOS(frames, patterns int) []byte {
 	return binary.BigEndian.AppendUint32(b, crc32.Checksum(b, crcTable))
 }
 
+// maxCodeBits is the widest code the format carries: core.Config.Validate
+// caps DictSize at 2^24, so CodeBits never exceeds 24. The 64-bit
+// accumulators of packCodes and unpackCodes hold at most cb+7 bits and
+// so stay exact for every width up to this bound.
+const maxCodeBits = 24
+
 // packCodes packs fixed-width cb-bit codes MSB-first — the same bit
-// order core.Result.Pack emits for the ATE channel.
+// order core.Result.Pack emits for the ATE channel. Codes shift into a
+// 64-bit accumulator that drains whole bytes, high bits first.
 func packCodes(codes []core.Code, cb int) []byte {
-	out := make([]byte, (len(codes)*cb+7)/8)
-	bitPos := 0
+	out := make([]byte, 0, (len(codes)*cb+7)/8)
+	mask := uint64(1)<<uint(cb) - 1
+	var acc uint64
+	n := uint(0) // bits pending in acc
 	for _, c := range codes {
-		for i := cb - 1; i >= 0; i-- {
-			if c>>uint(i)&1 != 0 {
-				out[bitPos>>3] |= 1 << uint(7-bitPos&7)
-			}
-			bitPos++
+		acc = acc<<uint(cb) | uint64(c)&mask
+		n += uint(cb)
+		for n >= 8 {
+			n -= 8
+			out = append(out, byte(acc>>n))
 		}
+	}
+	if n > 0 {
+		out = append(out, byte(acc<<(8-n)))
 	}
 	return out
 }
@@ -211,13 +223,13 @@ func packCodes(codes []core.Code, cb int) []byte {
 // (plus zero padding to the byte boundary). n and cb arrive from the
 // decoded stream, so the bounds are re-checked here — the function must
 // stay safe even if a future caller forgets the frame-level limits: a
-// hostile count must produce a typed error, never a giant allocation or
-// an index panic.
+// hostile count or width must produce a typed error, never a giant
+// allocation, an index panic or a code wider than the format allows.
 func unpackCodes(data []byte, n, cb int) ([]core.Code, error) {
 	if n < 0 || n > MaxFrameCodes {
 		return nil, fmt.Errorf("%w: code count %d", ErrLimit, n)
 	}
-	if cb <= 0 || cb > 64 {
+	if cb <= 0 || cb > maxCodeBits {
 		return nil, fmt.Errorf("%w: code width %d", ErrLimit, cb)
 	}
 	if (n*cb+7)/8 > len(data) {
@@ -225,17 +237,17 @@ func unpackCodes(data []byte, n, cb int) ([]core.Code, error) {
 			ErrTruncated, n, cb, (n*cb+7)/8, len(data))
 	}
 	codes := make([]core.Code, n)
-	bitPos := 0
+	mask := uint64(1)<<uint(cb) - 1
+	var acc uint64
+	have, next := uint(0), 0 // bits pending in acc, next byte of data
 	for i := range codes {
-		var v core.Code
-		for j := 0; j < cb; j++ {
-			v <<= 1
-			if data[bitPos>>3]>>uint(7-bitPos&7)&1 != 0 {
-				v |= 1
-			}
-			bitPos++
+		for have < uint(cb) {
+			acc = acc<<8 | uint64(data[next])
+			next++
+			have += 8
 		}
-		codes[i] = v
+		have -= uint(cb)
+		codes[i] = core.Code(acc >> have & mask)
 	}
 	return codes, nil
 }

@@ -364,8 +364,11 @@ func TestUnpackCodesHostileInputs(t *testing.T) {
 		{"zero width", 4, 0, data, ErrLimit},
 		{"negative width", 4, -8, data, ErrLimit},
 		{"width above 64", 4, 65, data, ErrLimit},
+		{"width 64", 1, 64, data, ErrLimit},
+		{"width one above the format bound", 4, maxCodeBits + 1, data, ErrLimit},
 		{"count larger than payload", 32, 12, data, ErrTruncated},
-		{"huge count within limit, empty payload", MaxFrameCodes, 64, nil, ErrTruncated},
+		{"widest code, one byte short", 5, maxCodeBits, data[:5*maxCodeBits/8-1], ErrTruncated},
+		{"huge count within limit, empty payload", MaxFrameCodes, maxCodeBits, nil, ErrTruncated},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -379,4 +382,110 @@ func TestUnpackCodesHostileInputs(t *testing.T) {
 			}
 		})
 	}
+}
+
+// refPackCodes and refUnpackCodes are the per-bit packers the 64-bit
+// accumulators replaced, kept as their reference.
+func refPackCodes(codes []core.Code, cb int) []byte {
+	out := make([]byte, (len(codes)*cb+7)/8)
+	bitPos := 0
+	for _, c := range codes {
+		for i := cb - 1; i >= 0; i-- {
+			if c>>uint(i)&1 != 0 {
+				out[bitPos>>3] |= 1 << uint(7-bitPos&7)
+			}
+			bitPos++
+		}
+	}
+	return out
+}
+
+func refUnpackCodes(data []byte, n, cb int) []core.Code {
+	codes := make([]core.Code, n)
+	bitPos := 0
+	for i := range codes {
+		var v core.Code
+		for j := 0; j < cb; j++ {
+			v <<= 1
+			if data[bitPos>>3]>>uint(7-bitPos&7)&1 != 0 {
+				v |= 1
+			}
+			bitPos++
+		}
+		codes[i] = v
+	}
+	return codes
+}
+
+// TestPackCodesMatchesPerBit compares the accumulator packers with the
+// per-bit reference over every code width the format admits, with
+// counts whose bit totals end on and off byte boundaries. Codes carry
+// stray bits above cb, which both packers must drop.
+func TestPackCodesMatchesPerBit(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for cb := 1; cb <= maxCodeBits; cb++ {
+		for _, n := range []int{0, 1, 2, 3, 7, 8, 9, 15, 16, 17, 63, 64, 65, 200} {
+			codes := make([]core.Code, n)
+			for i := range codes {
+				codes[i] = core.Code(rng.Uint32())
+			}
+			packed := packCodes(codes, cb)
+			if want := refPackCodes(codes, cb); !bytes.Equal(packed, want) {
+				t.Fatalf("cb=%d n=%d: packCodes = %x, reference %x", cb, n, packed, want)
+			}
+			got, err := unpackCodes(packed, n, cb)
+			if err != nil {
+				t.Fatalf("cb=%d n=%d: unpackCodes: %v", cb, n, err)
+			}
+			want := refUnpackCodes(packed, n, cb)
+			for i := range want {
+				if got[i] != want[i] || got[i] != codes[i]&(1<<uint(cb)-1) {
+					t.Fatalf("cb=%d n=%d code %d: got %d, reference %d", cb, n, i, got[i], want[i])
+				}
+			}
+			// Random bytes, not just packer output: trailing pad bits set.
+			noise := make([]byte, len(packed))
+			rng.Read(noise)
+			got, err = unpackCodes(noise, n, cb)
+			if err != nil {
+				t.Fatalf("cb=%d n=%d: unpackCodes(noise): %v", cb, n, err)
+			}
+			for i, w := range refUnpackCodes(noise, n, cb) {
+				if got[i] != w {
+					t.Fatalf("cb=%d n=%d noise code %d: got %d, reference %d", cb, n, i, got[i], w)
+				}
+			}
+		}
+	}
+}
+
+// benchCodes is a frame's worth of 12-bit codes.
+func benchCodes() []core.Code {
+	rng := rand.New(rand.NewSource(4))
+	codes := make([]core.Code, 1<<14)
+	for i := range codes {
+		codes[i] = core.Code(rng.Intn(1 << 12))
+	}
+	return codes
+}
+
+func BenchmarkPackCodes(b *testing.B) {
+	codes := benchCodes()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		packCodes(codes, 12)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(codes)), "ns/code")
+}
+
+func BenchmarkUnpackCodes(b *testing.B) {
+	codes := benchCodes()
+	packed := packCodes(codes, 12)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := unpackCodes(packed, len(codes), 12); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(codes)), "ns/code")
 }
