@@ -75,12 +75,14 @@ trace-overhead:
 batch-bench:
 	$(GO) test -run='^$$' -bench='BenchmarkBatchCompress' -benchtime=$(BENCHTIME) ./internal/parallel
 
-# Match-kernel smoke: the bit-sliced findChildMasked microbenchmarks
-# (Gosper-favored, chain-favored, all-X, TieWidest shapes) must run
-# clean. Regression gating for the kernel rides the grid gate below —
-# the chain-heavy grid cases are built from the same shapes.
+# Kernel smoke: the bit-sliced findChildMasked microbenchmarks
+# (Gosper-favored, chain-favored, all-X, TieWidest shapes) and the
+# decoder on both string-fetch paths (one-word packed column, >64-bit
+# and unbounded parent walk) must run clean. Regression gating rides the
+# grid gate below — the chain-heavy and paper-default grid cases cover
+# the same shapes.
 kernel-bench:
-	$(GO) test -run='^$$' -bench='BenchmarkFindChildMasked' -benchtime=$(BENCHTIME) ./internal/core
+	$(GO) test -run='^$$' -bench='BenchmarkFindChildMasked|BenchmarkDecompress$$' -benchtime=$(BENCHTIME) ./internal/core
 
 # Stream-codec smoke: the word-parallel cube-text parse and render, the
 # aligned serialize/deserialize copier, and the wire code packers must
@@ -109,13 +111,14 @@ loadgen-smoke:
 
 # Benchmark trajectory: run the single-stream perf grid (compress and
 # decompress ns/char, MB/s, allocs/op across C_C x X-density) and write
-# the committed trajectory point for this PR.
+# the committed trajectory point.
 bench-json:
-	$(GO) run ./cmd/benchgen -bench -benchtime=1s -out BENCH_9.json
+	$(GO) run ./cmd/benchgen -bench -benchtime=1s -out BENCH_14.json
 
-# Regression gate: re-run the grid and fail if any case's compress
-# ns/char regresses more than 10% against the committed baseline.
+# Regression gate: re-run the grid and fail if any case's compress or
+# decompress ns/char regresses more than 10% against the committed
+# baseline.
 bench-gate:
-	$(GO) run ./cmd/benchgen -bench -benchtime=1s -check BENCH_9.json -tolerance=0.10
+	$(GO) run ./cmd/benchgen -bench -benchtime=1s -check BENCH_14.json -tolerance=0.10
 
 verify: build vet vet-concurrency test race lzwtcvet lzwtcvet-baseline dict-oracle fuzz telemetry-overhead trace-overhead batch-bench kernel-bench text-bench cover lzwtcd-smoke loadgen-smoke

@@ -39,7 +39,7 @@ func main() {
 	benchTime := flag.Duration("benchtime", 250*time.Millisecond, "minimum timed duration per direction per case under -bench")
 	benchBits := flag.Int("benchbits", bench.DefaultPerfBits, "stream length in bits per case under -bench")
 	check := flag.String("check", "", "baseline BENCH_*.json to gate a fresh -bench run against")
-	tolerance := flag.Float64("tolerance", 0.10, "allowed fractional compress ns/char regression under -check")
+	tolerance := flag.Float64("tolerance", 0.10, "allowed fractional compress and decompress ns/char regression under -check")
 	flag.Parse()
 
 	if *doBench {
@@ -91,7 +91,8 @@ func main() {
 // runBench measures the perf grid. With an -out path it writes the JSON
 // report (the trajectory point future PRs diff against); with -check it
 // instead compares the fresh run against the committed baseline and
-// fails on compress ns/char regressions beyond the tolerance.
+// fails on compress or decompress ns/char regressions beyond the
+// tolerance.
 func runBench(out, check string, bits int, benchTime time.Duration, tolerance float64) error {
 	rep, err := bench.RunPerf(bits, benchTime)
 	if err != nil {

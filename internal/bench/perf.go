@@ -40,6 +40,10 @@ type PerfCase struct {
 	// single parent's child chain toward 2^C_C lanes and exercises the
 	// multi-block match kernel the block library rarely reaches.
 	Gen string `json:"gen,omitempty"`
+	// EntryBits is C_MDATA; 0 (the square grid) is unbounded, which
+	// decodes by the parent walk. The paper-default cases bound entries
+	// to one 64-bit word and so decode through the packed-string column.
+	EntryBits int `json:"entry_bits,omitempty"`
 }
 
 // Config returns the compressor configuration the case is measured
@@ -48,11 +52,12 @@ type PerfCase struct {
 // most expensive residual fill, so the numbers are conservative.
 func (c PerfCase) Config() core.Config {
 	return core.Config{
-		CharBits: c.CharBits,
-		DictSize: c.DictSize,
-		Fill:     core.FillRepeat,
-		Tie:      core.TieOldest,
-		Full:     core.FullReset,
+		CharBits:  c.CharBits,
+		DictSize:  c.DictSize,
+		EntryBits: c.EntryBits,
+		Fill:      core.FillRepeat,
+		Tie:       core.TieOldest,
+		Full:      core.FullReset,
 	}
 }
 
@@ -76,12 +81,17 @@ func PerfCases() []PerfCase {
 	// (nearly every query is all-X or single-bit-cared), a wide
 	// word-straddling character over a dictionary past the direct block
 	// layout's bound (the dense-arena kernel path), and two chain-heavy
-	// shapes whose sibling chains cross 64-lane block boundaries.
+	// shapes whose sibling chains cross 64-lane block boundaries. The
+	// paper's default configuration (C_C=7, N=1024, C_MDATA=63) closes
+	// the list: the only cases whose entries fit one word, so the only
+	// ones that time the one-load packed-string decoder.
 	cases = append(cases,
 		PerfCase{Name: "cc8_x99", CharBits: 8, DictSize: 1024, XDensity: 0.99},
 		PerfCase{Name: "cc12_x90", CharBits: 12, DictSize: 8192, XDensity: 0.9},
 		PerfCase{Name: "cc8_chain50", CharBits: 8, DictSize: 1024, XDensity: 0.5, Gen: "chain"},
 		PerfCase{Name: "cc8_chain90", CharBits: 8, DictSize: 1024, XDensity: 0.9, Gen: "chain"},
+		PerfCase{Name: "cc7_e63_x50", CharBits: 7, DictSize: 1024, XDensity: 0.5, EntryBits: 63},
+		PerfCase{Name: "cc7_e63_x90", CharBits: 7, DictSize: 1024, XDensity: 0.9, EntryBits: 63},
 	)
 	return cases
 }
@@ -278,9 +288,10 @@ func finishMeasurement(m rawMeasure, chars, inputBits int) PerfMeasurement {
 }
 
 // ComparePerf diffs a fresh report against a committed baseline: for
-// every baseline case present in the fresh run, compress ns/char must
-// not exceed baseline*(1+tolerance). It returns one line per case
-// (human-readable, benchstat-style old → new) and the list of failures.
+// every baseline case present in the fresh run, compress and decompress
+// ns/char must each not exceed baseline*(1+tolerance). It returns one
+// line per case (human-readable, benchstat-style old → new) and the list
+// of failures.
 func ComparePerf(baseline, fresh *PerfReport, tolerance float64) (lines []string, failures []string) {
 	freshBy := map[string]PerfResult{}
 	for _, r := range fresh.Results {
@@ -292,17 +303,29 @@ func ComparePerf(baseline, fresh *PerfReport, tolerance float64) (lines []string
 			failures = append(failures, fmt.Sprintf("%s: missing from fresh run", b.Case.Name))
 			continue
 		}
-		delta := 0.0
-		if b.Compress.NsPerChar > 0 {
-			delta = f.Compress.NsPerChar/b.Compress.NsPerChar - 1
-		}
-		lines = append(lines, fmt.Sprintf("%-9s compress %8.2f → %8.2f ns/char (%+6.1f%%)  decompress %7.2f → %7.2f ns/char",
-			b.Case.Name, b.Compress.NsPerChar, f.Compress.NsPerChar, 100*delta,
-			b.Decompress.NsPerChar, f.Decompress.NsPerChar))
-		if delta > tolerance {
-			failures = append(failures, fmt.Sprintf("%s: compress ns/char regressed %.1f%% (limit %.1f%%)",
-				b.Case.Name, 100*delta, 100*tolerance))
+		comp := perfDelta(b.Compress, f.Compress)
+		dec := perfDelta(b.Decompress, f.Decompress)
+		lines = append(lines, fmt.Sprintf("%-11s compress %8.2f → %8.2f ns/char (%+6.1f%%)  decompress %7.2f → %7.2f ns/char (%+6.1f%%)",
+			b.Case.Name, b.Compress.NsPerChar, f.Compress.NsPerChar, 100*comp,
+			b.Decompress.NsPerChar, f.Decompress.NsPerChar, 100*dec))
+		for _, d := range []struct {
+			dir   string
+			delta float64
+		}{{"compress", comp}, {"decompress", dec}} {
+			if d.delta > tolerance {
+				failures = append(failures, fmt.Sprintf("%s: %s ns/char regressed %.1f%% (limit %.1f%%)",
+					b.Case.Name, d.dir, 100*d.delta, 100*tolerance))
+			}
 		}
 	}
 	return lines, failures
+}
+
+// perfDelta is the fractional ns/char change from base to fresh; 0 when
+// the baseline has no figure.
+func perfDelta(base, fresh PerfMeasurement) float64 {
+	if base.NsPerChar <= 0 {
+		return 0
+	}
+	return fresh.NsPerChar/base.NsPerChar - 1
 }

@@ -82,11 +82,12 @@ func New(n int) *Vector {
 // Len returns the number of bits in v.
 func (v *Vector) Len() int { return v.n }
 
-// Planes exposes the backing value and care plane words for read-only
-// word-level access (bit i at word i/64, position i%64; value bits are
-// forced 0 where care is 0). Sequential consumers — the compressor's
-// character cursor — use it to extract chunks without per-call
-// re-validation; mutating the returned slices would corrupt the vector.
+// Planes exposes the backing value and care plane words for word-level
+// access (bit i at word i/64, position i%64). Sequential consumers — the
+// compressor's character cursor — use it to extract chunks without
+// per-call re-validation. A writer — the decompressor's word-wide output
+// stage — must keep the vector's invariants: value bits are 0 where care
+// is 0, and both planes are 0 at and beyond Len().
 func (v *Vector) Planes() (val, care []uint64) { return v.val, v.care }
 
 // Get returns bit i.

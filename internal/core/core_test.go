@@ -460,19 +460,34 @@ func BenchmarkCompress90X(b *testing.B) {
 	}
 }
 
+// BenchmarkDecompress times the decoder on both of its string-fetch
+// paths: the paper default, whose entries fit one 64-bit word (one
+// packed-string load per code), and a >64-bit and an unbounded
+// configuration, which walk parent links.
 func BenchmarkDecompress(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	stream := randomCube(rng, 1<<17, 0.9)
-	res, err := Compress(stream, DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(stream.Len() / 8))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Decompress(res.Codes, res.Cfg, stream.Len()); err != nil {
-			b.Fatal(err)
-		}
+	for _, bc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"one_word", DefaultConfig()},
+		{"wide", Config{CharBits: 7, DictSize: 1024, EntryBits: 490}},
+		{"unbounded", Config{CharBits: 7, DictSize: 1024}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			res, err := Compress(stream, bc.cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(stream.Len() / 8))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := Decompress(res.Codes, res.Cfg, stream.Len()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -10,7 +10,8 @@ import (
 // software decompressor. Codes below firstCode are literals; string codes
 // record their parent code, last character and length, which is all either
 // direction needs (the compressor walks forward through children, the
-// decompressor materializes strings by walking parents).
+// decompressor materializes strings by walking parents, or reads them
+// whole from the packed-string column when entries fit one word).
 //
 // The child index is flat and bit-sliced: a concrete (parent, char)
 // lookup is one probe of an open-addressed table, and an X-laden lookup
@@ -36,6 +37,16 @@ type dict struct {
 	lastChar  []uint64
 	firstChar []uint64
 	length    []int32
+
+	// str is the packed-string column of the paper's Fig. 5 memory: when
+	// every entry fits one 64-bit word (MaxChars·C_C ≤ 64, see
+	// packsStrings), str[c] holds code c's whole string, character i at
+	// bits [i·C_C, (i+1)·C_C), LSB-first — the stream order of the
+	// decoded output — so a decoder fetches a string with one load. It is
+	// empty for wider and unbounded configurations, which keep the parent
+	// walk (stringOf). commitAdd fills it; capacity is retained across
+	// reinit like every other column.
+	str []uint64
 
 	// Bit-sliced child index. chain[c] bundles code c's child-chain
 	// bookkeeping — first and last plane block plus population — into one
@@ -243,6 +254,13 @@ func newDict(cfg Config) *dict {
 	return d
 }
 
+// packsStrings reports whether every dictionary string under cfg fits
+// one 64-bit word, i.e. whether the dictionary keeps the packed-string
+// column. Unbounded configurations (EntryBits 0) never do.
+func packsStrings(cfg Config) bool {
+	return cfg.MaxChars()*cfg.CharBits <= 64
+}
+
 // fits reports whether d's backing storage can host cfg without
 // reallocating the per-code columns (the arena recycle check). The block
 // arena adapts by re-slicing and grows on demand, so it never disqualifies
@@ -264,6 +282,16 @@ func (d *dict) reinit(cfg Config) {
 	d.firstChar = d.firstChar[:cap(d.firstChar)][:n]
 	d.length = d.length[:cap(d.length)][:n]
 	d.chain = d.chain[:cap(d.chain)][:n]
+	d.str = d.str[:0]
+	if packsStrings(cfg) {
+		if cap(d.str) < n {
+			d.str = make([]uint64, n)
+		}
+		d.str = d.str[:n]
+		for c := range cfg.Literals() {
+			d.str[c] = uint64(c) // a literal's string is its one character
+		}
+	}
 	d.shift = uint(64 - bits.TrailingZeros(uint(len(d.table))))
 	d.directBlocks = directLayout(cfg)
 	d.overflowBase = 0
@@ -483,6 +511,11 @@ func (d *dict) commitAdd(parent Code, char uint64) Code {
 	d.lastChar[c] = char
 	d.firstChar[c] = d.firstChar[parent]
 	d.length[c] = d.length[parent] + 1
+	if len(d.str) != 0 {
+		// prepareAdd bounded the new entry to MaxChars, so the appended
+		// character's shift stays below 64.
+		d.str[c] = d.str[parent] | char<<(uint(d.length[parent])*uint(d.cfg.CharBits))
+	}
 	if d.noChildIndex {
 		return c
 	}

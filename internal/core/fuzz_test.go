@@ -9,12 +9,16 @@ import (
 )
 
 // fuzzConfig derives a valid Config from six seed bytes, covering every
-// fill/tie/full policy, bounded and unbounded entries, and dictionary
-// sizes from the literal minimum up to minimum+255.
+// fill/tie/full policy, character widths 1..16, bounded and unbounded
+// entries on both sides of the one-word packed-string cutoff, and
+// dictionary sizes from the literal minimum up to minimum+255. Seed
+// bytes below 4 (b[0]) and 8 (b[2]) map to the configurations the
+// original narrow derivation produced, so older corpus entries keep
+// their meaning.
 func fuzzConfig(seed []byte) Config {
 	var b [6]byte
 	copy(b[:], seed)
-	cc := int(b[0]%4) + 1
+	cc := int(b[0]%4) + 1 + 4*int((b[0]>>2)%4)
 	cfg := Config{
 		CharBits: cc,
 		DictSize: 1<<uint(cc) + int(b[1]),
@@ -23,8 +27,17 @@ func fuzzConfig(seed []byte) Config {
 		Full:     FullPolicy(b[5] % 2),
 	}
 	if b[2]%2 == 1 {
-		// Bounded decompressor memory: C_MDATA a small multiple of C_C.
-		cfg.EntryBits = cc * (2 + int(b[2]%8))
+		// Bounded decompressor memory.
+		switch (b[2] >> 3) % 4 {
+		case 0: // a small multiple of C_C
+			cfg.EntryBits = cc * (2 + int(b[2]%8))
+		case 1: // 64 bits: exactly one column word when C_C divides 64
+			cfg.EntryBits = 64
+		case 2: // one character past the word: always the parent walk
+			cfg.EntryBits = 64 + cc
+		case 3: // 65 bits: the walk when C_C divides 65 (1, 5, 13), one word otherwise
+			cfg.EntryBits = 65
+		}
 	}
 	return cfg
 }
@@ -56,15 +69,19 @@ func fuzzStream(data []byte) *bitvec.Vector {
 // FuzzRoundTrip checks the full pipeline on arbitrary streams and
 // configurations: Compress -> Pack -> UnpackCodes must reproduce the
 // code sequence bit-exactly, and Decompress must yield a fully
-// specified stream compatible with every care bit of the input.
+// specified stream compatible with every care bit of the input and
+// identical to the per-character reference decoder's.
 func FuzzRoundTrip(f *testing.F) {
 	cfgPrefix := func(b ...byte) []byte { return b }
 	f.Add(append(cfgPrefix(1, 0, 0, 0, 0, 0), 0x00, 0x11, 0x44, 0x00)) // 2-bit chars, fully specified
 	f.Add(append(cfgPrefix(2, 8, 3, 1, 1, 1), bytes.Repeat([]byte{0xff}, 32)...) /* all-X cubes */)
-	f.Add(append(cfgPrefix(3, 255, 0, 2, 2, 0), bytes.Repeat([]byte{0x1b}, 64)...))     // repeating pattern, big dict
-	f.Add(append(cfgPrefix(0, 1, 1, 0, 0, 1), 0xf0, 0x0f, 0xcc, 0x33, 0x55))            // mixed X and care
-	f.Add(append(cfgPrefix(3, 0, 5, 1, 0, 1), bytes.Repeat([]byte{0x44, 0xff}, 40)...)) // reset-prone
-	f.Add(cfgPrefix(1, 2, 3, 4, 5, 6))                                                  // empty stream
+	f.Add(append(cfgPrefix(3, 255, 0, 2, 2, 0), bytes.Repeat([]byte{0x1b}, 64)...))       // repeating pattern, big dict
+	f.Add(append(cfgPrefix(0, 1, 1, 0, 0, 1), 0xf0, 0x0f, 0xcc, 0x33, 0x55))              // mixed X and care
+	f.Add(append(cfgPrefix(3, 0, 5, 1, 0, 1), bytes.Repeat([]byte{0x44, 0xff}, 40)...))   // reset-prone
+	f.Add(cfgPrefix(1, 2, 3, 4, 5, 6))                                                    // empty stream
+	f.Add(append(cfgPrefix(7, 40, 9, 0, 0, 0), bytes.Repeat([]byte{0x3c, 0xff}, 48)...))  // C_C=8, 64-bit entries (one word)
+	f.Add(append(cfgPrefix(0, 30, 17, 1, 1, 1), bytes.Repeat([]byte{0xf0, 0xff}, 48)...)) // C_C=1, 65-bit entries (walk)
+	f.Add(append(cfgPrefix(12, 9, 25, 2, 2, 0), bytes.Repeat([]byte{0x01, 0xfc}, 64)...)) // C_C=13, 65-bit entries
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 6 {
@@ -104,6 +121,9 @@ func FuzzRoundTrip(f *testing.F) {
 		}
 		if !stream.CompatibleWith(out) {
 			t.Fatalf("decompressed stream violates a care bit of the input")
+		}
+		if ref, err := refDecompress(res.Codes, cfg, nil, res.InputBits); err != nil || !ref.Equal(out) {
+			t.Fatalf("Decompress disagrees with the per-character reference (reference error %v)", err)
 		}
 	})
 }

@@ -91,7 +91,7 @@ func Train(stream *bitvec.Vector, cfg Config, maxEntries int) (*Preload, error) 
 	if err != nil {
 		return nil, err
 	}
-	if _, err := replayInto(d, res.Codes); err != nil {
+	if _, err := d.decode(res.Codes, nil, nil); err != nil {
 		return nil, err
 	}
 	n := int(d.next) - cfg.Literals()
@@ -104,33 +104,6 @@ func Train(stream *bitvec.Vector, cfg Config, maxEntries int) (*Preload, error) 
 		p.Strings = append(p.Strings, d.stringOf(c, nil))
 	}
 	return p, nil
-}
-
-// replayInto rebuilds the decoder-side dictionary for a code sequence.
-func replayInto(d *dict, codes []Code) (int, error) {
-	prev := noCode
-	var scratch []uint64
-	for i, c := range codes {
-		pending := false
-		if prev != noCode {
-			pending = d.prepareAdd(prev)
-		}
-		scratch = scratch[:0]
-		switch {
-		case d.defined(c):
-			scratch = d.stringOf(c, scratch)
-		case pending && c == d.next:
-			scratch = d.stringOf(prev, scratch)
-			scratch = append(scratch, d.firstChar[prev])
-		default:
-			return 0, fmt.Errorf("core: replay hit undefined code %d at %d", c, i)
-		}
-		if pending {
-			d.commitAdd(prev, scratch[0])
-		}
-		prev = c
-	}
-	return int(d.next), nil
 }
 
 // CompressWithPreload is Compress starting from a warm dictionary. The

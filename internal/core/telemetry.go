@@ -1,14 +1,19 @@
 package core
 
-import "lzwtc/internal/telemetry"
+import (
+	"math"
+	"sort"
 
-// Event kinds the compressor and software decompressor emit through a
-// telemetry recorder. Per-step events carry their paper-figure payload
-// under the "event" field; run events summarize a whole stream.
+	"lzwtc/internal/telemetry"
+)
+
+// Event kinds the compressor emits through a telemetry recorder. Step
+// events carry their paper-figure payload under the "event" field; run
+// events summarize a whole stream. The decompressor reports its Figure 4
+// steps through DecompressTrace's callback instead.
 const (
-	EventCompressStep   = "compress.step"   // one TraceEvent per Figure 3 step
-	EventCompressRun    = "compress.run"    // one summary record per compression run
-	EventDecompressStep = "decompress.step" // one DecompressTraceEvent per Figure 4 step
+	EventCompressStep = "compress.step" // one TraceEvent per Figure 3 step
+	EventCompressRun  = "compress.run"  // one summary record per compression run
 )
 
 // Registry metric names for the compressor. Counters aggregate across
@@ -53,21 +58,38 @@ const (
 	MetricDictPoolMisses   = "lzwtc_dict_pool_misses_total"
 )
 
+// matchLenBounds and occupancyBounds are the compressor histograms'
+// bucket bounds; arrays, so the per-run bucket tallies can be too.
+var (
+	matchLenBounds  = [...]float64{1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96}
+	occupancyBounds = [...]float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 1}
+)
+
 // MatchLenBuckets returns the histogram bounds for emitted-string
 // lengths, in characters. The paper's C_MDATA sweep (Table 5) spans
 // 9–73 characters per entry at C_C=7, so the tail buckets cover it.
-func MatchLenBuckets() []float64 {
-	return []float64{1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96}
-}
+func MatchLenBuckets() []float64 { return append([]float64(nil), matchLenBounds[:]...) }
 
 // OccupancyBuckets returns the histogram bounds for dictionary
 // occupancy, as the filled fraction of the N−2^C_C string-code space.
-func OccupancyBuckets() []float64 {
-	return []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 1}
-}
+func OccupancyBuckets() []float64 { return append([]float64(nil), occupancyBounds[:]...) }
 
-// emitBatch is how many code emissions compressMetrics buffers before
-// it observes them into the shared histograms in one batch.
+// matchLenBucket maps an integer match length to its matchLen bucket:
+// entry k is the first bound >= k, the histogram's own rule. Every
+// length past the last entry exceeds every bound and lands in the
+// overflow bucket. Built once, so binning a length is one table load
+// instead of a bound search.
+var matchLenBucket = func() []uint8 {
+	top := int(math.Ceil(matchLenBounds[len(matchLenBounds)-1])) + 1
+	t := make([]uint8, top+1)
+	for k := range t {
+		t[k] = uint8(sort.SearchFloat64s(matchLenBounds[:], float64(k)))
+	}
+	return t
+}()
+
+// emitBatch is how many code emissions compressMetrics bins before it
+// adds them to the shared histograms in one batch.
 const emitBatch = 128
 
 // compressMetrics holds the per-code hot-loop instruments, resolved
@@ -75,18 +97,26 @@ const emitBatch = 128
 // *compressMetrics is the disabled path: one pointer check per emitted
 // code.
 //
-// Emissions are buffered and observed emitBatch at a time. Observing
-// every code straight into the shared histograms made concurrent runs
-// (the frames of a sharded job, two jobs at once) contend on the
-// histograms' atomics, which cost up to a third of the match loop's CPU
-// and made its speed depend on how the runs happened to overlap.
+// Emissions are binned locally and added to the shared histograms
+// emitBatch at a time. Observing every code straight into the shared
+// histograms made concurrent runs (the frames of a sharded job, two
+// jobs at once) contend on the histograms' atomics, which cost up to a
+// third of the match loop's CPU and made its speed depend on how the
+// runs happened to overlap. Binning needs no bound search: match
+// lengths are integers (matchLenBucket), and occupancy only grows
+// between resets, so its bucket index only advances.
 type compressMetrics struct {
 	matchLen    *telemetry.Histogram
 	occupancy   *telemetry.Histogram
 	stringSpace float64 // N − 2^C_C, the occupancy denominator
 
-	n          int
-	lens, occs [emitBatch]float64
+	n         int
+	lenCounts [len(matchLenBounds) + 1]int64
+	occCounts [len(occupancyBounds) + 1]int64
+	lenSum    int
+	occSum    float64
+	occBucket int // bucket of lastUsed's occupancy
+	lastUsed  int
 }
 
 func newCompressMetrics(rec *telemetry.Recorder, cfg Config) *compressMetrics {
@@ -95,8 +125,8 @@ func newCompressMetrics(rec *telemetry.Recorder, cfg Config) *compressMetrics {
 		return nil
 	}
 	return &compressMetrics{
-		matchLen:    reg.Histogram(MetricCompressMatchLen, "emitted string length in characters", MatchLenBuckets()),
-		occupancy:   reg.Histogram(MetricCompressOccupancy, "dictionary occupancy fraction at each code emission", OccupancyBuckets()),
+		matchLen:    reg.Histogram(MetricCompressMatchLen, "emitted string length in characters", matchLenBounds[:]),
+		occupancy:   reg.Histogram(MetricCompressOccupancy, "dictionary occupancy fraction at each code emission", occupancyBounds[:]),
 		stringSpace: float64(cfg.DictSize - cfg.Literals()),
 	}
 }
@@ -105,21 +135,34 @@ func newCompressMetrics(rec *telemetry.Recorder, cfg Config) *compressMetrics {
 // dictionary occupancy at that moment. used is the current string-entry
 // count. The run must call flush once it has emitted its last code.
 func (m *compressMetrics) observeEmit(matchChars, used int) {
+	m.lenCounts[matchLenBucket[min(matchChars, len(matchLenBucket)-1)]]++
+	m.lenSum += matchChars
 	occ := 1.0
 	if m.stringSpace > 0 {
 		occ = float64(used) / m.stringSpace
 	}
-	m.lens[m.n], m.occs[m.n] = float64(matchChars), occ
+	if used < m.lastUsed {
+		m.occBucket = 0 // a FullReset emptied the dictionary
+	}
+	m.lastUsed = used
+	// The first bound >= occ, as the histogram's own search would find.
+	for m.occBucket < len(occupancyBounds) && occupancyBounds[m.occBucket] < occ {
+		m.occBucket++
+	}
+	m.occCounts[m.occBucket]++
+	m.occSum += occ
 	if m.n++; m.n == emitBatch {
 		m.flush()
 	}
 }
 
-// flush observes the buffered emissions.
+// flush adds the binned emissions to the histograms.
 func (m *compressMetrics) flush() {
-	m.matchLen.Observe(m.lens[:m.n]...)
-	m.occupancy.Observe(m.occs[:m.n]...)
-	m.n = 0
+	m.matchLen.ObserveBinned(m.lenCounts[:], float64(m.lenSum))
+	m.occupancy.ObserveBinned(m.occCounts[:], m.occSum)
+	clear(m.lenCounts[:])
+	clear(m.occCounts[:])
+	m.lenSum, m.occSum, m.n = 0, 0, 0
 }
 
 // recordCompressRun folds a finished run's Stats into the recorder:

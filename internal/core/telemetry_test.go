@@ -231,3 +231,55 @@ func TestCompressNilRecorderMatchesObserved(t *testing.T) {
 		t.Fatalf("stats differ:\nplain: %+v\nobs:   %+v", plain.Stats, obs.Stats)
 	}
 }
+
+// TestCompressMetricsBinningMatchesObserve: the per-code bucketing —
+// the match-length table and the monotone occupancy cursor — must give
+// the bucket counts a per-value Observe gives, for every match length
+// 0..MaxChars+1 (past the last bound, into overflow) and an occupancy
+// that climbs, fills, resets and climbs again. Binning allocates
+// nothing.
+func TestCompressMetricsBinningMatchesObserve(t *testing.T) {
+	cfg := Config{CharBits: 1, DictSize: 40, EntryBits: 130}
+	reg := telemetry.NewRegistry()
+	m := newCompressMetrics(telemetry.New(reg), cfg)
+	ref := telemetry.NewRegistry()
+	refLen := ref.Histogram("lzwtc_test_len", "", MatchLenBuckets())
+	refOcc := ref.Histogram("lzwtc_test_occ", "", OccupancyBuckets())
+	space := cfg.DictSize - cfg.Literals()
+	used := 0
+	for k := 0; k <= cfg.MaxChars()+1; k++ {
+		for rep := 0; rep < 3; rep++ {
+			if used++; used > space {
+				used = k % 5 // FullReset, then a few adds
+			}
+			m.observeEmit(k, used)
+			refLen.Observe(float64(k))
+			refOcc.Observe(float64(used) / float64(space))
+		}
+	}
+	m.flush()
+	for _, c := range []struct {
+		name string
+		want *telemetry.Histogram
+	}{{MetricCompressMatchLen, refLen}, {MetricCompressOccupancy, refOcc}} {
+		got, want := reg.Histogram(c.name, "", nil).Snapshot(), c.want.Snapshot()
+		if got.Count != want.Count {
+			t.Fatalf("%s: count %d, per-value %d", c.name, got.Count, want.Count)
+		}
+		for i := range want.Buckets {
+			if got.Buckets[i] != want.Buckets[i] {
+				t.Fatalf("%s: bucket %d = %+v, per-value %+v", c.name, i, got.Buckets[i], want.Buckets[i])
+			}
+		}
+	}
+	if got, want := reg.Histogram(MetricCompressMatchLen, "", nil).Sum(), refLen.Sum(); got != want {
+		t.Fatalf("match-length sum %v, per-value %v", got, want)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		for i := 0; i < emitBatch; i++ {
+			m.observeEmit(i%12, i)
+		}
+	}); n != 0 {
+		t.Fatalf("binning %d emissions allocates %v times, want 0", emitBatch, n)
+	}
+}

@@ -335,6 +335,10 @@ func (m *Manager) Submit(ctx context.Context, tenant string, run RunFunc) (Statu
 	m.jobs[j.id] = j
 	m.queued++
 	m.m.queueDepth.Set(float64(m.queued))
+	// Snapshot before the enqueue: once j is on the queue a worker may
+	// start (or even finish) it, and the caller is promised the queued
+	// state.
+	st := j.snapshotLocked()
 	m.mu.Unlock()
 	m.jobsWG.Add(1)
 
@@ -356,10 +360,6 @@ func (m *Manager) Submit(ctx context.Context, tenant string, run RunFunc) (Statu
 		return Status{}, &RejectError{Reason: ReasonQueueFull, Tenant: tenant, RetryAfter: m.RetryAfter()}
 	}
 	m.m.submitted.Inc()
-
-	m.mu.Lock()
-	st := j.snapshotLocked()
-	m.mu.Unlock()
 	return st, nil
 }
 

@@ -5,6 +5,8 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"lzwtc/internal/invariant"
 )
 
 // Registry is a concurrency-safe collection of named metrics. Metric
@@ -166,12 +168,34 @@ func (h *Histogram) Observe(vs ...float64) {
 		tally[sort.SearchFloat64s(h.bounds, v)]++ // first bound >= v, or overflow
 		sum += v
 	}
-	for i, n := range tally {
-		if n != 0 {
-			h.counts[i].Add(n)
+	h.ObserveBinned(tally, sum)
+}
+
+// ObserveBinned records a batch its caller has already binned: counts[i]
+// observations fell in bucket i — the first bound >= the value, index
+// len(bounds) for the overflow — and the values sum to sum. counts must
+// have one entry per bucket of the bounds the histogram was first
+// registered with. It is Observe for callers that can bin faster than a
+// bound search, such as integer or monotone values. No-op on a nil
+// histogram.
+func (h *Histogram) ObserveBinned(counts []int64, sum float64) {
+	if h == nil {
+		return
+	}
+	if len(counts) != len(h.counts) {
+		invariant.Violatef("telemetry: %d bucket counts for a %d-bucket histogram", len(counts), len(h.counts))
+	}
+	var n int64
+	for i, c := range counts {
+		if c != 0 {
+			h.counts[i].Add(c)
+			n += c
 		}
 	}
-	h.count.Add(int64(len(vs)))
+	if n == 0 {
+		return
+	}
+	h.count.Add(n)
 	for {
 		old := h.sum.Load()
 		if h.sum.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+sum)) {
