@@ -297,17 +297,29 @@ func (c *Client) Compress(ctx context.Context, ts *lzwtc.TestSet, cfg lzwtc.Conf
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	var body bytes.Buffer
-	if err := ts.WriteCubes(&body); err != nil {
+	body, err := cubeText(ts)
+	if err != nil {
 		return nil, err
 	}
 	resp, err := c.do(ctx, http.MethodPost, server.PathCompress,
-		compressQuery(cfg, opts), "text/plain; charset=utf-8", body.Bytes())
+		compressQuery(cfg, opts), "text/plain; charset=utf-8", body)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close() //nolint:errcheck // fully drained below
 	return c.readBounded(resp.Body)
+}
+
+// cubeText renders ts as a request body. The buffer is grown to the
+// exact text size, (Width+1) bytes per pattern, before rendering, so
+// the body is one allocation rather than a series of doublings.
+func cubeText(ts *lzwtc.TestSet) ([]byte, error) {
+	var body bytes.Buffer
+	body.Grow((ts.Width + 1) * len(ts.Cubes))
+	if err := ts.WriteCubes(&body); err != nil {
+		return nil, err
+	}
+	return body.Bytes(), nil
 }
 
 // readBounded buffers r up to Options.MaxResponseBytes and errors

@@ -1,7 +1,6 @@
 package client
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -35,15 +34,15 @@ func (c *Client) TrainDict(ctx context.Context, ts *lzwtc.TestSet, cfg lzwtc.Con
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	var body bytes.Buffer
-	if err := ts.WriteCubes(&body); err != nil {
+	body, err := cubeText(ts)
+	if err != nil {
 		return nil, err
 	}
 	q := server.EncodeCompressQuery(cfg, 0)
 	if maxEntries > 0 {
 		q.Set(server.ParamEntries, strconv.Itoa(maxEntries))
 	}
-	resp, err := c.do(ctx, http.MethodPut, server.PathDict, q, "text/plain; charset=utf-8", body.Bytes())
+	resp, err := c.do(ctx, http.MethodPut, server.PathDict, q, "text/plain; charset=utf-8", body)
 	if err != nil {
 		return nil, err
 	}

@@ -1,7 +1,6 @@
 package client
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -39,12 +38,12 @@ func (c *Client) SubmitCompressJob(ctx context.Context, ts *lzwtc.TestSet, cfg l
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	var body bytes.Buffer
-	if err := ts.WriteCubes(&body); err != nil {
+	body, err := cubeText(ts)
+	if err != nil {
 		return nil, err
 	}
 	resp, err := c.do(ctx, http.MethodPost, server.PathJobsCompress,
-		compressQuery(cfg, opts), "text/plain; charset=utf-8", body.Bytes())
+		compressQuery(cfg, opts), "text/plain; charset=utf-8", body)
 	if err != nil {
 		return nil, err
 	}

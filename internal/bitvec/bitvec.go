@@ -21,6 +21,7 @@ import (
 	"io"
 	"math/bits"
 	"slices"
+	"sync"
 
 	"lzwtc/internal/invariant"
 )
@@ -347,11 +348,11 @@ const (
 	xText   = 'X' * lanes01 // "XXXXXXXX"
 )
 
-// zeroLanes sets bit 7 of every byte lane of y that is zero and clears
-// every other bit. Unlike the borrow-based test it is exact in every
-// lane, not just the lowest zero one.
-func zeroLanes(y uint64) uint64 {
-	return ^((y&lanes7F + lanes7F) | y | lanes7F)
+// nonzeroLanes sets bit 7 of every byte lane of y that is non-zero,
+// exactly in every lane (not just up to the lowest zero one as the
+// borrow-based test is); the other bits are garbage.
+func nonzeroLanes(y uint64) uint64 {
+	return (y&lanes7F + lanes7F) | y
 }
 
 // laneMask gathers bit 7 of each byte lane into an 8-bit mask, lane j
@@ -360,47 +361,81 @@ func laneMask(hi uint64) uint64 {
 	return (hi >> 7) * 0x0102040810204080 >> 56
 }
 
-// textLanes classifies 8 characters at once: the value and care bits of
-// each lane, and a mask of lanes holding no cube character. '0' and '1'
-// differ from 0x30 only in bit 0; 'X' and 'x' differ only in bit 5.
-func textLanes(x uint64) (val, care, bad uint64) {
-	careHi := zeroLanes((x ^ '0'*lanes01) &^ lanes01)
-	xHi := zeroLanes((x | 0x20*lanes01) ^ 'x'*lanes01)
-	dashHi := zeroLanes(x ^ '-'*lanes01)
-	return laneMask(careHi & (x << 7)), laneMask(careHi), laneMask(^(careHi | xHi | dashHi) & lanes80)
+// textLanes classifies 8 characters at once: bit 7 is set in every
+// byte lane holding '0' or '1' (careHi), and in every lane holding no
+// cube character (badHi). '0' and '1' differ from 0x30 only in bit 0;
+// 'X' and 'x' differ only in bit 5. A lane's value bit is its bit 0.
+func textLanes(x uint64) (careHi, badHi uint64) {
+	c := nonzeroLanes((x ^ '0'*lanes01) &^ lanes01)
+	return ^c & lanes80, c & nonzeroLanes((x|0x20*lanes01)^'x'*lanes01) & nonzeroLanes(x^'-'*lanes01) & lanes80
 }
 
-// parseText is Parse over a string or a scanner's line bytes. Each
-// 64-character block becomes one value word and one care word, built 8
-// characters per step; a short final group is padded with 'X'.
+// load8 returns up to 8 characters of g as byte lanes, character j in
+// lane j; lanes past the end of g read as 'X'.
+func load8[T string | []byte](g T) uint64 {
+	x := uint64(xText)
+	for k := min(len(g), 8) - 1; k >= 0; k-- {
+		x = x<<8 | uint64(g[k])
+	}
+	return x
+}
+
+// parseText is Parse over a string or a scanner's line bytes.
 func parseText[T string | []byte](s T) (*Vector, error) {
 	v := New(len(s))
-	for w := range v.val {
-		base := w * 64
-		blk := s[base:min(base+64, len(s))]
-		var val, care uint64
+	if i := parseInto(v.val, v.care, s); i >= 0 {
+		return nil, badChar(s[i], i)
+	}
+	return v, nil
+}
+
+// badChar is the one error text for a character outside the cube
+// alphabet.
+func badChar(c byte, i int) error {
+	return fmt.Errorf("bitvec: invalid character %q at position %d", c, i)
+}
+
+// parseInto is the cube-text parse kernel. It fills the planes val and
+// care (at least ⌈len(s)/64⌉ words each) from s, one value word and one
+// care word per 64-character block, built 8 characters per step; a
+// short final group is padded with 'X'. It returns the position of the
+// first invalid character, or -1. Each block ORs its bad lanes into one
+// word, and only a non-zero word sends the block back through badLane
+// for the exact position.
+func parseInto[T string | []byte](val, care []uint64, s T) int {
+	for w := 0; w*64 < len(s); w++ {
+		blk := s[w*64 : min(w*64+64, len(s))]
+		var bv, bc, bad uint64
 		for j := 0; j < len(blk); j += 8 {
-			x := uint64(xText)
-			if len(blk)-j >= 8 {
+			var x uint64
+			if j+8 <= len(blk) {
 				g := blk[j : j+8]
 				x = uint64(g[0]) | uint64(g[1])<<8 | uint64(g[2])<<16 | uint64(g[3])<<24 |
 					uint64(g[4])<<32 | uint64(g[5])<<40 | uint64(g[6])<<48 | uint64(g[7])<<56
 			} else {
-				for k := len(blk) - 1; k >= j; k-- {
-					x = x<<8 | uint64(blk[k])
-				}
+				x = load8(blk[j:])
 			}
-			lv, lc, bad := textLanes(x)
-			if bad != 0 {
-				i := base + j + bits.TrailingZeros64(bad)
-				return nil, fmt.Errorf("bitvec: invalid character %q at position %d", s[i], i)
-			}
-			val |= lv << uint(j)
-			care |= lc << uint(j)
+			careHi, badHi := textLanes(x)
+			bv |= laneMask(careHi&(x<<7)) << uint(j)
+			bc |= laneMask(careHi) << uint(j)
+			bad |= badHi
 		}
-		v.val[w], v.care[w] = val, care
+		if bad != 0 {
+			return w*64 + badLane(blk)
+		}
+		val[w], care[w] = bv, bc
 	}
-	return v, nil
+	return -1
+}
+
+// badLane returns the position of the first invalid character of a
+// block that has one.
+func badLane[T string | []byte](blk T) int {
+	for j := 0; ; j += 8 {
+		if _, badHi := textLanes(load8(blk[j:])); badHi != 0 {
+			return j + bits.TrailingZeros64(badHi)/8
+		}
+	}
 }
 
 // MustParse is Parse that panics on error, for tests and literals.
@@ -424,22 +459,31 @@ var spread8 = func() (t [256]uint64) {
 	return t
 }()
 
-// appendText appends the '0'/'1'/'X' rendering of v to dst, 8
-// characters per store: lanes start as 'X', care lanes flip to '0'
-// ('X'^'0' = 0x68 per lane), and value bits turn '0' into '1'. The
-// final store may run up to 7 bytes past Len; those bytes sit in dst's
-// spare capacity and are sliced off.
+// appendText appends the '0'/'1'/'X' rendering of v to dst. The final
+// store of putText may run up to 7 bytes past Len; those bytes sit in
+// dst's spare capacity and are sliced off.
 func (v *Vector) appendText(dst []byte) []byte {
 	start := len(dst)
 	padded := (v.n + 7) &^ 7
 	dst = slices.Grow(dst, padded)[:start+padded]
-	out := dst[start:]
-	for i := 0; i < padded; i += 8 {
-		w, sh := i/64, uint(i%64)
-		val, care := v.val[w]>>sh&0xFF, v.care[w]>>sh&0xFF
-		binary.LittleEndian.PutUint64(out[i:], xText^spread8[care]*('X'^'0')|spread8[val])
-	}
+	v.putText(dst[start:], 0, v.n)
 	return dst[:start+v.n]
+}
+
+// putText renders characters [from, to) of v into dst[0:to-from], 8
+// characters per store: lanes start as 'X', care lanes flip to '0'
+// ('X'^'0' = 0x68 per lane), and value bits turn '0' into '1'. from
+// must be a multiple of 8. The last store writes whole 8-byte lanes,
+// so dst needs room for to-from rounded up to a multiple of 8.
+func (v *Vector) putText(dst []byte, from, to int) {
+	for i := from; i < to; {
+		w := i / 64
+		val, care := v.val[w]>>uint(i%64), v.care[w]>>uint(i%64)
+		for end := min(to, w*64+64); i < end; i += 8 {
+			binary.LittleEndian.PutUint64(dst[i-from:], xText^spread8[care&0xFF]*('X'^'0')|spread8[val&0xFF])
+			val, care = val>>8, care>>8
+		}
+	}
 }
 
 // Concat returns the concatenation of vs as a single vector.
@@ -548,29 +592,74 @@ func Deserialize(stream *Vector, width int) (*CubeSet, error) {
 }
 
 // split cuts the first width bits of every stride-bit slot of stream
-// into a cube. All cubes of the set share one Vector array and one
-// plane backing array: three allocations per set instead of three per
-// cube. Each plane is cut with a 3-index slice, so no cube can grow
-// into its neighbour. Cubes are short, so the cache-set note in New
-// does not apply.
+// into a cube. The count is known, so the arena takes every cube from
+// one chunk: three allocations per set instead of three per cube.
 func split(stream *Vector, width, stride int) *CubeSet {
 	cs := NewCubeSet(width)
 	count := stream.n / stride
 	if count == 0 {
 		return cs
 	}
-	w := (width + 63) / 64
-	vecs := make([]Vector, count)
-	planes := make([]uint64, 2*w*count)
+	a := cubeArena{width: width, chunk: count}
 	cs.Cubes = make([]*Vector, count)
-	for i := range vecs {
-		p := planes[2*w*i:]
-		vecs[i] = Vector{n: width, val: p[:w:w], care: p[w : 2*w : 2*w]}
-		vecs[i].copyRange(0, stream, i*stride, width)
-		cs.Cubes[i] = &vecs[i]
+	for i := range cs.Cubes {
+		v := a.next()
+		v.copyRange(0, stream, i*stride, width)
+		cs.Cubes[i] = v
 	}
 	return cs
 }
+
+// cubeArena hands out the cubes of one set from shared backing arrays:
+// a chunk of Vector headers and a chunk of plane words, chunk cubes per
+// chunk. Each plane is cut with a 3-index slice, so no cube can grow
+// into its neighbour. Cubes are short, so the cache-set note in New
+// does not apply. The arena never frees: at most one partly used chunk
+// is wasted per set.
+type cubeArena struct {
+	width  int
+	chunk  int      // cubes per chunk
+	vecs   []Vector // unused headers of the current chunk
+	planes []uint64 // unused plane words of the current chunk
+}
+
+// arenaChunkBytes sizes the plane chunk of a set whose cube count is
+// not known in advance, so unused plane space is bounded per set.
+const arenaChunkBytes = 8 << 10
+
+// newCubeArena returns an arena for a set of unknown size: plane chunks
+// of about arenaChunkBytes, or one cube per chunk for wider cubes.
+func newCubeArena(width int) cubeArena {
+	words := 2 * ((width + 63) / 64)
+	return cubeArena{width: width, chunk: max(1, arenaChunkBytes/(8*words))}
+}
+
+// next returns a fresh all-X cube of the arena's width.
+func (a *cubeArena) next() *Vector {
+	w := (a.width + 63) / 64
+	if len(a.vecs) == 0 {
+		a.vecs = make([]Vector, a.chunk)
+		a.planes = make([]uint64, 2*w*a.chunk)
+	}
+	v, p := &a.vecs[0], a.planes
+	a.vecs, a.planes = a.vecs[1:], p[2*w:]
+	*v = Vector{n: a.width, val: p[:w:w], care: p[w : 2*w : 2*w]}
+	return v
+}
+
+// blockBytes is the unit cube text moves in: ReadCubes reads into a
+// block and WriteCubes hands w one full block per Write. 64 KiB is
+// large enough that bufio layers under a connection pass each read and
+// write straight through instead of cutting it into 4 KiB steps.
+const blockBytes = 64 << 10
+
+// blockPool recycles text blocks. Every pooled block has length
+// blockBytes plus 8 bytes of slack for putText's last lane store; a
+// buffer the scanner grows for a long line is never put back.
+var blockPool = sync.Pool{New: func() any {
+	b := make([]byte, blockBytes+8)
+	return &b
+}}
 
 // maxLineBytes caps one cube-text line; the scanner grows its buffer on
 // demand up to this size.
@@ -578,11 +667,15 @@ const maxLineBytes = 1 << 24
 
 // ReadCubes parses a text cube file: one cube per line of '0'/'1'/'X',
 // blank lines and lines starting with '#' ignored. All cubes must have
-// equal width.
+// equal width. The scanner reads through a pooled block, and each line
+// is parsed straight into the set's cube arena.
 func ReadCubes(r io.Reader) (*CubeSet, error) {
+	blk := blockPool.Get().(*[]byte)
+	defer blockPool.Put(blk)
 	sc := bufio.NewScanner(r)
-	sc.Buffer(nil, maxLineBytes)
+	sc.Buffer((*blk)[:blockBytes:blockBytes], maxLineBytes)
 	var cs *CubeSet
+	var arena cubeArena
 	line := 0
 	for sc.Scan() {
 		line++
@@ -590,16 +683,22 @@ func ReadCubes(r io.Reader) (*CubeSet, error) {
 		if len(s) == 0 || s[0] == '#' {
 			continue
 		}
-		v, err := parseText(s)
-		if err != nil {
-			return nil, fmt.Errorf("line %d: %w", line, err)
-		}
 		if cs == nil {
-			cs = NewCubeSet(v.Len())
+			cs, arena = NewCubeSet(len(s)), newCubeArena(len(s))
 		}
-		if err := cs.Add(v); err != nil {
+		if len(s) != cs.Width {
+			// A bad character outranks the width mismatch.
+			v, err := parseText(s)
+			if err == nil {
+				err = cs.Add(v)
+			}
 			return nil, fmt.Errorf("line %d: %w", line, err)
 		}
+		v := arena.next()
+		if i := parseInto(v.val, v.care, s); i >= 0 {
+			return nil, fmt.Errorf("line %d: %w", line, badChar(s[i], i))
+		}
+		cs.Cubes = append(cs.Cubes, v)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
@@ -610,18 +709,40 @@ func ReadCubes(r io.Reader) (*CubeSet, error) {
 	return cs, nil
 }
 
-// WriteCubes writes the set in the text format ReadCubes parses, each
-// cube rendered into one reused line buffer.
+// WriteCubes writes the set in the text format ReadCubes parses. Lines
+// are rendered into a pooled block, and w gets one Write per full block
+// of blockBytes, plus one for the rest.
 func (cs *CubeSet) WriteCubes(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	var line []byte
+	blk := blockPool.Get().(*[]byte)
+	defer blockPool.Put(blk)
+	buf, n := *blk, 0
 	for _, c := range cs.Cubes {
-		line = append(c.appendText(line[:0]), '\n')
-		if _, err := bw.Write(line); err != nil {
+		// Each step renders whole lanes up to the block's end, or the
+		// line's newline. A lane store may spill up to 7 characters
+		// into the slack; they move to the front after the Write.
+		for i := 0; i <= c.n; {
+			if i < c.n {
+				j := min(c.n, i+((blockBytes-n+7)&^7))
+				c.putText(buf[n:], i, j)
+				n, i = n+j-i, j
+			} else {
+				buf[n] = '\n'
+				n, i = n+1, i+1
+			}
+			if n >= blockBytes {
+				if _, err := w.Write(buf[:blockBytes]); err != nil {
+					return err
+				}
+				n = copy(buf, buf[blockBytes:n])
+			}
+		}
+	}
+	if n > 0 {
+		if _, err := w.Write(buf[:n]); err != nil {
 			return err
 		}
 	}
-	return bw.Flush()
+	return nil
 }
 
 func popcount(x uint64) int { return bits.OnesCount64(x) }

@@ -358,8 +358,9 @@ func TestReadCubesMatchesPerBit(t *testing.T) {
 }
 
 // TestReadCubesLineLimits pins the scanner bounds: a 2 MiB line grows
-// the buffer on demand and parses, and a line over the 16 MiB cap fails
-// with bufio.ErrTooLong.
+// the buffer on demand and parses, so does a line of maxLineBytes-1
+// characters (the longest the cap admits with its newline), and a line
+// over the 16 MiB cap fails with bufio.ErrTooLong.
 func TestReadCubesLineLimits(t *testing.T) {
 	long := strings.Repeat("01X-", (2<<20)/4)
 	cs, err := ReadCubes(strings.NewReader(long + "\n" + long))
@@ -368,6 +369,11 @@ func TestReadCubesLineLimits(t *testing.T) {
 	}
 	if cs.Width != len(long) || len(cs.Cubes) != 2 {
 		t.Fatalf("2 MiB line: width %d, %d cubes", cs.Width, len(cs.Cubes))
+	}
+	capLine := append(bytes.Repeat([]byte("01X-"), maxLineBytes/4)[:maxLineBytes-1], '\n')
+	cs, err = ReadCubes(bytes.NewReader(capLine))
+	if err != nil || cs.Width != maxLineBytes-1 || cs.Cubes[0].XCount() != (maxLineBytes-1)/2 {
+		t.Fatalf("line of %d bytes: %v", maxLineBytes-1, err)
 	}
 	huge := bytes.Repeat([]byte{'1'}, maxLineBytes+1)
 	if _, err := ReadCubes(bytes.NewReader(huge)); !errors.Is(err, bufio.ErrTooLong) {
@@ -505,28 +511,61 @@ func benchSet() *CubeSet {
 	return randomSet(rand.New(rand.NewSource(19)), 1000, 100, 0.7)
 }
 
+// benchNarrowSet has the shape of the bulk_async workload: 8192 cubes
+// of 214 bits, 72 % X, so per-cube costs dominate per-bit ones.
+func benchNarrowSet() *CubeSet {
+	return randomSet(rand.New(rand.NewSource(20)), 214, 8192, 0.72)
+}
+
+// benchTextSets are the shapes the cube-text benchmarks run over.
+var benchTextSets = []struct {
+	name string
+	set  func() *CubeSet
+}{{"paper", benchSet}, {"narrow", benchNarrowSet}}
+
 func BenchmarkCubeTextParse(b *testing.B) {
-	var text bytes.Buffer
-	if err := benchSet().WriteCubes(&text); err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(text.Len()))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := ReadCubes(bytes.NewReader(text.Bytes())); err != nil {
-			b.Fatal(err)
-		}
+	for _, bs := range benchTextSets {
+		b.Run(bs.name, func(b *testing.B) {
+			var text bytes.Buffer
+			if err := bs.set().WriteCubes(&text); err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(text.Len()))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := ReadCubes(bytes.NewReader(text.Bytes())); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
+// writeCounter counts Write calls, so the render benchmark reports
+// the traffic its sink sees.
+type writeCounter int
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	*w++
+	return len(p), nil
+}
+
 func BenchmarkCubeTextRender(b *testing.B) {
-	cs := benchSet()
-	b.SetBytes(int64(cs.TotalBits()))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if err := cs.WriteCubes(io.Discard); err != nil {
-			b.Fatal(err)
-		}
+	for _, bs := range benchTextSets {
+		b.Run(bs.name, func(b *testing.B) {
+			cs := bs.set()
+			var writes writeCounter
+			b.SetBytes(int64(cs.TotalBits()))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := cs.WriteCubes(&writes); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(writes)/float64(b.N), "writes/op")
+		})
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"lzwtc/internal/telemetry"
@@ -34,28 +35,32 @@ func BenchmarkCompressTraceDisabled(b *testing.B) {
 // TestTraceDisabledAllocParity: with a nil recorder, the ctx-carrying
 // entry point must allocate exactly as much as the plain one — the
 // disabled trace path is a pointer check, not a span.
+//
+// Each run may miss the dict arena: a GC can empty it, and under -race
+// sync.Pool drops a random share of Puts, so a miss allocates a fresh
+// dict. The test therefore compares the fewest allocations either path
+// makes over interleaved single runs. A miss only ever raises one run's
+// count, while a span allocated on the ctx path raises every run's,
+// the fewest included.
 func TestTraceDisabledAllocParity(t *testing.T) {
 	stream, cfg := overheadWorkload()
 	ctx := traceCtx()
-	// Warm the dict arena so both measurements recycle rather than
-	// racing each other for the first fresh allocation.
-	if _, err := CompressObserved(stream, cfg, nil); err != nil {
-		t.Fatal(err)
-	}
-	base := testing.AllocsPerRun(10, func() {
+	plain := func() {
 		if _, err := CompressObserved(stream, cfg, nil); err != nil {
 			t.Fatal(err)
 		}
-	})
-	traced := testing.AllocsPerRun(10, func() {
+	}
+	traced := func() {
 		if _, err := CompressObservedCtx(ctx, stream, cfg, nil); err != nil {
 			t.Fatal(err)
 		}
-	})
-	// Averaging over runs absorbs a stray GC emptying the dict arena
-	// mid-measurement; a real per-op span allocation would show as a
-	// full +1.
-	if traced > base+0.5 {
-		t.Fatalf("disabled tracing allocates: %.1f allocs/op via ctx path, %.1f via plain path", traced, base)
+	}
+	base, ctxPath := math.Inf(1), math.Inf(1)
+	for i := 0; i < 10; i++ {
+		base = min(base, testing.AllocsPerRun(1, plain))
+		ctxPath = min(ctxPath, testing.AllocsPerRun(1, traced))
+	}
+	if ctxPath > base {
+		t.Fatalf("disabled tracing allocates: %.0f allocs/op via ctx path, %.0f via plain path", ctxPath, base)
 	}
 }

@@ -666,6 +666,10 @@ func (s *Server) handleDecompress(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		w.Header().Set(HeaderPatterns, strconv.Itoa(len(res.ts.Cubes)))
 		w.Header().Set(HeaderWidth, strconv.Itoa(res.ts.Width))
+		// The text size is known exactly, so the body is not chunked,
+		// and a write failure mid-body leaves it short of the declared
+		// length: the client sees an error, not a shorter test set.
+		w.Header().Set("Content-Length", strconv.Itoa((res.ts.Width+1)*len(res.ts.Cubes)))
 		if err := res.ts.WriteCubes(w); err != nil {
 			return
 		}

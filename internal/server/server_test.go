@@ -14,6 +14,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -460,5 +461,100 @@ func TestServiceGracefulDrain(t *testing.T) {
 	}
 	if !drained {
 		t.Fatalf("%s gauge not set after drain", server.MetricDrainStarted)
+	}
+}
+
+// decompressBody posts a container to the decompress endpoint of a
+// hosted handler and returns the response with its body read in full.
+func decompressBody(t *testing.T, url string, container []byte) (*http.Response, []byte) {
+	t.Helper()
+	resp, err := http.Post(url+server.PathDecompress, "application/octet-stream", bytes.NewReader(container))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp, body
+}
+
+// TestServiceDecompressContentLength: the decompress response declares
+// its exact size, (Width+1) bytes per pattern, and is not chunked.
+func TestServiceDecompressContentLength(t *testing.T) {
+	srv := server.New(server.Config{})
+	t.Cleanup(srv.Close)
+	hs := httptest.NewServer(srv.Handler())
+	t.Cleanup(hs.Close)
+	for _, ts := range []*lzwtc.TestSet{readCorpusSet(t, "cc8-default"), bigSet(t, 700, 214)} {
+		res, err := lzwtc.Compress(ts, lzwtc.Config{CharBits: 7, DictSize: 1024, EntryBits: 63})
+		if err != nil {
+			t.Fatal(err)
+		}
+		container, err := res.EncodeWire()
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, body := decompressBody(t, hs.URL, container)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp.StatusCode, body)
+		}
+		want := (ts.Width + 1) * len(ts.Cubes)
+		if resp.Header.Get("Content-Length") != strconv.Itoa(len(body)) || resp.ContentLength != int64(len(body)) || len(body) != want {
+			t.Fatalf("Content-Length %q (%d), body %d bytes, want %d", resp.Header.Get("Content-Length"), resp.ContentLength, len(body), want)
+		}
+		if len(resp.TransferEncoding) != 0 {
+			t.Fatalf("body transfer-encoded %v despite a known length", resp.TransferEncoding)
+		}
+		got, err := lzwtc.ReadTestSet(bytes.NewReader(body))
+		if err != nil || len(got.Cubes) != len(ts.Cubes) {
+			t.Fatalf("body does not parse back to %d patterns: %v", len(ts.Cubes), err)
+		}
+	}
+}
+
+// failAfterFirstWrite passes the first body Write through and fails
+// every later one, as a connection that breaks mid-body would.
+type failAfterFirstWrite struct {
+	http.ResponseWriter
+	writes int
+}
+
+func (w *failAfterFirstWrite) Write(p []byte) (int, error) {
+	if w.writes++; w.writes > 1 {
+		return 0, errors.New("connection broke")
+	}
+	return w.ResponseWriter.Write(p)
+}
+
+// TestServiceDecompressWriteFailureIsAnError: when the server's write
+// fails part-way through a multi-block body, the client gets an error,
+// not the shorter test set that arrived before the failure. Lines of
+// 256 bytes make the cut fall on a line boundary, so the text that did
+// arrive parses cleanly and only the declared length exposes the loss.
+func TestServiceDecompressWriteFailureIsAnError(t *testing.T) {
+	srv := server.New(server.Config{})
+	t.Cleanup(srv.Close)
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		srv.Handler().ServeHTTP(&failAfterFirstWrite{ResponseWriter: w}, r)
+	}))
+	t.Cleanup(hs.Close)
+	ts := bigSet(t, 700, 255) // 175 KiB of text: three blocks
+	res, err := lzwtc.Compress(ts, lzwtc.Config{CharBits: 7, DictSize: 1024, EntryBits: 63})
+	if err != nil {
+		t.Fatal(err)
+	}
+	container, err := res.EncodeWire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := client.New(hs.URL, client.Options{Retries: 0})
+	got, err := c.Decompress(context.Background(), container)
+	if err == nil {
+		t.Fatalf("truncated body accepted as a %d-pattern set (sent %d)", len(got.Cubes), len(ts.Cubes))
+	}
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("got %v, want io.ErrUnexpectedEOF", err)
 	}
 }
