@@ -68,7 +68,6 @@ func batch(ctx context.Context, args []string) error {
 	workers := fs.Int("workers", 0, "concurrent jobs (0 = GOMAXPROCS)")
 	policyName := fs.String("policy", "collect", "error policy: failfast (cancel batch on first error) or collect (run everything)")
 	shardPatterns := fs.Int("shard-patterns", 0, "compress each set as shards of at most this many patterns (0 = unsharded)")
-	raw := fs.Bool("raw", false, "write legacy LZWTC1 containers (no CRC framing) instead of the wire format")
 	cfg := configFlags(fs)
 	opts := telemetryFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -126,9 +125,9 @@ func batch(ctx context.Context, args []string) error {
 		Results:       make([]batchJobRecord, len(jobs)),
 	}
 	if *shardPatterns > 0 {
-		err = runShardedBatch(ctx, jobs, *shardPatterns, bopts, *outDir, *raw, &agg)
+		err = runShardedBatch(ctx, jobs, *shardPatterns, bopts, *outDir, &agg)
 	} else {
-		err = runBatch(ctx, jobs, bopts, *outDir, *raw, &agg)
+		err = runBatch(ctx, jobs, bopts, *outDir, &agg)
 	}
 	agg.WallMs = time.Since(start).Milliseconds()
 	if err != nil {
@@ -162,10 +161,9 @@ func batch(ctx context.Context, args []string) error {
 	return nil
 }
 
-// runBatch is the unsharded path: one container + run record per job.
-// The container is the versioned wire format (self-describing, CRC32C
-// per region, explicit EOS) unless -raw asked for the legacy dump.
-func runBatch(ctx context.Context, jobs []lzwtc.BatchJob, opts lzwtc.BatchOptions, outDir string, raw bool, agg *batchRecord) error {
+// runBatch is the unsharded path: one wire container (self-describing,
+// CRC32C per region, explicit EOS) + run record per job.
+func runBatch(ctx context.Context, jobs []lzwtc.BatchJob, opts lzwtc.BatchOptions, outDir string, agg *batchRecord) error {
 	results, err := lzwtc.CompressBatch(ctx, jobs, opts)
 	if err != nil {
 		return err
@@ -178,7 +176,7 @@ func runBatch(ctx context.Context, jobs []lzwtc.BatchJob, opts lzwtc.BatchOption
 		}
 		record := lzwtc.NewRunRecord(r.Result)
 		base := filepath.Join(outDir, r.Job.Name)
-		container, err := encodeContainer(r.Result, raw)
+		container, err := r.Result.EncodeWire()
 		if err != nil {
 			return err
 		}
@@ -196,12 +194,11 @@ func runBatch(ctx context.Context, jobs []lzwtc.BatchJob, opts lzwtc.BatchOption
 	return nil
 }
 
-// runShardedBatch compresses each set as pattern-group shards. The
-// default output is one wire container per job with one frame per shard
-// (each frame independently decompressible — a frame boundary is a
-// FullReset); -raw falls back to the legacy one-file-per-shard layout
-// (<name>.shardK.lzw) plus the job's sharded run record.
-func runShardedBatch(ctx context.Context, jobs []lzwtc.BatchJob, per int, opts lzwtc.BatchOptions, outDir string, raw bool, agg *batchRecord) error {
+// runShardedBatch compresses each set as pattern-group shards: one wire
+// container per job with one frame per shard (each frame independently
+// decompressible — a frame boundary is a FullReset) plus the job's
+// sharded run record.
+func runShardedBatch(ctx context.Context, jobs []lzwtc.BatchJob, per int, opts lzwtc.BatchOptions, outDir string, agg *batchRecord) error {
 	for i, j := range jobs {
 		agg.Results[i] = batchJobRecord{Name: j.Name}
 		sr, err := lzwtc.CompressSharded(ctx, j.Set, j.Cfg, per, opts)
@@ -216,19 +213,7 @@ func runShardedBatch(ctx context.Context, jobs []lzwtc.BatchJob, per int, opts l
 			continue
 		}
 		base := filepath.Join(outDir, j.Name)
-		if raw {
-			for k, sh := range sr.Shards {
-				shardRes := &lzwtc.Result{
-					Stream:       sh,
-					Width:        sr.Width,
-					OriginalBits: sr.ShardPatterns[k] * sr.Width,
-					Patterns:     sr.ShardPatterns[k],
-				}
-				if err := os.WriteFile(fmt.Sprintf("%s.shard%d.lzw", base, k), shardRes.Encode(), 0o644); err != nil {
-					return err
-				}
-			}
-		} else if err := writeShardedContainer(base+".lzw", sr); err != nil {
+		if err := writeShardedContainer(base+".lzw", sr); err != nil {
 			return err
 		}
 		if err := writeJSON(base+".json", lzwtc.NewShardedRunRecord(sr)); err != nil {
@@ -241,15 +226,6 @@ func runShardedBatch(ctx context.Context, jobs []lzwtc.BatchJob, per int, opts l
 		agg.Results[i].Shards = len(sr.Shards)
 	}
 	return nil
-}
-
-// encodeContainer renders one job's container: wire format by default,
-// the legacy LZWTC1 dump under -raw.
-func encodeContainer(res *lzwtc.Result, raw bool) ([]byte, error) {
-	if raw {
-		return res.Encode(), nil
-	}
-	return res.EncodeWire()
 }
 
 // writeShardedContainer streams a sharded result into one wire

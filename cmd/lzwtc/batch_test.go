@@ -71,9 +71,6 @@ func TestBatchSubcommandEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !lzwtc.IsWireContainer(raw) {
-			t.Fatalf("%s.lzw is not a wire container", name)
-		}
 		filled, err := lzwtc.DecompressWire(bytes.NewReader(raw))
 		if err != nil {
 			t.Fatalf("%s.lzw decompress: %v", name, err)
@@ -131,41 +128,10 @@ func TestBatchSubcommandSharded(t *testing.T) {
 	}
 }
 
-// TestBatchSubcommandShardedRaw pins the -raw legacy layout: one
-// LZWTC1 container per shard.
-func TestBatchSubcommandShardedRaw(t *testing.T) {
-	dir, manifest := writeBatchFixture(t)
-	outDir := filepath.Join(dir, "out")
-	err := batch(context.Background(), []string{"-manifest", manifest, "-out-dir", outDir, "-shard-patterns", "3", "-raw"})
-	if err != nil {
-		t.Fatalf("sharded raw batch: %v", err)
-	}
-	total := 0
-	for k := 0; k < 3; k++ {
-		raw, err := os.ReadFile(filepath.Join(outDir, "b.shard"+string(rune('0'+k))+".lzw"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := lzwtc.DecodeResult(raw)
-		if err != nil {
-			t.Fatalf("shard %d: %v", k, err)
-		}
-		ts, err := lzwtc.Decompress(res)
-		if err != nil {
-			t.Fatalf("shard %d decompress: %v", k, err)
-		}
-		total += len(ts.Cubes)
-	}
-	if total != 8 {
-		t.Fatalf("shards decompress to %d patterns, want 8", total)
-	}
-}
-
 // TestBatchMismatchedConfigFailsLoudly is the regression test for the
 // headerless-dump hazard: corrupting the configuration region of a
 // batch-written wire container makes decode fail with a typed checksum
-// error, where the legacy container silently decompresses to garbage
-// that still parses as a test set.
+// error instead of decompressing under the wrong Config.
 func TestBatchMismatchedConfigFailsLoudly(t *testing.T) {
 	dir, manifest := writeBatchFixture(t)
 	outDir := filepath.Join(dir, "out")
@@ -185,42 +151,6 @@ func TestBatchMismatchedConfigFailsLoudly(t *testing.T) {
 		t.Fatalf("mismatched config decode: got %v, want ErrWireChecksum", err)
 	}
 
-	// The legacy container demonstrates the hazard this PR closes: the
-	// same single-byte config mutation still "decodes" — no error, just
-	// a differently-shaped test set.
-	legacy := filepath.Join(dir, "legacy-out")
-	if err := batch(context.Background(), []string{"-manifest", manifest, "-out-dir", legacy, "-raw"}); err != nil {
-		t.Fatalf("raw batch: %v", err)
-	}
-	lraw, err := os.ReadFile(filepath.Join(legacy, "a.lzw"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Scan the legacy header region for a single-byte config mutation
-	// that still decodes cleanly — to a different set.
-	orig, err := lzwtc.DecodeResult(lraw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	silent := false
-	for pos := 8; pos < 20 && pos < len(lraw); pos++ {
-		m := bytes.Clone(lraw)
-		m[pos] ^= 0x01
-		res, err := lzwtc.DecodeResult(m)
-		if err != nil {
-			continue
-		}
-		if res.Stream.Cfg == orig.Stream.Cfg && res.Width == orig.Width {
-			continue
-		}
-		if _, err := lzwtc.Decompress(res); err == nil {
-			silent = true
-			break
-		}
-	}
-	if !silent {
-		t.Log("legacy container rejected every single-byte config mutation here; hazard not reproduced on this fixture")
-	}
 }
 
 // TestBatchCanceledContext: a canceled context fails the batch with the

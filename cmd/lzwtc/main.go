@@ -1,9 +1,10 @@
 // Command lzwtc compresses and decompresses scan test sets.
 //
 // Test sets are text files with one pattern of '0'/'1'/'X' per line.
-// Compressed files are self-describing containers.
+// Compressed files are wire containers: the full configuration in a
+// CRC-protected header, one frame per shard, an explicit end frame.
 //
-//	lzwtc compress  -in cubes.txt -out cubes.lzw [-char 7 -dict 1024 -entry 63]
+//	lzwtc compress  -in cubes.txt -out cubes.lzw [-char 7 -dict 1024 -entry 63] [-dict-id KEY]
 //	lzwtc decompress -in cubes.lzw -out filled.txt
 //	lzwtc info      -in cubes.lzw [-json]
 //	lzwtc stats     -in cubes.txt [-json]      # full pipeline run record
@@ -21,7 +22,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"flag"
@@ -104,15 +104,6 @@ type nopWriteCloser struct{ io.Writer }
 
 func (nopWriteCloser) Close() error { return nil }
 
-// decodeAnyContainer parses either container generation into a Result
-// (wire containers must be single-frame; sharded ones only decompress).
-func decodeAnyContainer(data []byte) (*lzwtc.Result, error) {
-	if lzwtc.IsWireContainer(data) {
-		return lzwtc.DecodeWireResult(data)
-	}
-	return lzwtc.DecodeResult(data)
-}
-
 // lazyDictResolver opens the local dictionary store only when a
 // container actually names a dictionary, so plain wire containers
 // never touch (or create) the store directory.
@@ -147,8 +138,7 @@ func compress(args []string) error {
 	fs := flag.NewFlagSet("compress", flag.ExitOnError)
 	in := fs.String("in", "-", "input cube file (- for stdin)")
 	out := fs.String("out", "-", "output container (- for stdout)")
-	wireOut := fs.Bool("wire", false, "write the versioned wire format (CRC framing) instead of the legacy container")
-	dictID := fs.String("dict-id", "", "stored dictionary key to warm-start from (implies wire output with a 'D' frame)")
+	dictID := fs.String("dict-id", "", "stored dictionary key to warm-start from (the container names it in a 'D' frame)")
 	dictStore := fs.String("dict-store", ".lzwtcdicts", "local dictionary store directory for -dict-id")
 	cfg := configFlags(fs)
 	opts := telemetryFlags(fs)
@@ -171,10 +161,10 @@ func compress(args []string) error {
 	}
 
 	// A dictionary-warmed compression resolves the preload from the
-	// local store and always writes the wire form: only the 'D' frame
-	// can tell the decompressor which dictionary to reinstall.
+	// local store; the container's 'D' frame tells the decompressor
+	// which dictionary to reinstall.
 	var pre *lzwtc.Preload
-	var ref lzwtc.DictRef
+	var ref *lzwtc.DictRef
 	if *dictID != "" {
 		key, err := lzwtc.ParseDictKey(*dictID)
 		if err != nil {
@@ -189,15 +179,12 @@ func compress(args []string) error {
 		if err != nil {
 			return err
 		}
-		pre, ref = ent.Pre, lzwtc.DictEntryRef(ent)
+		r := lzwtc.DictEntryRef(ent)
+		pre, ref = ent.Pre, &r
 	}
 
-	var res *lzwtc.Result
-	if pre != nil {
-		res, err = lzwtc.CompressPreloadedObservedCtx(context.Background(), ts, *cfg, pre, rec)
-	} else {
-		res, err = lzwtc.CompressObserved(ts, *cfg, rec)
-	}
+	// The same pipeline the service runs: one shard, cold when pre is nil.
+	res, err := lzwtc.CompressShardedPreloaded(context.Background(), ts, *cfg, pre, 0, lzwtc.BatchOptions{Recorder: rec})
 	if err != nil {
 		return err
 	}
@@ -206,13 +193,10 @@ func compress(args []string) error {
 		return err
 	}
 	defer w.Close()
-	switch {
-	case pre != nil:
-		err = res.WriteWireDictResult(w, ref)
-	case *wireOut:
-		err = res.WriteWire(w)
-	default:
-		_, err = w.Write(res.Encode())
+	if ref != nil {
+		err = lzwtc.WriteWireDict(w, res, *ref)
+	} else {
+		err = lzwtc.WriteWireSharded(w, res)
 	}
 	if err != nil {
 		return err
@@ -244,27 +228,10 @@ func decompress(args []string) error {
 		return err
 	}
 	defer r.Close()
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return err
-	}
-	// Both container generations decompress: the versioned wire format
-	// (CRC-framed, the batch and service default) is sniffed by magic,
-	// anything else is tried as a legacy LZWTC1/TS container. A wire
-	// container naming a shared dictionary resolves it through the
+	// A container naming a shared dictionary resolves it through the
 	// local store; plain containers never open the store.
-	var ts *lzwtc.TestSet
 	sp := rec.Span("decompress")
-	if lzwtc.IsWireContainer(data) {
-		ts, err = lzwtc.DecompressWireDictObserved(context.Background(), bytes.NewReader(data),
-			lazyDictResolver{dir: *dictStore}, rec)
-	} else {
-		var res *lzwtc.Result
-		res, err = lzwtc.DecodeResult(data)
-		if err == nil {
-			ts, err = lzwtc.Decompress(res)
-		}
-	}
+	ts, err := lzwtc.DecompressWireDictObserved(context.Background(), r, lazyDictResolver{dir: *dictStore}, rec)
 	sp.End(telemetry.F("patterns", patternCount(ts)))
 	if err != nil {
 		return err
@@ -300,7 +267,7 @@ func info(args []string) error {
 	if err != nil {
 		return err
 	}
-	res, err := decodeAnyContainer(data)
+	res, err := lzwtc.DecodeWireResult(data)
 	if err != nil {
 		return err
 	}

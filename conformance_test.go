@@ -18,8 +18,9 @@ var updateConformance = flag.Bool("update", false, "regenerate the conformance c
 // conformanceCase is one golden corpus entry: a deterministic test-set
 // builder and the configuration it is compressed under. Three files are
 // committed per case: <name>.cubes (the input cubes), <name>.lzw (the
-// encoded container — pins the compressor's exact output) and
-// <name>.expected (the fully specified decompressed set).
+// wire container — pins the compressor's exact output together with
+// the Config it was made under) and <name>.expected (the fully
+// specified decompressed set).
 type conformanceCase struct {
 	name  string
 	cfg   Config
@@ -98,8 +99,8 @@ func conformancePath(name, ext string) string {
 
 // TestConformance round-trips every committed corpus entry and pins the
 // compressor's exact bit stream: the builder must reproduce the
-// committed cubes, compressing them must reproduce the committed
-// container byte for byte, and decoding + decompressing the container
+// committed cubes, compressing them must reproduce the committed wire
+// container byte for byte, and decompressing the committed container
 // must reproduce the committed fully specified set while preserving
 // every care bit. Run `go test -run TestConformance -update` after an
 // intentional compressor change to regenerate the corpus.
@@ -126,16 +127,16 @@ func TestConformance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			gotLzw, err := res.EncodeWire()
+			if err != nil {
+				t.Fatal(err)
+			}
 			wantLzw := readConformance(t, c.name, ".lzw")
-			if !bytes.Equal(res.Encode(), wantLzw) {
+			if !bytes.Equal(gotLzw, wantLzw) {
 				t.Fatalf("compressed container differs from %s — the compressor's output changed.\n%s", conformancePath(c.name, ".lzw"), regenHint)
 			}
 
-			decoded, err := DecodeResult(wantLzw)
-			if err != nil {
-				t.Fatalf("decoding committed container: %v", err)
-			}
-			filled, err := Decompress(decoded)
+			filled, err := DecompressWire(bytes.NewReader(wantLzw))
 			if err != nil {
 				t.Fatalf("decompressing committed container: %v", err)
 			}
@@ -183,7 +184,11 @@ func regenerateConformance() error {
 		if err != nil {
 			return fmt.Errorf("%s: %w", c.name, err)
 		}
-		if err := os.WriteFile(conformancePath(c.name, ".lzw"), res.Encode(), 0o644); err != nil {
+		container, err := res.EncodeWire()
+		if err != nil {
+			return fmt.Errorf("%s: %w", c.name, err)
+		}
+		if err := os.WriteFile(conformancePath(c.name, ".lzw"), container, 0o644); err != nil {
 			return err
 		}
 		filled, err := Decompress(res)

@@ -6,11 +6,9 @@ import (
 	"fmt"
 	"io"
 
-	"lzwtc/internal/bitvec"
 	"lzwtc/internal/core"
 	"lzwtc/internal/dictstore"
 	"lzwtc/internal/parallel"
-	"lzwtc/internal/telemetry"
 	"lzwtc/internal/wire"
 )
 
@@ -92,50 +90,13 @@ func DecodeDictBlob(data []byte) (Config, *Preload, error) {
 	return dictstore.DecodeBlob(data)
 }
 
-// CompressPreloaded is Compress starting from a warm dictionary. The
-// decompressor must resolve the same preload — pair it with
-// WriteWireDict / DecompressWireDict so the container itself names the
-// dictionary.
-func CompressPreloaded(ts *TestSet, cfg Config, pre *Preload) (*Result, error) {
-	return CompressPreloadedObservedCtx(context.Background(), ts, cfg, pre, nil)
-}
-
-// CompressPreloadedObservedCtx is CompressPreloaded instrumented for
-// request tracing, mirroring the service compression path.
-func CompressPreloadedObservedCtx(ctx context.Context, ts *TestSet, cfg Config, pre *Preload, rec *Recorder) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if len(ts.Cubes) == 0 {
-		return nil, fmt.Errorf("lzwtc: empty test set")
-	}
-	stream := ts.SerializeAligned(cfg.CharBits)
-	res, err := core.CompressWithPreloadObservedCtx(ctx, stream, cfg, pre, rec)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Stream: res, Width: ts.Width, OriginalBits: ts.TotalBits(), Patterns: len(ts.Cubes)}, nil
-}
-
-// DecompressPreloaded inverts CompressPreloaded given the same preload.
-func DecompressPreloaded(r *Result, pre *Preload) (*TestSet, error) {
-	stream, err := core.DecompressWithPreload(r.Stream.Codes, r.Stream.Cfg, pre, r.Stream.InputBits)
-	if err != nil {
-		return nil, err
-	}
-	return bitvec.DeserializeAligned(stream, r.Width, r.Stream.Cfg.CharBits)
-}
-
 // CompressShardedPreloaded is CompressSharded with every shard starting
 // from the same warm dictionary — the multi-frame form of a 'D'-frame
-// container (each frame reinstalls the preload).
+// container (each frame reinstalls the preload). A nil pre is a cold
+// start and patternsPerShard <= 0 is one shard, so this one call covers
+// every compression the service runs.
 func CompressShardedPreloaded(ctx context.Context, ts *TestSet, cfg Config, pre *Preload, patternsPerShard int, opts BatchOptions) (*ShardedResult, error) {
 	return parallel.CompressShardedPreloaded(ctx, ts, cfg, pre, patternsPerShard, opts)
-}
-
-// DecompressShardedPreloaded inverts CompressShardedPreloaded.
-func DecompressShardedPreloaded(ctx context.Context, s *ShardedResult, pre *Preload, opts BatchOptions) (*TestSet, error) {
-	return parallel.DecompressShardedPreloaded(ctx, s, pre, opts)
 }
 
 // WriteWireDict streams a preloaded compression as a wire container
@@ -143,34 +104,7 @@ func DecompressShardedPreloaded(ctx context.Context, s *ShardedResult, pre *Prel
 // one frame per shard, EOS. The receiver resolves ref through its own
 // store and verifies the digest before decompressing.
 func WriteWireDict(w io.Writer, s *ShardedResult, ref DictRef) error {
-	ww, err := wire.NewWriter(w, wire.Header{Cfg: s.Cfg, Width: s.Width})
-	if err != nil {
-		return err
-	}
-	if err := ww.WriteDictRef(ref); err != nil {
-		return err
-	}
-	for i, sh := range s.Shards {
-		if err := ww.WriteResult(sh, s.ShardPatterns[i]); err != nil {
-			return err
-		}
-	}
-	return ww.Close()
-}
-
-// WriteWireDictResult is WriteWireDict for a single-frame Result.
-func (r *Result) WriteWireDictResult(w io.Writer, ref DictRef) error {
-	ww, err := wire.NewWriter(w, wire.Header{Cfg: r.Stream.Cfg, Width: r.Width})
-	if err != nil {
-		return err
-	}
-	if err := ww.WriteDictRef(ref); err != nil {
-		return err
-	}
-	if err := ww.WriteResult(r.Stream, r.Patterns); err != nil {
-		return err
-	}
-	return ww.Close()
+	return writeWire(w, s.Cfg, s.Width, s.Shards, s.ShardPatterns, &ref)
 }
 
 // DictEntryRef derives the container reference for a store entry.
@@ -183,72 +117,4 @@ func DictEntryRef(ent *dictstore.Entry) DictRef {
 // remote-fetching resolver fits the same seam.
 type DictResolver interface {
 	ResolveDict(ctx context.Context, ref DictRef) (*Preload, error)
-}
-
-// DecompressWireDict is DecompressWire for containers that may carry a
-// dictionary reference: when a 'D' frame is present the resolver is
-// asked for the preload (nil resolver → ErrDictNotFound) and every
-// frame decompresses with it installed; plain containers fall through
-// to the cold path unchanged.
-func DecompressWireDict(r io.Reader, res DictResolver) (*TestSet, error) {
-	return DecompressWireDictObserved(context.Background(), r, res, nil)
-}
-
-// DecompressWireDictObserved is DecompressWireDict under a
-// SpanWireDecode trace span (the store's own dict.resolve span nests
-// inside it when the resolver is a *DictStore).
-func DecompressWireDictObserved(ctx context.Context, r io.Reader, res DictResolver, rec *Recorder) (*TestSet, error) {
-	wctx, sp := rec.StartSpan(ctx, SpanWireDecode)
-	out, frames, err := decompressWireDict(wctx, r, res, rec)
-	sp.End(telemetry.F("frames", frames), telemetry.F("ok", err == nil))
-	return out, err
-}
-
-func decompressWireDict(ctx context.Context, r io.Reader, res DictResolver, rec *Recorder) (*TestSet, int, error) {
-	wr, err := wire.NewReader(r)
-	if err != nil {
-		return nil, 0, err
-	}
-	hdr := wr.Header()
-	out := NewTestSet(hdr.Width)
-	var pre *Preload
-	for {
-		f, err := wr.ReadFrame()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, wr.Frames(), err
-		}
-		// The 'D' frame precedes all data frames, so the reference is
-		// final by the time the first data frame arrives.
-		if ref, ok := wr.DictRef(); ok && pre == nil {
-			if res == nil {
-				return nil, wr.Frames(), fmt.Errorf("lzwtc: container references dictionary %x but no resolver given: %w",
-					ref.Key, ErrDictNotFound)
-			}
-			if pre, err = res.ResolveDict(ctx, ref); err != nil {
-				return nil, wr.Frames(), fmt.Errorf("lzwtc: resolving container dictionary: %w", err)
-			}
-		}
-		var stream *Pattern
-		if pre != nil {
-			stream, err = core.DecompressWithPreloadObservedCtx(ctx, f.Codes, hdr.Cfg, pre, f.InputBits, rec)
-		} else {
-			stream, err = core.DecompressObservedCtx(ctx, f.Codes, hdr.Cfg, f.InputBits, rec)
-		}
-		if err != nil {
-			return nil, wr.Frames(), fmt.Errorf("lzwtc: wire frame %d: %w", wr.Frames()-1, err)
-		}
-		group, err := bitvec.DeserializeAligned(stream, hdr.Width, hdr.Cfg.CharBits)
-		if err != nil {
-			return nil, wr.Frames(), fmt.Errorf("lzwtc: wire frame %d: %w", wr.Frames()-1, err)
-		}
-		if len(group.Cubes) != f.Patterns {
-			return nil, wr.Frames(), fmt.Errorf("lzwtc: wire frame %d decompressed to %d patterns, want %d",
-				wr.Frames()-1, len(group.Cubes), f.Patterns)
-		}
-		out.Cubes = append(out.Cubes, group.Cubes...)
-	}
-	return out, wr.Frames(), nil
 }

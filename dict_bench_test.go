@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"lzwtc/internal/core"
 	"lzwtc/internal/dictstore"
 )
 
@@ -23,11 +24,11 @@ func dictBenchChars(b *testing.B, ts *TestSet, cfg Config) int {
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := CompressPreloaded(ts, cfg, pre)
+	res, err := core.CompressWithPreload(ts.SerializeAligned(cfg.CharBits), cfg, pre)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return res.Stream.InputBits / cfg.CharBits
+	return res.InputBits / cfg.CharBits
 }
 
 // BenchmarkDictColdTrain is the no-store baseline: every request
@@ -41,7 +42,7 @@ func BenchmarkDictColdTrain(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := CompressPreloaded(ts, cfg, pre); err != nil {
+		if _, err := core.CompressWithPreload(ts.SerializeAligned(cfg.CharBits), cfg, pre); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -75,7 +76,7 @@ func BenchmarkDictWarmStore(b *testing.B) {
 		if src != dictstore.SourceMem {
 			b.Fatalf("resolved from %v mid-benchmark", src)
 		}
-		if _, err := CompressPreloaded(ts, cfg, ent.Pre); err != nil {
+		if _, err := core.CompressWithPreload(ts.SerializeAligned(cfg.CharBits), cfg, ent.Pre); err != nil {
 			b.Fatal(err)
 		}
 	}

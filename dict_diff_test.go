@@ -4,9 +4,13 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math/rand"
 	"testing"
 
+	"lzwtc/internal/bitvec"
+	"lzwtc/internal/core"
 	"lzwtc/internal/dictstore"
+	"lzwtc/internal/parallel"
 )
 
 // dictDiffConfig maps a conformance configuration onto the dictionary
@@ -40,6 +44,21 @@ func cubesText(t *testing.T, ts *TestSet) []byte {
 	return b.Bytes()
 }
 
+// dictContainer compresses ts from pre as one shard and renders the
+// 'D'-frame wire container naming ref.
+func dictContainer(t *testing.T, ts *TestSet, cfg Config, pre *Preload, ref DictRef) []byte {
+	t.Helper()
+	sr, err := CompressShardedPreloaded(context.Background(), ts, cfg, pre, 0, BatchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteWireDict(&buf, sr, ref); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // TestDictDifferentialCompression proves the store is transparent: for
 // every conformance-corpus case, compressing with a dictionary resolved
 // cold (trained through the store), warm (memory LRU hit) or
@@ -54,24 +73,23 @@ func TestDictDifferentialCompression(t *testing.T) {
 			cfg := dictDiffConfig(c.cfg)
 			ts := c.build()
 
-			// Baseline: train and compress entirely in-process, no store.
+			// Baseline: train and compress entirely in-process, no store;
+			// the container names the key and the digest of the
+			// in-process blob.
+			key := DictKeyFor(ts, cfg)
 			basePre, err := Train(ts, cfg, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			base, err := CompressPreloaded(ts, cfg, basePre)
+			blob, err := EncodeDictBlob(cfg, basePre)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := base.Encode()
+			want := dictContainer(t, ts, cfg, basePre, DictRef{Key: key, Digest: dictstore.BlobDigest(blob)})
 
-			compressVia := func(pre *Preload) []byte {
+			compressVia := func(ent *dictstore.Entry) []byte {
 				t.Helper()
-				res, err := CompressPreloaded(ts, cfg, pre)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return res.Encode()
+				return dictContainer(t, ts, cfg, ent.Pre, DictEntryRef(ent))
 			}
 
 			dir := t.TempDir()
@@ -80,7 +98,6 @@ func TestDictDifferentialCompression(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer store.Close()
-			key := DictKeyFor(ts, cfg)
 
 			// Cold: first resolution trains through the store.
 			trains := 0
@@ -94,7 +111,7 @@ func TestDictDifferentialCompression(t *testing.T) {
 			if src != dictstore.SourceTrained || trains != 1 {
 				t.Fatalf("cold resolve: source %v, %d trains", src, trains)
 			}
-			if got := compressVia(cold.Pre); !bytes.Equal(got, want) {
+			if got := compressVia(cold); !bytes.Equal(got, want) {
 				t.Fatal("cold-store dictionary compressed differently from the in-process baseline")
 			}
 
@@ -106,7 +123,7 @@ func TestDictDifferentialCompression(t *testing.T) {
 			if src != dictstore.SourceMem {
 				t.Fatalf("warm resolve came from %v, want memory", src)
 			}
-			if got := compressVia(warm.Pre); !bytes.Equal(got, want) {
+			if got := compressVia(warm); !bytes.Equal(got, want) {
 				t.Fatal("warm-hit dictionary compressed differently from the in-process baseline")
 			}
 
@@ -130,7 +147,7 @@ func TestDictDifferentialCompression(t *testing.T) {
 			if rehydrated.Digest != cold.Digest {
 				t.Fatal("disk rehydration changed the dictionary digest")
 			}
-			if got := compressVia(rehydrated.Pre); !bytes.Equal(got, want) {
+			if got := compressVia(rehydrated); !bytes.Equal(got, want) {
 				t.Fatal("disk-rehydrated dictionary compressed differently from the in-process baseline")
 			}
 		})
@@ -161,22 +178,24 @@ func TestDictDifferentialWireRoundTrip(t *testing.T) {
 			}
 			ref := DictEntryRef(ent)
 
-			res, err := CompressPreloaded(ts, cfg, ent.Pre)
+			// In-process reference: the core codec with the preload
+			// installed, no container.
+			res, err := core.CompressWithPreload(ts.SerializeAligned(cfg.CharBits), cfg, ent.Pre)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantSet, err := DecompressPreloaded(res, ent.Pre)
+			stream, err := core.DecompressWithPreload(res.Codes, cfg, ent.Pre, res.InputBits)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantSet, err := bitvec.DeserializeAligned(stream, ts.Width, cfg.CharBits)
 			if err != nil {
 				t.Fatal(err)
 			}
 			want := cubesText(t, wantSet)
 
 			// Single-frame 'D' container.
-			var buf bytes.Buffer
-			if err := res.WriteWireDictResult(&buf, ref); err != nil {
-				t.Fatal(err)
-			}
-			got, err := DecompressWireDict(bytes.NewReader(buf.Bytes()), store)
+			got, err := DecompressWireDict(bytes.NewReader(dictContainer(t, ts, cfg, ent.Pre, ref)), store)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -195,12 +214,12 @@ func TestDictDifferentialWireRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantShardSet, err := DecompressShardedPreloaded(ctx, sharded, ent.Pre, BatchOptions{})
+			wantShardSet, err := parallel.DecompressShardedPreloaded(ctx, sharded, ent.Pre, BatchOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			wantShard := cubesText(t, wantShardSet)
-			buf.Reset()
+			var buf bytes.Buffer
 			if err := WriteWireDict(&buf, sharded, ref); err != nil {
 				t.Fatal(err)
 			}
@@ -230,4 +249,45 @@ func TestDictDifferentialWireRoundTrip(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestDecompressWireRejectsDictContainer: the plain wire decoders must
+// not decode a 'D'-frame container cold. Its codes only mean something
+// with the named dictionary installed, so DecompressWire and
+// DecompressWireObserved fail with ErrDictNotFound for every
+// conformance case and for random small configurations with a trained
+// preload, whether or not the preload holds any strings.
+func TestDecompressWireRejectsDictContainer(t *testing.T) {
+	check := func(t *testing.T, ts *TestSet, cfg Config) {
+		t.Helper()
+		pre, err := Train(ts, cfg, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob, err := EncodeDictBlob(cfg, pre)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := DictRef{Key: DictKeyFor(ts, cfg), Digest: dictstore.BlobDigest(blob)}
+		container := dictContainer(t, ts, cfg, pre, ref)
+		if _, err := DecompressWire(bytes.NewReader(container)); !errors.Is(err, ErrDictNotFound) {
+			t.Fatalf("DecompressWire: got %v, want ErrDictNotFound", err)
+		}
+		if _, err := DecompressWireObserved(context.Background(), bytes.NewReader(container), nil); !errors.Is(err, ErrDictNotFound) {
+			t.Fatalf("DecompressWireObserved: got %v, want ErrDictNotFound", err)
+		}
+	}
+	for _, c := range conformanceCases() {
+		c := c
+		t.Run(c.name, func(t *testing.T) { check(t, c.build(), dictDiffConfig(c.cfg)) })
+	}
+	t.Run("random", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(16))
+		for i := 0; i < 40; i++ {
+			cc := 1 + rng.Intn(8)
+			cfg := Config{CharBits: cc, DictSize: 1<<cc + 16 + rng.Intn(200), EntryBits: cc * (1 + rng.Intn(8))}
+			ts := conformanceSet(rng.Int63(), 1+rng.Intn(12), 1+rng.Intn(40), rng.Float64())
+			check(t, ts, cfg)
+		}
+	})
 }

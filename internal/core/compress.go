@@ -162,11 +162,6 @@ func traceRecorder(trace func(TraceEvent)) *telemetry.Recorder {
 	}))
 }
 
-// compressWithDict is the preloaded-dictionary entry point.
-func compressWithDict(stream *bitvec.Vector, cfg Config, mk func() (*dict, error)) (*Result, error) {
-	return compressInternal(context.Background(), stream, cfg, nil, mk)
-}
-
 func compressInternal(ctx context.Context, stream *bitvec.Vector, cfg Config, rec *telemetry.Recorder, mk func() (*dict, error)) (*Result, error) {
 	res := &Result{Cfg: cfg, InputBits: stream.Len()}
 	res.Stats.InputBits = stream.Len()

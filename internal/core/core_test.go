@@ -285,37 +285,6 @@ func TestPackUnpack(t *testing.T) {
 	}
 }
 
-func TestContainerRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	stream := randomCube(rng, 4000, 0.8)
-	cfg := Config{CharBits: 5, DictSize: 300, EntryBits: 40, Fill: FillRepeat, Tie: TieNewest, Full: FullReset}
-	res, err := Compress(stream, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, err := Decode(res.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dec.Cfg != cfg || dec.InputBits != stream.Len() || !reflect.DeepEqual(dec.Codes, res.Codes) {
-		t.Fatal("container round trip mismatch")
-	}
-	out, err := Decompress(dec.Codes, dec.Cfg, dec.InputBits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !stream.CompatibleWith(out) {
-		t.Fatal("container output violates care bits")
-	}
-	if _, err := Decode([]byte("not a container")); err == nil {
-		t.Error("bad magic accepted")
-	}
-	enc := res.Encode()
-	if _, err := Decode(enc[:len(enc)-2]); err == nil {
-		t.Error("truncated container accepted")
-	}
-}
-
 func TestDeterminism(t *testing.T) {
 	// Map iteration order must not leak into code selection for any
 	// tie-break policy.

@@ -1,11 +1,9 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"lzwtc/internal/bitvec"
-	"lzwtc/internal/telemetry"
 )
 
 // DecompressTraceEvent reports one decompressor step, mirroring the
@@ -25,17 +23,6 @@ type DecompressTraceEvent struct {
 // The returned vector is fully specified.
 func Decompress(codes []Code, cfg Config, outBits int) (*bitvec.Vector, error) {
 	return DecompressTrace(codes, cfg, outBits, nil)
-}
-
-// DecompressObservedCtx is Decompress wrapped in a SpanDecode trace
-// span: when ctx carries a span and rec has sinks, the frame's software
-// decompression is recorded as a child span carrying the code count and
-// output length. A nil recorder adds one pointer check.
-func DecompressObservedCtx(ctx context.Context, codes []Code, cfg Config, outBits int, rec *telemetry.Recorder) (*bitvec.Vector, error) {
-	_, sp := rec.StartSpan(ctx, SpanDecode)
-	out, err := Decompress(codes, cfg, outBits)
-	sp.End(telemetry.F("codes", len(codes)), telemetry.F("out_bits", outBits))
-	return out, err
 }
 
 // DecompressTrace is Decompress with an optional per-step trace callback

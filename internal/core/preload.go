@@ -138,9 +138,12 @@ func CompressWithPreloadObservedCtx(ctx context.Context, stream *bitvec.Vector, 
 	})
 }
 
-// DecompressWithPreloadObservedCtx is DecompressWithPreload under a
-// SpanDecode trace span, mirroring DecompressObservedCtx for the
-// dictionary-warmed service path.
+// DecompressWithPreloadObservedCtx is DecompressWithPreload wrapped in
+// a SpanDecode trace span: when ctx carries a span and rec has sinks,
+// the frame's software decompression is recorded as a child span
+// carrying the code count and output length. A nil preload is a cold
+// start, so every wire frame decodes through it; a nil recorder adds
+// one pointer check.
 func DecompressWithPreloadObservedCtx(ctx context.Context, codes []Code, cfg Config, pre *Preload, outBits int, rec *telemetry.Recorder) (*bitvec.Vector, error) {
 	_, sp := rec.StartSpan(ctx, SpanDecode)
 	out, err := DecompressWithPreload(codes, cfg, pre, outBits)

@@ -81,19 +81,16 @@ func SplitPatterns(cs *bitvec.CubeSet, patternsPerShard int) []*bitvec.CubeSet {
 // whole call, regardless of Options.Policy, because a partial shard
 // sequence cannot be decompressed into the set.
 func CompressSharded(ctx context.Context, cs *bitvec.CubeSet, cfg core.Config, patternsPerShard int, opts Options) (*ShardedResult, error) {
-	return compressShardedPre(ctx, cs, cfg, nil, patternsPerShard, opts)
+	return CompressShardedPreloaded(ctx, cs, cfg, nil, patternsPerShard, opts)
 }
 
 // CompressShardedPreloaded is CompressSharded with a warm-start
 // dictionary: every shard starts from the same preload (a shard
 // boundary reinstalls it rather than cold-starting), so the container
 // form matches the wire 'D'-frame semantics. FullReset configs are
-// rejected by the underlying preloaded compressor.
+// rejected by the underlying preloaded compressor. A nil pre is a cold
+// start.
 func CompressShardedPreloaded(ctx context.Context, cs *bitvec.CubeSet, cfg core.Config, pre *core.Preload, patternsPerShard int, opts Options) (*ShardedResult, error) {
-	return compressShardedPre(ctx, cs, cfg, pre, patternsPerShard, opts)
-}
-
-func compressShardedPre(ctx context.Context, cs *bitvec.CubeSet, cfg core.Config, pre *core.Preload, patternsPerShard int, opts Options) (*ShardedResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -109,13 +106,7 @@ func compressShardedPre(ctx context.Context, cs *bitvec.CubeSet, cfg core.Config
 		_, ssp := opts.Recorder.StartSpan(jctx, core.SpanSerialize)
 		stream := g.SerializeAligned(cfg.CharBits)
 		ssp.End(telemetry.F("bits", stream.Len()))
-		var res *core.Result
-		var e error
-		if pre != nil {
-			res, e = core.CompressWithPreloadObservedCtx(jctx, stream, cfg, pre, opts.Recorder)
-		} else {
-			res, e = core.CompressObservedCtx(jctx, stream, cfg, opts.Recorder)
-		}
+		res, e := core.CompressWithPreloadObservedCtx(jctx, stream, cfg, pre, opts.Recorder)
 		if e != nil {
 			return nil, e
 		}
@@ -156,26 +147,17 @@ func compressShardedPre(ctx context.Context, cs *bitvec.CubeSet, cfg core.Config
 // and the pattern groups concatenate in order. The output is exact:
 // byte-identical to decompressing each shard sequentially.
 func DecompressSharded(ctx context.Context, s *ShardedResult, opts Options) (*bitvec.CubeSet, error) {
-	return decompressShardedPre(ctx, s, nil, opts)
+	return DecompressShardedPreloaded(ctx, s, nil, opts)
 }
 
 // DecompressShardedPreloaded inverts CompressShardedPreloaded: each
-// shard decompresses with the preload reinstalled.
+// shard decompresses with the preload reinstalled (a nil pre is a cold
+// start).
 func DecompressShardedPreloaded(ctx context.Context, s *ShardedResult, pre *core.Preload, opts Options) (*bitvec.CubeSet, error) {
-	return decompressShardedPre(ctx, s, pre, opts)
-}
-
-func decompressShardedPre(ctx context.Context, s *ShardedResult, pre *core.Preload, opts Options) (*bitvec.CubeSet, error) {
 	shardOpts := opts
 	shardOpts.Policy = FailFast
 	outcomes, err := Map(ctx, s.Shards, shardOpts, func(jctx context.Context, _ int, sh *core.Result) (*bitvec.CubeSet, error) {
-		var stream *bitvec.Vector
-		var e error
-		if pre != nil {
-			stream, e = core.DecompressWithPreloadObservedCtx(jctx, sh.Codes, s.Cfg, pre, sh.InputBits, opts.Recorder)
-		} else {
-			stream, e = core.DecompressObservedCtx(jctx, sh.Codes, s.Cfg, sh.InputBits, opts.Recorder)
-		}
+		stream, e := core.DecompressWithPreloadObservedCtx(jctx, sh.Codes, s.Cfg, pre, sh.InputBits, opts.Recorder)
 		if e != nil {
 			return nil, e
 		}

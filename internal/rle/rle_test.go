@@ -180,10 +180,33 @@ func TestQuickRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return v.Filled(bitvec.FillZero).Equal(out) && v.CompatibleWith(out) == (n > 0)
+		// CompatibleWith is vacuously true for n = 0, so it holds for
+		// every drawn length.
+		return v.Filled(bitvec.FillZero).Equal(out) && v.CompatibleWith(out)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEmptyRoundTrip pins the n = 0 corner quick only sometimes draws:
+// an empty stream compresses and decompresses to an empty stream.
+func TestEmptyRoundTrip(t *testing.T) {
+	for _, kind := range []Kind{FDR, Golomb} {
+		cfg := Config{Kind: kind}
+		res, err := Compress(bitvec.New(0), cfg)
+		if err != nil {
+			t.Fatalf("%v: compress: %v", kind, err)
+		}
+		dcfg := cfg
+		dcfg.M = res.Stats.ChosenM
+		out, err := Decompress(res.Data, res.BitLen, dcfg, 0)
+		if err != nil {
+			t.Fatalf("%v: decompress: %v", kind, err)
+		}
+		if out.Len() != 0 {
+			t.Fatalf("%v: empty stream decompressed to %d bits", kind, out.Len())
+		}
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"strconv"
 	"strings"
 
-	"lzwtc"
 	"lzwtc/internal/jobs"
 	"lzwtc/internal/telemetry"
 )
@@ -64,38 +63,13 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	if !s.requireMethod(w, r, http.MethodPost) || !s.checkDraining(w, r) {
 		return
 	}
-	cfg, shard, err := ParseCompressQuery(r.URL.Query())
-	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, CodeBadRequest, err.Error())
+	req, ok := s.readCompressRequest(r.Context(), w, r)
+	if !ok {
 		return
-	}
-	dictKey, haveDict, err := parseDictID(r.URL.Query())
-	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, CodeBadRequest, err.Error())
-		return
-	}
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	ts, err := lzwtc.ReadTestSet(body)
-	if err != nil {
-		s.mapError(w, r, err)
-		return
-	}
-	s.bytesIn.Add(int64(approxCubeBytes(ts)))
-
-	// A dict-referencing submit resolves the dictionary now, not inside
-	// the job: a dangling dictid fails the submission synchronously, the
-	// same eager-validation contract the query and body already follow.
-	var pre *lzwtc.Preload
-	var ref lzwtc.DictRef
-	if haveDict {
-		var ok bool
-		if pre, ref, ok = s.resolveDictParam(r.Context(), w, r, dictKey); !ok {
-			return
-		}
 	}
 
 	tenant := tenantOf(r)
-	st, err := s.jobs.Submit(r.Context(), tenant, s.compressJob(ts, cfg, shard, pre, ref))
+	st, err := s.jobs.Submit(r.Context(), tenant, s.compressJob(req))
 	if err != nil {
 		var rej *jobs.RejectError
 		switch {
@@ -121,52 +95,17 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 // registry, the server's sinks, and the job's Progress — so pool
 // telemetry, trace spans and the frames_done feed all ride the same
 // event stream the synchronous path uses.
-func (s *Server) compressJob(ts *lzwtc.TestSet, cfg lzwtc.Config, shard int, pre *lzwtc.Preload, ref lzwtc.DictRef) jobs.RunFunc {
+func (s *Server) compressJob(req compressRequest) jobs.RunFunc {
 	return func(ctx context.Context, pr *jobs.Progress) (*jobs.Payload, error) {
 		rec := telemetry.New(s.reg, append(append([]telemetry.Sink{}, s.sinks...), pr)...).
 			WithProcess(processName)
-		opts := lzwtc.BatchOptions{Workers: s.cfg.Workers, Policy: lzwtc.FailFast, Recorder: rec}
+		pr.SetTotal(shardTotal(len(req.ts.Cubes), req.shard))
 		var buf bytes.Buffer
-		if pre != nil {
-			// Dictionary-warmed job: the result is always the 'D'-frame
-			// container form, sharded or not.
-			pr.SetTotal(shardTotal(len(ts.Cubes), shard))
-			sr, err := lzwtc.CompressShardedPreloaded(ctx, ts, cfg, pre, shard, opts)
-			if err != nil {
-				return nil, err
-			}
-			if err := lzwtc.WriteWireDict(&buf, sr, ref); err != nil {
-				return nil, err
-			}
-			s.patternsIn.Add(int64(sr.Patterns))
-			return &jobs.Payload{Data: buf.Bytes(), Patterns: sr.Patterns, Ratio: sr.Ratio()}, nil
-		}
-		if shard > 0 {
-			pr.SetTotal((len(ts.Cubes) + shard - 1) / shard)
-			sr, err := lzwtc.CompressSharded(ctx, ts, cfg, shard, opts)
-			if err != nil {
-				return nil, err
-			}
-			if err := lzwtc.WriteWireShardedObserved(ctx, &buf, sr, rec); err != nil {
-				return nil, err
-			}
-			s.patternsIn.Add(int64(sr.Patterns))
-			return &jobs.Payload{Data: buf.Bytes(), Patterns: sr.Patterns, Ratio: sr.Ratio()}, nil
-		}
-		pr.SetTotal(1)
-		results, err := lzwtc.CompressBatch(ctx, []lzwtc.BatchJob{{Name: "job", Set: ts, Cfg: cfg}}, opts)
+		sr, err := s.compressToWire(ctx, nil, &buf, req, rec)
 		if err != nil {
 			return nil, err
 		}
-		if results[0].Err != nil {
-			return nil, results[0].Err
-		}
-		res := results[0].Result
-		if err := res.WriteWireObserved(ctx, &buf, rec); err != nil {
-			return nil, err
-		}
-		s.patternsIn.Add(int64(res.Patterns))
-		return &jobs.Payload{Data: buf.Bytes(), Patterns: res.Patterns, Ratio: res.Ratio()}, nil
+		return &jobs.Payload{Data: buf.Bytes(), Patterns: sr.Patterns, Ratio: sr.Ratio()}, nil
 	}
 }
 
@@ -257,6 +196,7 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request, id stri
 		w.Header().Set("Content-Type", "application/octet-stream")
 		w.Header().Set(HeaderPatterns, strconv.Itoa(st.Patterns))
 		w.Header().Set(HeaderRatio, strconv.FormatFloat(st.Ratio, 'g', -1, 64))
+		w.Header().Set(HeaderShards, strconv.Itoa(st.FramesTotal))
 		if _, err := w.Write(payload.Data); err != nil {
 			return // mid-stream failure; truncation detectable by the wire CRCs
 		}

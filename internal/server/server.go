@@ -33,6 +33,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"strconv"
@@ -548,88 +549,107 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
 	if !s.requireMethod(w, r, http.MethodPost) || !s.checkDraining(w, r) {
 		return
 	}
+	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
+	defer cancel()
+	req, ok := s.readCompressRequest(ctx, w, r)
+	if !ok {
+		return
+	}
+	if sr, err := s.compressToWire(ctx, w.Header(), w, req, s.rec); err != nil && sr == nil {
+		s.mapError(w, r, err)
+	}
+	// A write failure after the headers went out is left as is: the
+	// client sees a truncated (EOS-less) stream.
+}
+
+// compressRequest is one parsed compress submission, sync or async.
+type compressRequest struct {
+	ts    *lzwtc.TestSet
+	cfg   lzwtc.Config
+	shard int
+	pre   *lzwtc.Preload
+	ref   *lzwtc.DictRef // non-nil exactly when pre came from a dictid
+}
+
+// readCompressRequest is the front half both compress endpoints
+// share: parse the query, read the cube-text body and, when a dictid
+// is given, resolve the stored dictionary now, so a dangling ID fails
+// the request before any work (the compress endpoints never train — a
+// missing key is the caller's signal to train first). On failure the
+// error response has been written.
+func (s *Server) readCompressRequest(ctx context.Context, w http.ResponseWriter, r *http.Request) (compressRequest, bool) {
 	cfg, shard, err := ParseCompressQuery(r.URL.Query())
 	if err != nil {
 		s.writeError(w, r, http.StatusBadRequest, CodeBadRequest, err.Error())
-		return
+		return compressRequest{}, false
 	}
 	dictKey, haveDict, err := parseDictID(r.URL.Query())
 	if err != nil {
 		s.writeError(w, r, http.StatusBadRequest, CodeBadRequest, err.Error())
-		return
+		return compressRequest{}, false
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-	defer cancel()
-
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	ts, err := lzwtc.ReadTestSet(body)
 	if err != nil {
 		s.mapError(w, r, err)
-		return
+		return compressRequest{}, false
 	}
 	s.bytesIn.Add(int64(approxCubeBytes(ts)))
-
-	opts := lzwtc.BatchOptions{Workers: s.cfg.Workers, Policy: lzwtc.FailFast, Recorder: s.rec}
+	req := compressRequest{ts: ts, cfg: cfg, shard: shard}
 	if haveDict {
-		// Warm-start path: resolve the stored dictionary (never train on
-		// the compress endpoint — a missing key is the caller's signal to
-		// train first) and emit a 'D'-frame container naming it.
 		pre, ref, ok := s.resolveDictParam(ctx, w, r, dictKey)
 		if !ok {
-			return
+			return compressRequest{}, false
 		}
-		sr, err := lzwtc.CompressShardedPreloaded(ctx, ts, cfg, pre, shard, opts)
-		if err != nil {
-			s.mapError(w, r, err)
-			return
-		}
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Header().Set(HeaderPatterns, strconv.Itoa(sr.Patterns))
-		w.Header().Set(HeaderWidth, strconv.Itoa(sr.Width))
-		w.Header().Set(HeaderRatio, strconv.FormatFloat(sr.Ratio(), 'g', -1, 64))
-		w.Header().Set(HeaderShards, strconv.Itoa(len(sr.Shards)))
-		w.Header().Set(HeaderDictKey, dictKey.String())
-		if err := lzwtc.WriteWireDict(w, sr, ref); err != nil {
-			return // headers already sent; truncation is detectable by the missing EOS
-		}
-		s.patternsIn.Add(int64(sr.Patterns))
-		return
+		req.pre, req.ref = pre, &ref
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	if shard > 0 {
-		sr, err := lzwtc.CompressSharded(ctx, ts, cfg, shard, opts)
-		if err != nil {
-			s.mapError(w, r, err)
-			return
-		}
-		w.Header().Set(HeaderPatterns, strconv.Itoa(sr.Patterns))
-		w.Header().Set(HeaderWidth, strconv.Itoa(sr.Width))
-		w.Header().Set(HeaderRatio, strconv.FormatFloat(sr.Ratio(), 'g', -1, 64))
-		w.Header().Set(HeaderShards, strconv.Itoa(len(sr.Shards)))
-		if err := lzwtc.WriteWireShardedObserved(ctx, w, sr, s.rec); err != nil {
-			return // headers already sent; the client sees a truncated (EOS-less) stream
-		}
-		s.patternsIn.Add(int64(sr.Patterns))
-		return
-	}
+	return req, true
+}
 
-	results, err := lzwtc.CompressBatch(ctx, []lzwtc.BatchJob{{Name: "request", Set: ts, Cfg: cfg}}, opts)
+// compressToWire is the one compress→wire path behind the sync
+// endpoint and the job runner. Unsharded is one shard and no
+// dictionary is a nil preload, so every request runs
+// CompressShardedPreloaded; the container then goes out through
+// writeContainer. h (nil for a job, whose result headers come from its
+// status) receives the response headers before the first container
+// byte reaches w. A nil result with an error means nothing was
+// written; a result with an error means the write failed part way.
+func (s *Server) compressToWire(ctx context.Context, h http.Header, w io.Writer, req compressRequest, rec *telemetry.Recorder) (*lzwtc.ShardedResult, error) {
+	opts := lzwtc.BatchOptions{Workers: s.cfg.Workers, Policy: lzwtc.FailFast, Recorder: rec}
+	sr, err := lzwtc.CompressShardedPreloaded(ctx, req.ts, req.cfg, req.pre, req.shard, opts)
 	if err != nil {
-		s.mapError(w, r, err)
-		return
+		return nil, err
 	}
-	if results[0].Err != nil {
-		s.mapError(w, r, results[0].Err)
-		return
+	if h != nil {
+		h.Set("Content-Type", "application/octet-stream")
+		h.Set(HeaderPatterns, strconv.Itoa(sr.Patterns))
+		h.Set(HeaderWidth, strconv.Itoa(sr.Width))
+		h.Set(HeaderRatio, strconv.FormatFloat(sr.Ratio(), 'g', -1, 64))
+		h.Set(HeaderShards, strconv.Itoa(len(sr.Shards)))
+		if req.ref != nil {
+			h.Set(HeaderDictKey, dictstore.Key(req.ref.Key).String())
+		}
 	}
-	res := results[0].Result
-	w.Header().Set(HeaderPatterns, strconv.Itoa(res.Patterns))
-	w.Header().Set(HeaderWidth, strconv.Itoa(res.Width))
-	w.Header().Set(HeaderRatio, strconv.FormatFloat(res.Ratio(), 'g', -1, 64))
-	if err := res.WriteWireObserved(ctx, w, s.rec); err != nil {
-		return // mid-stream failure: truncation is detectable by the missing EOS
+	if err := writeContainer(ctx, w, sr, req.ref, rec); err != nil {
+		return sr, err
 	}
-	s.patternsIn.Add(int64(res.Patterns))
+	s.patternsIn.Add(int64(sr.Patterns))
+	return sr, nil
+}
+
+// writeContainer is the one observed container writer: it frames sr
+// under a SpanWireEncode span and emits a 'D' frame exactly when ref
+// is non-nil.
+func writeContainer(ctx context.Context, w io.Writer, sr *lzwtc.ShardedResult, ref *lzwtc.DictRef, rec *telemetry.Recorder) error {
+	_, sp := rec.StartSpan(ctx, lzwtc.SpanWireEncode)
+	var err error
+	if ref != nil {
+		err = lzwtc.WriteWireDict(w, sr, *ref)
+	} else {
+		err = lzwtc.WriteWireSharded(w, sr)
+	}
+	sp.End(telemetry.F("frames", len(sr.Shards)), telemetry.F("ok", err == nil))
+	return err
 }
 
 // handleDecompress streams a wire container out of the body and returns

@@ -4,11 +4,14 @@
 package server_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -112,6 +115,7 @@ func TestServiceEndToEndTrace(t *testing.T) {
 	for _, want := range []string{
 		client.SpanClientRequest, server.SpanCompress, parallel.EventJob,
 		core.SpanSerialize, core.SpanDictBuild, core.SpanMatchLoop,
+		lzwtc.SpanWireEncode,
 	} {
 		if byName[want] == 0 {
 			t.Fatalf("trace missing %q span; got %v", want, names(spans))
@@ -144,6 +148,105 @@ func TestServiceEndToEndTrace(t *testing.T) {
 	if !sawDecompress {
 		t.Fatalf("no %s span after remote decompress", server.SpanDecompress)
 	}
+}
+
+// TestCompressPathsUniform: the sync endpoint and the job tier share
+// one compress→wire path, so every mix of sharding and dictionary
+// answers X-Lzwtc-Shards and records a wire.encode span carrying the
+// frame count. The sync reply carries the full header set; the dict
+// key header appears exactly when a dictionary was named.
+func TestCompressPathsUniform(t *testing.T) {
+	c, _, srv, base := startTracedService(t, server.Config{})
+	ctx := context.Background()
+	ts := readCorpusSet(t, "cc4-freeze")
+	cfg := corpusCases()["cc4-freeze"]
+	var text bytes.Buffer
+	if err := ts.WriteCubes(&text); err != nil {
+		t.Fatal(err)
+	}
+	info, err := c.TrainDict(ctx, ts, cfg, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	send := func(method, url, reqID string, body []byte) *http.Response {
+		t.Helper()
+		req, err := http.NewRequest(method, url, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set(server.HeaderRequestID, reqID)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { resp.Body.Close() })
+		return resp
+	}
+	for _, tc := range []struct {
+		name  string
+		shard int
+		dict  bool
+	}{{"plain", 0, false}, {"sharded", 5, false}, {"dict", 0, true}, {"dict-sharded", 5, true}} {
+		wantShards := "1"
+		if tc.shard > 0 {
+			wantShards = strconv.Itoa((len(ts.Cubes) + tc.shard - 1) / tc.shard)
+		}
+		q := server.EncodeCompressQuery(cfg, tc.shard)
+		if tc.dict {
+			q.Set(server.ParamDictID, info.Key)
+		}
+		for _, async := range []bool{false, true} {
+			reqID := fmt.Sprintf("uniform-%s-%t", tc.name, async)
+			var resp *http.Response
+			if async {
+				sub := send(http.MethodPost, base+server.PathJobsCompress+"?"+q.Encode(), reqID, text.Bytes())
+				var st server.JobStatusResponse
+				if err := json.NewDecoder(sub.Body).Decode(&st); err != nil {
+					t.Fatalf("%s: submit: %v", reqID, err)
+				}
+				waitJobFast(t, c, st.ID)
+				resp = send(http.MethodGet, base+server.PathJobs+st.ID+server.JobResultSuffix, reqID+"-result", nil)
+			} else {
+				resp = send(http.MethodPost, base+server.PathCompress+"?"+q.Encode(), reqID, text.Bytes())
+				for _, h := range []string{server.HeaderPatterns, server.HeaderWidth, server.HeaderRatio} {
+					if resp.Header.Get(h) == "" {
+						t.Fatalf("%s: reply lacks %s", reqID, h)
+					}
+				}
+				if got, want := resp.Header.Get(server.HeaderDictKey) != "", tc.dict; got != want {
+					t.Fatalf("%s: %s present = %v, want %v", reqID, server.HeaderDictKey, got, want)
+				}
+			}
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s: status %d", reqID, resp.StatusCode)
+			}
+			if got := resp.Header.Get(server.HeaderShards); got != wantShards {
+				t.Fatalf("%s: %s = %q, want %s", reqID, server.HeaderShards, got, wantShards)
+			}
+			if frames := wireEncodeFrames(t, srv, reqID); frames != wantShards {
+				t.Fatalf("%s: wire.encode span frames = %q, want %s", reqID, frames, wantShards)
+			}
+		}
+	}
+}
+
+// wireEncodeFrames waits for the wire.encode span stamped with reqID
+// and returns its frames attribute.
+func wireEncodeFrames(t *testing.T, srv *server.Server, reqID string) string {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for time.Now().Before(deadline) {
+		for _, tr := range srv.Traces().Recent(100) {
+			for _, sp := range tr.Spans {
+				if sp.Name == lzwtc.SpanWireEncode && sp.RequestID == reqID {
+					return sp.Attrs["frames"]
+				}
+			}
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	t.Fatalf("no %s span for request %s", lzwtc.SpanWireEncode, reqID)
+	return ""
 }
 
 func names(spans []*telemetry.SpanNode) []string {

@@ -13,7 +13,7 @@
 //	ts.Add(lzwtc.MustPattern("01XX10XX"))
 //	ts.Add(lzwtc.MustPattern("X1XX10X0"))
 //	res, err := lzwtc.Compress(ts, lzwtc.DefaultConfig())
-//	// res.Ratio(), res.Encode(), ...
+//	// res.Ratio(), res.WriteWire(w), ...
 //	back, err := lzwtc.Decompress(res)
 //	err = lzwtc.Verify(ts, back) // every specified bit preserved
 //
@@ -24,6 +24,7 @@
 package lzwtc
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -123,18 +124,7 @@ func (r *Result) Stats() Stats { return r.Stream.Stats }
 // flushes its output shifter at the capture cycle between patterns —
 // and the stream is compressed with dynamic don't-care assignment.
 func Compress(ts *TestSet, cfg Config) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if len(ts.Cubes) == 0 {
-		return nil, fmt.Errorf("lzwtc: empty test set")
-	}
-	stream := ts.SerializeAligned(cfg.CharBits)
-	res, err := core.Compress(stream, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Stream: res, Width: ts.Width, OriginalBits: ts.TotalBits(), Patterns: len(ts.Cubes)}, nil
+	return CompressObservedCtx(context.Background(), ts, cfg, nil)
 }
 
 // Decompress reconstructs the fully specified test set a decompressor
@@ -145,7 +135,7 @@ func Decompress(r *Result) (*TestSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	return bitvec.DeserializeAligned(stream, r.Width, r.Stream.Cfg.CharBits)
+	return DecompressedSetFromStream(stream, r)
 }
 
 // DecompressedSetFromStream splits a concrete scan stream — e.g. the
@@ -168,42 +158,4 @@ func Verify(orig, filled *TestSet) error {
 		}
 	}
 	return nil
-}
-
-// Encode serializes a Result into a self-describing byte container
-// (configuration + original geometry + packed code stream).
-func (r *Result) Encode() []byte {
-	var hdr [8]byte
-	hdr[0] = 'T'
-	hdr[1] = 'S'
-	putUint24(hdr[2:5], uint32(r.Width))
-	putUint24(hdr[5:8], uint32(r.Patterns))
-	return append(hdr[:], r.Stream.Encode()...)
-}
-
-// DecodeResult parses a container produced by Encode.
-func DecodeResult(data []byte) (*Result, error) {
-	if len(data) < 8 || data[0] != 'T' || data[1] != 'S' {
-		return nil, fmt.Errorf("lzwtc: not a test-set container")
-	}
-	width := int(getUint24(data[2:5]))
-	patterns := int(getUint24(data[5:8]))
-	stream, err := core.Decode(data[8:])
-	if err != nil {
-		return nil, err
-	}
-	if width <= 0 || patterns <= 0 {
-		return nil, fmt.Errorf("lzwtc: corrupt geometry %dx%d", patterns, width)
-	}
-	return &Result{Stream: stream, Width: width, OriginalBits: width * patterns, Patterns: patterns}, nil
-}
-
-func putUint24(b []byte, v uint32) {
-	b[0] = byte(v >> 16)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v)
-}
-
-func getUint24(b []byte) uint32 {
-	return uint32(b[0])<<16 | uint32(b[1])<<8 | uint32(b[2])
 }

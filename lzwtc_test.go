@@ -88,8 +88,11 @@ func TestContainerRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc := res.Encode()
-	dec, err := DecodeResult(enc)
+	enc, err := res.EncodeWire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := DecodeWireResult(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,10 +106,10 @@ func TestContainerRoundTrip(t *testing.T) {
 	if err := Verify(ts, back); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeResult(enc[:4]); err == nil {
+	if _, err := DecodeWireResult(enc[:4]); err == nil {
 		t.Fatal("truncated container accepted")
 	}
-	if _, err := DecodeResult([]byte("xxxxxxxxxxxx")); err == nil {
+	if _, err := DecodeWireResult([]byte("xxxxxxxxxxxx")); err == nil {
 		t.Fatal("bad magic accepted")
 	}
 }

@@ -16,17 +16,13 @@ import (
 // DownloadStats).
 type Recorder = telemetry.Recorder
 
-// CompressObserved is Compress instrumented through a telemetry
-// recorder: per-code histograms into its registry and a compress.run
-// event record to its sinks. A nil recorder reduces to Compress.
-func CompressObserved(ts *TestSet, cfg Config, rec *Recorder) (*Result, error) {
-	return CompressObservedCtx(context.Background(), ts, cfg, rec)
-}
-
-// CompressObservedCtx is CompressObserved threaded through a context:
-// when ctx carries a trace span, serialization and the core phases are
-// recorded as child spans, so a request trace attributes the whole
-// single-stream pipeline. A nil recorder reduces to Compress.
+// CompressObservedCtx is Compress instrumented through a telemetry
+// recorder and a trace context: per-code histograms into the
+// recorder's registry, a compress.run event to its sinks, and, when
+// ctx carries a trace span, serialization and the core phases as child
+// spans, so a request trace attributes the whole single-stream
+// pipeline. It is the one body behind Compress, which calls it with a
+// nil recorder.
 func CompressObservedCtx(ctx context.Context, ts *TestSet, cfg Config, rec *Recorder) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package lzwtc
 
 import (
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -26,7 +27,7 @@ func TestRunRecordSchema(t *testing.T) {
 	cfg := Config{CharBits: 2, DictSize: 32, EntryBits: 8}
 	reg := telemetry.NewRegistry()
 	rec := telemetry.New(reg)
-	res, err := CompressObserved(recordTestSet(t), cfg, rec)
+	res, err := CompressObservedCtx(context.Background(), recordTestSet(t), cfg, rec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,11 @@ func TestRunRecordFromContainer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	decoded, err := DecodeResult(res.Encode())
+	container, err := res.EncodeWire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := DecodeWireResult(container)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +110,7 @@ func TestRunRecordFromContainer(t *testing.T) {
 func TestCompressObservedRootEmitsRunRecord(t *testing.T) {
 	var kinds []string
 	rec := telemetry.New(nil, telemetry.SinkFunc(func(ev telemetry.Event) { kinds = append(kinds, ev.Kind) }))
-	if _, err := CompressObserved(recordTestSet(t), DefaultConfig(), rec); err != nil {
+	if _, err := CompressObservedCtx(context.Background(), recordTestSet(t), DefaultConfig(), rec); err != nil {
 		t.Fatal(err)
 	}
 	found := false

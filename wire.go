@@ -21,35 +21,43 @@ var (
 	ErrWireTruncated = wire.ErrTruncated
 )
 
-// IsWireContainer reports whether data begins with the wire-format
-// magic — the dispatch test file and service handlers use to tell the
-// framed format from the legacy Encode container.
-func IsWireContainer(data []byte) bool {
-	return len(data) >= len(wire.Magic) && bytes.Equal(data[:len(wire.Magic)], wire.Magic[:])
-}
-
-// WriteWire streams a Result to w in the versioned wire format: a
-// CRC-protected header carrying the full Config and pattern width, one
-// data frame with the code stream, and an explicit EOS frame. Unlike
-// Encode, the output is tamper-evident (per-region CRC32C) and
-// truncation-evident (missing EOS).
-func (r *Result) WriteWire(w io.Writer) error {
-	ww, err := wire.NewWriter(w, wire.Header{Cfg: r.Stream.Cfg, Width: r.Width})
-	if err != nil {
-		return err
-	}
-	if err := ww.WriteResult(r.Stream, r.Patterns); err != nil {
-		return err
-	}
-	return ww.Close()
-}
-
 // Trace span names for wire-container framing, recorded by the
 // *Observed wire entry points.
 const (
 	SpanWireEncode = "wire.encode" // frame + CRC a container
 	SpanWireDecode = "wire.decode" // parse + verify + decompress a container
 )
+
+// writeWire is the one container writer behind every WriteWire entry
+// point: the CRC-protected header carrying the full Config and pattern
+// width, a 'D' frame exactly when ref is non-nil, one data frame per
+// shard in order, and the explicit EOS frame.
+func writeWire(w io.Writer, cfg Config, width int, shards []*core.Result, patterns []int, ref *DictRef) error {
+	ww, err := wire.NewWriter(w, wire.Header{Cfg: cfg, Width: width})
+	if err != nil {
+		return err
+	}
+	if ref != nil {
+		if err := ww.WriteDictRef(*ref); err != nil {
+			return err
+		}
+	}
+	for i, sh := range shards {
+		if err := ww.WriteResult(sh, patterns[i]); err != nil {
+			return err
+		}
+	}
+	return ww.Close()
+}
+
+// WriteWire streams a Result to w in the versioned wire format: a
+// CRC-protected header carrying the full Config and pattern width, one
+// data frame with the code stream, and an explicit EOS frame. The
+// output is tamper-evident (per-region CRC32C) and truncation-evident
+// (missing EOS).
+func (r *Result) WriteWire(w io.Writer) error {
+	return writeWire(w, r.Stream.Cfg, r.Width, []*core.Result{r.Stream}, []int{r.Patterns}, nil)
+}
 
 // WriteWireObserved is WriteWire wrapped in a SpanWireEncode trace
 // span: when ctx carries a span and rec has sinks, the container
@@ -59,15 +67,6 @@ func (r *Result) WriteWireObserved(ctx context.Context, w io.Writer, rec *Record
 	_, sp := rec.StartSpan(ctx, SpanWireEncode)
 	err := r.WriteWire(w)
 	sp.End(telemetry.F("frames", 1), telemetry.F("ok", err == nil))
-	return err
-}
-
-// WriteWireShardedObserved is WriteWireSharded wrapped in a
-// SpanWireEncode trace span carrying the frame count.
-func WriteWireShardedObserved(ctx context.Context, w io.Writer, s *ShardedResult, rec *Recorder) error {
-	_, sp := rec.StartSpan(ctx, SpanWireEncode)
-	err := WriteWireSharded(w, s)
-	sp.End(telemetry.F("frames", len(s.Shards)), telemetry.F("ok", err == nil))
 	return err
 }
 
@@ -85,24 +84,16 @@ func (r *Result) EncodeWire() ([]byte, error) {
 // frame boundary is a FullReset), so a streaming reader can decompress
 // shard by shard in constant memory.
 func WriteWireSharded(w io.Writer, s *ShardedResult) error {
-	ww, err := wire.NewWriter(w, wire.Header{Cfg: s.Cfg, Width: s.Width})
-	if err != nil {
-		return err
-	}
-	for i, sh := range s.Shards {
-		if err := ww.WriteResult(sh, s.ShardPatterns[i]); err != nil {
-			return err
-		}
-	}
-	return ww.Close()
+	return writeWire(w, s.Cfg, s.Width, s.Shards, s.ShardPatterns, nil)
 }
 
-// ReadWireResult parses a single-frame wire container back into a
+// DecodeWireResult parses a single-frame wire container back into a
 // Result. Multi-frame (sharded) containers are rejected — their frames
 // have independent dictionary states and cannot merge into one code
-// stream; use DecompressWire for those.
-func ReadWireResult(r io.Reader) (*Result, error) {
-	wr, err := wire.NewReader(r)
+// stream; use DecompressWire for those. The Result carries no preload:
+// a container with a 'D' frame decompresses through DecompressWireDict.
+func DecodeWireResult(data []byte) (*Result, error) {
+	wr, err := wire.NewReader(bytes.NewReader(data))
 	if err != nil {
 		return nil, err
 	}
@@ -132,17 +123,14 @@ func ReadWireResult(r io.Reader) (*Result, error) {
 	}, nil
 }
 
-// DecodeWireResult is ReadWireResult over an in-memory container.
-func DecodeWireResult(data []byte) (*Result, error) {
-	return ReadWireResult(bytes.NewReader(data))
-}
-
 // DecompressWire streams any wire container — single-frame or sharded —
 // into the fully specified test set, decompressing frame by frame. The
 // whole container is verified: a corrupt or truncated stream returns a
-// typed error before (or instead of) partial output.
+// typed error before (or instead of) partial output, and a container
+// naming a shared dictionary fails with ErrDictNotFound (decompress it
+// through DecompressWireDict).
 func DecompressWire(r io.Reader) (*TestSet, error) {
-	return DecompressWireObserved(context.Background(), r, nil)
+	return DecompressWireDictObserved(context.Background(), r, nil, nil)
 }
 
 // DecompressWireObserved is DecompressWire instrumented for request
@@ -151,19 +139,38 @@ func DecompressWire(r io.Reader) (*TestSet, error) {
 // span, so sharded downloads show per-frame cost. A nil recorder
 // reduces to DecompressWire.
 func DecompressWireObserved(ctx context.Context, r io.Reader, rec *Recorder) (*TestSet, error) {
+	return DecompressWireDictObserved(ctx, r, nil, rec)
+}
+
+// DecompressWireDict is DecompressWire for containers that may carry a
+// dictionary reference: when a 'D' frame is present the resolver is
+// asked for the preload (nil resolver → ErrDictNotFound) and every
+// frame decompresses with it installed; plain containers decompress
+// cold.
+func DecompressWireDict(r io.Reader, res DictResolver) (*TestSet, error) {
+	return DecompressWireDictObserved(context.Background(), r, res, nil)
+}
+
+// DecompressWireDictObserved is DecompressWireDict under a
+// SpanWireDecode trace span (the store's own dict.resolve span nests
+// inside it when the resolver is a *DictStore). Every DecompressWire
+// entry point runs through it.
+func DecompressWireDictObserved(ctx context.Context, r io.Reader, res DictResolver, rec *Recorder) (*TestSet, error) {
 	wctx, sp := rec.StartSpan(ctx, SpanWireDecode)
-	out, frames, err := decompressWire(wctx, r, rec)
+	out, frames, err := decompressWireDict(wctx, r, res, rec)
 	sp.End(telemetry.F("frames", frames), telemetry.F("ok", err == nil))
 	return out, err
 }
 
-func decompressWire(ctx context.Context, r io.Reader, rec *Recorder) (*TestSet, int, error) {
+// decompressWireDict is the one wire decode loop.
+func decompressWireDict(ctx context.Context, r io.Reader, res DictResolver, rec *Recorder) (*TestSet, int, error) {
 	wr, err := wire.NewReader(r)
 	if err != nil {
 		return nil, 0, err
 	}
 	hdr := wr.Header()
 	out := NewTestSet(hdr.Width)
+	var pre *Preload
 	for {
 		f, err := wr.ReadFrame()
 		if err == io.EOF {
@@ -172,7 +179,19 @@ func decompressWire(ctx context.Context, r io.Reader, rec *Recorder) (*TestSet, 
 		if err != nil {
 			return nil, wr.Frames(), err
 		}
-		stream, err := core.DecompressObservedCtx(ctx, f.Codes, hdr.Cfg, f.InputBits, rec)
+		// The 'D' frame precedes all data frames, so the reference is
+		// final by the time the first data frame arrives.
+		if ref, ok := wr.DictRef(); ok && pre == nil {
+			if res == nil {
+				return nil, wr.Frames(), fmt.Errorf("lzwtc: container references dictionary %x but no resolver given: %w",
+					ref.Key, ErrDictNotFound)
+			}
+			if pre, err = res.ResolveDict(ctx, ref); err != nil {
+				return nil, wr.Frames(), fmt.Errorf("lzwtc: resolving container dictionary: %w", err)
+			}
+		}
+		// A nil preload is a cold start.
+		stream, err := core.DecompressWithPreloadObservedCtx(ctx, f.Codes, hdr.Cfg, pre, f.InputBits, rec)
 		if err != nil {
 			return nil, wr.Frames(), fmt.Errorf("lzwtc: wire frame %d: %w", wr.Frames()-1, err)
 		}
