@@ -53,6 +53,8 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzFindChildEquivalence -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzWireDecode -fuzztime=$(FUZZTIME) ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzWireRoundTrip -fuzztime=$(FUZZTIME) ./internal/wire
+	$(GO) test -run='^$$' -fuzz=FuzzPlanesDecode -fuzztime=$(FUZZTIME) ./internal/wire
+	$(GO) test -run='^$$' -fuzz=FuzzPlanesRoundTrip -fuzztime=$(FUZZTIME) ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzDictBlobDecode -fuzztime=$(FUZZTIME) ./internal/dictstore
 	$(GO) test -run='^$$' -fuzz=FuzzDictStoreRoundTrip -fuzztime=$(FUZZTIME) ./internal/dictstore
 

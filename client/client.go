@@ -2,6 +2,11 @@
 // context-aware wrappers over the /v1 HTTP API with bounded
 // retry/backoff for transient failures.
 //
+// Test sets travel as cube planes (server.MediaPlanes, the wire
+// format's planes message) both ways: up for compress, job submit and
+// dictionary training, and back from decompress, so the client never
+// renders or parses cube text. This needs a service that speaks planes.
+//
 // Requests are replayable by construction (bodies are buffered before
 // the first attempt), so the client retries connection errors,
 // gateway-class statuses (502/503/504) and backpressure (429) with
@@ -18,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"mime"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -27,6 +33,7 @@ import (
 	"lzwtc"
 	"lzwtc/internal/server"
 	"lzwtc/internal/telemetry"
+	"lzwtc/internal/wire"
 )
 
 // Options tunes a Client. The zero value is usable.
@@ -41,9 +48,9 @@ type Options struct {
 	Backoff time.Duration
 	// MaxBackoff caps the delay growth; <= 0 means 2s.
 	MaxBackoff time.Duration
-	// MaxResponseBytes caps how much of a response body Compress and
-	// Metrics will buffer; a larger body is an error, not an unbounded
-	// allocation. <= 0 means 1 GiB.
+	// MaxResponseBytes caps how much of a response body Compress,
+	// Decompress and Metrics will read; a larger body is an error, not
+	// an unbounded allocation. <= 0 means 1 GiB.
 	MaxResponseBytes int64
 	// Recorder receives client-side telemetry: one SpanClientRequest
 	// trace span per call (not per attempt), whose identity is also
@@ -132,12 +139,13 @@ func retryable(status int) bool {
 }
 
 // do runs one replayable request with retry/backoff. body is the full
-// request body; it is re-sent from the start on every attempt. One
+// request body; it is re-sent from the start on every attempt. An empty
+// contentType or accept sends no such header. One
 // client.request trace span covers all attempts; the span identity in
 // ctx (started here, or supplied by the caller even with no recorder)
 // travels to the server in the X-Lzwtc-Trace header, and any request
 // ID in ctx in X-Request-Id.
-func (c *Client) do(ctx context.Context, method, path string, query url.Values, contentType string, body []byte) (resp *http.Response, err error) {
+func (c *Client) do(ctx context.Context, method, path string, query url.Values, contentType, accept string, body []byte) (resp *http.Response, err error) {
 	u := c.base + path
 	if len(query) > 0 {
 		u += "?" + query.Encode()
@@ -187,6 +195,9 @@ func (c *Client) do(ctx context.Context, method, path string, query url.Values, 
 		}
 		if contentType != "" {
 			req.Header.Set("Content-Type", contentType)
+		}
+		if accept != "" {
+			req.Header.Set("Accept", accept)
 		}
 		if c.opts.APIKey != "" {
 			req.Header.Set(server.HeaderAPIKey, c.opts.APIKey)
@@ -294,15 +305,12 @@ func compressQuery(cfg lzwtc.Config, opts CompressOptions) url.Values {
 // Compress sends a test set for remote compression and returns the
 // wire-format container bytes.
 func (c *Client) Compress(ctx context.Context, ts *lzwtc.TestSet, cfg lzwtc.Config, opts CompressOptions) ([]byte, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	body, err := cubeText(ts)
+	body, err := planesBody(ts, cfg)
 	if err != nil {
 		return nil, err
 	}
 	resp, err := c.do(ctx, http.MethodPost, server.PathCompress,
-		compressQuery(cfg, opts), "text/plain; charset=utf-8", body)
+		compressQuery(cfg, opts), server.MediaPlanes, "", body)
 	if err != nil {
 		return nil, err
 	}
@@ -310,13 +318,18 @@ func (c *Client) Compress(ctx context.Context, ts *lzwtc.TestSet, cfg lzwtc.Conf
 	return c.readBounded(resp.Body)
 }
 
-// cubeText renders ts as a request body. The buffer is grown to the
-// exact text size, (Width+1) bytes per pattern, before rendering, so
-// the body is one allocation rather than a series of doublings.
-func cubeText(ts *lzwtc.TestSet) ([]byte, error) {
+// planesBody renders ts as a planes message under cfg, the request body
+// of every verb that uploads a test set. The buffer is grown to the
+// exact message size first, so the body is one allocation rather than a
+// series of doublings.
+func planesBody(ts *lzwtc.TestSet, cfg lzwtc.Config) ([]byte, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	hdr := wire.Header{Cfg: cfg, Width: ts.Width}
 	var body bytes.Buffer
-	body.Grow((ts.Width + 1) * len(ts.Cubes))
-	if err := ts.WriteCubes(&body); err != nil {
+	body.Grow(wire.PlanesSize(hdr, len(ts.Cubes)))
+	if err := wire.WritePlanes(&body, hdr, ts); err != nil {
 		return nil, err
 	}
 	return body.Bytes(), nil
@@ -332,9 +345,14 @@ func (c *Client) readBounded(r io.Reader) ([]byte, error) {
 		return nil, err
 	}
 	if int64(len(data)) > limit {
-		return nil, fmt.Errorf("lzwtcd: response body exceeds the %d-byte client cap; raise Options.MaxResponseBytes if intended", limit)
+		return nil, c.capError()
 	}
 	return data, nil
+}
+
+// capError reports a response body over Options.MaxResponseBytes.
+func (c *Client) capError() error {
+	return fmt.Errorf("lzwtcd: response body exceeds the %d-byte client cap; raise Options.MaxResponseBytes if intended", c.opts.MaxResponseBytes)
 }
 
 // CompressResult is Compress followed by a local decode into a Result.
@@ -349,19 +367,29 @@ func (c *Client) CompressResult(ctx context.Context, ts *lzwtc.TestSet, cfg lzwt
 }
 
 // Decompress sends a wire container for remote decompression and
-// returns the fully specified test set.
+// returns the fully specified test set, which the service sends back as
+// cube planes. A reply of any other Content-Type is an error.
 func (c *Client) Decompress(ctx context.Context, container []byte) (*lzwtc.TestSet, error) {
-	resp, err := c.do(ctx, http.MethodPost, server.PathDecompress, nil, "application/octet-stream", container)
+	resp, err := c.do(ctx, http.MethodPost, server.PathDecompress, nil, "application/octet-stream", server.MediaPlanes, container)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close() //nolint:errcheck // fully drained below
-	return lzwtc.ReadTestSet(resp.Body)
+	ct := resp.Header.Get("Content-Type")
+	if mt, _, err := mime.ParseMediaType(ct); err != nil || mt != server.MediaPlanes {
+		return nil, fmt.Errorf("lzwtcd: decompress reply has Content-Type %q, want %s", ct, server.MediaPlanes)
+	}
+	body := &io.LimitedReader{R: resp.Body, N: c.opts.MaxResponseBytes}
+	_, ts, err := wire.ReadPlanes(body)
+	if err != nil && body.N <= 0 {
+		return nil, c.capError()
+	}
+	return ts, err
 }
 
 // Stats fetches the service counter document.
 func (c *Client) Stats(ctx context.Context) (*server.StatsResponse, error) {
-	resp, err := c.do(ctx, http.MethodGet, server.PathStats, nil, "", nil)
+	resp, err := c.do(ctx, http.MethodGet, server.PathStats, nil, "", "", nil)
 	if err != nil {
 		return nil, err
 	}
@@ -375,7 +403,7 @@ func (c *Client) Stats(ctx context.Context) (*server.StatsResponse, error) {
 
 // Metrics fetches the raw Prometheus text exposition.
 func (c *Client) Metrics(ctx context.Context) (string, error) {
-	resp, err := c.do(ctx, http.MethodGet, server.PathMetrics, nil, "", nil)
+	resp, err := c.do(ctx, http.MethodGet, server.PathMetrics, nil, "", "", nil)
 	if err != nil {
 		return "", err
 	}
@@ -386,7 +414,7 @@ func (c *Client) Metrics(ctx context.Context) (string, error) {
 
 // Health probes /healthz; nil means the service answered ok.
 func (c *Client) Health(ctx context.Context) error {
-	resp, err := c.do(ctx, http.MethodGet, server.PathHealth, nil, "", nil)
+	resp, err := c.do(ctx, http.MethodGet, server.PathHealth, nil, "", "", nil)
 	if err != nil {
 		return err
 	}

@@ -14,7 +14,7 @@ import (
 
 // Shared-dictionary verbs over lzwtcd's /v1/dict endpoints. TrainDict
 // asks the service to train (or re-find, content-addressed) a
-// dictionary from cube text; PushDict uploads a locally trained LZWD
+// dictionary from a test set; PushDict uploads a locally trained LZWD
 // blob; FetchDict pulls a blob down for local storage; DeleteDict
 // evicts one. The returned DictInfo's Key is what CompressOptions.
 // DictID and the dictid query parameter expect.
@@ -31,10 +31,7 @@ type DictInfo = server.DictResponse
 // maxEntries <= 0 lets the dictionary grow to the config's code-width
 // capacity.
 func (c *Client) TrainDict(ctx context.Context, ts *lzwtc.TestSet, cfg lzwtc.Config, maxEntries int) (*DictInfo, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	body, err := cubeText(ts)
+	body, err := planesBody(ts, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -42,7 +39,7 @@ func (c *Client) TrainDict(ctx context.Context, ts *lzwtc.TestSet, cfg lzwtc.Con
 	if maxEntries > 0 {
 		q.Set(server.ParamEntries, strconv.Itoa(maxEntries))
 	}
-	resp, err := c.do(ctx, http.MethodPut, server.PathDict, q, "text/plain; charset=utf-8", body)
+	resp, err := c.do(ctx, http.MethodPut, server.PathDict, q, server.MediaPlanes, "", body)
 	if err != nil {
 		return nil, err
 	}
@@ -51,7 +48,7 @@ func (c *Client) TrainDict(ctx context.Context, ts *lzwtc.TestSet, cfg lzwtc.Con
 
 // FetchDict downloads one stored dictionary's canonical LZWD blob.
 func (c *Client) FetchDict(ctx context.Context, key string) ([]byte, error) {
-	resp, err := c.do(ctx, http.MethodGet, server.PathDictKey+key, nil, "", nil)
+	resp, err := c.do(ctx, http.MethodGet, server.PathDictKey+key, nil, "", "", nil)
 	if err != nil {
 		return nil, err
 	}
@@ -63,7 +60,7 @@ func (c *Client) FetchDict(ctx context.Context, key string) ([]byte, error) {
 // The service validates, re-encodes canonically, and persists it; the
 // response carries the canonical digest.
 func (c *Client) PushDict(ctx context.Context, key string, blob []byte) (*DictInfo, error) {
-	resp, err := c.do(ctx, http.MethodPut, server.PathDictKey+key, nil, "application/octet-stream", blob)
+	resp, err := c.do(ctx, http.MethodPut, server.PathDictKey+key, nil, "application/octet-stream", "", blob)
 	if err != nil {
 		return nil, err
 	}
@@ -74,7 +71,7 @@ func (c *Client) PushDict(ctx context.Context, key string, blob []byte) (*DictIn
 // tier and disk index. Unknown keys surface as an *APIError with code
 // dict_not_found.
 func (c *Client) DeleteDict(ctx context.Context, key string) error {
-	resp, err := c.do(ctx, http.MethodDelete, server.PathDictKey+key, nil, "", nil)
+	resp, err := c.do(ctx, http.MethodDelete, server.PathDictKey+key, nil, "", "", nil)
 	if err != nil {
 		return err
 	}

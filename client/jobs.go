@@ -35,15 +35,12 @@ var ErrJobCanceled = errors.New("lzwtcd: job canceled")
 // separately with JobResult once WaitJob (or polling JobStatus)
 // reports the job done.
 func (c *Client) SubmitCompressJob(ctx context.Context, ts *lzwtc.TestSet, cfg lzwtc.Config, opts CompressOptions) (*JobStatus, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	body, err := cubeText(ts)
+	body, err := planesBody(ts, cfg)
 	if err != nil {
 		return nil, err
 	}
 	resp, err := c.do(ctx, http.MethodPost, server.PathJobsCompress,
-		compressQuery(cfg, opts), "text/plain; charset=utf-8", body)
+		compressQuery(cfg, opts), server.MediaPlanes, "", body)
 	if err != nil {
 		return nil, err
 	}
@@ -52,7 +49,7 @@ func (c *Client) SubmitCompressJob(ctx context.Context, ts *lzwtc.TestSet, cfg l
 
 // JobStatus fetches one job's current status document.
 func (c *Client) JobStatus(ctx context.Context, id string) (*JobStatus, error) {
-	resp, err := c.do(ctx, http.MethodGet, server.PathJobs+id, nil, "", nil)
+	resp, err := c.do(ctx, http.MethodGet, server.PathJobs+id, nil, "", "", nil)
 	if err != nil {
 		return nil, err
 	}
@@ -63,7 +60,7 @@ func (c *Client) JobStatus(ctx context.Context, id string) (*JobStatus, error) {
 // done yet surfaces as an *APIError with code job_not_done (status
 // 409); expired or unknown jobs as 404s with their typed codes.
 func (c *Client) JobResult(ctx context.Context, id string) ([]byte, error) {
-	resp, err := c.do(ctx, http.MethodGet, server.PathJobs+id+server.JobResultSuffix, nil, "", nil)
+	resp, err := c.do(ctx, http.MethodGet, server.PathJobs+id+server.JobResultSuffix, nil, "", "", nil)
 	if err != nil {
 		return nil, err
 	}
@@ -75,7 +72,7 @@ func (c *Client) JobResult(ctx context.Context, id string) ([]byte, error) {
 // the request (canceled for queued jobs; still running jobs transition
 // once the pool observes the canceled context).
 func (c *Client) CancelJob(ctx context.Context, id string) (*JobStatus, error) {
-	resp, err := c.do(ctx, http.MethodDelete, server.PathJobs+id, nil, "", nil)
+	resp, err := c.do(ctx, http.MethodDelete, server.PathJobs+id, nil, "", "", nil)
 	if err != nil {
 		return nil, err
 	}

@@ -280,6 +280,9 @@ func info(args []string) error {
 		cfg.CharBits, cfg.DictSize, cfg.CodeBits(), cfg.EntryBits, cfg.Fill, cfg.Tie, cfg.Full)
 	fmt.Printf("compressed:      %d codes, %d bits (%.2f%% compression)\n",
 		len(res.Stream.Codes), res.CompressedBits(), 100*res.Ratio())
+	if res.Dict != nil {
+		fmt.Printf("dictionary:      %s (shared; decompress with -dict-store)\n", lzwtc.DictKey(res.Dict.Key))
+	}
 	if cfg.EntryBits > 0 {
 		fmt.Printf("decompressor:    %d x %d-bit dictionary memory (%d bits)\n",
 			cfg.DictSize, cfg.LenBits()+cfg.EntryBits, cfg.MemoryBits())

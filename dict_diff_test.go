@@ -291,3 +291,50 @@ func TestDecompressWireRejectsDictContainer(t *testing.T) {
 		}
 	})
 }
+
+// TestDecodeWireResultCarriesDictRef: for every conformance case, a
+// single-frame container with a 'D' frame decodes to a Result whose
+// Dict is the container's reference. Such a Result re-encodes to the
+// same container, and the decoders that start from an empty dictionary
+// refuse it with ErrDictNotFound instead of decompressing it cold.
+func TestDecodeWireResultCarriesDictRef(t *testing.T) {
+	for _, c := range conformanceCases() {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := dictDiffConfig(c.cfg)
+			ts := c.build()
+			pre, err := Train(ts, cfg, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			blob, err := EncodeDictBlob(cfg, pre)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := DictRef{Key: DictKeyFor(ts, cfg), Digest: dictstore.BlobDigest(blob)}
+			container := dictContainer(t, ts, cfg, pre, ref)
+
+			res, err := DecodeWireResult(container)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Dict == nil || *res.Dict != ref {
+				t.Fatalf("Result.Dict = %v, want %x", res.Dict, ref.Key)
+			}
+			again, err := res.EncodeWire()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(again, container) {
+				t.Fatal("re-encoded Result lost or changed its 'D' frame")
+			}
+			if _, err := Decompress(res); !errors.Is(err, ErrDictNotFound) {
+				t.Fatalf("Decompress: got %v, want ErrDictNotFound", err)
+			}
+			if cfg.EntryBits > 0 && cfg.Full == FullFreeze {
+				if _, _, _, err := SimulateDownload(res, 4); !errors.Is(err, ErrDictNotFound) {
+					t.Fatalf("SimulateDownload: got %v, want ErrDictNotFound", err)
+				}
+			}
+		})
+	}
+}

@@ -26,7 +26,7 @@ const (
 	// {id}/result for the wire container, DELETE {id} to cancel.
 	PathJobs = "/v1/jobs/"
 
-	// PathDict trains shared dictionaries: PUT with cube text trains
+	// PathDict trains shared dictionaries: PUT with a test set trains
 	// (idempotently, through the store's singleflight) and answers the
 	// content address.
 	PathDict = "/v1/dict"
@@ -34,6 +34,12 @@ const (
 	// LZWD blob, PUT {key} uploads one, DELETE {key} evicts.
 	PathDictKey = "/v1/dict/"
 )
+
+// MediaPlanes is the media type of a test set sent as cube planes, the
+// wire format's planes message (wire.ReadPlanes). A request body of this
+// Content-Type is read as planes, and a decompress request whose Accept
+// names it is answered in planes; any other body is read as cube text.
+const MediaPlanes = "application/vnd.lzwtc.planes"
 
 // JobResultSuffix selects a job's result document under PathJobs.
 const JobResultSuffix = "/result"

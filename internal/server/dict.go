@@ -16,7 +16,7 @@ import (
 )
 
 // Shared-dictionary endpoints: PUT /v1/dict trains a dictionary from
-// cube text (idempotently — the store's content addressing plus
+// a test set (idempotently — the store's content addressing plus
 // singleflight make a repeated training a cache hit), and
 // /v1/dict/{key} fetches, uploads or evicts one LZWD blob. The dictid
 // query parameter on the compress endpoints resolves through the same
@@ -60,7 +60,7 @@ func setDictHeaders(w http.ResponseWriter, ent *dictstore.Entry) {
 	w.Header().Set(HeaderDictDigest, ent.Digest.String())
 }
 
-// handleDictTrain serves PUT /v1/dict: cube text in, trained (or
+// handleDictTrain serves PUT /v1/dict: test set in, trained (or
 // already-stored) dictionary identity out. The key derivation is the
 // same DictKeyFor the CLI uses, so training here and training locally
 // agree on the address.
@@ -91,13 +91,11 @@ func (s *Server) handleDictTrain(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
 
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	ts, err := lzwtc.ReadTestSet(body)
+	ts, err := s.readTestSet(ctx, w, r, cfg)
 	if err != nil {
 		s.mapError(w, r, err)
 		return
 	}
-	s.bytesIn.Add(int64(approxCubeBytes(ts)))
 
 	key := lzwtc.DictKeyFor(ts, cfg)
 	ent, src, err := s.dict.GetOrTrain(ctx, key, cfg, func(context.Context) (*core.Preload, error) {

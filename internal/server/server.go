@@ -4,13 +4,18 @@
 //
 // Endpoints:
 //
-//	POST /v1/compress         cube text in, wire container out
+//	POST /v1/compress         test set in, wire container out
 //	                          (?char ?dict ?entry ?fill ?tie ?full ?shard)
-//	POST /v1/decompress       wire container in, fully specified cube text out
+//	POST /v1/decompress       wire container in, fully specified test set out
 //	GET  /v1/stats            JSON service counters
 //	GET  /healthz             liveness
 //	GET  /metrics             Prometheus text exposition (internal/telemetry)
 //	GET  /debug/trace/recent  last-N request traces as JSON (?n)
+//
+// A test set travels as cube planes (MediaPlanes, the wire format's
+// planes message) when the request's Content-Type or, on decompress, its
+// Accept header names that type, and as cube text otherwise, so curl and
+// files work as they are.
 //
 // Every request is bounded two ways: http.MaxBytesReader enforces the
 // body limit (413 with a structured error body) and a per-request
@@ -29,6 +34,7 @@
 package server
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -37,6 +43,7 @@ import (
 	"net"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -45,6 +52,7 @@ import (
 	"lzwtc/internal/dictstore"
 	"lzwtc/internal/jobs"
 	"lzwtc/internal/telemetry"
+	"lzwtc/internal/wire"
 )
 
 // Metric names exported at /metrics. Every name is a distinct package
@@ -109,6 +117,11 @@ const (
 	// polls are deliberately untraced — hundreds per job would drown the
 	// trace ring.
 	SpanJobSubmit = "server.job.submit"
+	// SpanReadBody covers reading and decoding a test-set request body
+	// (compress, job submit, dictionary training).
+	SpanReadBody = "server.read_body"
+	// SpanWriteBody covers rendering the decompress reply.
+	SpanWriteBody = "server.write_body"
 )
 
 // processName stamps this server's trace spans, distinguishing them
@@ -542,7 +555,7 @@ func (s *Server) checkDraining(w http.ResponseWriter, r *http.Request) bool {
 	return true
 }
 
-// handleCompress reads cube text, compresses it under the query's
+// handleCompress reads a test set, compresses it under the query's
 // configuration on the parallel pool, and streams back a wire
 // container.
 func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
@@ -572,7 +585,7 @@ type compressRequest struct {
 }
 
 // readCompressRequest is the front half both compress endpoints
-// share: parse the query, read the cube-text body and, when a dictid
+// share: parse the query, read the test-set body and, when a dictid
 // is given, resolve the stored dictionary now, so a dangling ID fails
 // the request before any work (the compress endpoints never train — a
 // missing key is the caller's signal to train first). On failure the
@@ -588,13 +601,11 @@ func (s *Server) readCompressRequest(ctx context.Context, w http.ResponseWriter,
 		s.writeError(w, r, http.StatusBadRequest, CodeBadRequest, err.Error())
 		return compressRequest{}, false
 	}
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	ts, err := lzwtc.ReadTestSet(body)
+	ts, err := s.readTestSet(ctx, w, r, cfg)
 	if err != nil {
 		s.mapError(w, r, err)
 		return compressRequest{}, false
 	}
-	s.bytesIn.Add(int64(approxCubeBytes(ts)))
 	req := compressRequest{ts: ts, cfg: cfg, shard: shard}
 	if haveDict {
 		pre, ref, ok := s.resolveDictParam(ctx, w, r, dictKey)
@@ -604,6 +615,60 @@ func (s *Server) readCompressRequest(ctx context.Context, w http.ResponseWriter,
 		req.pre, req.ref = pre, &ref
 	}
 	return req, true
+}
+
+// readTestSet reads a test-set request body under the body limit,
+// inside a SpanReadBody span: cube planes when the Content-Type is
+// MediaPlanes, whose header must carry cfg, and cube text otherwise. The
+// bytes read count toward MetricBytesIn.
+func (s *Server) readTestSet(ctx context.Context, w http.ResponseWriter, r *http.Request, cfg lzwtc.Config) (*lzwtc.TestSet, error) {
+	_, sp := s.rec.StartSpan(ctx, SpanReadBody)
+	body := &countingReader{r: http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)}
+	planes := hasMediaType(r.Header.Get("Content-Type"), MediaPlanes)
+	var ts *lzwtc.TestSet
+	var err error
+	if planes {
+		var hdr wire.Header
+		hdr, ts, err = wire.ReadPlanes(body)
+		switch {
+		case err != nil:
+		case hdr.Cfg != cfg:
+			err = fmt.Errorf("server: planes header config %+v differs from the query's %+v", hdr.Cfg, cfg)
+		case len(ts.Cubes) == 0:
+			err = errors.New("server: planes message holds no cubes")
+		}
+	} else {
+		ts, err = lzwtc.ReadTestSet(body)
+	}
+	s.bytesIn.Add(body.n)
+	sp.End(telemetry.F("bytes", body.n), telemetry.F("planes", planes), telemetry.F("ok", err == nil))
+	return ts, err
+}
+
+// countingReader counts the bytes read through it.
+type countingReader struct {
+	r io.Reader
+	n int64
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += int64(n)
+	return n, err
+}
+
+// hasMediaType reports whether a Content-Type or Accept header value
+// names the media type mt, ignoring parameters and case.
+func hasMediaType(h, mt string) bool {
+	for h != "" {
+		var part string
+		part, h, _ = strings.Cut(h, ",")
+		part, _, _ = strings.Cut(part, ";")
+		if strings.EqualFold(strings.TrimSpace(part), mt) {
+			return true
+		}
+	}
+	return false
 }
 
 // compressToWire is the one compress→wire path behind the sync
@@ -653,7 +718,8 @@ func writeContainer(ctx context.Context, w io.Writer, sr *lzwtc.ShardedResult, r
 }
 
 // handleDecompress streams a wire container out of the body and returns
-// the fully specified cube text.
+// the fully specified test set: as cube planes, under the container's
+// header, when Accept names MediaPlanes, and as cube text otherwise.
 func (s *Server) handleDecompress(w http.ResponseWriter, r *http.Request) {
 	if !s.requireMethod(w, r, http.MethodPost) || !s.checkDraining(w, r) {
 		return
@@ -661,40 +727,64 @@ func (s *Server) handleDecompress(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
 
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	body := &countingReader{r: http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)}
 	type result struct {
+		hdr wire.Header
 		ts  *lzwtc.TestSet
 		err error
 	}
 	done := make(chan result, 1)
 	go func() {
-		// The dict-aware path degrades to plain DecompressWire for
-		// containers without a 'D' frame, so every container decompresses
-		// through one entry point.
-		ts, err := lzwtc.DecompressWireDictObserved(ctx, body, s.dict, s.rec)
-		done <- result{ts, err}
+		// The decoder reads through br itself, so peeking the header
+		// costs no second read of the body.
+		br := bufio.NewReader(body)
+		hdr, err := wire.PeekHeader(br)
+		var ts *lzwtc.TestSet
+		if err == nil {
+			// The dict-aware path degrades to plain DecompressWire for
+			// containers without a 'D' frame, so every container
+			// decompresses through one entry point.
+			ts, err = lzwtc.DecompressWireDictObserved(ctx, br, s.dict, s.rec)
+		}
+		done <- result{hdr, ts, err}
 	}()
 	select {
 	case <-ctx.Done():
 		s.mapError(w, r, ctx.Err())
 		return
 	case res := <-done:
+		s.bytesIn.Add(body.n)
 		if res.err != nil {
 			s.mapError(w, r, res.err)
 			return
 		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		w.Header().Set(HeaderPatterns, strconv.Itoa(len(res.ts.Cubes)))
-		w.Header().Set(HeaderWidth, strconv.Itoa(res.ts.Width))
-		// The text size is known exactly, so the body is not chunked,
-		// and a write failure mid-body leaves it short of the declared
-		// length: the client sees an error, not a shorter test set.
-		w.Header().Set("Content-Length", strconv.Itoa((res.ts.Width+1)*len(res.ts.Cubes)))
-		if err := res.ts.WriteCubes(w); err != nil {
+		_, sp := s.rec.StartSpan(ctx, SpanWriteBody)
+		planes := hasMediaType(r.Header.Get("Accept"), MediaPlanes)
+		err := writeTestSet(w, res.hdr, res.ts, planes)
+		sp.End(telemetry.F("planes", planes), telemetry.F("ok", err == nil))
+		if err != nil {
 			return
 		}
 		s.patternsOut.Add(int64(len(res.ts.Cubes)))
 	}
+}
+
+// writeTestSet renders a decompress reply, as a planes message under
+// hdr or as cube text. Its size is known exactly, so the body is not
+// chunked, and a write failure mid-body leaves it short of the declared
+// length: the client sees an error, not a shorter test set.
+func writeTestSet(w http.ResponseWriter, hdr wire.Header, ts *lzwtc.TestSet, planes bool) error {
+	h := w.Header()
+	h.Set(HeaderPatterns, strconv.Itoa(len(ts.Cubes)))
+	h.Set(HeaderWidth, strconv.Itoa(ts.Width))
+	if planes {
+		h.Set("Content-Type", MediaPlanes)
+		h.Set("Content-Length", strconv.Itoa(wire.PlanesSize(hdr, len(ts.Cubes))))
+		return wire.WritePlanes(w, hdr, ts)
+	}
+	h.Set("Content-Type", "text/plain; charset=utf-8")
+	h.Set("Content-Length", strconv.Itoa((ts.Width+1)*len(ts.Cubes)))
+	return ts.WriteCubes(w)
 }
 
 // handleStats serves the JSON counter document.
@@ -805,11 +895,4 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	_ = s.reg.Snapshot().WritePrometheus(w) //nolint:errcheck // response already committed
-}
-
-// approxCubeBytes estimates the text size of a cube set (width+1 bytes
-// per pattern), the quantity the bytes-in counter tracks for compress
-// requests whose body was consumed by the streaming parser.
-func approxCubeBytes(ts *lzwtc.TestSet) int {
-	return len(ts.Cubes) * (ts.Width + 1)
 }

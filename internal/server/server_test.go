@@ -529,18 +529,62 @@ func (w *failAfterFirstWrite) Write(p []byte) (int, error) {
 }
 
 // TestServiceDecompressWriteFailureIsAnError: when the server's write
-// fails part-way through a multi-block body, the client gets an error,
-// not the shorter test set that arrived before the failure. Lines of
-// 256 bytes make the cut fall on a line boundary, so the text that did
-// arrive parses cleanly and only the declared length exposes the loss.
+// fails part-way through a multi-block planes reply, the client gets an
+// error, not the shorter test set that arrived before the failure. The
+// set's planes span three blocks (256 bytes per cube, 256 cubes per
+// frame), so the cut falls after the first whole frame and only the
+// declared length exposes the loss.
 func TestServiceDecompressWriteFailureIsAnError(t *testing.T) {
+	url := startFailingService(t)
+	ts := bigSet(t, 700, 1024) // 175 KiB of planes: three blocks
+	c := client.New(url, client.Options{Retries: 0})
+	got, err := c.Decompress(context.Background(), containerOf(t, ts))
+	if err == nil {
+		t.Fatalf("truncated body accepted as a %d-pattern set (sent %d)", len(got.Cubes), len(ts.Cubes))
+	}
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("got %v, want io.ErrUnexpectedEOF", err)
+	}
+}
+
+// TestServiceDecompressTextWriteFailureIsAnError is the text reply's
+// form of the same guarantee, over raw HTTP without Accept as curl
+// sends it. Lines of 256 bytes make the cut fall on a line boundary,
+// so the text that did arrive parses cleanly and only the declared
+// length exposes the loss.
+func TestServiceDecompressTextWriteFailureIsAnError(t *testing.T) {
+	url := startFailingService(t)
+	ts := bigSet(t, 700, 255) // 175 KiB of text: three blocks
+	resp, err := http.Post(url+server.PathDecompress, "application/octet-stream", bytes.NewReader(containerOf(t, ts)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
+		t.Fatalf("reply without Accept has Content-Type %q, want text", ct)
+	}
+	if body, err := io.ReadAll(resp.Body); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("read %d of %d bytes with %v, want io.ErrUnexpectedEOF", len(body), resp.ContentLength, err)
+	}
+}
+
+// startFailingService hosts a service whose response writer fails
+// after the first body Write, and returns its URL.
+func startFailingService(t *testing.T) string {
+	t.Helper()
 	srv := server.New(server.Config{})
 	t.Cleanup(srv.Close)
 	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		srv.Handler().ServeHTTP(&failAfterFirstWrite{ResponseWriter: w}, r)
 	}))
 	t.Cleanup(hs.Close)
-	ts := bigSet(t, 700, 255) // 175 KiB of text: three blocks
+	return hs.URL
+}
+
+// containerOf compresses ts under the paper's configuration into a
+// wire container.
+func containerOf(t *testing.T, ts *lzwtc.TestSet) []byte {
+	t.Helper()
 	res, err := lzwtc.Compress(ts, lzwtc.Config{CharBits: 7, DictSize: 1024, EntryBits: 63})
 	if err != nil {
 		t.Fatal(err)
@@ -549,12 +593,5 @@ func TestServiceDecompressWriteFailureIsAnError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := client.New(hs.URL, client.Options{Retries: 0})
-	got, err := c.Decompress(context.Background(), container)
-	if err == nil {
-		t.Fatalf("truncated body accepted as a %d-pattern set (sent %d)", len(got.Cubes), len(ts.Cubes))
-	}
-	if !errors.Is(err, io.ErrUnexpectedEOF) {
-		t.Fatalf("got %v, want io.ErrUnexpectedEOF", err)
-	}
+	return container
 }

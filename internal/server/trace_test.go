@@ -113,9 +113,9 @@ func TestServiceEndToEndTrace(t *testing.T) {
 		byName[s.Name]++
 	}
 	for _, want := range []string{
-		client.SpanClientRequest, server.SpanCompress, parallel.EventJob,
-		core.SpanSerialize, core.SpanDictBuild, core.SpanMatchLoop,
-		lzwtc.SpanWireEncode,
+		client.SpanClientRequest, server.SpanCompress, server.SpanReadBody,
+		parallel.EventJob, core.SpanSerialize, core.SpanDictBuild,
+		core.SpanMatchLoop, lzwtc.SpanWireEncode,
 	} {
 		if byName[want] == 0 {
 			t.Fatalf("trace missing %q span; got %v", want, names(spans))
@@ -139,14 +139,27 @@ func TestServiceEndToEndTrace(t *testing.T) {
 	if _, err := c.Decompress(context.Background(), container); err != nil {
 		t.Fatal(err)
 	}
-	var sawDecompress bool
-	for _, s := range serverSpans(t, srv, len(recs)+1) {
-		if s.Name == server.SpanDecompress {
-			sawDecompress = true
+	// The reply render is its own span, nested in the handler's, which
+	// ends last.
+	var decompressID string
+	var writeParent []string
+	for deadline := time.Now().Add(2 * time.Second); decompressID == "" && time.Now().Before(deadline); {
+		writeParent = nil
+		for _, s := range serverSpans(t, srv, 0) {
+			switch s.Name {
+			case server.SpanDecompress:
+				decompressID = s.SpanID
+			case server.SpanWriteBody:
+				writeParent = append(writeParent, s.ParentID)
+			}
 		}
+		time.Sleep(2 * time.Millisecond)
 	}
-	if !sawDecompress {
+	if decompressID == "" {
 		t.Fatalf("no %s span after remote decompress", server.SpanDecompress)
+	}
+	if len(writeParent) != 1 || writeParent[0] != decompressID {
+		t.Fatalf("%s spans with parents %v, want one under %s %s", server.SpanWriteBody, writeParent, server.SpanDecompress, decompressID)
 	}
 }
 

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"testing"
 
@@ -163,6 +164,83 @@ func FuzzWireRoundTrip(f *testing.F) {
 		}
 		if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
 			t.Fatal("re-encoded container differs from original")
+		}
+	})
+}
+
+// FuzzPlanesDecode feeds arbitrary bytes to ReadPlanes: it must return
+// a typed error or a valid set, never panic. A valid set holds cubes of
+// the header's width that keep the Vector invariants (no value bit on
+// an X), and it re-encodes and decodes to the same cubes.
+func FuzzPlanesDecode(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte("LZWW\x01"))
+	hdr := Header{Cfg: core.Config{CharBits: 2, DictSize: 8, EntryBits: 8}, Width: 70}
+	for _, n := range []int{0, 1, 3} {
+		f.Add(encodePlanes(f, hdr, buildSet(int64(n), n, hdr.Width, 0.5)))
+	}
+	typed := []error{ErrBadMagic, ErrVersion, ErrChecksum, ErrTruncated, ErrFrameType, ErrLimit, ErrPlanes, ErrTrailing, ErrDictFrame}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		hdr, cs, err := ReadPlanes(bytes.NewReader(data))
+		if err != nil {
+			for _, e := range typed {
+				if errors.Is(err, e) {
+					return
+				}
+			}
+			// Besides the typed errors, only the header's own policy and
+			// Config checks may reject the message.
+			if _, herr := readHeader(bytes.NewReader(data)); herr == nil {
+				t.Fatalf("untyped error %v", err)
+			}
+			return
+		}
+		for i, c := range cs.Cubes {
+			if c.Len() != hdr.Width {
+				t.Fatalf("cube %d has width %d, header says %d", i, c.Len(), hdr.Width)
+			}
+			val, care := c.Planes()
+			for j := range val {
+				if val[j]&^care[j] != 0 {
+					t.Fatalf("cube %d: value bit on an X", i)
+				}
+			}
+		}
+		_, back, err := ReadPlanes(bytes.NewReader(encodePlanes(t, hdr, cs)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range cs.Cubes {
+			if !back.Cubes[i].Equal(cs.Cubes[i]) {
+				t.Fatalf("cube %d changed in a re-encode", i)
+			}
+		}
+	})
+}
+
+// FuzzPlanesRoundTrip sends a random set — width, count and X density
+// from the fuzzer — through WritePlanes and ReadPlanes and requires
+// every cube back unchanged, in exactly PlanesSize bytes.
+func FuzzPlanesRoundTrip(f *testing.F) {
+	f.Add(int64(1), uint16(1), uint16(1), uint8(0))
+	f.Add(int64(2), uint16(64), uint16(300), uint8(50))
+	f.Add(int64(3), uint16(1000), uint16(70), uint8(95))
+	f.Fuzz(func(t *testing.T, seed int64, width, count uint16, xPct uint8) {
+		w := 1 + int(width)%4096
+		n := int(count) % 5000
+		hdr := Header{Cfg: core.Config{CharBits: 7, DictSize: 1024, EntryBits: 63}, Width: w}
+		cs := buildSet(seed, n, w, float64(xPct%101)/100)
+		gotHdr, got, err := ReadPlanes(bytes.NewReader(encodePlanes(t, hdr, cs)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotHdr != hdr || got.Width != w || len(got.Cubes) != n {
+			t.Fatalf("got %+v with %d x %d, want %+v with %d x %d", gotHdr, len(got.Cubes), got.Width, hdr, n, w)
+		}
+		for i := range cs.Cubes {
+			if !got.Cubes[i].Equal(cs.Cubes[i]) {
+				t.Fatalf("cube %d: got %s, want %s", i, got.Cubes[i], cs.Cubes[i])
+			}
 		}
 	})
 }

@@ -15,6 +15,13 @@
 //	...     (one frame per independently decompressible shard)
 //	eos     'E' | uvarint frameCount, totalPatterns | CRC32C
 //
+// The same header and EOS frame also wrap a test set in plane form, the
+// planes message of planes.go: 'P' frames of whole cubes in place of the
+// 'F' frames, and no 'D' frame. The two kinds never mix: a Reader
+// rejects a 'P' frame and ReadPlanes rejects 'F' and 'D' frames, so a
+// test set can never be decompressed and a code container never read
+// as a test set.
+//
 // The optional dictionary-reference frame names a shared preloaded
 // dictionary by content address: the SHA-256 store key identifies which
 // dictionary to fetch, and the blob digest (SHA-256 of the canonical
@@ -58,7 +65,9 @@ var Magic = [4]byte{'L', 'Z', 'W', 'W'}
 const Version = 1
 
 // Typed decode errors. Wrapped errors carry position detail; test with
-// errors.Is.
+// errors.Is. A truncation also wraps its cause: io.ErrUnexpectedEOF when
+// the stream ended, or the reader's own error (a body limit, a broken
+// connection).
 var (
 	// ErrBadMagic reports a stream that is not a wire container at all.
 	ErrBadMagic = errors.New("wire: bad magic (not an LZWW container)")
@@ -79,13 +88,19 @@ var (
 	// frame, or one on a FullReset container (a frame boundary resets
 	// the dictionary, so a preload reference is meaningless there).
 	ErrDictFrame = errors.New("wire: invalid dictionary reference frame")
+	// ErrPlanes reports cube planes that break the test-set invariants:
+	// a value bit set on a don't-care, or a bit at or beyond the width.
+	ErrPlanes = errors.New("wire: invalid cube planes")
+	// ErrTrailing reports bytes after the EOS frame of a planes message.
+	ErrTrailing = errors.New("wire: trailing bytes")
 )
 
 // Frame marker bytes.
 const (
-	frameData = 'F'
-	frameEOS  = 'E'
-	frameDict = 'D'
+	frameData   = 'F'
+	frameEOS    = 'E'
+	frameDict   = 'D'
+	framePlanes = 'P'
 )
 
 // DictRefLen is the byte length of each content address in a
@@ -157,7 +172,16 @@ func appendUvarint(b []byte, v uint64) []byte {
 // EncodeHeader renders the header region: magic, version, uvarint
 // config + width, CRC32C over all of it.
 func EncodeHeader(h Header) []byte {
-	b := make([]byte, 0, 32)
+	return appendHeader(make([]byte, 0, 32), h)
+}
+
+// maxHeaderBytes bounds the header region: magic, version, seven
+// uvarints and the CRC.
+const maxHeaderBytes = 4 + 1 + 7*binary.MaxVarintLen64 + 4
+
+// appendHeader appends the header region to b.
+func appendHeader(b []byte, h Header) []byte {
+	start := len(b)
 	b = append(b, Magic[:]...)
 	b = append(b, Version)
 	b = appendUvarint(b, uint64(h.Cfg.CharBits))
@@ -167,7 +191,7 @@ func EncodeHeader(h Header) []byte {
 	b = appendUvarint(b, uint64(h.Cfg.Tie))
 	b = appendUvarint(b, uint64(h.Cfg.Full))
 	b = appendUvarint(b, uint64(h.Width))
-	return binary.BigEndian.AppendUint32(b, crc32.Checksum(b, crcTable))
+	return binary.BigEndian.AppendUint32(b, crc32.Checksum(b[start:], crcTable))
 }
 
 // encodeFrame renders one data frame region.
@@ -184,11 +208,19 @@ func encodeFrame(f *Frame, cb int) []byte {
 
 // encodeEOS renders the end-of-stream frame.
 func encodeEOS(frames, patterns int) []byte {
-	b := make([]byte, 0, 16)
+	return appendEOS(make([]byte, 0, 16), frames, patterns)
+}
+
+// maxEOSBytes bounds the EOS region: marker, two uvarints and the CRC.
+const maxEOSBytes = 1 + 2*binary.MaxVarintLen64 + 4
+
+// appendEOS appends the end-of-stream frame to b.
+func appendEOS(b []byte, frames, patterns int) []byte {
+	start := len(b)
 	b = append(b, frameEOS)
 	b = appendUvarint(b, uint64(frames))
 	b = appendUvarint(b, uint64(patterns))
-	return binary.BigEndian.AppendUint32(b, crc32.Checksum(b, crcTable))
+	return binary.BigEndian.AppendUint32(b, crc32.Checksum(b[start:], crcTable))
 }
 
 // maxCodeBits is the widest code the format carries: core.Config.Validate
@@ -392,36 +424,64 @@ type Reader struct {
 // NewReader reads and validates the container header.
 func NewReader(r io.Reader) (*Reader, error) {
 	br := bufio.NewReader(r)
-	raw := make([]byte, 0, 32)
-
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("%w: magic: %v", truncErr(err), err)
+	hdr, err := readHeader(br)
+	if err != nil {
+		return nil, err
 	}
-	if !bytes.Equal(magic, Magic[:]) {
-		return nil, ErrBadMagic
+	return &Reader{r: br, hdr: hdr, cb: hdr.Cfg.CodeBits()}, nil
+}
+
+// PeekHeader parses and validates the header at the front of br without
+// consuming it, so a caller can learn the Config and width of a stream
+// it then hands on whole. Errors are NewReader's.
+func PeekHeader(br *bufio.Reader) (Header, error) {
+	p, err := br.Peek(maxHeaderBytes)
+	hdr, herr := readHeader(bytes.NewReader(p))
+	if herr != nil && err != nil && err != io.EOF {
+		// The stream failed before a whole header arrived: report why.
+		return Header{}, truncErr(err, "header")
+	}
+	return hdr, herr
+}
+
+// byteReader is what the region parsers read from: a *bufio.Reader on
+// a stream, or a *bytes.Reader on peeked bytes.
+type byteReader interface {
+	io.Reader
+	io.ByteReader
+}
+
+// readHeader reads and validates the header region.
+func readHeader(br byteReader) (Header, error) {
+	raw := make([]byte, 0, 32)
+	var magic [4]byte
+	if _, err := io.ReadFull(br, magic[:]); err != nil {
+		return Header{}, truncErr(err, "magic")
+	}
+	if magic != Magic {
+		return Header{}, ErrBadMagic
 	}
 	version, err := br.ReadByte()
 	if err != nil {
-		return nil, fmt.Errorf("%w: version: %v", truncErr(err), err)
+		return Header{}, truncErr(err, "version")
 	}
-	raw = append(raw, magic...)
+	raw = append(raw, magic[:]...)
 	raw = append(raw, version)
 	if version != Version {
-		return nil, fmt.Errorf("%w: got %d, support <= %d", ErrVersion, version, Version)
+		return Header{}, fmt.Errorf("%w: got %d, support <= %d", ErrVersion, version, Version)
 	}
 
 	var fields [7]uint64
 	for i := range fields {
 		v, consumed, err := readUvarint(br)
 		if err != nil {
-			return nil, fmt.Errorf("%w: header field %d: %v", truncErr(err), i, err)
+			return Header{}, truncErr(err, fmt.Sprintf("header field %d", i))
 		}
 		fields[i] = v
 		raw = append(raw, consumed...)
 	}
-	if err := checkCRC(br, raw, "header"); err != nil {
-		return nil, err
+	if err := checkCRC(br, crc32.Checksum(raw, crcTable), "header"); err != nil {
+		return Header{}, err
 	}
 
 	hdr := Header{
@@ -436,15 +496,15 @@ func NewReader(r io.Reader) (*Reader, error) {
 		Width: clampInt(fields[6]),
 	}
 	if fields[3] > uint64(core.FillRepeat) || fields[4] > uint64(core.TieWidest) || fields[5] > uint64(core.FullReset) {
-		return nil, fmt.Errorf("wire: unknown policy in header (fill=%d tie=%d full=%d)", fields[3], fields[4], fields[5])
+		return Header{}, fmt.Errorf("wire: unknown policy in header (fill=%d tie=%d full=%d)", fields[3], fields[4], fields[5])
 	}
 	if err := hdr.Cfg.Validate(); err != nil {
-		return nil, err
+		return Header{}, err
 	}
 	if hdr.Width <= 0 || hdr.Width > MaxWidth {
-		return nil, fmt.Errorf("%w: pattern width %d", ErrLimit, hdr.Width)
+		return Header{}, fmt.Errorf("%w: pattern width %d", ErrLimit, hdr.Width)
 	}
-	return &Reader{r: br, hdr: hdr, cb: hdr.Cfg.CodeBits()}, nil
+	return hdr, nil
 }
 
 // Header returns the parsed container header.
@@ -489,7 +549,7 @@ func (r *Reader) readFrame() (*Frame, error) {
 	if err != nil {
 		// EOF between frames still means truncation: a complete
 		// container always ends with an EOS frame.
-		return nil, fmt.Errorf("%w: stream ended before EOS frame", ErrTruncated)
+		return nil, truncErr(err, "stream ended before EOS frame")
 	}
 	raw := []byte{marker}
 	switch marker {
@@ -504,6 +564,8 @@ func (r *Reader) readFrame() (*Frame, error) {
 		// The dictionary reference is metadata, not a data frame:
 		// continue to whatever follows it.
 		return r.readFrame()
+	case framePlanes:
+		return nil, fmt.Errorf("%w: planes frame at frame %d of a code container", ErrFrameType, r.frames)
 	default:
 		return nil, fmt.Errorf("%w: 0x%02x at frame %d", ErrFrameType, marker, r.frames)
 	}
@@ -522,10 +584,10 @@ func (r *Reader) readDictFrame(raw []byte) error {
 	}
 	var body [2 * DictRefLen]byte
 	if n, err := io.ReadFull(r.r, body[:]); err != nil {
-		return fmt.Errorf("%w: dict frame body: got %d of %d bytes", ErrTruncated, n, len(body))
+		return truncErr(err, fmt.Sprintf("dict frame body: got %d of %d bytes", n, len(body)))
 	}
 	raw = append(raw, body[:]...)
-	if err := checkCRC(r.r, raw, "dict frame"); err != nil {
+	if err := checkCRC(r.r, crc32.Checksum(raw, crcTable), "dict frame"); err != nil {
 		return err
 	}
 	ref := &DictRef{}
@@ -543,7 +605,7 @@ func (r *Reader) readDataFrame(raw []byte) (*Frame, error) {
 	for i := range fields {
 		v, consumed, err := readUvarint(r.r)
 		if err != nil {
-			return nil, fmt.Errorf("%w: frame %d field %d: %v", truncErr(err), r.frames, i, err)
+			return nil, truncErr(err, fmt.Sprintf("frame %d field %d", r.frames, i))
 		}
 		fields[i] = v
 		raw = append(raw, consumed...)
@@ -564,10 +626,10 @@ func (r *Reader) readDataFrame(raw []byte) (*Frame, error) {
 	// with a short body cannot force a giant up-front allocation.
 	var payload bytes.Buffer
 	if n, err := io.CopyN(&payload, r.r, int64(payloadLen)); err != nil {
-		return nil, fmt.Errorf("%w: frame %d payload: got %d of %d bytes", ErrTruncated, r.frames, n, payloadLen)
+		return nil, truncErr(err, fmt.Sprintf("frame %d payload: got %d of %d bytes", r.frames, n, payloadLen))
 	}
 	raw = append(raw, payload.Bytes()...)
-	if err := checkCRC(r.r, raw, fmt.Sprintf("frame %d", r.frames)); err != nil {
+	if err := checkCRC(r.r, crc32.Checksum(raw, crcTable), fmt.Sprintf("frame %d", r.frames)); err != nil {
 		return nil, err
 	}
 	codes, err := unpackCodes(payload.Bytes(), int(nCodes), r.cb)
@@ -595,12 +657,12 @@ func (r *Reader) readEOSFrame(raw []byte) error {
 	for i := range fields {
 		v, consumed, err := readUvarint(r.r)
 		if err != nil {
-			return fmt.Errorf("%w: EOS field %d: %v", truncErr(err), i, err)
+			return truncErr(err, fmt.Sprintf("EOS field %d", i))
 		}
 		fields[i] = v
 		raw = append(raw, consumed...)
 	}
-	if err := checkCRC(r.r, raw, "EOS frame"); err != nil {
+	if err := checkCRC(r.r, crc32.Checksum(raw, crcTable), "EOS frame"); err != nil {
 		return err
 	}
 	if int(fields[0]) != r.frames || int(fields[1]) != r.patterns {
@@ -612,14 +674,14 @@ func (r *Reader) readEOSFrame(raw []byte) error {
 }
 
 // checkCRC reads the 4-byte big-endian CRC32C that terminates a region
-// and verifies it against the raw bytes read so far.
-func checkCRC(r io.Reader, raw []byte, region string) error {
+// and verifies it against got, the CRC of the region's bytes read so
+// far.
+func checkCRC(r io.Reader, got uint32, region string) error {
 	var sum [4]byte
 	if _, err := io.ReadFull(r, sum[:]); err != nil {
-		return fmt.Errorf("%w: %s checksum: %v", truncErr(err), region, err)
+		return truncErr(err, region+" checksum")
 	}
-	want := binary.BigEndian.Uint32(sum[:])
-	if got := crc32.Checksum(raw, crcTable); got != want {
+	if want := binary.BigEndian.Uint32(sum[:]); got != want {
 		return fmt.Errorf("%w: %s: computed %08x, stored %08x", ErrChecksum, region, got, want)
 	}
 	return nil
@@ -627,7 +689,7 @@ func checkCRC(r io.Reader, raw []byte, region string) error {
 
 // readUvarint reads a uvarint and also returns the exact bytes
 // consumed, for CRC accumulation.
-func readUvarint(r *bufio.Reader) (uint64, []byte, error) {
+func readUvarint(r io.ByteReader) (uint64, []byte, error) {
 	var consumed []byte
 	var v uint64
 	var shift uint
@@ -649,13 +711,15 @@ func readUvarint(r *bufio.Reader) (uint64, []byte, error) {
 	return 0, nil, fmt.Errorf("uvarint too long")
 }
 
-// truncErr maps read errors onto ErrTruncated: any EOF (or short read)
-// while inside a region means the stream ended early.
-func truncErr(err error) error {
-	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-		return ErrTruncated
+// truncErr reports a read that failed inside a region as ErrTruncated:
+// any EOF (or short read) there means the stream ended early. The cause
+// stays inspectable: an EOF becomes io.ErrUnexpectedEOF, and any other
+// read error (a body limit, a broken connection) is wrapped as is.
+func truncErr(err error, region string) error {
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
 	}
-	return ErrTruncated // non-EOF read errors still surface via %v detail
+	return fmt.Errorf("%w: %s: %w", ErrTruncated, region, err)
 }
 
 // clampInt converts a header uvarint to int, saturating instead of

@@ -101,6 +101,22 @@ type Result struct {
 	OriginalBits int
 	// Patterns is the original pattern count.
 	Patterns int
+	// Dict names the shared dictionary the codes were compressed from,
+	// and is nil for a cold start. WriteWire carries it as a 'D' frame.
+	// Decompress and SimulateDownload cannot resolve it and fail with
+	// ErrDictNotFound; decompress such a container through
+	// DecompressWireDict.
+	Dict *DictRef
+}
+
+// needsNoDict is the check in front of every decoder of a Result that
+// starts from an empty dictionary.
+func (r *Result) needsNoDict() error {
+	if r.Dict != nil {
+		return fmt.Errorf("lzwtc: result references dictionary %x; decompress its container through DecompressWireDict: %w",
+			r.Dict.Key, ErrDictNotFound)
+	}
+	return nil
 }
 
 // Ratio returns the compression ratio against the original volume.
@@ -131,6 +147,9 @@ func Compress(ts *TestSet, cfg Config) (*Result, error) {
 // would deliver to the scan chain: every original care bit preserved,
 // every don't-care concretized.
 func Decompress(r *Result) (*TestSet, error) {
+	if err := r.needsNoDict(); err != nil {
+		return nil, err
+	}
 	stream, err := core.Decompress(r.Stream.Codes, r.Stream.Cfg, r.Stream.InputBits)
 	if err != nil {
 		return nil, err

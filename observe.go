@@ -46,6 +46,9 @@ func CompressObservedCtx(ctx context.Context, ts *TestSet, cfg Config, rec *Reco
 // events) and folds its run totals into the recorder's registry. A nil
 // recorder reduces to SimulateDownload.
 func SimulateDownloadObserved(r *Result, clockRatio int, rec *Recorder) (*TestSet, *DownloadStats, float64, error) {
+	if err := r.needsNoDict(); err != nil {
+		return nil, nil, 0, err
+	}
 	cfg := r.Stream.Cfg
 	words, width := decomp.MemoryGeometry(cfg)
 	shared := mem.NewShared(mem.New(words, width))

@@ -51,12 +51,13 @@ func writeWire(w io.Writer, cfg Config, width int, shards []*core.Result, patter
 }
 
 // WriteWire streams a Result to w in the versioned wire format: a
-// CRC-protected header carrying the full Config and pattern width, one
-// data frame with the code stream, and an explicit EOS frame. The
+// CRC-protected header carrying the full Config and pattern width, a
+// 'D' frame when r.Dict is set, one data frame with the code stream,
+// and an explicit EOS frame. The
 // output is tamper-evident (per-region CRC32C) and truncation-evident
 // (missing EOS).
 func (r *Result) WriteWire(w io.Writer) error {
-	return writeWire(w, r.Stream.Cfg, r.Width, []*core.Result{r.Stream}, []int{r.Patterns}, nil)
+	return writeWire(w, r.Stream.Cfg, r.Width, []*core.Result{r.Stream}, []int{r.Patterns}, r.Dict)
 }
 
 // WriteWireObserved is WriteWire wrapped in a SpanWireEncode trace
@@ -90,8 +91,9 @@ func WriteWireSharded(w io.Writer, s *ShardedResult) error {
 // DecodeWireResult parses a single-frame wire container back into a
 // Result. Multi-frame (sharded) containers are rejected — their frames
 // have independent dictionary states and cannot merge into one code
-// stream; use DecompressWire for those. The Result carries no preload:
-// a container with a 'D' frame decompresses through DecompressWireDict.
+// stream; use DecompressWire for those. A 'D' frame's reference lands
+// in Result.Dict; the Result carries no preload, so such a container
+// decompresses through DecompressWireDict.
 func DecodeWireResult(data []byte) (*Result, error) {
 	wr, err := wire.NewReader(bytes.NewReader(data))
 	if err != nil {
@@ -115,12 +117,16 @@ func DecodeWireResult(data []byte) (*Result, error) {
 	res.Stats.InputBits = f.InputBits
 	res.Stats.CodesEmitted = len(f.Codes)
 	res.Stats.CompressedBits = len(f.Codes) * hdr.Cfg.CodeBits()
-	return &Result{
+	out := &Result{
 		Stream:       res,
 		Width:        hdr.Width,
 		OriginalBits: hdr.Width * f.Patterns,
 		Patterns:     f.Patterns,
-	}, nil
+	}
+	if ref, ok := wr.DictRef(); ok {
+		out.Dict = &ref
+	}
+	return out, nil
 }
 
 // DecompressWire streams any wire container — single-frame or sharded —

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"io"
 	"testing"
+
+	"lzwtc/internal/wire"
 )
 
 // TestWireRoundTripConformance runs every conformance case through the
@@ -171,4 +173,22 @@ func TestWireStreamingPipe(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSetsEqual(t, want, got)
+}
+
+// TestPlanesMessageIsNotAContainer: a test set in planes form is never
+// decompressed; every decoder of code containers rejects its 'P' frame
+// with the wire format's frame-type error.
+func TestPlanesMessageIsNotAContainer(t *testing.T) {
+	ts := conformanceSet(7, 6, 20, 0.5)
+	cfg := Config{CharBits: 4, DictSize: 32, EntryBits: 16}
+	var msg bytes.Buffer
+	if err := wire.WritePlanes(&msg, wire.Header{Cfg: cfg, Width: ts.Width}, ts); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecompressWire(bytes.NewReader(msg.Bytes())); !errors.Is(err, wire.ErrFrameType) {
+		t.Fatalf("DecompressWire: got %v, want ErrFrameType", err)
+	}
+	if _, err := DecodeWireResult(msg.Bytes()); !errors.Is(err, wire.ErrFrameType) {
+		t.Fatalf("DecodeWireResult: got %v, want ErrFrameType", err)
+	}
 }
