@@ -13,10 +13,11 @@ vet:
 test:
 	$(GO) test ./...
 
-# The race path covers the library packages; cmd/ and examples/ are
-# thin drivers over them.
+# The race path covers the library packages, the client included (its
+# retry loop keeps concurrent state); cmd/ and examples/ are thin
+# front ends over them.
 race:
-	$(GO) test -race ./internal/...
+	$(GO) test -race ./internal/... ./client/...
 
 # Repo-specific static analysis (bitwidth / droppederror / panicpolicy /
 # configbeforeuse / allocbound / goctx / lockhygiene / metricname /

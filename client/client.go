@@ -55,16 +55,13 @@ type Options struct {
 	// Recorder receives client-side telemetry: one SpanClientRequest
 	// trace span per call (not per attempt), whose identity is also
 	// propagated to the server in the X-Lzwtc-Trace header so client
-	// and server spans merge into one trace. nil disables client spans;
-	// a span context already carried by the call's ctx still propagates.
+	// and server spans merge into one trace, and one EventBackpressure
+	// record per 429 the retry loop will retry. nil disables both; a
+	// span context already carried by the call's ctx still propagates.
 	Recorder *telemetry.Recorder
 	// APIKey identifies this client's tenant to the job tier (sent as
 	// X-Api-Key on every request). Empty shares the anonymous tenant.
 	APIKey string
-	// OnBackpressure, when set, observes every 429 the retry loop sees,
-	// with the delay the client is about to honor. Load generators and
-	// adaptive callers hook throttling accounting here.
-	OnBackpressure func(retryAfter time.Duration)
 }
 
 // Client talks to one lzwtcd instance.
@@ -104,6 +101,13 @@ func NewWithRetries(baseURL string, retries int) *Client {
 // SpanClientRequest is the trace span each instrumented client call
 // records, covering every retry attempt of one logical request.
 const SpanClientRequest = "client.request"
+
+// EventBackpressure is the event the retry loop emits through
+// Options.Recorder for every 429 it is about to retry. Its "wait_us"
+// field is the delay the client will honor: the server's Retry-After,
+// or the backoff step when there is none, capped at MaxBackoff. Load
+// generators and adaptive callers count throttling from it.
+const EventBackpressure = "client.backpressure"
 
 // APIError is a non-2xx response carrying the service's structured
 // error envelope.
@@ -222,7 +226,7 @@ func (c *Client) do(ctx context.Context, method, path string, query url.Values, 
 			var ae *APIError
 			if errors.As(apiErr, &ae) {
 				retryAfter = ae.RetryAfter
-				if resp.StatusCode == http.StatusTooManyRequests && c.opts.OnBackpressure != nil {
+				if resp.StatusCode == http.StatusTooManyRequests && c.opts.Recorder != nil {
 					wait := retryAfter
 					if wait <= 0 {
 						wait = delay
@@ -230,7 +234,8 @@ func (c *Client) do(ctx context.Context, method, path string, query url.Values, 
 					if wait > c.opts.MaxBackoff {
 						wait = c.opts.MaxBackoff
 					}
-					c.opts.OnBackpressure(wait)
+					c.opts.Recorder.Emit(EventBackpressure,
+						telemetry.F("path", path), telemetry.F("wait_us", wait.Microseconds()))
 				}
 			}
 			continue

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"lzwtc/client"
+	"lzwtc/internal/telemetry"
 )
 
 // errJSON is the service's structured error envelope, written by hand so
@@ -131,8 +132,9 @@ func TestRetriesExhaustedWrapsLastError(t *testing.T) {
 // TestRateLimitedRetryHonorsRetryAfter pins the 429 contract: the
 // status is retryable, the server's Retry-After steers the wait (not
 // the exponential schedule), the wait is capped by MaxBackoff so a
-// hostile header cannot park the client, and OnBackpressure observes
-// the throttle. One 429 followed by a 200 must succeed.
+// hostile header cannot park the client, and the recorder gets one
+// EventBackpressure record carrying the capped wait. One 429 followed by
+// a 200 must succeed.
 func TestRateLimitedRetryHonorsRetryAfter(t *testing.T) {
 	var calls atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -145,10 +147,10 @@ func TestRateLimitedRetryHonorsRetryAfter(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	var waits []time.Duration
+	rec, waits := backpressureRecorder()
 	c := client.New(srv.URL, client.Options{
 		Retries: 2, Backoff: time.Millisecond, MaxBackoff: 100 * time.Millisecond,
-		OnBackpressure: func(d time.Duration) { waits = append(waits, d) },
+		Recorder: rec,
 	})
 	start := time.Now()
 	if err := c.Health(context.Background()); err != nil {
@@ -166,9 +168,23 @@ func TestRateLimitedRetryHonorsRetryAfter(t *testing.T) {
 	if elapsed > 5*time.Second {
 		t.Fatalf("retry waited %v; MaxBackoff cap was ignored", elapsed)
 	}
-	if len(waits) != 1 || waits[0] != 100*time.Millisecond {
-		t.Fatalf("OnBackpressure saw %v, want one capped 100ms wait", waits)
+	if got := *waits; len(got) != 1 || got[0] != 100*time.Millisecond {
+		t.Fatalf("backpressure events carried %v, want one capped 100ms wait", got)
 	}
+}
+
+// backpressureRecorder returns a recorder whose sink collects the wait
+// of every EventBackpressure record.
+func backpressureRecorder() (*telemetry.Recorder, *[]time.Duration) {
+	waits := new([]time.Duration)
+	rec := telemetry.New(nil, telemetry.SinkFunc(func(ev telemetry.Event) {
+		if ev.Kind != client.EventBackpressure {
+			return
+		}
+		us, _ := ev.Field("wait_us")
+		*waits = append(*waits, time.Duration(us.(int64))*time.Microsecond)
+	}))
+	return rec, waits
 }
 
 // TestRetryAfterCancelMidWait cancels the context while the client is

@@ -209,6 +209,9 @@ func compress(args []string) error {
 	return finish()
 }
 
+// SpanDecompressRun is the root span of one `lzwtc decompress`.
+const SpanDecompressRun = "decompress.run"
+
 func decompress(args []string) error {
 	fs := flag.NewFlagSet("decompress", flag.ExitOnError)
 	in := fs.String("in", "-", "input container (- for stdin)")
@@ -230,8 +233,10 @@ func decompress(args []string) error {
 	defer r.Close()
 	// A container naming a shared dictionary resolves it through the
 	// local store; plain containers never open the store.
-	sp := rec.Span("decompress")
-	ts, err := lzwtc.DecompressWireDictObserved(context.Background(), r, lazyDictResolver{dir: *dictStore}, rec)
+	// The run span parents the wire.decode spans, so `lzwtc trace` can
+	// render the whole decompress tree.
+	ctx, sp := rec.StartSpan(context.Background(), SpanDecompressRun)
+	ts, err := lzwtc.DecompressWireDictObserved(ctx, r, lazyDictResolver{dir: *dictStore}, rec)
 	sp.End(telemetry.F("patterns", patternCount(ts)))
 	if err != nil {
 		return err

@@ -40,6 +40,7 @@ import (
 
 	"lzwtc"
 	"lzwtc/client"
+	"lzwtc/internal/telemetry"
 )
 
 func main() {
@@ -114,6 +115,13 @@ func run(ctx context.Context, args []string, out *os.File) error {
 	defer cancel()
 
 	var tl tally
+	// One recorder shared by every client: its sink counts the 429s the
+	// retry loops absorb, reported as client.EventBackpressure.
+	rec := telemetry.New(nil, telemetry.SinkFunc(func(ev telemetry.Event) {
+		if ev.Kind == client.EventBackpressure {
+			tl.throttled.Add(1)
+		}
+	}))
 	start := time.Now()
 	var wg sync.WaitGroup
 	for i := 0; i < *clients; i++ {
@@ -122,11 +130,9 @@ func run(ctx context.Context, args []string, out *os.File) error {
 		go func(ctx context.Context, key string) {
 			defer wg.Done()
 			cl := client.New(*serverURL, client.Options{
-				Retries: *retries,
-				APIKey:  key,
-				OnBackpressure: func(time.Duration) {
-					tl.throttled.Add(1)
-				},
+				Retries:  *retries,
+				APIKey:   key,
+				Recorder: rec,
 			})
 			for r := 0; r < *requests; r++ {
 				if ctx.Err() != nil {

@@ -84,7 +84,6 @@ func (r *Registry) Gauge(name, help string) int   { return 0 }
 
 type Recorder struct{}
 
-func (r *Recorder) Span(name string) int               { return 0 }
 func (r *Recorder) StartSpan(ctx int, name string) int { return 0 }
 
 func Dyn(phase string) string { return phase }
@@ -372,9 +371,8 @@ func Register(r *telem.Registry, name string) {
 }
 
 func Trace(rec *telem.Recorder, name string) {
-	rec.Span(SpanGood)
 	rec.StartSpan(0, SpanGood)
-	rec.Span(name)
+	rec.StartSpan(0, name)
 	rec.StartSpan(0, "Bad.Span")
 	rec.StartSpan(0, SpanOrphan)
 }

@@ -24,8 +24,8 @@ import (
 //     asserted somewhere in that package's tests (by const reference or
 //     literal value), so /metrics output and tests cannot drift apart.
 //
-// The same contract extends to trace spans: every Recorder.Span and
-// Recorder.StartSpan name must be a compile-time string constant in the
+// The same contract extends to trace spans: every Recorder.StartSpan
+// name must be a compile-time string constant in the
 // dotted-lowercase span grammar (span names feed PhaseMetricName
 // histograms and trace dashboards), and in MetricAssertPaths packages
 // each span name must be asserted in that package's tests.
@@ -189,21 +189,12 @@ func (c metricNameCheck) Run(cfg *Config, pkgs []*Package) []Diagnostic {
 	return diags
 }
 
-// spanCall reports whether call starts a trace or phase span on the
-// telemetry Recorder, returning the index of the name argument
-// (Span(name), StartSpan(ctx, name)).
+// spanCall reports whether call starts a trace span on the telemetry
+// Recorder, returning the index of the name argument (StartSpan(ctx,
+// name)).
 func spanCall(cfg *Config, pkg *Package, call *ast.CallExpr) (int, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return 0, false
-	}
-	var idx int
-	switch sel.Sel.Name {
-	case "Span":
-		idx = 0
-	case "StartSpan":
-		idx = 1
-	default:
+	if !ok || sel.Sel.Name != "StartSpan" {
 		return 0, false
 	}
 	recv := typeNamed(pkg.Info.TypeOf(sel.X))
@@ -213,7 +204,7 @@ func spanCall(cfg *Config, pkg *Package, call *ast.CallExpr) (int, bool) {
 	if !matchPath(recv.Obj().Pkg().Path(), cfg.TelemetryPaths) {
 		return 0, false
 	}
-	return idx, true
+	return 1, true
 }
 
 // registryCall reports whether call registers a metric on the telemetry

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"context"
+
 	"lzwtc/internal/bitvec"
 	"lzwtc/internal/telemetry"
 )
@@ -17,11 +19,14 @@ const (
 	MetricGeneratedBits = "lzwtc_bench_generated_bits_total"
 )
 
+// spanGenerate is the trace span GenerateObserved runs under.
+const spanGenerate = "bench.generate"
+
 // GenerateObserved is Generate instrumented through a telemetry
-// recorder: the generation runs under a "bench.generate" span and emits
-// one EventProfile record. A nil recorder reduces to Generate.
+// recorder: the generation runs under a spanGenerate trace span and
+// emits one EventProfile record. A nil recorder reduces to Generate.
 func (p Profile) GenerateObserved(rec *telemetry.Recorder) *bitvec.CubeSet {
-	sp := rec.Span("bench.generate")
+	_, sp := rec.StartSpan(context.Background(), spanGenerate)
 	cs := p.Generate()
 	if reg := rec.Registry(); reg != nil {
 		reg.Counter(MetricCubeSets, "benchmark cube sets generated").Inc()

@@ -113,53 +113,7 @@ func (ev TraceEvent) String() string {
 
 // Compress compresses a three-valued stream under cfg.
 func Compress(stream *bitvec.Vector, cfg Config) (*Result, error) {
-	return CompressObserved(stream, cfg, nil)
-}
-
-// CompressObserved is Compress instrumented through a telemetry
-// recorder: per-code match-length and dictionary-occupancy histograms
-// into the recorder's registry, and a run record (EventCompressRun) to
-// its sinks. A nil recorder is the production fast path — it costs one
-// pointer check per emitted code.
-func CompressObserved(stream *bitvec.Vector, cfg Config, rec *telemetry.Recorder) (*Result, error) {
-	return CompressObservedCtx(context.Background(), stream, cfg, rec)
-}
-
-// CompressObservedCtx is CompressObserved threaded through a context:
-// when ctx carries a trace span (and rec has sinks), the dictionary
-// build and the match loop are recorded as child spans of it, so a
-// request trace attributes compression time to its internal phases.
-// With a nil recorder the context is never touched — the disabled path
-// stays one pointer check and adds no allocations.
-func CompressObservedCtx(ctx context.Context, stream *bitvec.Vector, cfg Config, rec *telemetry.Recorder) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	return compressInternal(ctx, stream, cfg, rec, func() (*dict, error) { return acquireDict(cfg, rec), nil })
-}
-
-// CompressTrace is Compress with a per-step trace callback (used to
-// regenerate the paper's Figure 3). The callback rides the telemetry
-// event stream: each EventCompressStep event carries one TraceEvent,
-// and the adapter sink below hands it to fn in emission order.
-func CompressTrace(stream *bitvec.Vector, cfg Config, trace func(TraceEvent)) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	return compressInternal(context.Background(), stream, cfg, traceRecorder(trace), func() (*dict, error) { return acquireDict(cfg, nil), nil })
-}
-
-// traceRecorder adapts a TraceEvent callback into an events-only
-// telemetry recorder.
-func traceRecorder(trace func(TraceEvent)) *telemetry.Recorder {
-	if trace == nil {
-		return nil
-	}
-	return telemetry.New(nil, telemetry.SinkFunc(func(ev telemetry.Event) {
-		if te, ok := StepTraceEvent(ev); ok {
-			trace(te)
-		}
-	}))
+	return CompressWithPreloadObservedCtx(context.Background(), stream, cfg, nil, nil)
 }
 
 func compressInternal(ctx context.Context, stream *bitvec.Vector, cfg Config, rec *telemetry.Recorder, mk func() (*dict, error)) (*Result, error) {

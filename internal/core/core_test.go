@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -49,12 +50,14 @@ func TestSpecialCaseCode(t *testing.T) {
 	if want := []Code{0, 2}; !reflect.DeepEqual(res.Codes, want) {
 		t.Fatalf("codes = %v, want %v", res.Codes, want)
 	}
+	rec, steps := stepRecorder[DecompressTraceEvent](EventDecompressStep)
+	out, err := DecompressWithPreloadObservedCtx(context.Background(), res.Codes, res.Cfg, nil, 3, rec)
 	sawSpecial := false
-	out, err := DecompressTrace(res.Codes, res.Cfg, 3, func(ev DecompressTraceEvent) {
+	for _, ev := range *steps {
 		if ev.Special {
 			sawSpecial = true
 		}
-	})
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -507,12 +510,12 @@ func TestFillPoliciesAtCharLevel(t *testing.T) {
 
 func TestCompressTraceEventCount(t *testing.T) {
 	stream := bitvec.MustParse("001001001")
-	n := 0
-	if _, err := CompressTrace(stream, cfg1bit(16), func(TraceEvent) { n++ }); err != nil {
+	rec, steps := stepRecorder[TraceEvent](EventCompressStep)
+	if _, err := compressObserved(stream, cfg1bit(16), rec); err != nil {
 		t.Fatal(err)
 	}
 	// One event per character plus the final flush.
-	if n != 10 {
+	if n := len(*steps); n != 10 {
 		t.Fatalf("events = %d, want 10", n)
 	}
 }

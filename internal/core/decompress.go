@@ -4,10 +4,12 @@ import (
 	"fmt"
 
 	"lzwtc/internal/bitvec"
+	"lzwtc/internal/telemetry"
 )
 
 // DecompressTraceEvent reports one decompressor step, mirroring the
-// columns of the paper's Figure 4.
+// columns of the paper's Figure 4. It is the payload of
+// EventDecompressStep, under the "event" field.
 type DecompressTraceEvent struct {
 	Step     int
 	Input    Code   // compressed character consumed
@@ -22,19 +24,10 @@ type DecompressTraceEvent struct {
 // stream is truncated to it (the final character may have been X-padded).
 // The returned vector is fully specified.
 func Decompress(codes []Code, cfg Config, outBits int) (*bitvec.Vector, error) {
-	return DecompressTrace(codes, cfg, outBits, nil)
+	return decompressPreload(codes, cfg, nil, outBits, nil)
 }
 
-// DecompressTrace is Decompress with an optional per-step trace callback
-// (used to regenerate the paper's Figure 4).
-func DecompressTrace(codes []Code, cfg Config, outBits int, trace func(DecompressTraceEvent)) (*bitvec.Vector, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	return decompressWithDict(codes, cfg, outBits, trace, func() (*dict, error) { return acquireDict(cfg, nil), nil })
-}
-
-func decompressWithDict(codes []Code, cfg Config, outBits int, trace func(DecompressTraceEvent), mk func() (*dict, error)) (*bitvec.Vector, error) {
+func decompressWithDict(codes []Code, cfg Config, outBits int, rec *telemetry.Recorder, mk func() (*dict, error)) (*bitvec.Vector, error) {
 	if outBits < 0 {
 		return nil, fmt.Errorf("core: negative output length %d", outBits)
 	}
@@ -58,7 +51,7 @@ func decompressWithDict(codes []Code, cfg Config, outBits int, trace func(Decomp
 	// verifies prefix-closure through lookupChild).
 	d.noChildIndex = true
 	val, care := out.Planes()
-	produced, err := d.decode(codes, val, trace)
+	produced, err := d.decode(codes, val, rec)
 	if err != nil {
 		return nil, err
 	}
@@ -94,10 +87,12 @@ func markSpecified(val, care []uint64, n int) {
 // pending dictionary add, resolves the not-yet-defined case (Figure 4f)
 // and checks the stream; only the final fetch-and-write step depends on
 // the configuration: one packed-string load when the dictionary keeps
-// the str column, a parent walk otherwise.
-func (d *dict) decode(codes []Code, val []uint64, trace func(DecompressTraceEvent)) (int, error) {
+// the str column, a parent walk otherwise. When rec is Tracing, each
+// code is reported as one EventDecompressStep.
+func (d *dict) decode(codes []Code, val []uint64, rec *telemetry.Recorder) (int, error) {
 	cc := d.cfg.CharBits
 	packed := len(d.str) != 0
+	tracing := rec.Tracing()
 	pos := 0
 	prev := noCode
 	var scratch []uint64
@@ -127,9 +122,9 @@ func (d *dict) decode(codes []Code, val []uint64, trace func(DecompressTraceEven
 		var entry *TraceEntry
 		if pending {
 			nc := d.commitAdd(prev, first)
-			if trace != nil {
-				// The rendered entry string exists only for the trace; the
-				// untraced hot path never materializes it.
+			if tracing {
+				// The rendered entry string exists only for the step
+				// event; the untraced hot path never materializes it.
 				entry = &TraceEntry{Code: nc, Str: stringBits(d, nc, cc)}
 			}
 			if special && nc != c {
@@ -140,12 +135,13 @@ func (d *dict) decode(codes []Code, val []uint64, trace func(DecompressTraceEven
 		if pos+n*cc < pos { // overflow guard
 			return 0, fmt.Errorf("core: output overflow")
 		}
-		if trace != nil {
+		if tracing {
 			buf := ""
 			if prev != noCode {
 				buf = bufferLabel(d, prev, cc)
 			}
-			trace(DecompressTraceEvent{Step: step, Input: c, Buffer: buf, Output: stringBits(d, c, cc), NewEntry: entry, Special: special})
+			rec.Emit(EventDecompressStep, telemetry.F("event", DecompressTraceEvent{
+				Step: step, Input: c, Buffer: buf, Output: stringBits(d, c, cc), NewEntry: entry, Special: special}))
 		}
 		switch {
 		case val == nil:

@@ -37,7 +37,7 @@ func BenchmarkCompressTelemetryDisabled(b *testing.B) {
 	b.SetBytes(int64(stream.Len() / 8))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := CompressObserved(stream, cfg, nil); err != nil {
+		if _, err := Compress(stream, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -51,7 +51,7 @@ func BenchmarkCompressTelemetryMetrics(b *testing.B) {
 	b.SetBytes(int64(stream.Len() / 8))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := CompressObserved(stream, cfg, rec); err != nil {
+		if _, err := compressObserved(stream, cfg, rec); err != nil {
 			b.Fatal(err)
 		}
 	}

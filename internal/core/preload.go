@@ -112,62 +112,69 @@ func CompressWithPreload(stream *bitvec.Vector, cfg Config, pre *Preload) (*Resu
 	return CompressWithPreloadObservedCtx(context.Background(), stream, cfg, pre, nil)
 }
 
-// CompressWithPreloadObservedCtx is CompressWithPreload instrumented
-// through a telemetry recorder and a trace context, mirroring
-// CompressObservedCtx: the shared-dictionary service path uses it so a
-// dictionary-warmed request still attributes its compression phases.
+// CompressWithPreloadObservedCtx is the one observed compress entry:
+// CompressWithPreload instrumented through a telemetry recorder and a
+// trace context. The recorder takes per-code match-length and
+// dictionary-occupancy histograms, one EventCompressRun record and,
+// when it is Tracing, one EventCompressStep per Figure 3 step; when
+// ctx carries a span, the dictionary build and the match loop are
+// recorded as child spans of it. A nil preload is a cold start. A nil
+// recorder is the production fast path: it never touches ctx and costs
+// one pointer check per emitted code.
 func CompressWithPreloadObservedCtx(ctx context.Context, stream *bitvec.Vector, cfg Config, pre *Preload, rec *telemetry.Recorder) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if pre.Entries() == 0 {
-		return CompressObservedCtx(ctx, stream, cfg, rec)
-	}
-	if cfg.Full == FullReset {
+	if pre.Entries() > 0 && cfg.Full == FullReset {
 		return nil, fmt.Errorf("core: FullReset would discard the preloaded dictionary inconsistently")
 	}
-	// Compress via the normal path but with a preloaded dictionary: the
-	// implementation mirrors CompressTrace with a custom dict factory.
-	return compressInternal(ctx, stream, cfg, rec, func() (*dict, error) {
-		d := acquireDict(cfg, rec)
-		if err := d.preload(pre); err != nil {
-			releaseDict(d)
-			return nil, err
-		}
-		return d, nil
-	})
+	return compressInternal(ctx, stream, cfg, rec, func() (*dict, error) { return preloadedDict(cfg, pre, rec) })
 }
 
-// DecompressWithPreloadObservedCtx is DecompressWithPreload wrapped in
-// a SpanDecode trace span: when ctx carries a span and rec has sinks,
-// the frame's software decompression is recorded as a child span
-// carrying the code count and output length. A nil preload is a cold
-// start, so every wire frame decodes through it; a nil recorder adds
-// one pointer check.
+// preloadedDict takes a dictionary from the arena (counting the take in
+// rec) and installs pre into it; a nil preload leaves it cold.
+func preloadedDict(cfg Config, pre *Preload, rec *telemetry.Recorder) (*dict, error) {
+	d := acquireDict(cfg, rec)
+	if err := d.preload(pre); err != nil {
+		releaseDict(d)
+		return nil, err
+	}
+	return d, nil
+}
+
+// DecompressWithPreloadObservedCtx is the one observed decompress
+// entry: DecompressWithPreload wrapped in a SpanDecode trace span and
+// instrumented through a telemetry recorder. When ctx carries a span
+// and rec has sinks, the frame's software decompression is recorded as
+// a child span carrying the code count and output length; when rec is
+// Tracing, every code is reported as one EventDecompressStep (the
+// Figure 4 row). A nil preload is a cold start, so every wire frame
+// decodes through it; a nil recorder adds one pointer check.
 func DecompressWithPreloadObservedCtx(ctx context.Context, codes []Code, cfg Config, pre *Preload, outBits int, rec *telemetry.Recorder) (*bitvec.Vector, error) {
 	_, sp := rec.StartSpan(ctx, SpanDecode)
-	out, err := DecompressWithPreload(codes, cfg, pre, outBits)
-	sp.End(telemetry.F("codes", len(codes)), telemetry.F("out_bits", outBits))
+	out, err := decompressPreload(codes, cfg, pre, outBits, rec)
+	if sp != nil {
+		// Building the fields boxes two ints; the disabled path skips
+		// them so it allocates no more than Decompress.
+		sp.End(telemetry.F("codes", len(codes)), telemetry.F("out_bits", outBits))
+	}
 	return out, err
 }
 
 // DecompressWithPreload inverts CompressWithPreload.
 func DecompressWithPreload(codes []Code, cfg Config, pre *Preload, outBits int) (*bitvec.Vector, error) {
+	return decompressPreload(codes, cfg, pre, outBits, nil)
+}
+
+// decompressPreload is the body behind every decompress entry: it
+// validates cfg, builds the (possibly preloaded) dictionary, and
+// decodes with step events going to rec.
+func decompressPreload(codes []Code, cfg Config, pre *Preload, outBits int, rec *telemetry.Recorder) (*bitvec.Vector, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if pre.Entries() == 0 {
-		return Decompress(codes, cfg, outBits)
-	}
-	if cfg.Full == FullReset {
+	if pre.Entries() > 0 && cfg.Full == FullReset {
 		return nil, fmt.Errorf("core: FullReset would discard the preloaded dictionary inconsistently")
 	}
-	return decompressWithDict(codes, cfg, outBits, nil, func() (*dict, error) {
-		d := acquireDict(cfg, nil)
-		if err := d.preload(pre); err != nil {
-			releaseDict(d)
-			return nil, err
-		}
-		return d, nil
-	})
+	return decompressWithDict(codes, cfg, outBits, rec, func() (*dict, error) { return preloadedDict(cfg, pre, nil) })
 }

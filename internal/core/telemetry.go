@@ -7,13 +7,14 @@ import (
 	"lzwtc/internal/telemetry"
 )
 
-// Event kinds the compressor emits through a telemetry recorder. Step
-// events carry their paper-figure payload under the "event" field; run
-// events summarize a whole stream. The decompressor reports its Figure 4
-// steps through DecompressTrace's callback instead.
+// Event kinds the compressor and decompressor emit through a telemetry
+// recorder. Step events carry their paper-figure payload under the
+// "event" field and are emitted only when the recorder is Tracing; run
+// events summarize a whole stream.
 const (
-	EventCompressStep = "compress.step" // one TraceEvent per Figure 3 step
-	EventCompressRun  = "compress.run"  // one summary record per compression run
+	EventCompressStep   = "compress.step"   // one TraceEvent per Figure 3 step
+	EventCompressRun    = "compress.run"    // one summary record per compression run
+	EventDecompressStep = "decompress.step" // one DecompressTraceEvent per Figure 4 step
 )
 
 // Registry metric names for the compressor. Counters aggregate across
@@ -196,20 +197,4 @@ func recordCompressRun(rec *telemetry.Recorder, st Stats) {
 		telemetry.F("ratio", st.Ratio()),
 		telemetry.F("stats", st),
 	)
-}
-
-// StepTraceEvent extracts the Figure 3 TraceEvent payload from an
-// EventCompressStep telemetry event. The CompressTrace callback API is
-// rebuilt from exactly this, so a JSONL sink and a trace callback see
-// the same step stream.
-func StepTraceEvent(ev telemetry.Event) (TraceEvent, bool) {
-	if ev.Kind != EventCompressStep {
-		return TraceEvent{}, false
-	}
-	v, ok := ev.Field("event")
-	if !ok {
-		return TraceEvent{}, false
-	}
-	te, ok := v.(TraceEvent)
-	return te, ok
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -10,8 +11,31 @@ import (
 	"lzwtc/internal/telemetry"
 )
 
+// stepRecorder returns an events-only recorder whose sink collects the
+// "event" payloads of every kind event, in emission order.
+func stepRecorder[T any](kind string) (*telemetry.Recorder, *[]T) {
+	got := new([]T)
+	rec := telemetry.New(nil, telemetry.SinkFunc(func(ev telemetry.Event) {
+		if ev.Kind != kind {
+			return
+		}
+		if v, ok := ev.Field("event"); ok {
+			if p, ok := v.(T); ok {
+				*got = append(*got, p)
+			}
+		}
+	}))
+	return rec, got
+}
+
+// compressObserved is a cold-start observed compression with no trace
+// context.
+func compressObserved(stream *bitvec.Vector, cfg Config, rec *telemetry.Recorder) (*Result, error) {
+	return CompressWithPreloadObservedCtx(context.Background(), stream, cfg, nil, rec)
+}
+
 // formatTraceEvent renders a TraceEvent in the tuple form used by the
-// golden below, captured from the pre-telemetry CompressTrace.
+// golden below, captured from the compressor's original callback API.
 func formatTraceEvent(ev TraceEvent) string {
 	em, ne := "-", "-"
 	if ev.Emitted != nil {
@@ -24,9 +48,10 @@ func formatTraceEvent(ev TraceEvent) string {
 		ev.Step, ev.Buffer, ev.BufferStr, ev.Input, ev.RawInput, em, ne)
 }
 
-// TestCompressTraceEventOrder pins the exact event sequence CompressTrace
-// produced before the callback was rerouted through telemetry sinks: the
-// rewire must not reorder, drop, or alter a single step.
+// TestCompressTraceEventOrder pins the exact Figure 3 step sequence the
+// compressor produced when steps were still delivered through a
+// callback: the EventCompressStep stream must not reorder, drop, or
+// alter a single step.
 func TestCompressTraceEventOrder(t *testing.T) {
 	want := []string{
 		`{0, "0", "0", "0", "0", "-", "-"}`,
@@ -49,11 +74,13 @@ func TestCompressTraceEventOrder(t *testing.T) {
 	}
 	stream := bitvec.MustParse("01XX10XX0X110X00")
 	cfg := Config{CharBits: 1, DictSize: 8, EntryBits: 0}
-	var got []string
-	if _, err := CompressTrace(stream, cfg, func(ev TraceEvent) {
-		got = append(got, formatTraceEvent(ev))
-	}); err != nil {
+	rec, steps := stepRecorder[TraceEvent](EventCompressStep)
+	if _, err := compressObserved(stream, cfg, rec); err != nil {
 		t.Fatal(err)
+	}
+	var got []string
+	for _, ev := range *steps {
+		got = append(got, formatTraceEvent(ev))
 	}
 	if len(got) != len(want) {
 		t.Fatalf("trace produced %d events, want %d:\n%s", len(got), len(want), strings.Join(got, "\n"))
@@ -65,32 +92,90 @@ func TestCompressTraceEventOrder(t *testing.T) {
 	}
 }
 
-// TestCompressStepEventsMatchTraceCallback runs the same stream through
-// a JSONL sink and through the CompressTrace callback; both ride the
-// same EventCompressStep stream, so the step counts must agree and the
-// sink lines must carry the step payload.
-func TestCompressStepEventsMatchTraceCallback(t *testing.T) {
+// formatDecompressEvent renders a DecompressTraceEvent in the tuple
+// form of the golden below.
+func formatDecompressEvent(ev DecompressTraceEvent) string {
+	ne := "-"
+	if ev.NewEntry != nil {
+		ne = fmt.Sprintf("%d=%s", ev.NewEntry.Code, ev.NewEntry.Str)
+	}
+	return fmt.Sprintf("{%d, %d, %q, %q, %q, %v}", ev.Step, ev.Input, ev.Buffer, ev.Output, ne, ev.Special)
+}
+
+// TestDecompressStepEventOrder pins the Figure 4 step sequence for the
+// stream of TestCompressTraceEventOrder, as the decoder produced it when
+// steps were still delivered through a callback: the EventDecompressStep
+// stream must reproduce it exactly.
+func TestDecompressStepEventOrder(t *testing.T) {
+	want := []string{
+		`{0, 0, "", "0", "-", false}`,
+		`{1, 1, "0", "1", "2=01", false}`,
+		`{2, 2, "1", "01", "3=10", false}`,
+		`{3, 3, "2", "10", "4=011", false}`,
+		`{4, 2, "3", "01", "5=100", false}`,
+		`{5, 4, "2", "011", "6=010", false}`,
+		`{6, 5, "4", "100", "7=0111", false}`,
+		`{7, 0, "5", "0", "-", false}`,
+		`{8, 0, "0", "0", "-", false}`,
+	}
+	stream := bitvec.MustParse("01XX10XX0X110X00")
+	cfg := Config{CharBits: 1, DictSize: 8, EntryBits: 0}
+	res, err := Compress(stream, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, steps := stepRecorder[DecompressTraceEvent](EventDecompressStep)
+	if _, err := DecompressWithPreloadObservedCtx(context.Background(), res.Codes, cfg, nil, stream.Len(), rec); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, ev := range *steps {
+		got = append(got, formatDecompressEvent(ev))
+	}
+	if len(got) != len(want) {
+		t.Fatalf("decode produced %d step events, want %d:\n%s", len(got), len(want), strings.Join(got, "\n"))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("event %d:\n got %s\nwant %s", i, got[i], want[i])
+		}
+	}
+}
+
+// TestStepEventsReachJSONLSink runs compression and decompression
+// through one recorder carrying both a collecting sink and a JSONL
+// sink: the JSONL sink must see every step event of both directions
+// that the collecting sink sees, plus the compress.run record.
+func TestStepEventsReachJSONLSink(t *testing.T) {
 	stream := bitvec.MustParse("01XX10XX0X110X00")
 	cfg := Config{CharBits: 1, DictSize: 8, EntryBits: 0}
 
-	var steps int
-	if _, err := CompressTrace(stream, cfg, func(TraceEvent) { steps++ }); err != nil {
-		t.Fatal(err)
-	}
-
 	var buf bytes.Buffer
-	rec := telemetry.New(nil, telemetry.NewJSONLSink(&buf))
-	if _, err := CompressObserved(stream, cfg, rec); err != nil {
+	counts := map[string]int{}
+	rec := telemetry.New(nil, telemetry.NewJSONLSink(&buf),
+		telemetry.SinkFunc(func(ev telemetry.Event) { counts[ev.Kind]++ }))
+	res, err := compressObserved(stream, cfg, rec)
+	if err != nil {
 		t.Fatal(err)
 	}
-	var sinkSteps int
+	if _, err := DecompressWithPreloadObservedCtx(context.Background(), res.Codes, cfg, nil, stream.Len(), rec); err != nil {
+		t.Fatal(err)
+	}
+	sinkSteps := map[string]int{}
 	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
-		if strings.Contains(line, `"kind":"compress.step"`) {
-			sinkSteps++
+		for _, kind := range []string{EventCompressStep, EventDecompressStep} {
+			if strings.Contains(line, `"kind":"`+kind+`"`) {
+				sinkSteps[kind]++
+			}
 		}
 	}
-	if sinkSteps != steps {
-		t.Fatalf("sink saw %d step events, trace callback saw %d", sinkSteps, steps)
+	if counts[EventCompressStep] != len(stream.String())+1 || counts[EventDecompressStep] != len(res.Codes) {
+		t.Fatalf("step events %v; want one per character plus the flush, and one per code", counts)
+	}
+	for _, kind := range []string{EventCompressStep, EventDecompressStep} {
+		if sinkSteps[kind] != counts[kind] {
+			t.Fatalf("JSONL sink saw %d %s events, collecting sink saw %d", sinkSteps[kind], kind, counts[kind])
+		}
 	}
 	if !strings.Contains(buf.String(), `"kind":"compress.run"`) {
 		t.Fatalf("sink missing compress.run record:\n%s", buf.String())
@@ -105,7 +190,7 @@ func TestCompressObservedMetrics(t *testing.T) {
 	cfg := Config{CharBits: 2, DictSize: 16, EntryBits: 0}
 	reg := telemetry.NewRegistry()
 	rec := telemetry.New(reg)
-	res, err := CompressObserved(stream, cfg, rec)
+	res, err := compressObserved(stream, cfg, rec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +238,7 @@ func TestCompressObservedHistogramsAcrossBatches(t *testing.T) {
 	}
 	cfg := Config{CharBits: 2, DictSize: 16, EntryBits: 0}
 	reg := telemetry.NewRegistry()
-	res, err := CompressObserved(bitvec.MustParse(sb.String()), cfg, telemetry.New(reg))
+	res, err := compressObserved(bitvec.MustParse(sb.String()), cfg, telemetry.New(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +263,7 @@ func TestCompressObservedEmptyRun(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	var events []telemetry.Event
 	rec := telemetry.New(reg, telemetry.SinkFunc(func(ev telemetry.Event) { events = append(events, ev) }))
-	res, err := CompressObserved(bitvec.New(0), DefaultConfig(), rec)
+	res, err := compressObserved(bitvec.New(0), DefaultConfig(), rec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +300,7 @@ func TestCompressNilRecorderMatchesObserved(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := telemetry.New(telemetry.NewRegistry(), telemetry.NewJSONLSink(&bytes.Buffer{}))
-	obs, err := CompressObserved(stream, cfg, rec)
+	obs, err := compressObserved(stream, cfg, rec)
 	if err != nil {
 		t.Fatal(err)
 	}

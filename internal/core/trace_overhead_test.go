@@ -17,8 +17,8 @@ func traceCtx() context.Context {
 }
 
 // BenchmarkCompressTraceDisabled is the acceptance benchmark for the
-// trace-instrumented disabled path: CompressObservedCtx with a span
-// context in ctx and a nil recorder. scripts/check_trace_overhead.sh
+// trace-instrumented disabled path: CompressWithPreloadObservedCtx with
+// a span context in ctx, a nil preload and a nil recorder. scripts/check_trace_overhead.sh
 // gates it against BenchmarkCompressTelemetryDisabled at <= 3%.
 func BenchmarkCompressTraceDisabled(b *testing.B) {
 	stream, cfg := overheadWorkload()
@@ -26,7 +26,7 @@ func BenchmarkCompressTraceDisabled(b *testing.B) {
 	b.SetBytes(int64(stream.Len() / 8))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := CompressObservedCtx(ctx, stream, cfg, nil); err != nil {
+		if _, err := CompressWithPreloadObservedCtx(ctx, stream, cfg, nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -46,12 +46,12 @@ func TestTraceDisabledAllocParity(t *testing.T) {
 	stream, cfg := overheadWorkload()
 	ctx := traceCtx()
 	plain := func() {
-		if _, err := CompressObserved(stream, cfg, nil); err != nil {
+		if _, err := Compress(stream, cfg); err != nil {
 			t.Fatal(err)
 		}
 	}
 	traced := func() {
-		if _, err := CompressObservedCtx(ctx, stream, cfg, nil); err != nil {
+		if _, err := CompressWithPreloadObservedCtx(ctx, stream, cfg, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -62,5 +62,36 @@ func TestTraceDisabledAllocParity(t *testing.T) {
 	}
 	if ctxPath > base {
 		t.Fatalf("disabled tracing allocates: %.0f allocs/op via ctx path, %.0f via plain path", ctxPath, base)
+	}
+}
+
+// TestDecodeTraceDisabledAllocParity is TestTraceDisabledAllocParity for
+// the decoder: with a span in ctx and a nil recorder, the observed
+// decompress entry must allocate no more than Decompress, compared the
+// same way (fewest allocations over interleaved runs).
+func TestDecodeTraceDisabledAllocParity(t *testing.T) {
+	stream, cfg := overheadWorkload()
+	res, err := Compress(stream, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := traceCtx()
+	plain := func() {
+		if _, err := Decompress(res.Codes, cfg, stream.Len()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	traced := func() {
+		if _, err := DecompressWithPreloadObservedCtx(ctx, res.Codes, cfg, nil, stream.Len(), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	base, ctxPath := math.Inf(1), math.Inf(1)
+	for i := 0; i < 10; i++ {
+		base = min(base, testing.AllocsPerRun(1, plain))
+		ctxPath = min(ctxPath, testing.AllocsPerRun(1, traced))
+	}
+	if ctxPath > base {
+		t.Fatalf("disabled decode tracing allocates: %.0f allocs/op via ctx path, %.0f via plain path", ctxPath, base)
 	}
 }

@@ -48,8 +48,9 @@ type Stats struct {
 	CodesDecoded   int
 }
 
-// Event is a code-level trace record (used to regenerate Figure 5's
-// data path narrative).
+// Event is one code-level step of the data path, carried under the
+// "event" field of an EventStep record (Figure 5's narrative is built
+// from these).
 type Event struct {
 	Cycle  int    // internal cycle at which the event completed
 	Kind   string // "load", "decode", "write", "shift"
@@ -61,7 +62,6 @@ type Decompressor struct {
 	cfg         core.Config
 	ratio       int
 	shared      *mem.Shared
-	trace       func(Event)
 	rec         *telemetry.Recorder
 	patternBits int
 
@@ -107,13 +107,11 @@ func New(cfg core.Config, ratio int, shared *mem.Shared) (*Decompressor, error) 
 	}, nil
 }
 
-// SetTrace installs a code-level trace callback.
-func (d *Decompressor) SetTrace(f func(Event)) { d.trace = f }
-
 // SetRecorder installs a telemetry recorder: Run folds its Stats into
 // the recorder's registry and emits run (and, with SetPatternBits,
-// per-pattern) event records. A nil recorder — the default — keeps the
-// cycle loop on the uninstrumented path.
+// per-pattern) event records, and, when the recorder is Tracing, one
+// EventStep record per data-path step. A nil recorder — the default —
+// keeps the cycle loop on the uninstrumented path.
 func (d *Decompressor) SetRecorder(rec *telemetry.Recorder) { d.rec = rec }
 
 // SetPatternBits sets the scan-pattern width so Run can charge internal
@@ -205,10 +203,11 @@ func (d *Decompressor) Run(packed []byte, nCodes, outBits int) (*bitvec.Vector, 
 		cycle++
 	}
 
+	// Step details are rendered only when the recorder is Tracing, so
+	// an untraced run formats no strings.
+	tracing := d.rec.Tracing()
 	emit := func(kind, detail string) {
-		if d.trace != nil {
-			d.trace(Event{Cycle: cycle, Kind: kind, Detail: detail})
-		}
+		d.rec.Emit(EventStep, telemetry.F("event", Event{Cycle: cycle, Kind: kind, Detail: detail}))
 	}
 
 	for codeIdx := 0; codeIdx < nCodes; codeIdx++ {
@@ -225,7 +224,9 @@ func (d *Decompressor) Run(packed []byte, nCodes, outBits int) (*bitvec.Vector, 
 		}
 		avail -= ce
 		code := core.Code(v)
-		emit("load", fmt.Sprintf("code %d latched", code))
+		if tracing {
+			emit("load", fmt.Sprintf("code %d latched", code))
+		}
 
 		// Mirror the software decoder: decide whether an entry will be
 		// written before interpreting the code (freeze policy only, so
@@ -251,13 +252,17 @@ func (d *Decompressor) Run(packed []byte, nCodes, outBits int) (*bitvec.Vector, 
 			for k := 0; k < n; k++ {
 				chars = append(chars, getField(word, d.cfg.LenBits()+k*cc, cc))
 			}
-			emit("decode", fmt.Sprintf("dictionary read %d: %d chars", code, n))
+			if tracing {
+				emit("decode", fmt.Sprintf("dictionary read %d: %d chars", code, n))
+			}
 		case code == d.next && pending:
 			// Figure 4f in hardware: the entry is not in memory yet; the
 			// data-merging mux assembles it from C_MLAST and its own
 			// first character.
 			chars = append(append(scratch[:0], d.cmlast[:d.cmlastLen]...), d.cmlast[0])
-			emit("decode", fmt.Sprintf("merge C_MLAST for not-yet-written code %d", code))
+			if tracing {
+				emit("decode", fmt.Sprintf("merge C_MLAST for not-yet-written code %d", code))
+			}
 		default:
 			return nil, nil, fmt.Errorf("decomp: undefined code %d at position %d (next free %d)", code, codeIdx, d.next)
 		}
@@ -279,7 +284,9 @@ func (d *Decompressor) Run(packed []byte, nCodes, outBits int) (*bitvec.Vector, 
 			}
 			d.stats.MemWrites++
 			d.stats.WriteCycles++
-			emit("write", fmt.Sprintf("entry %d <- C_MLAST(%d chars)+first", d.next, d.cmlastLen))
+			if tracing {
+				emit("write", fmt.Sprintf("entry %d <- C_MLAST(%d chars)+first", d.next, d.cmlastLen))
+			}
 			d.next++
 			tick()
 		}
@@ -296,7 +303,9 @@ func (d *Decompressor) Run(packed []byte, nCodes, outBits int) (*bitvec.Vector, 
 				tick()
 			}
 		}
-		emit("shift", fmt.Sprintf("%d bits to scan chain", len(chars)*cc))
+		if tracing {
+			emit("shift", fmt.Sprintf("%d bits to scan chain", len(chars)*cc))
+		}
 
 		// Update C_MLAST.
 		d.cmlastLen = copy(d.cmlast[:cap(d.cmlast)], chars)

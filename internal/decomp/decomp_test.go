@@ -9,6 +9,7 @@ import (
 	"lzwtc/internal/bitvec"
 	"lzwtc/internal/core"
 	"lzwtc/internal/mem"
+	"lzwtc/internal/telemetry"
 )
 
 func build(t *testing.T, cfg core.Config, ratio int) (*Decompressor, *mem.Shared) {
@@ -72,11 +73,13 @@ func TestSpecialCaseViaCMLAST(t *testing.T) {
 	}
 	d, _ := build(t, cfg, 4)
 	sawMerge := false
-	d.SetTrace(func(ev Event) {
-		if ev.Kind == "decode" && len(ev.Detail) > 5 && ev.Detail[:5] == "merge" {
+	d.SetRecorder(telemetry.New(nil, telemetry.SinkFunc(func(e telemetry.Event) {
+		v, _ := e.Field("event")
+		if ev, ok := v.(Event); ok && e.Kind == EventStep &&
+			ev.Kind == "decode" && len(ev.Detail) > 5 && ev.Detail[:5] == "merge" {
 			sawMerge = true
 		}
-	})
+	})))
 	got, _, err := d.Run(res.Pack(), len(res.Codes), 3)
 	if err != nil {
 		t.Fatal(err)

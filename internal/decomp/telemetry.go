@@ -7,6 +7,7 @@ import "lzwtc/internal/telemetry"
 const (
 	EventRun     = "decomp.run"     // one summary record per Run
 	EventPattern = "decomp.pattern" // one record per completed scan pattern
+	EventStep    = "decomp.step"    // one Event per data-path step, only when Tracing
 )
 
 // Registry metric names for the hardware decompressor model. The cycle

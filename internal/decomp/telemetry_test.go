@@ -157,3 +157,63 @@ func TestRunNilRecorderUnchanged(t *testing.T) {
 		t.Fatalf("instrumented run changed stats:\nplain: %+v\nobs:   %+v", *stPlain, *stObs)
 	}
 }
+
+// TestRunUntracedAllocsPerCode: with no recorder, Run renders no step
+// details, so decoding a 40 kbit stream of 1456 codes (C_C=7, N=1024,
+// clock ratio 8) makes fewer than 2 allocations per code. Formatting
+// the five per-step strings for every code, traced or not, made 6.5.
+func TestRunUntracedAllocsPerCode(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	cfg := core.Config{CharBits: 7, DictSize: 1024, EntryBits: 63}
+	stream := randomCube(rng, 40000, 0.9)
+	res, err := core.Compress(stream, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	packed := res.Pack()
+	allocs := testing.AllocsPerRun(5, func() {
+		d, _ := build(t, cfg, 8)
+		if _, _, err := d.Run(packed, len(res.Codes), stream.Len()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perCode := allocs / float64(len(res.Codes)); perCode >= 2 {
+		t.Fatalf("untraced Run: %.0f allocs for %d codes (%.2f per code), want < 2 per code",
+			allocs, len(res.Codes), perCode)
+	}
+}
+
+// TestRunStepEventsOnlyWhenTracing: a recorder whose sinks all opt out
+// of step events gets the run record but no EventStep, and a tracing
+// one gets at least one step per decoded code.
+func TestRunStepEventsOnlyWhenTracing(t *testing.T) {
+	cfg := core.Config{CharBits: 1, DictSize: 16, EntryBits: 8}
+	stream := randomCube(rand.New(rand.NewSource(3)), 64, 0.5)
+	res, err := core.Compress(stream, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, wantSteps := range []bool{false, true} {
+		counts := map[string]int{}
+		var sink telemetry.Sink = telemetry.SinkFunc(func(ev telemetry.Event) { counts[ev.Kind]++ })
+		if !wantSteps {
+			sink = stepless{sink}
+		}
+		d, _ := build(t, cfg, 4)
+		d.SetRecorder(telemetry.New(nil, sink))
+		if _, _, err := d.Run(res.Pack(), len(res.Codes), stream.Len()); err != nil {
+			t.Fatal(err)
+		}
+		if counts[EventRun] != 1 {
+			t.Fatalf("tracing=%v: %d run records, want 1", wantSteps, counts[EventRun])
+		}
+		if got := counts[EventStep]; wantSteps && got < len(res.Codes) || !wantSteps && got != 0 {
+			t.Fatalf("tracing=%v: %d step events for %d codes", wantSteps, got, len(res.Codes))
+		}
+	}
+}
+
+// stepless wraps a sink so it opts out of per-step events.
+type stepless struct{ telemetry.Sink }
+
+func (stepless) WantsSteps() bool { return false }

@@ -249,6 +249,50 @@ func TestFigure4Trace(t *testing.T) {
 	}
 }
 
+// TestFigure5Trace pins the hardware decompressor's cycle trace of the
+// worked example (the Figure 5 golden trace), including its summary.
+func TestFigure5Trace(t *testing.T) {
+	tb, err := Figure5()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][]string{
+		{"13", "input shifter", "code 0 latched"},
+		{"15", "output shifter", "1 bits to scan chain"},
+		{"29", "input shifter", "code 0 latched"},
+		{"30", "dictionary memory", "entry 2 <- C_MLAST(1 chars)+first"},
+		{"32", "output shifter", "1 bits to scan chain"},
+		{"45", "input shifter", "code 1 latched"},
+		{"46", "dictionary memory", "entry 3 <- C_MLAST(1 chars)+first"},
+		{"48", "output shifter", "1 bits to scan chain"},
+		{"61", "input shifter", "code 2 latched"},
+		{"61", "FSM + dictionary", "dictionary read 2: 2 chars"},
+		{"62", "dictionary memory", "entry 4 <- C_MLAST(1 chars)+first"},
+		{"65", "output shifter", "2 bits to scan chain"},
+		{"81", "input shifter", "code 4 latched"},
+		{"81", "FSM + dictionary", "dictionary read 4: 2 chars"},
+		{"82", "dictionary memory", "entry 5 <- C_MLAST(2 chars)+first"},
+		{"85", "output shifter", "2 bits to scan chain"},
+		{"101", "input shifter", "code 3 latched"},
+		{"101", "FSM + dictionary", "dictionary read 3: 2 chars"},
+		{"102", "dictionary memory", "entry 6 <- C_MLAST(2 chars)+first"},
+		{"105", "output shifter", "2 bits to scan chain"},
+	}
+	if len(tb.Rows) != len(want) {
+		t.Fatalf("rows = %d, want %d:\n%s", len(tb.Rows), len(want), tb)
+	}
+	for i, row := range want {
+		for j, cell := range row {
+			if tb.Rows[i][j] != cell {
+				t.Fatalf("row %d col %d = %q, want %q\n%s", i, j, tb.Rows[i][j], cell, tb)
+			}
+		}
+	}
+	if want := "Output 001001001 in 105 internal cycles (27 tester cycles; raw scan-in would take 9)."; tb.Note != want {
+		t.Fatalf("note = %q, want %q", tb.Note, want)
+	}
+}
+
 func TestExtensionExperimentsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full workloads in -short mode")

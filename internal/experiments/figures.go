@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"lzwtc/internal/bitvec"
@@ -8,6 +9,7 @@ import (
 	"lzwtc/internal/decomp"
 	"lzwtc/internal/mem"
 	"lzwtc/internal/report"
+	"lzwtc/internal/telemetry"
 )
 
 // FigureExample is the worked example used for Figures 3-5: a 1-bit
@@ -30,14 +32,11 @@ func Figure3() (*report.Table, error) {
 		Note:    "Literal codes 0-1; dictionary codes from 2. Entries are written as code(bits).",
 	}
 	stream := bitvec.MustParse(FigureExample)
-	var rows []core.TraceEvent
-	_, err := core.CompressTrace(stream, figureConfig(), func(ev core.TraceEvent) {
-		rows = append(rows, ev)
-	})
-	if err != nil {
+	rec, rows := collectSteps[core.TraceEvent](core.EventCompressStep)
+	if _, err := core.CompressWithPreloadObservedCtx(context.Background(), stream, figureConfig(), nil, rec); err != nil {
 		return nil, err
 	}
-	for i, ev := range rows {
+	for i, ev := range *rows {
 		emitted, dict := "", ""
 		if ev.Emitted != nil {
 			emitted = fmt.Sprintf("%d", *ev.Emitted)
@@ -63,7 +62,12 @@ func Figure4() (*report.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	out, err := core.DecompressTrace(res.Codes, cfg, stream.Len(), func(ev core.DecompressTraceEvent) {
+	rec, rows := collectSteps[core.DecompressTraceEvent](core.EventDecompressStep)
+	out, err := core.DecompressWithPreloadObservedCtx(context.Background(), res.Codes, cfg, nil, stream.Len(), rec)
+	if err != nil {
+		return nil, err
+	}
+	for _, ev := range *rows {
 		dict := ""
 		if ev.NewEntry != nil {
 			dict = fmt.Sprintf("%d(%s)", ev.NewEntry.Code, ev.NewEntry.Str)
@@ -73,9 +77,6 @@ func Figure4() (*report.Table, error) {
 			outStr += " (not-yet-defined code)"
 		}
 		t.Add(stepLabel(ev.Step), outStr, dict, ev.Buffer, fmt.Sprintf("%d", ev.Input))
-	})
-	if err != nil {
-		return nil, err
 	}
 	t.Note = fmt.Sprintf("Reconstructed stream: %s (matches input: %v)", out, stream.CompatibleWith(out))
 	return t, nil
@@ -108,12 +109,14 @@ func Figure5() (*report.Table, error) {
 		"write":  "dictionary memory",
 		"shift":  "output shifter",
 	}
-	d.SetTrace(func(ev decomp.Event) {
-		t.Add(ev.Cycle, unit[ev.Kind], ev.Detail)
-	})
+	rec, rows := collectSteps[decomp.Event](decomp.EventStep)
+	d.SetRecorder(rec)
 	out, st, err := d.Run(res.Pack(), len(res.Codes), stream.Len())
 	if err != nil {
 		return nil, err
+	}
+	for _, ev := range *rows {
+		t.Add(ev.Cycle, unit[ev.Kind], ev.Detail)
 	}
 	t.Note = fmt.Sprintf("Output %s in %d internal cycles (%d tester cycles; raw scan-in would take %d).",
 		out, st.InternalCycles, st.TesterCycles, stream.Len())
@@ -185,6 +188,24 @@ func Figure6() (*report.Table, error) {
 	sh.Select(mem.SrcFunctional)
 	t.Add("return to mission mode", sh.Owner().String(), "test circuitry isolated again")
 	return t, nil
+}
+
+// collectSteps returns an events-only recorder whose sink collects the
+// "event" payload of every kind event in emission order: the step
+// stream Figures 3–5 are built from.
+func collectSteps[T any](kind string) (*telemetry.Recorder, *[]T) {
+	rows := new([]T)
+	rec := telemetry.New(nil, telemetry.SinkFunc(func(ev telemetry.Event) {
+		if ev.Kind != kind {
+			return
+		}
+		if v, ok := ev.Field("event"); ok {
+			if row, ok := v.(T); ok {
+				*rows = append(*rows, row)
+			}
+		}
+	}))
+	return rec, rows
 }
 
 func stepLabel(i int) string {

@@ -32,7 +32,7 @@ func RunObserved(name string, rec *telemetry.Recorder) (*report.Table, error) {
 // bound for the pool-backed sweep tables (workers <= 0 means
 // GOMAXPROCS).
 func RunObservedCtx(ctx context.Context, name string, workers int, rec *telemetry.Recorder) (*report.Table, error) {
-	sp := rec.Span(SpanExperimentRun)
+	ctx, sp := rec.StartSpan(ctx, SpanExperimentRun)
 	t, err := RunCtx(ctx, name, workers)
 	if err != nil {
 		sp.End(telemetry.F("experiment", name), telemetry.F("error", err.Error()))

@@ -22,7 +22,7 @@ func TestRunObservedEmitsRowEvents(t *testing.T) {
 				t.Fatalf("row event experiment = %v", exp)
 			}
 			rows++
-		case "span":
+		case telemetry.EventTraceSpan:
 			name, _ := ev.Field("name")
 			exp, _ := ev.Field("experiment")
 			if name == SpanExperimentRun && exp == "figure3" {

@@ -293,7 +293,7 @@ func compressJob(ctx context.Context, j Job, rec *telemetry.Recorder) (*core.Res
 	_, ssp := rec.StartSpan(ctx, core.SpanSerialize)
 	stream := j.Set.SerializeAligned(j.Cfg.CharBits)
 	ssp.End(telemetry.F("bits", stream.Len()))
-	res, err := core.CompressObservedCtx(ctx, stream, j.Cfg, rec)
+	res, err := core.CompressWithPreloadObservedCtx(ctx, stream, j.Cfg, nil, rec)
 	if err != nil {
 		return nil, fmt.Errorf("parallel: job %q: %w", j.Name, err)
 	}

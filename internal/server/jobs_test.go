@@ -400,19 +400,26 @@ func TestJobQuotaExhaustion(t *testing.T) {
 		t.Fatalf("tenant isolation: %v", err)
 	}
 
-	// With retries, the 429 feeds the backoff loop: the client observes
-	// the throttle through OnBackpressure and honors a capped wait.
+	// With retries, the 429 feeds the backoff loop: the client reports
+	// the throttle as a client.EventBackpressure record and honors a
+	// capped wait.
 	var seen []time.Duration
+	rec := telemetry.New(nil, telemetry.SinkFunc(func(ev telemetry.Event) {
+		if ev.Kind == client.EventBackpressure {
+			us, _ := ev.Field("wait_us")
+			seen = append(seen, time.Duration(us.(int64))*time.Microsecond)
+		}
+	}))
 	cr := client.New(hs.URL, client.Options{
 		Retries: 1, APIKey: "tenant-a", MaxBackoff: 10 * time.Millisecond,
-		OnBackpressure: func(d time.Duration) { seen = append(seen, d) },
+		Recorder: rec,
 	})
 	_, err = cr.SubmitCompressJob(ctx, ts, cfg, client.CompressOptions{})
 	if err == nil {
 		t.Fatal("quota should still be exhausted")
 	}
 	if len(seen) == 0 {
-		t.Fatal("OnBackpressure never observed the 429")
+		t.Fatal("the client never reported the 429 as a backpressure event")
 	}
 	for _, d := range seen {
 		if d <= 0 || d > 10*time.Millisecond {

@@ -44,6 +44,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -152,7 +153,10 @@ type Config struct {
 	// /debug/trace/recent; <= 0 means 64 traces.
 	TraceCapacity int
 	// Sinks receive the server's telemetry events (trace spans, run
-	// records) in addition to the built-in trace ring buffer. Optional.
+	// records) in addition to the built-in trace ring buffer. They never
+	// receive per-step events (compress.step, decompress.step): New
+	// wraps each one so it opts out of them, so the server's recorders
+	// never trace and a request never renders a step. Optional.
 	Sinks []telemetry.Sink
 
 	// JobQueueDepth bounds admitted-but-not-running async jobs; <= 0
@@ -226,6 +230,25 @@ func (h *sloHists) observe(ok bool, firstByte, done float64) {
 	dn.Observe(done)
 }
 
+// configSink wraps one Config.Sinks entry. It opts out of per-step
+// events, and it serializes Emit: the server's recorder and every job's
+// recorder share the sink, and each recorder holds only its own lock.
+type configSink struct {
+	mu   sync.Mutex
+	sink telemetry.Sink
+}
+
+// Emit implements telemetry.Sink.
+func (c *configSink) Emit(ev telemetry.Event) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.sink.Emit(ev)
+}
+
+// WantsSteps implements telemetry.StepSink: server sinks take no step
+// events.
+func (*configSink) WantsSteps() bool { return false }
+
 // New builds a Server.
 func New(cfg Config) *Server {
 	if cfg.MaxBodyBytes <= 0 {
@@ -239,7 +262,13 @@ func New(cfg Config) *Server {
 		reg = telemetry.NewRegistry()
 	}
 	traces := telemetry.NewTraceBuffer(cfg.TraceCapacity)
-	sinks := append(append([]telemetry.Sink{}, cfg.Sinks...), traces)
+	sinks := make([]telemetry.Sink, 0, len(cfg.Sinks)+1)
+	for _, sk := range cfg.Sinks {
+		if sk != nil {
+			sinks = append(sinks, &configSink{sink: sk})
+		}
+	}
+	sinks = append(sinks, traces)
 	s := &Server{
 		cfg:         cfg,
 		reg:         reg,

@@ -20,6 +20,7 @@ import (
 	"lzwtc"
 	"lzwtc/client"
 	"lzwtc/internal/core"
+	"lzwtc/internal/jobs"
 	"lzwtc/internal/parallel"
 	"lzwtc/internal/server"
 	"lzwtc/internal/telemetry"
@@ -528,5 +529,84 @@ func TestStatsArenaKeyParity(t *testing.T) {
 	}
 	if stats.DictPoolRecycles < 1 {
 		t.Fatalf("dict_pool_recycles = %d after repeated compresses, want >= 1", stats.DictPoolRecycles)
+	}
+}
+
+// lockedBuffer is an io.Writer safe to read while the server writes.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestConfigSinksGetNoStepEvents: a JSONL sink in Config.Sinks (what
+// lzwtcd -telemetry-out installs) gets the trace spans and run records
+// of a compress, a job and a decompress, and not one per-step event,
+// which would be rendered per character under the recorder's lock.
+func TestConfigSinksGetNoStepEvents(t *testing.T) {
+	var out lockedBuffer
+	c, _ := startService(t, server.Config{Sinks: []telemetry.Sink{telemetry.NewJSONLSink(&out)}})
+	ctx := context.Background()
+	ts := readCorpusSet(t, "paper-slice")
+	cfg := corpusCases()["paper-slice"]
+	container, err := c.Compress(ctx, ts, cfg, client.CompressOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.CompressJob(ctx, ts, cfg, client.CompressOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Decompress(ctx, container); err != nil {
+		t.Fatal(err)
+	}
+
+	// Handler spans end in deferred funcs that may still be running when
+	// the client has its response, so wait for the last ones briefly.
+	wantSpans := []string{server.SpanCompress, server.SpanJobSubmit, jobs.SpanJobRun,
+		server.SpanDecompress, core.SpanMatchLoop, core.SpanDecode}
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		kinds := map[string]int{}
+		spans := map[string]bool{}
+		for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n") {
+			var ev struct {
+				Kind string `json:"kind"`
+				Name string `json:"name"`
+			}
+			if err := json.Unmarshal([]byte(line), &ev); err != nil {
+				t.Fatalf("sink line is not JSON: %v\n%s", err, line)
+			}
+			kinds[ev.Kind]++
+			if ev.Kind == telemetry.EventTraceSpan {
+				spans[ev.Name] = true
+			}
+		}
+		if n := kinds[core.EventCompressStep] + kinds[core.EventDecompressStep]; n != 0 {
+			t.Fatalf("sink got %d step events (kinds %v); Config.Sinks must get none", n, kinds)
+		}
+		var missing []string
+		for _, name := range wantSpans {
+			if !spans[name] {
+				missing = append(missing, name)
+			}
+		}
+		if len(missing) == 0 && kinds[core.EventCompressRun] >= 2 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("sink is missing spans %v or run records (kinds %v)", missing, kinds)
+		}
+		time.Sleep(2 * time.Millisecond)
 	}
 }

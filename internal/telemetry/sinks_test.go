@@ -31,7 +31,8 @@ func checkGolden(t *testing.T, name string, got []byte) {
 }
 
 // goldenEvents drives a deterministic event sequence shaped like a real
-// run: a compress run record, a per-pattern decomp record, and a span.
+// run: a compress run record, a per-pattern decomp record, and a
+// decompressor step.
 func goldenEvents(s Sink) {
 	rec := NewWithClock(nil, fakeClock(1500*time.Microsecond), s)
 	rec.Emit("compress.run",
@@ -41,7 +42,7 @@ func goldenEvents(s Sink) {
 		F("policy", "freeze"),
 	)
 	rec.Emit("decomp.pattern", F("index", 0), F("internal_cycles", 733))
-	rec.Span("verify").End()
+	rec.Emit("decompress.step", F("step", 4), F("special", true))
 	rec.Emit("compress.run", F("empty", true))
 }
 

@@ -33,7 +33,7 @@ type Field struct {
 func F(key string, value any) Field { return Field{Key: key, Value: value} }
 
 // Event is one timestamped occurrence in a run: a compressor step, a
-// phase-span completion, a per-pattern cycle record. Elapsed is the
+// completed trace span, a per-pattern cycle record. Elapsed is the
 // offset from the Recorder's start, which keeps event streams
 // deterministic under an injected clock.
 type Event struct {
@@ -160,38 +160,6 @@ func emitContained(r *Recorder, i int, s Sink, ev Event) {
 		}
 	}()
 	s.Emit(ev)
-}
-
-// Span starts a named phase span (parse, compress, pack, decompress,
-// verify, or any sub-phase). End the returned span to record its
-// duration in the registry histogram lzwtc_phase_seconds_<name> and to
-// emit a "span" event. A nil Recorder returns a nil Span whose End is a
-// no-op.
-func (r *Recorder) Span(name string) *Span {
-	if r == nil {
-		return nil
-	}
-	return &Span{r: r, name: name, start: r.now()}
-}
-
-// Span is one in-flight phase timing. Created by Recorder.Span.
-type Span struct {
-	r     *Recorder
-	name  string
-	start time.Time
-}
-
-// End completes the span, recording its duration and emitting a "span"
-// event carrying the span name, duration and any extra fields.
-func (s *Span) End(fields ...Field) {
-	if s == nil {
-		return
-	}
-	d := s.r.now().Sub(s.start)
-	s.r.reg.Histogram(PhaseMetricName(s.name), "phase duration in seconds", DurationBuckets()).
-		Observe(d.Seconds())
-	ev := append([]Field{F("name", s.name), F("dur_us", d.Microseconds())}, fields...)
-	s.r.Emit("span", ev...)
 }
 
 // PhaseMetricName maps a span name to its registry histogram name,

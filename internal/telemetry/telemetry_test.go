@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
@@ -26,7 +27,8 @@ func TestNilSafety(t *testing.T) {
 		t.Fatal("nil recorder reports enabled")
 	}
 	r.Emit("kind", F("k", 1))
-	r.Span("phase").End()
+	_, sp := r.StartSpan(context.Background(), "phase")
+	sp.End()
 	reg := r.Registry()
 	if reg != nil {
 		t.Fatal("nil recorder returned a registry")
@@ -52,8 +54,8 @@ func TestNilSafety(t *testing.T) {
 	if h.Count() != 0 || h.Sum() != 0 || len(h.Snapshot().Buckets) != 0 {
 		t.Fatal("nil histogram recorded an observation")
 	}
-	var s *Span
-	s.End()
+	var ts *TraceSpan
+	ts.End()
 }
 
 func TestCounterAndGauge(t *testing.T) {
@@ -201,19 +203,19 @@ func TestSpanRecordsDurationAndEvent(t *testing.T) {
 	reg := NewRegistry()
 	var events []Event
 	rec := NewWithClock(reg, fakeClock(time.Millisecond), SinkFunc(func(ev Event) { events = append(events, ev) }))
-	sp := rec.Span("compress")
+	_, sp := rec.StartSpan(context.Background(), "compress")
 	sp.End(F("codes", 7))
 	h := reg.Histogram(PhaseMetricName("compress"), "", nil)
 	if h.Count() != 1 {
 		t.Fatalf("phase histogram count = %d, want 1", h.Count())
 	}
-	// The fake clock steps 1ms per reading; Span takes one reading at
-	// start and one at End, so the observed duration is exactly 1ms.
+	// The fake clock steps 1ms per reading; StartSpan takes one reading
+	// at start and End one more, so the observed duration is exactly 1ms.
 	if got := h.Sum(); math.Abs(got-0.001) > 1e-12 {
 		t.Fatalf("phase duration = %vs, want 0.001s", got)
 	}
-	if len(events) != 1 || events[0].Kind != "span" {
-		t.Fatalf("events = %+v, want one span event", events)
+	if len(events) != 1 || events[0].Kind != EventTraceSpan {
+		t.Fatalf("events = %+v, want one trace span event", events)
 	}
 	if name, _ := events[0].Field("name"); name != "compress" {
 		t.Fatalf("span name field = %v", name)

@@ -152,9 +152,10 @@ func newSpanID() SpanID {
 // EventTraceSpan is the event kind carrying one completed trace span.
 const EventTraceSpan = "trace.span"
 
-// WithProcess returns a copy of the recorder that stamps every trace
-// span with the given process name ("lzwtcd", "client", ...), so merged
-// multi-process traces stay attributable. Nil-safe; call at
+// WithProcess sets the process name ("lzwtcd", "client", ...) the
+// recorder stamps on every trace span, so merged multi-process traces
+// stay attributable, and returns the same recorder for chaining. It
+// mutates r rather than copying it: nil-safe, and to be called at
 // construction time, before the recorder is shared.
 func (r *Recorder) WithProcess(proc string) *Recorder {
 	if r == nil {

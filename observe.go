@@ -33,7 +33,7 @@ func CompressObservedCtx(ctx context.Context, ts *TestSet, cfg Config, rec *Reco
 	_, ssp := rec.StartSpan(ctx, core.SpanSerialize)
 	stream := ts.SerializeAligned(cfg.CharBits)
 	ssp.End(telemetry.F("bits", stream.Len()))
-	res, err := core.CompressObservedCtx(ctx, stream, cfg, rec)
+	res, err := core.CompressWithPreloadObservedCtx(ctx, stream, cfg, nil, rec)
 	if err != nil {
 		return nil, err
 	}

@@ -1,9 +1,10 @@
 #!/bin/sh
 # Trace-overhead gate: the disabled-tracing compression path
-# (CompressObservedCtx with a span context in ctx and a nil recorder)
-# must stay within TOLERANCE_PCT of the disabled-telemetry baseline
-# (BenchmarkCompressTelemetryDisabled, the PR 6 acceptance benchmark),
-# and must allocate exactly as much per op. Both benchmarks run
+# (CompressWithPreloadObservedCtx with a span context in ctx, a nil
+# preload and a nil recorder) must stay within TOLERANCE_PCT of the
+# disabled-telemetry baseline (BenchmarkCompressTelemetryDisabled,
+# plain Compress on the same workload), and must allocate exactly as
+# much per op. Both benchmarks run
 # interleaved COUNT times; the minimum of each side is compared, which
 # filters scheduler noise better than means on shared runners.
 set -eu
