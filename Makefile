@@ -2,7 +2,7 @@ GO ?= go
 FUZZTIME ?= 10s
 BENCHTIME ?= 1x
 
-.PHONY: build vet vet-concurrency test race lzwtcvet lzwtcvet-baseline dict-oracle fuzz telemetry-overhead trace-overhead batch-bench kernel-bench text-bench bench-json bench-gate cover lzwtcd-smoke loadgen-smoke api-count verify
+.PHONY: build vet vet-concurrency test race lzwtcvet lzwtcvet-baseline dict-oracle fuzz telemetry-overhead trace-overhead batch-bench kernel-bench text-bench bench-json bench-gate bench-module cover lzwtcd-smoke loadgen-smoke api-count verify
 
 build:
 	$(GO) build ./...
@@ -124,10 +124,16 @@ bench-json:
 bench-gate:
 	$(GO) run ./cmd/benchgen -bench -benchtime=1s -check BENCH_14.json -tolerance=0.10
 
+# The end-to-end benchmark (cmd/lzwtcbench) is its own Go module, so
+# the root build and test never compile it: vet and test it here, so a
+# root API change that breaks the benchmark fails the gate.
+bench-module:
+	cd cmd/lzwtcbench && $(GO) vet ./... && $(GO) test ./...
+
 # Size report (never fails on the figures): the exported-API count and
 # the non-test Go line count, defined in scripts/api_count.go. Changes
 # report both before and after.
 api-count:
 	sh scripts/api_count.sh
 
-verify: build vet vet-concurrency test race lzwtcvet lzwtcvet-baseline dict-oracle fuzz telemetry-overhead trace-overhead batch-bench kernel-bench text-bench cover lzwtcd-smoke loadgen-smoke api-count
+verify: build vet vet-concurrency test race lzwtcvet lzwtcvet-baseline dict-oracle fuzz telemetry-overhead trace-overhead batch-bench kernel-bench text-bench bench-module cover lzwtcd-smoke loadgen-smoke api-count

@@ -3,6 +3,7 @@ package lzwtc
 import (
 	"context"
 
+	"lzwtc/internal/core"
 	"lzwtc/internal/parallel"
 )
 
@@ -62,20 +63,11 @@ func CompressBatch(ctx context.Context, jobs []BatchJob, opts BatchOptions) ([]B
 	for i, r := range results {
 		out[i] = BatchResult{Job: jobs[i], Err: r.Err}
 		if r.Err == nil {
-			out[i].Result = &Result{
-				Stream:       r.Res,
-				Width:        jobs[i].Set.Width,
-				OriginalBits: r.OriginalBits,
-				Patterns:     len(jobs[i].Set.Cubes),
-			}
+			out[i].Result = newResult(jobs[i].Set, jobs[i].Cfg, []*core.Result{r.Res}, []int{len(jobs[i].Set.Cubes)})
 		}
 	}
 	return out, err
 }
-
-// ShardedResult is one large test set compressed as independent
-// pattern-group shards; see CompressSharded.
-type ShardedResult = parallel.ShardedResult
 
 // CompressSharded splits one test set into shards of at most
 // patternsPerShard consecutive patterns and compresses them
@@ -83,12 +75,18 @@ type ShardedResult = parallel.ShardedResult
 // semantically a FullReset — decompression is exact — at a measured
 // ratio cost (each shard re-learns its dictionary). patternsPerShard
 // <= 0 compresses the whole set as one shard.
-func CompressSharded(ctx context.Context, ts *TestSet, cfg Config, patternsPerShard int, opts BatchOptions) (*ShardedResult, error) {
-	return parallel.CompressSharded(ctx, ts, cfg, patternsPerShard, opts)
+func CompressSharded(ctx context.Context, ts *TestSet, cfg Config, patternsPerShard int, opts BatchOptions) (*Result, error) {
+	return CompressShardedPreloaded(ctx, ts, cfg, nil, patternsPerShard, opts)
 }
 
-// DecompressSharded inverts CompressSharded: shards decompress
-// concurrently and concatenate in order into the fully specified set.
-func DecompressSharded(ctx context.Context, s *ShardedResult, opts BatchOptions) (*TestSet, error) {
-	return parallel.DecompressSharded(ctx, s, opts)
+// newResult assembles the Result of compressing ts as the given shards.
+func newResult(ts *TestSet, cfg Config, shards []*core.Result, patterns []int) *Result {
+	return &Result{
+		Cfg:           cfg,
+		Width:         ts.Width,
+		Patterns:      len(ts.Cubes),
+		OriginalBits:  ts.TotalBits(),
+		Shards:        shards,
+		ShardPatterns: patterns,
+	}
 }

@@ -360,9 +360,8 @@ func (c *Client) capError() error {
 	return fmt.Errorf("lzwtcd: response body exceeds the %d-byte client cap; raise Options.MaxResponseBytes if intended", c.opts.MaxResponseBytes)
 }
 
-// CompressResult is Compress followed by a local decode into a Result.
-// Only valid for unsharded compressions (a sharded container holds
-// multiple frames); sharded callers keep the raw container.
+// CompressResult is Compress followed by a local decode into a Result,
+// one shard per container frame.
 func (c *Client) CompressResult(ctx context.Context, ts *lzwtc.TestSet, cfg lzwtc.Config) (*lzwtc.Result, error) {
 	data, err := c.Compress(ctx, ts, cfg, CompressOptions{})
 	if err != nil {

@@ -161,47 +161,30 @@ func batch(ctx context.Context, args []string) error {
 	return nil
 }
 
-// runBatch is the unsharded path: one wire container (self-describing,
-// CRC32C per region, explicit EOS) + run record per job.
+// runBatch is the unsharded path: the pool runs whole jobs
+// concurrently, one shard each.
 func runBatch(ctx context.Context, jobs []lzwtc.BatchJob, opts lzwtc.BatchOptions, outDir string, agg *batchRecord) error {
 	results, err := lzwtc.CompressBatch(ctx, jobs, opts)
 	if err != nil {
 		return err
 	}
 	for i, r := range results {
-		agg.Results[i] = batchJobRecord{Name: r.Job.Name}
 		if r.Err != nil {
-			agg.Results[i].Error = r.Err.Error()
+			agg.Results[i] = batchJobRecord{Name: r.Job.Name, Error: r.Err.Error()}
 			continue
 		}
-		record := lzwtc.NewRunRecord(r.Result)
-		base := filepath.Join(outDir, r.Job.Name)
-		container, err := r.Result.EncodeWire()
-		if err != nil {
+		if err := writeJob(outDir, r.Job.Name, r.Result, &agg.Results[i]); err != nil {
 			return err
 		}
-		if err := os.WriteFile(base+".lzw", container, 0o644); err != nil {
-			return err
-		}
-		if err := writeJSON(base+".json", record); err != nil {
-			return err
-		}
-		agg.Results[i].Patterns = r.Result.Patterns
-		agg.Results[i].OriginalBits = r.Result.OriginalBits
-		agg.Results[i].CompressedBits = r.Result.CompressedBits()
-		agg.Results[i].Ratio = r.Result.Ratio()
 	}
 	return nil
 }
 
-// runShardedBatch compresses each set as pattern-group shards: one wire
-// container per job with one frame per shard (each frame independently
-// decompressible — a frame boundary is a FullReset) plus the job's
-// sharded run record.
+// runShardedBatch runs the jobs one after another, each split into
+// pattern-group shards that the pool compresses concurrently.
 func runShardedBatch(ctx context.Context, jobs []lzwtc.BatchJob, per int, opts lzwtc.BatchOptions, outDir string, agg *batchRecord) error {
 	for i, j := range jobs {
-		agg.Results[i] = batchJobRecord{Name: j.Name}
-		sr, err := lzwtc.CompressSharded(ctx, j.Set, j.Cfg, per, opts)
+		res, err := lzwtc.CompressSharded(ctx, j.Set, j.Cfg, per, opts)
 		if err != nil {
 			if ctx.Err() != nil {
 				return ctx.Err()
@@ -209,39 +192,43 @@ func runShardedBatch(ctx context.Context, jobs []lzwtc.BatchJob, per int, opts l
 			if opts.Policy == lzwtc.FailFast {
 				return fmt.Errorf("batch: job %q: %w", j.Name, err)
 			}
-			agg.Results[i].Error = err.Error()
+			agg.Results[i] = batchJobRecord{Name: j.Name, Error: err.Error()}
 			continue
 		}
-		base := filepath.Join(outDir, j.Name)
-		if err := writeShardedContainer(base+".lzw", sr); err != nil {
+		if err := writeJob(outDir, j.Name, res, &agg.Results[i]); err != nil {
 			return err
 		}
-		if err := writeJSON(base+".json", lzwtc.NewShardedRunRecord(sr)); err != nil {
-			return err
-		}
-		agg.Results[i].Patterns = sr.Patterns
-		agg.Results[i].OriginalBits = sr.OriginalBits
-		agg.Results[i].CompressedBits = sr.CompressedBits()
-		agg.Results[i].Ratio = sr.Ratio()
-		agg.Results[i].Shards = len(sr.Shards)
 	}
 	return nil
 }
 
-// writeShardedContainer streams a sharded result into one wire
-// container, one frame per shard.
-func writeShardedContainer(path string, sr *lzwtc.ShardedResult) error {
-	f, err := os.Create(path)
+// writeJob is the one output path of a finished job: its wire
+// container (self-describing, CRC32C per region, one frame per shard,
+// explicit EOS), its run record and its batch.json row. The row counts
+// shards, like the record lists them, only when there is more than one.
+func writeJob(outDir, name string, res *lzwtc.Result, row *batchJobRecord) error {
+	base := filepath.Join(outDir, name)
+	container, err := res.EncodeWire()
 	if err != nil {
 		return err
 	}
-	if err := lzwtc.WriteWireSharded(f, sr); err != nil {
-		if cerr := f.Close(); cerr != nil {
-			err = fmt.Errorf("%w (also closing %s: %v)", err, path, cerr)
-		}
+	if err := os.WriteFile(base+".lzw", container, 0o644); err != nil {
 		return err
 	}
-	return f.Close()
+	if err := writeJSON(base+".json", lzwtc.NewRunRecord(res)); err != nil {
+		return err
+	}
+	*row = batchJobRecord{
+		Name:           name,
+		Patterns:       res.Patterns,
+		OriginalBits:   res.OriginalBits,
+		CompressedBits: res.CompressedBits(),
+		Ratio:          res.Ratio(),
+	}
+	if len(res.Shards) > 1 {
+		row.Shards = len(res.Shards)
+	}
+	return nil
 }
 
 // readManifest parses the manifest into jobs with unique names.

@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -126,6 +128,80 @@ func TestBatchSubcommandSharded(t *testing.T) {
 	if len(ts.Cubes) != 8 {
 		t.Fatalf("sharded container decompresses to %d patterns, want 8", len(ts.Cubes))
 	}
+}
+
+// TestInfoShardedContainer: `lzwtc info` reads the multi-frame
+// container a sharded batch writes, and its JSON agrees with the run
+// record the batch wrote for the same job on every field a container
+// carries.
+func TestInfoShardedContainer(t *testing.T) {
+	dir, manifest := writeBatchFixture(t)
+	outDir := filepath.Join(dir, "out")
+	if err := batch(context.Background(), []string{"-manifest", manifest, "-out-dir", outDir, "-shard-patterns", "3"}); err != nil {
+		t.Fatalf("sharded batch: %v", err)
+	}
+	container := filepath.Join(outDir, "b.lzw")
+	out := captureStdout(t, func() error { return info([]string{"-json", "-in", container}) })
+	var got, want lzwtc.RunRecord
+	if err := json.Unmarshal(out, &got); err != nil {
+		t.Fatalf("info -json: %v\n%s", err, out)
+	}
+	data, err := os.ReadFile(filepath.Join(outDir, "b.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Shards) != 3 {
+		t.Fatalf("info reports %d shards, want 3", len(got.Shards))
+	}
+	if got.Patterns != want.Patterns || got.Width != want.Width || got.OriginalBits != want.OriginalBits {
+		t.Fatalf("geometry: info %d x %d (%d bits), record %d x %d (%d bits)",
+			got.Patterns, got.Width, got.OriginalBits, want.Patterns, want.Width, want.OriginalBits)
+	}
+	if got.Config != want.Config {
+		t.Fatalf("config: info %+v, record %+v", got.Config, want.Config)
+	}
+	gc, wc := got.Compress, want.Compress
+	if gc.CompressedBits != wc.CompressedBits || gc.CodesEmitted != wc.CodesEmitted || gc.Ratio != wc.Ratio {
+		t.Fatalf("compress: info %d bits / %d codes / %v, record %d bits / %d codes / %v",
+			gc.CompressedBits, gc.CodesEmitted, gc.Ratio, wc.CompressedBits, wc.CodesEmitted, wc.Ratio)
+	}
+	if !reflect.DeepEqual(got.Shards, want.Shards) {
+		t.Fatalf("shards: info %+v, record %+v", got.Shards, want.Shards)
+	}
+
+	text := captureStdout(t, func() error { return info([]string{"-in", container}) })
+	if !strings.Contains(string(text), "frames:          3\n") {
+		t.Fatalf("text info does not report 3 frames:\n%s", text)
+	}
+}
+
+// captureStdout runs fn with os.Stdout redirected and returns what it
+// printed.
+func captureStdout(t *testing.T, fn func() error) []byte {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	done := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		done <- b
+	}()
+	ferr := fn()
+	os.Stdout = stdout
+	w.Close()
+	out := <-done
+	r.Close()
+	if ferr != nil {
+		t.Fatal(ferr)
+	}
+	return out
 }
 
 // TestBatchMismatchedConfigFailsLoudly is the regression test for the

@@ -188,17 +188,13 @@ func compress(args []string) error {
 	if err != nil {
 		return err
 	}
+	res.Dict = ref
 	w, err := openOut(*out)
 	if err != nil {
 		return err
 	}
 	defer w.Close()
-	if ref != nil {
-		err = lzwtc.WriteWireDict(w, res, *ref)
-	} else {
-		err = lzwtc.WriteWireSharded(w, res)
-	}
-	if err != nil {
+	if err := res.WriteWire(w); err != nil {
 		return err
 	}
 	if err := w.Close(); err != nil {
@@ -279,12 +275,14 @@ func info(args []string) error {
 	if *jsonOut {
 		return infoJSON(res)
 	}
-	cfg := res.Stream.Cfg
+	cfg := res.Cfg
+	st := res.Stats()
 	fmt.Printf("patterns:        %d x %d bits (%d bits total)\n", res.Patterns, res.Width, res.OriginalBits)
 	fmt.Printf("configuration:   C_C=%d  N=%d (C_E=%d)  C_MDATA=%d  fill=%v tie=%v full=%v\n",
 		cfg.CharBits, cfg.DictSize, cfg.CodeBits(), cfg.EntryBits, cfg.Fill, cfg.Tie, cfg.Full)
 	fmt.Printf("compressed:      %d codes, %d bits (%.2f%% compression)\n",
-		len(res.Stream.Codes), res.CompressedBits(), 100*res.Ratio())
+		st.CodesEmitted, st.CompressedBits, 100*res.Ratio())
+	fmt.Printf("frames:          %d\n", len(res.Shards))
 	if res.Dict != nil {
 		fmt.Printf("dictionary:      %s (shared; decompress with -dict-store)\n", lzwtc.DictKey(res.Dict.Key))
 	}

@@ -84,8 +84,11 @@ func stats(ctx context.Context, args []string) error {
 	}
 
 	_, sp = rec.StartSpan(rctx, SpanStatsPack)
-	packed := res.Stream.Pack()
-	sp.End(telemetry.F("bytes", len(packed)))
+	packed := 0
+	for _, sh := range res.Shards {
+		packed += len(sh.Pack())
+	}
+	sp.End(telemetry.F("bytes", packed))
 
 	record := lzwtc.NewRunRecord(res)
 

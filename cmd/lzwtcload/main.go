@@ -247,27 +247,14 @@ func syntheticSet(patterns, width int) (*lzwtc.TestSet, error) {
 }
 
 // referenceContainer computes the container lzwtcd should answer with,
-// through the same batch/sharded pipeline the server runs.
+// through the same sharded pipeline the server runs (shard <= 0 is one
+// shard).
 func referenceContainer(ctx context.Context, ts *lzwtc.TestSet, cfg lzwtc.Config, shard int) ([]byte, error) {
-	var buf bytes.Buffer
-	if shard > 0 {
-		sr, err := lzwtc.CompressSharded(ctx, ts, cfg, shard, lzwtc.BatchOptions{})
-		if err != nil {
-			return nil, err
-		}
-		if err := lzwtc.WriteWireSharded(&buf, sr); err != nil {
-			return nil, err
-		}
-		return buf.Bytes(), nil
-	}
-	res, err := lzwtc.Compress(ts, cfg)
+	res, err := lzwtc.CompressSharded(ctx, ts, cfg, shard, lzwtc.BatchOptions{})
 	if err != nil {
 		return nil, err
 	}
-	if err := res.WriteWire(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return res.EncodeWire()
 }
 
 // report prints the client-side view.

@@ -95,16 +95,21 @@ func DecodeDictBlob(data []byte) (Config, *Preload, error) {
 // container (each frame reinstalls the preload). A nil pre is a cold
 // start and patternsPerShard <= 0 is one shard, so this one call covers
 // every compression the service runs.
-func CompressShardedPreloaded(ctx context.Context, ts *TestSet, cfg Config, pre *Preload, patternsPerShard int, opts BatchOptions) (*ShardedResult, error) {
-	return parallel.CompressShardedPreloaded(ctx, ts, cfg, pre, patternsPerShard, opts)
+func CompressShardedPreloaded(ctx context.Context, ts *TestSet, cfg Config, pre *Preload, patternsPerShard int, opts BatchOptions) (*Result, error) {
+	shards, patterns, err := parallel.CompressShardedPreloaded(ctx, ts, cfg, pre, patternsPerShard, opts)
+	if err != nil {
+		return nil, err
+	}
+	return newResult(ts, cfg, shards, patterns), nil
 }
 
-// WriteWireDict streams a preloaded compression as a wire container
-// whose 'D' frame names the dictionary: header, dictionary reference,
-// one frame per shard, EOS. The receiver resolves ref through its own
-// store and verifies the digest before decompressing.
-func WriteWireDict(w io.Writer, s *ShardedResult, ref DictRef) error {
-	return writeWire(w, s.Cfg, s.Width, s.Shards, s.ShardPatterns, &ref)
+// WriteWireDict is s.WriteWire(w) with ref as the dictionary the 'D'
+// frame names; s itself is not modified. The receiver resolves ref
+// through its own store and verifies the digest before decompressing.
+func WriteWireDict(w io.Writer, s *Result, ref DictRef) error {
+	r := *s
+	r.Dict = &ref
+	return r.WriteWire(w)
 }
 
 // DictEntryRef derives the container reference for a store entry.

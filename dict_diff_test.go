@@ -214,7 +214,7 @@ func TestDictDifferentialWireRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantShardSet, err := parallel.DecompressShardedPreloaded(ctx, sharded, ent.Pre, BatchOptions{})
+			wantShardSet, err := parallel.DecompressShardedPreloaded(ctx, sharded.Shards, sharded.Width, sharded.ShardPatterns, ent.Pre, BatchOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -66,7 +66,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	stream, stats, err := hw.Run(cres.Stream.Pack(), len(cres.Stream.Codes), cres.Stream.InputBits)
+	sh := cres.Shards[0] // Compress returns one shard: one code stream
+	stream, stats, err := hw.Run(sh.Pack(), len(sh.Codes), sh.InputBits)
 	if err != nil {
 		log.Fatal(err)
 	}

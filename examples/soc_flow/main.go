@@ -79,7 +79,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	stream, stats, err := hw.Run(res.Stream.Pack(), len(res.Stream.Codes), res.Stream.InputBits)
+	sh := res.Shards[0] // Compress returns one shard: one code stream
+	stream, stats, err := hw.Run(sh.Pack(), len(sh.Codes), sh.InputBits)
 	if err != nil {
 		log.Fatal(err)
 	}

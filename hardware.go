@@ -1,6 +1,9 @@
 package lzwtc
 
 import (
+	"fmt"
+
+	"lzwtc/internal/core"
 	"lzwtc/internal/decomp"
 )
 
@@ -17,7 +20,9 @@ type DownloadStats = decomp.Stats
 // (1 - compressedCycles/rawCycles).
 //
 // The configuration must be hardware-realizable: bounded entries
-// (EntryBits > 0) and the freeze dictionary-full policy.
+// (EntryBits > 0) and the freeze dictionary-full policy. The model
+// decodes one code stream, so a Result of more than one shard is
+// refused.
 func SimulateDownload(r *Result, clockRatio int) (*TestSet, *DownloadStats, float64, error) {
 	return SimulateDownloadObserved(r, clockRatio, nil)
 }
@@ -26,6 +31,20 @@ func SimulateDownload(r *Result, clockRatio int) (*TestSet, *DownloadStats, floa
 // closed form, without running the cycle simulation — useful for
 // parameter sweeps. It agrees exactly with SimulateDownload.
 func PredictDownloadCycles(r *Result, clockRatio int) (int, error) {
-	tc, _, err := decomp.Predict(r.Stream.Codes, r.Stream.Cfg, clockRatio)
+	sh, err := r.oneStream()
+	if err != nil {
+		return 0, err
+	}
+	tc, _, err := decomp.Predict(sh.Codes, r.Cfg, clockRatio)
 	return tc, err
+}
+
+// oneStream returns the Result's only code stream, the input the cycle
+// model runs. A multi-shard Result is refused rather than modelled by
+// its first shard alone.
+func (r *Result) oneStream() (*core.Result, error) {
+	if len(r.Shards) != 1 {
+		return nil, fmt.Errorf("lzwtc: the decompressor model runs one code stream; result has %d shards", len(r.Shards))
+	}
+	return r.Shards[0], nil
 }

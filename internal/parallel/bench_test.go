@@ -91,9 +91,9 @@ func BenchmarkShardedCompress(b *testing.B) {
 	monoRatio := 1 - float64(mono.Stats.CompressedBits)/float64(cs.TotalBits())
 	for _, per := range []int{32, 64, 128} {
 		b.Run(fmt.Sprintf("shard=%d", per), func(b *testing.B) {
-			var sr *ShardedResult
+			var shards []*core.Result
 			for i := 0; i < b.N; i++ {
-				sr, err = CompressSharded(context.Background(), cs, cfg, per, Options{})
+				shards, _, err = CompressShardedPreloaded(context.Background(), cs, cfg, nil, per, Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -102,8 +102,13 @@ func BenchmarkShardedCompress(b *testing.B) {
 			if secs > 0 {
 				b.ReportMetric(float64(p.Patterns*b.N)/secs, "patterns/s")
 			}
-			b.ReportMetric(100*sr.Ratio(), "ratio_%")
-			b.ReportMetric(100*(monoRatio-sr.Ratio()), "ratio_cost_pp")
+			bits := 0
+			for _, sh := range shards {
+				bits += sh.Stats.CompressedBits
+			}
+			ratio := 1 - float64(bits)/float64(cs.TotalBits())
+			b.ReportMetric(100*ratio, "ratio_%")
+			b.ReportMetric(100*(monoRatio-ratio), "ratio_cost_pp")
 		})
 	}
 }

@@ -33,6 +33,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 
 	"lzwtc/internal/bitvec"
 	"lzwtc/internal/core"
@@ -128,8 +129,9 @@ type Outcome[R any] struct {
 // one Outcome per item, at the item's index. The overall error is the
 // context's error if the run was canceled, else (under FailFast) the
 // first job error; under CollectAll per-job errors stay in the
-// outcomes. Map does not return until every worker goroutine has
-// exited.
+// outcomes. The calling goroutine is one of the workers, so a one-item
+// batch runs with no goroutine handoff; Map does not return until every
+// other worker goroutine has exited.
 func Map[T, R any](ctx context.Context, items []T, opts Options, fn func(ctx context.Context, index int, item T) (R, error)) ([]Outcome[R], error) {
 	out := make([]Outcome[R], len(items))
 	if len(items) == 0 {
@@ -151,50 +153,40 @@ func Map[T, R any](ctx context.Context, items []T, opts Options, fn func(ctx con
 	}
 
 	m := newPoolMetrics(opts.Recorder, len(items))
-	queue := make(chan int)
+	var next atomic.Int64            // index of the next job to claim
 	done := make([]bool, len(items)) // done[i] written only by i's worker
-	var wg sync.WaitGroup
-
-	wg.Add(1)
-	go func() { // feeder
-		defer wg.Done()
-		defer close(queue)
-		for i := range items {
-			select {
-			case queue <- i:
-				m.dispatched()
-			case <-inner.Done():
+	work := func(ctx context.Context) {
+		for ctx.Err() == nil {
+			i := int(next.Add(1) - 1)
+			if i >= len(items) {
 				return
 			}
+			m.dispatched()
+			jctx, sp := m.jobStart(ctx)
+			r, err := runRecovered(jctx, i, items[i], fn)
+			m.jobEnd(sp, i, err)
+			out[i] = Outcome[R]{Value: r, Err: err}
+			done[i] = true
+			if err != nil && opts.Policy == FailFast {
+				fail(err)
+			}
 		}
-	}()
+	}
 
+	var wg sync.WaitGroup
 	workers := opts.workerCount(len(items))
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			for i := range queue {
-				if inner.Err() != nil {
-					// Canceled after dispatch: leave the slot for the
-					// post-wait sweep so it reports the cancellation
-					// cause, not a partial run.
-					continue
-				}
-				jctx, sp := m.jobStart(inner)
-				r, err := runRecovered(jctx, i, items[i], fn)
-				m.jobEnd(sp, i, err)
-				out[i] = Outcome[R]{Value: r, Err: err}
-				done[i] = true
-				if err != nil && opts.Policy == FailFast {
-					fail(err)
-				}
-			}
+			work(inner)
 		}()
 	}
+	work(inner)
 	wg.Wait()
 
-	// Jobs the cancellation raced past: report why they did not run.
+	// Jobs the cancellation stopped before they were claimed: report
+	// why they did not run.
 	if inner.Err() != nil {
 		skip := ErrSkipped
 		if ctx.Err() != nil {
@@ -280,9 +272,8 @@ func CompressJobs(ctx context.Context, jobs []Job, opts Options) ([]JobResult, e
 	return results, err
 }
 
-// compressJob runs one job body: validate, serialize aligned, compress.
-// ctx carries the job's trace span, so serialization and the core
-// phases attribute under it.
+// compressJob runs one job body: validate, then the shared compress
+// body with a cold start.
 func compressJob(ctx context.Context, j Job, rec *telemetry.Recorder) (*core.Result, error) {
 	if err := j.Cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("parallel: job %q: %w", j.Name, err)
@@ -290,10 +281,7 @@ func compressJob(ctx context.Context, j Job, rec *telemetry.Recorder) (*core.Res
 	if j.Set == nil || len(j.Set.Cubes) == 0 {
 		return nil, fmt.Errorf("parallel: job %q: empty test set", j.Name)
 	}
-	_, ssp := rec.StartSpan(ctx, core.SpanSerialize)
-	stream := j.Set.SerializeAligned(j.Cfg.CharBits)
-	ssp.End(telemetry.F("bits", stream.Len()))
-	res, err := core.CompressWithPreloadObservedCtx(ctx, stream, j.Cfg, nil, rec)
+	res, err := compressGroup(ctx, j.Set, j.Cfg, nil, rec)
 	if err != nil {
 		return nil, fmt.Errorf("parallel: job %q: %w", j.Name, err)
 	}

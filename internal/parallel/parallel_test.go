@@ -346,6 +346,56 @@ func TestPoolPanicTelemetry(t *testing.T) {
 	}
 }
 
+// TestMapSingleJob: a one-item Map, which runs entirely on the caller's
+// goroutine, keeps the pool's contract — value, policy-dependent error,
+// panic containment, pre-canceled context and pool telemetry.
+func TestMapSingleJob(t *testing.T) {
+	boom := errors.New("job failed")
+	for _, tc := range []struct {
+		name    string
+		policy  ErrorPolicy
+		job     func() (int, error)
+		wantErr error // overall error
+		panics  bool
+	}{
+		{"ok", FailFast, func() (int, error) { return 7, nil }, nil, false},
+		{"failfast", FailFast, func() (int, error) { return 0, boom }, boom, false},
+		{"collect", CollectAll, func() (int, error) { return 0, boom }, nil, false},
+		{"panic", CollectAll, func() (int, error) { panic("boom") }, nil, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := telemetry.NewRegistry()
+			rec := telemetry.New(reg)
+			outcomes, err := Map(context.Background(), []int{0}, Options{Policy: tc.policy, Recorder: rec},
+				func(context.Context, int, int) (int, error) { return tc.job() })
+			if !errors.Is(err, tc.wantErr) || (tc.wantErr == nil && err != nil) {
+				t.Fatalf("overall error = %v, want %v", err, tc.wantErr)
+			}
+			var pe *PanicError
+			if got := errors.As(outcomes[0].Err, &pe); got != tc.panics {
+				t.Fatalf("outcome error = %v, panic wanted: %v", outcomes[0].Err, tc.panics)
+			}
+			counters := map[string]int64{}
+			for _, c := range reg.Snapshot().Counters {
+				counters[c.Name] = c.Value
+			}
+			if counters[MetricJobs] != 1 || (counters[MetricJobPanics] == 1) != tc.panics {
+				t.Fatalf("jobs/panics counters = %d/%d", counters[MetricJobs], counters[MetricJobPanics])
+			}
+		})
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	ran := false
+	outcomes, err := Map(ctx, []int{0}, Options{}, func(context.Context, int, int) (int, error) {
+		ran = true
+		return 0, nil
+	})
+	if !errors.Is(err, context.Canceled) || !errors.Is(outcomes[0].Err, context.Canceled) || ran {
+		t.Fatalf("pre-canceled single job: err %v, outcome %v, ran %v", err, outcomes[0].Err, ran)
+	}
+}
+
 func TestParsePolicy(t *testing.T) {
 	for _, p := range []ErrorPolicy{FailFast, CollectAll} {
 		got, err := ParsePolicy(p.String())

@@ -9,9 +9,9 @@ import (
 	"lzwtc/internal/telemetry"
 )
 
-// ShardedResult is one large test set compressed as independent
-// pattern-group shards. Each shard was compressed with a fresh
-// dictionary, so a shard boundary is semantically a FullReset: the
+// Sharding compresses one large test set as independent pattern-group
+// shards. Each shard starts from the same dictionary state (empty, or
+// one preload), so a shard boundary is semantically a FullReset: the
 // decompressor state at each boundary is exactly the initial state,
 // and decompression is exact shard by shard. Because every pattern is
 // padded to a character boundary (SerializeAligned), shard streams
@@ -19,41 +19,8 @@ import (
 //
 // The price is compression ratio: each shard re-learns the dictionary
 // from scratch, so short shards never reach the long strings the tail
-// of a monolithic run emits. CompressSharded measures that cost (it is
-// reported, never guessed): Ratio here vs the unsharded ratio on the
-// same set.
-type ShardedResult struct {
-	// Cfg is the shared configuration every shard was compressed under.
-	Cfg core.Config
-	// Width is the original pattern width.
-	Width int
-	// Patterns is the total pattern count across shards.
-	Patterns int
-	// OriginalBits is the unpadded volume of the whole set.
-	OriginalBits int
-	// Shards holds each pattern group's independent compression.
-	Shards []*core.Result
-	// ShardPatterns is the pattern count of each shard, in order.
-	ShardPatterns []int
-}
-
-// CompressedBits returns the total compressed volume across shards.
-func (s *ShardedResult) CompressedBits() int {
-	total := 0
-	for _, sh := range s.Shards {
-		total += sh.Stats.CompressedBits
-	}
-	return total
-}
-
-// Ratio returns the aggregate compression ratio against the unpadded
-// original volume.
-func (s *ShardedResult) Ratio() float64 {
-	if s.OriginalBits == 0 {
-		return 0
-	}
-	return 1 - float64(s.CompressedBits())/float64(s.OriginalBits)
-}
+// of a monolithic run emits. The per-shard ratio histogram
+// (MetricShardRatio) measures that cost rather than guessing it.
 
 // SplitPatterns partitions a cube set into shards of at most
 // patternsPerShard consecutive patterns (the per-pattern-group split:
@@ -75,27 +42,21 @@ func SplitPatterns(cs *bitvec.CubeSet, patternsPerShard int) []*bitvec.CubeSet {
 	return shards
 }
 
-// CompressSharded splits one test set into per-pattern-group shards and
-// compresses them concurrently, each with its own dictionary. Sharding
-// is all-or-nothing: any shard failure (or cancellation) fails the
-// whole call, regardless of Options.Policy, because a partial shard
-// sequence cannot be decompressed into the set.
-func CompressSharded(ctx context.Context, cs *bitvec.CubeSet, cfg core.Config, patternsPerShard int, opts Options) (*ShardedResult, error) {
-	return CompressShardedPreloaded(ctx, cs, cfg, nil, patternsPerShard, opts)
-}
-
-// CompressShardedPreloaded is CompressSharded with a warm-start
-// dictionary: every shard starts from the same preload (a shard
-// boundary reinstalls it rather than cold-starting), so the container
-// form matches the wire 'D'-frame semantics. FullReset configs are
-// rejected by the underlying preloaded compressor. A nil pre is a cold
-// start.
-func CompressShardedPreloaded(ctx context.Context, cs *bitvec.CubeSet, cfg core.Config, pre *core.Preload, patternsPerShard int, opts Options) (*ShardedResult, error) {
+// CompressShardedPreloaded splits one test set into per-pattern-group
+// shards and compresses them concurrently, every shard starting from
+// the same preload (a nil pre is a cold start; FullReset configs are
+// rejected by the preloaded compressor when pre is set). It returns
+// each shard's compression and pattern count, in order;
+// patternsPerShard <= 0 is one shard. Sharding is all-or-nothing: any
+// shard failure (or cancellation) fails the whole call, regardless of
+// Options.Policy, because a partial shard sequence cannot be
+// decompressed into the set.
+func CompressShardedPreloaded(ctx context.Context, cs *bitvec.CubeSet, cfg core.Config, pre *core.Preload, patternsPerShard int, opts Options) ([]*core.Result, []int, error) {
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if cs == nil || len(cs.Cubes) == 0 {
-		return nil, fmt.Errorf("parallel: empty test set")
+		return nil, nil, fmt.Errorf("parallel: empty test set")
 	}
 	groups := SplitPatterns(cs, patternsPerShard)
 	shardOpts := opts
@@ -103,10 +64,7 @@ func CompressShardedPreloaded(ctx context.Context, cs *bitvec.CubeSet, cfg core.
 
 	ratioHist := shardRatioHist(opts.Recorder)
 	outcomes, err := Map(ctx, groups, shardOpts, func(jctx context.Context, _ int, g *bitvec.CubeSet) (*core.Result, error) {
-		_, ssp := opts.Recorder.StartSpan(jctx, core.SpanSerialize)
-		stream := g.SerializeAligned(cfg.CharBits)
-		ssp.End(telemetry.F("bits", stream.Len()))
-		res, e := core.CompressWithPreloadObservedCtx(jctx, stream, cfg, pre, opts.Recorder)
+		res, e := compressGroup(jctx, g, cfg, pre, opts.Recorder)
 		if e != nil {
 			return nil, e
 		}
@@ -116,64 +74,74 @@ func CompressShardedPreloaded(ctx context.Context, cs *bitvec.CubeSet, cfg core.
 		return res, nil
 	})
 	if err != nil {
-		return nil, fmt.Errorf("parallel: sharded compression: %w", err)
+		return nil, nil, fmt.Errorf("parallel: sharded compression: %w", err)
 	}
 
-	out := &ShardedResult{
-		Cfg:          cfg,
-		Width:        cs.Width,
-		Patterns:     len(cs.Cubes),
-		OriginalBits: cs.TotalBits(),
-		Shards:       make([]*core.Result, len(groups)),
-		ShardPatterns: func() []int {
-			ns := make([]int, len(groups))
-			for i, g := range groups {
-				ns[i] = len(g.Cubes)
-			}
-			return ns
-		}(),
-	}
+	shards := make([]*core.Result, len(groups))
+	patterns := make([]int, len(groups))
 	for i, o := range outcomes {
-		out.Shards[i] = o.Value
+		shards[i] = o.Value
+		patterns[i] = len(groups[i].Cubes)
 	}
 	if reg := opts.Recorder.Registry(); reg != nil {
 		reg.Counter(MetricShards, "shards compressed").Add(int64(len(groups)))
 	}
-	return out, nil
+	return shards, patterns, nil
 }
 
-// DecompressSharded inverts CompressSharded: each shard decompresses
-// independently (fresh dictionary — the FullReset boundary semantics)
-// and the pattern groups concatenate in order. The output is exact:
-// byte-identical to decompressing each shard sequentially.
-func DecompressSharded(ctx context.Context, s *ShardedResult, opts Options) (*bitvec.CubeSet, error) {
-	return DecompressShardedPreloaded(ctx, s, nil, opts)
+// compressGroup is the one compress body behind batch jobs and shards:
+// serialize the pattern group aligned under a SpanSerialize span, then
+// compress it from pre (nil is a cold start). ctx carries the job's
+// trace span, so serialization and the core phases attribute under it.
+func compressGroup(ctx context.Context, g *bitvec.CubeSet, cfg core.Config, pre *core.Preload, rec *telemetry.Recorder) (*core.Result, error) {
+	_, ssp := rec.StartSpan(ctx, core.SpanSerialize)
+	stream := g.SerializeAligned(cfg.CharBits)
+	ssp.End(telemetry.F("bits", stream.Len()))
+	return core.CompressWithPreloadObservedCtx(ctx, stream, cfg, pre, rec)
 }
 
 // DecompressShardedPreloaded inverts CompressShardedPreloaded: each
-// shard decompresses with the preload reinstalled (a nil pre is a cold
-// start).
-func DecompressShardedPreloaded(ctx context.Context, s *ShardedResult, pre *core.Preload, opts Options) (*bitvec.CubeSet, error) {
+// shard decompresses concurrently with the preload reinstalled (a nil
+// pre is a cold start — the FullReset boundary semantics) and the
+// pattern groups concatenate in order. The output is exact:
+// byte-identical to decompressing each shard sequentially.
+func DecompressShardedPreloaded(ctx context.Context, shards []*core.Result, width int, patterns []int, pre *core.Preload, opts Options) (*bitvec.CubeSet, error) {
 	shardOpts := opts
 	shardOpts.Policy = FailFast
-	outcomes, err := Map(ctx, s.Shards, shardOpts, func(jctx context.Context, _ int, sh *core.Result) (*bitvec.CubeSet, error) {
-		stream, e := core.DecompressWithPreloadObservedCtx(jctx, sh.Codes, s.Cfg, pre, sh.InputBits, opts.Recorder)
+	outcomes, err := Map(ctx, shards, shardOpts, func(jctx context.Context, i int, sh *core.Result) (*bitvec.CubeSet, error) {
+		set, e := DecodeShard(jctx, sh, width, patterns[i], pre, opts.Recorder)
 		if e != nil {
-			return nil, e
+			return nil, fmt.Errorf("shard %d: %w", i, e)
 		}
-		return bitvec.DeserializeAligned(stream, s.Width, s.Cfg.CharBits)
+		return set, nil
 	})
 	if err != nil {
 		return nil, fmt.Errorf("parallel: sharded decompression: %w", err)
 	}
-	out := bitvec.NewCubeSet(s.Width)
-	for i, o := range outcomes {
-		if got := len(o.Value.Cubes); got != s.ShardPatterns[i] {
-			return nil, fmt.Errorf("parallel: shard %d decompressed to %d patterns, want %d", i, got, s.ShardPatterns[i])
-		}
+	out := bitvec.NewCubeSet(width)
+	for _, o := range outcomes {
 		out.Cubes = append(out.Cubes, o.Value.Cubes...)
 	}
 	return out, nil
+}
+
+// DecodeShard is the one frame decode body behind every decompressor
+// of codes: decompress sh from pre (nil is a cold start), split the
+// stream back into patterns of the given width, and check the pattern
+// count the container or compressor recorded for the shard.
+func DecodeShard(ctx context.Context, sh *core.Result, width, patterns int, pre *core.Preload, rec *telemetry.Recorder) (*bitvec.CubeSet, error) {
+	stream, err := core.DecompressWithPreloadObservedCtx(ctx, sh.Codes, sh.Cfg, pre, sh.InputBits, rec)
+	if err != nil {
+		return nil, err
+	}
+	set, err := bitvec.DeserializeAligned(stream, width, sh.Cfg.CharBits)
+	if err != nil {
+		return nil, err
+	}
+	if len(set.Cubes) != patterns {
+		return nil, fmt.Errorf("decompressed to %d patterns, want %d", len(set.Cubes), patterns)
+	}
+	return set, nil
 }
 
 // shardRatioHist resolves the per-shard ratio histogram, nil-safe.

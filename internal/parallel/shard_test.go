@@ -23,14 +23,18 @@ func TestShardedDecompressionExact(t *testing.T) {
 	cs := testSet(11, 37, 41, 0.7)
 	cfg := shardConfig()
 	for _, per := range []int{1, 4, 10, 37, 1000} {
-		sr, err := CompressSharded(context.Background(), cs, cfg, per, Options{Workers: 3})
+		shards, patterns, err := CompressShardedPreloaded(context.Background(), cs, cfg, nil, per, Options{Workers: 3})
 		if err != nil {
 			t.Fatalf("per=%d: %v", per, err)
 		}
-		if sr.Patterns != len(cs.Cubes) || sr.OriginalBits != cs.TotalBits() {
-			t.Fatalf("per=%d: geometry %d/%d", per, sr.Patterns, sr.OriginalBits)
+		total := 0
+		for _, n := range patterns {
+			total += n
 		}
-		got, err := DecompressSharded(context.Background(), sr, Options{Workers: 3})
+		if len(patterns) != len(shards) || total != len(cs.Cubes) {
+			t.Fatalf("per=%d: %d shards with %d patterns, want %d patterns", per, len(shards), total, len(cs.Cubes))
+		}
+		got, err := DecompressShardedPreloaded(context.Background(), shards, cs.Width, patterns, nil, Options{Workers: 3})
 		if err != nil {
 			t.Fatalf("per=%d decompress: %v", per, err)
 		}
@@ -84,14 +88,14 @@ func TestShardedMatchesSequentialShards(t *testing.T) {
 		want[i] = res.Pack()
 	}
 	for _, workers := range []int{1, runtime.NumCPU(), 2 * runtime.NumCPU()} {
-		sr, err := CompressSharded(context.Background(), cs, cfg, per, Options{Workers: workers})
+		shards, _, err := CompressShardedPreloaded(context.Background(), cs, cfg, nil, per, Options{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if len(sr.Shards) != len(groups) {
-			t.Fatalf("workers=%d: %d shards, want %d", workers, len(sr.Shards), len(groups))
+		if len(shards) != len(groups) {
+			t.Fatalf("workers=%d: %d shards, want %d", workers, len(shards), len(groups))
 		}
-		for i, sh := range sr.Shards {
+		for i, sh := range shards {
 			if !bytes.Equal(sh.Pack(), want[i]) {
 				t.Fatalf("workers=%d: shard %d stream differs from sequential", workers, i)
 			}
@@ -100,8 +104,7 @@ func TestShardedMatchesSequentialShards(t *testing.T) {
 }
 
 // TestShardRatioCostMeasured: sharding costs ratio (fresh dictionaries
-// per shard) and the aggregate accounting reflects it — compressed
-// volume is the sum of shards and the ratio is no better than the
+// per shard) — the summed shard volume is no smaller than the
 // monolithic run on a workload with cross-pattern structure.
 func TestShardRatioCostMeasured(t *testing.T) {
 	cs := testSet(13, 120, 64, 0.8)
@@ -111,19 +114,16 @@ func TestShardRatioCostMeasured(t *testing.T) {
 		t.Fatal(err)
 	}
 	monoRatio := 1 - float64(mono.Stats.CompressedBits)/float64(cs.TotalBits())
-	sr, err := CompressSharded(context.Background(), cs, cfg, 10, Options{})
+	shards, _, err := CompressShardedPreloaded(context.Background(), cs, cfg, nil, 10, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sum := 0
-	for _, sh := range sr.Shards {
+	for _, sh := range shards {
 		sum += sh.Stats.CompressedBits
 	}
-	if sum != sr.CompressedBits() {
-		t.Fatalf("CompressedBits %d != shard sum %d", sr.CompressedBits(), sum)
-	}
-	if sr.Ratio() > monoRatio+1e-9 {
-		t.Fatalf("sharded ratio %.4f beats monolithic %.4f — dictionary reset cost vanished", sr.Ratio(), monoRatio)
+	if ratio := 1 - float64(sum)/float64(cs.TotalBits()); ratio > monoRatio+1e-9 {
+		t.Fatalf("sharded ratio %.4f beats monolithic %.4f — dictionary reset cost vanished", ratio, monoRatio)
 	}
 }
 
@@ -131,7 +131,7 @@ func TestShardTelemetry(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	rec := telemetry.New(reg)
 	cs := testSet(14, 30, 32, 0.6)
-	sr, err := CompressSharded(context.Background(), cs, shardConfig(), 5, Options{Recorder: rec})
+	shards, _, err := CompressShardedPreloaded(context.Background(), cs, shardConfig(), nil, 5, Options{Recorder: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,11 +148,11 @@ func TestShardTelemetry(t *testing.T) {
 			histCount = h.Count
 		}
 	}
-	if shardCount != int64(len(sr.Shards)) {
-		t.Fatalf("%s = %d, want %d", MetricShards, shardCount, len(sr.Shards))
+	if shardCount != int64(len(shards)) {
+		t.Fatalf("%s = %d, want %d", MetricShards, shardCount, len(shards))
 	}
-	if histCount != int64(len(sr.Shards)) {
-		t.Fatalf("%s observations = %d, want %d", MetricShardRatio, histCount, len(sr.Shards))
+	if histCount != int64(len(shards)) {
+		t.Fatalf("%s observations = %d, want %d", MetricShardRatio, histCount, len(shards))
 	}
 }
 

@@ -96,7 +96,7 @@ func TestShardedTraceLinkage(t *testing.T) {
 
 	cs := testSet(9, 40, 61, 0.8)
 	cfg := core.Config{CharBits: 4, DictSize: 64, EntryBits: 16}
-	if _, err := CompressSharded(ctx, cs, cfg, 10, Options{Workers: 2, Recorder: rec}); err != nil {
+	if _, _, err := CompressShardedPreloaded(ctx, cs, cfg, nil, 10, Options{Workers: 2, Recorder: rec}); err != nil {
 		t.Fatal(err)
 	}
 	root.End()

@@ -101,11 +101,11 @@ func (s *Server) compressJob(req compressRequest) jobs.RunFunc {
 			WithProcess(processName)
 		pr.SetTotal(shardTotal(len(req.ts.Cubes), req.shard))
 		var buf bytes.Buffer
-		sr, err := s.compressToWire(ctx, nil, &buf, req, rec)
+		res, err := s.compressToWire(ctx, nil, &buf, req, rec)
 		if err != nil {
 			return nil, err
 		}
-		return &jobs.Payload{Data: buf.Bytes(), Patterns: sr.Patterns, Ratio: sr.Ratio()}, nil
+		return &jobs.Payload{Data: buf.Bytes(), Patterns: res.Patterns, Ratio: res.Ratio()}, nil
 	}
 }
 

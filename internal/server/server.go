@@ -597,7 +597,7 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if sr, err := s.compressToWire(ctx, w.Header(), w, req, s.rec); err != nil && sr == nil {
+	if res, err := s.compressToWire(ctx, w.Header(), w, req, s.rec); err != nil && res == nil {
 		s.mapError(w, r, err)
 	}
 	// A write failure after the headers went out is left as is: the
@@ -704,46 +704,33 @@ func hasMediaType(h, mt string) bool {
 // endpoint and the job runner. Unsharded is one shard and no
 // dictionary is a nil preload, so every request runs
 // CompressShardedPreloaded; the container then goes out through
-// writeContainer. h (nil for a job, whose result headers come from its
+// WriteWireObserved, with a 'D' frame exactly when the request named a
+// dictionary. h (nil for a job, whose result headers come from its
 // status) receives the response headers before the first container
 // byte reaches w. A nil result with an error means nothing was
 // written; a result with an error means the write failed part way.
-func (s *Server) compressToWire(ctx context.Context, h http.Header, w io.Writer, req compressRequest, rec *telemetry.Recorder) (*lzwtc.ShardedResult, error) {
+func (s *Server) compressToWire(ctx context.Context, h http.Header, w io.Writer, req compressRequest, rec *telemetry.Recorder) (*lzwtc.Result, error) {
 	opts := lzwtc.BatchOptions{Workers: s.cfg.Workers, Policy: lzwtc.FailFast, Recorder: rec}
-	sr, err := lzwtc.CompressShardedPreloaded(ctx, req.ts, req.cfg, req.pre, req.shard, opts)
+	res, err := lzwtc.CompressShardedPreloaded(ctx, req.ts, req.cfg, req.pre, req.shard, opts)
 	if err != nil {
 		return nil, err
 	}
+	res.Dict = req.ref
 	if h != nil {
 		h.Set("Content-Type", "application/octet-stream")
-		h.Set(HeaderPatterns, strconv.Itoa(sr.Patterns))
-		h.Set(HeaderWidth, strconv.Itoa(sr.Width))
-		h.Set(HeaderRatio, strconv.FormatFloat(sr.Ratio(), 'g', -1, 64))
-		h.Set(HeaderShards, strconv.Itoa(len(sr.Shards)))
-		if req.ref != nil {
-			h.Set(HeaderDictKey, dictstore.Key(req.ref.Key).String())
+		h.Set(HeaderPatterns, strconv.Itoa(res.Patterns))
+		h.Set(HeaderWidth, strconv.Itoa(res.Width))
+		h.Set(HeaderRatio, strconv.FormatFloat(res.Ratio(), 'g', -1, 64))
+		h.Set(HeaderShards, strconv.Itoa(len(res.Shards)))
+		if res.Dict != nil {
+			h.Set(HeaderDictKey, dictstore.Key(res.Dict.Key).String())
 		}
 	}
-	if err := writeContainer(ctx, w, sr, req.ref, rec); err != nil {
-		return sr, err
+	if err := res.WriteWireObserved(ctx, w, rec); err != nil {
+		return res, err
 	}
-	s.patternsIn.Add(int64(sr.Patterns))
-	return sr, nil
-}
-
-// writeContainer is the one observed container writer: it frames sr
-// under a SpanWireEncode span and emits a 'D' frame exactly when ref
-// is non-nil.
-func writeContainer(ctx context.Context, w io.Writer, sr *lzwtc.ShardedResult, ref *lzwtc.DictRef, rec *telemetry.Recorder) error {
-	_, sp := rec.StartSpan(ctx, lzwtc.SpanWireEncode)
-	var err error
-	if ref != nil {
-		err = lzwtc.WriteWireDict(w, sr, *ref)
-	} else {
-		err = lzwtc.WriteWireSharded(w, sr)
-	}
-	sp.End(telemetry.F("frames", len(sr.Shards)), telemetry.F("ok", err == nil))
-	return err
+	s.patternsIn.Add(int64(res.Patterns))
+	return res, nil
 }
 
 // handleDecompress streams a wire container out of the body and returns

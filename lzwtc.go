@@ -30,6 +30,7 @@ import (
 
 	"lzwtc/internal/bitvec"
 	"lzwtc/internal/core"
+	"lzwtc/internal/parallel"
 )
 
 // Bit is a three-valued test-data bit: Zero, One or X (don't-care).
@@ -90,17 +91,25 @@ type Stats = core.Stats
 // Code is one compressed LZW code.
 type Code = core.Code
 
-// Result is a compressed test set.
+// Result is a compressed test set: one or more pattern-group shards,
+// each an independent code stream. Every shard starts from the same
+// dictionary state, so a shard boundary is the paper's FullReset and
+// needs no new decompressor hardware; an unsharded compression is one
+// shard. WriteWire emits one wire frame per shard.
 type Result struct {
-	// Stream is the underlying compressed bit-stream result.
-	Stream *core.Result
+	// Cfg is the configuration every shard was compressed under.
+	Cfg Config
 	// Width is the pattern width of the original set.
 	Width int
+	// Patterns is the original pattern count.
+	Patterns int
 	// OriginalBits is the unpadded test-set volume; compression ratios
 	// are computed against it.
 	OriginalBits int
-	// Patterns is the original pattern count.
-	Patterns int
+	// Shards holds each pattern group's code stream, in order.
+	Shards []*core.Result
+	// ShardPatterns is the pattern count of each shard, in order.
+	ShardPatterns []int
 	// Dict names the shared dictionary the codes were compressed from,
 	// and is nil for a cold start. WriteWire carries it as a 'D' frame.
 	// Decompress and SimulateDownload cannot resolve it and fail with
@@ -108,6 +117,10 @@ type Result struct {
 	// DecompressWireDict.
 	Dict *DictRef
 }
+
+// ShardedResult is an alias of Result for callers that name the
+// sharded form.
+type ShardedResult = Result
 
 // needsNoDict is the check in front of every decoder of a Result that
 // starts from an empty dictionary.
@@ -124,14 +137,35 @@ func (r *Result) Ratio() float64 {
 	if r.OriginalBits == 0 {
 		return 0
 	}
-	return 1 - float64(r.Stream.Stats.CompressedBits)/float64(r.OriginalBits)
+	return 1 - float64(r.CompressedBits())/float64(r.OriginalBits)
 }
 
-// CompressedBits returns the compressed volume in bits.
-func (r *Result) CompressedBits() int { return r.Stream.Stats.CompressedBits }
+// CompressedBits returns the compressed volume in bits, summed across
+// shards.
+func (r *Result) CompressedBits() int { return r.Stats().CompressedBits }
 
-// Stats returns the detailed compression statistics.
-func (r *Result) Stats() Stats { return r.Stream.Stats }
+// Stats returns the compression statistics aggregated across shards:
+// counts summed, MaxMatchChars and MaxEntryChars maximised. For one
+// shard it is that shard's statistics.
+func (r *Result) Stats() Stats {
+	var st Stats
+	for _, sh := range r.Shards {
+		s := sh.Stats
+		st.InputBits += s.InputBits
+		st.Chars += s.Chars
+		st.CodesEmitted += s.CodesEmitted
+		st.CompressedBits += s.CompressedBits
+		st.LiteralCodes += s.LiteralCodes
+		st.StringCodes += s.StringCodes
+		st.DictEntries += s.DictEntries
+		st.DictResets += s.DictResets
+		st.ResidualFills += s.ResidualFills
+		st.DynamicFills += s.DynamicFills
+		st.MaxMatchChars = max(st.MaxMatchChars, s.MaxMatchChars)
+		st.MaxEntryChars = max(st.MaxEntryChars, s.MaxEntryChars)
+	}
+	return st
+}
 
 // Compress compresses a test set under the given configuration.
 //
@@ -139,29 +173,27 @@ func (r *Result) Stats() Stats { return r.Stream.Stats }
 // bits) to the next character boundary — the hardware decompressor
 // flushes its output shifter at the capture cycle between patterns —
 // and the stream is compressed with dynamic don't-care assignment.
+// The Result has one shard.
 func Compress(ts *TestSet, cfg Config) (*Result, error) {
 	return CompressObservedCtx(context.Background(), ts, cfg, nil)
 }
 
 // Decompress reconstructs the fully specified test set a decompressor
 // would deliver to the scan chain: every original care bit preserved,
-// every don't-care concretized.
+// every don't-care concretized. Shards decompress concurrently and
+// concatenate in order.
 func Decompress(r *Result) (*TestSet, error) {
 	if err := r.needsNoDict(); err != nil {
 		return nil, err
 	}
-	stream, err := core.Decompress(r.Stream.Codes, r.Stream.Cfg, r.Stream.InputBits)
-	if err != nil {
-		return nil, err
-	}
-	return DecompressedSetFromStream(stream, r)
+	return parallel.DecompressShardedPreloaded(context.Background(), r.Shards, r.Width, r.ShardPatterns, nil, BatchOptions{})
 }
 
 // DecompressedSetFromStream splits a concrete scan stream — e.g. the
 // output of the cycle-accurate hardware decompressor model — back into
 // the test set's patterns, dropping per-pattern alignment padding.
 func DecompressedSetFromStream(stream *Pattern, r *Result) (*TestSet, error) {
-	return bitvec.DeserializeAligned(stream, r.Width, r.Stream.Cfg.CharBits)
+	return bitvec.DeserializeAligned(stream, r.Width, r.Cfg.CharBits)
 }
 
 // Verify checks that a decompressed (fully specified) test set preserves

@@ -1,6 +1,8 @@
 package lzwtc
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -203,7 +205,7 @@ func TestEndToEndSoCFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stream, _, err := hw.Run(res.Stream.Pack(), len(res.Stream.Codes), res.Stream.InputBits)
+	stream, _, err := hw.Run(res.Shards[0].Pack(), len(res.Shards[0].Codes), res.Shards[0].InputBits)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +246,7 @@ func TestSimulateDownload(t *testing.T) {
 	if err := Verify(ts, filled); err != nil {
 		t.Fatal(err)
 	}
-	if stats.CodesDecoded != len(res.Stream.Codes) {
+	if stats.CodesDecoded != len(res.Shards[0].Codes) {
 		t.Fatalf("decoded %d codes", stats.CodesDecoded)
 	}
 	if imp <= -1 || imp >= 1 {
@@ -265,5 +267,47 @@ func TestSimulateDownload(t *testing.T) {
 	}
 	if _, _, _, err := SimulateDownload(res2, 8); err == nil {
 		t.Fatal("unbounded config accepted")
+	}
+}
+
+// TestHardwareEntryPointsRefuseShards: the cycle model decodes one
+// code stream, so every hardware entry point runs a one-shard Result
+// and refuses a multi-shard one with an error naming the shard count.
+func TestHardwareEntryPointsRefuseShards(t *testing.T) {
+	ts := conformanceSet(7, 12, 20, 0.6)
+	cfg := Config{CharBits: 4, DictSize: 64, EntryBits: 16}
+	entries := map[string]func(*Result) error{
+		"SimulateDownload": func(r *Result) error {
+			_, _, _, err := SimulateDownload(r, 8)
+			return err
+		},
+		"SimulateDownloadObserved": func(r *Result) error {
+			_, _, _, err := SimulateDownloadObserved(r, 8, nil)
+			return err
+		},
+		"PredictDownloadCycles": func(r *Result) error {
+			_, err := PredictDownloadCycles(r, 8)
+			return err
+		},
+	}
+	for _, tc := range []struct {
+		per, shards int
+	}{{0, 1}, {4, 3}} {
+		res, err := CompressSharded(context.Background(), ts, cfg, tc.per, BatchOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Shards) != tc.shards {
+			t.Fatalf("per=%d: %d shards, want %d", tc.per, len(res.Shards), tc.shards)
+		}
+		for name, run := range entries {
+			err := run(res)
+			switch {
+			case tc.shards == 1 && err != nil:
+				t.Errorf("%s on one shard: %v", name, err)
+			case tc.shards > 1 && (err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%d shards", tc.shards))):
+				t.Errorf("%s on %d shards: got %v, want an error naming the shard count", name, tc.shards, err)
+			}
+		}
 	}
 }

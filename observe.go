@@ -2,10 +2,8 @@ package lzwtc
 
 import (
 	"context"
-	"fmt"
 
 	"lzwtc/internal/ate"
-	"lzwtc/internal/core"
 	"lzwtc/internal/decomp"
 	"lzwtc/internal/mem"
 	"lzwtc/internal/telemetry"
@@ -19,25 +17,13 @@ type Recorder = telemetry.Recorder
 // CompressObservedCtx is Compress instrumented through a telemetry
 // recorder and a trace context: per-code histograms into the
 // recorder's registry, a compress.run event to its sinks, and, when
-// ctx carries a trace span, serialization and the core phases as child
-// spans, so a request trace attributes the whole single-stream
-// pipeline. It is the one body behind Compress, which calls it with a
-// nil recorder.
+// ctx carries a trace span, the batch job, serialization and the core
+// phases as child spans, so a request trace attributes the whole
+// pipeline. It is the one-shard call of CompressShardedPreloaded, the
+// call the service makes for an unsharded request; Compress calls it
+// with a nil recorder.
 func CompressObservedCtx(ctx context.Context, ts *TestSet, cfg Config, rec *Recorder) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if len(ts.Cubes) == 0 {
-		return nil, fmt.Errorf("lzwtc: empty test set")
-	}
-	_, ssp := rec.StartSpan(ctx, core.SpanSerialize)
-	stream := ts.SerializeAligned(cfg.CharBits)
-	ssp.End(telemetry.F("bits", stream.Len()))
-	res, err := core.CompressWithPreloadObservedCtx(ctx, stream, cfg, nil, rec)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Stream: res, Width: ts.Width, OriginalBits: ts.TotalBits(), Patterns: len(ts.Cubes)}, nil
+	return CompressShardedPreloaded(ctx, ts, cfg, nil, 0, BatchOptions{Recorder: rec})
 }
 
 // SimulateDownloadObserved is SimulateDownload instrumented through a
@@ -49,7 +35,11 @@ func SimulateDownloadObserved(r *Result, clockRatio int, rec *Recorder) (*TestSe
 	if err := r.needsNoDict(); err != nil {
 		return nil, nil, 0, err
 	}
-	cfg := r.Stream.Cfg
+	sh, err := r.oneStream()
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	cfg := r.Cfg
 	words, width := decomp.MemoryGeometry(cfg)
 	shared := mem.NewShared(mem.New(words, width))
 	shared.Select(mem.SrcLZW)
@@ -62,7 +52,7 @@ func SimulateDownloadObserved(r *Result, clockRatio int, rec *Recorder) (*TestSe
 	// (each pattern is padded to a character boundary).
 	cc := cfg.CharBits
 	hw.SetPatternBits((r.Width + cc - 1) / cc * cc)
-	stream, stats, err := hw.Run(r.Stream.Pack(), len(r.Stream.Codes), r.Stream.InputBits)
+	stream, stats, err := hw.Run(sh.Pack(), len(sh.Codes), sh.InputBits)
 	if err != nil {
 		return nil, nil, 0, err
 	}

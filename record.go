@@ -19,8 +19,8 @@ type RunRecord struct {
 	Config       ConfigRecord        `json:"config"`
 	Compress     CompressRecord      `json:"compress"`
 	Decompressor *DecompressorRecord `json:"decompressor,omitempty"`
-	// Shards is present for sharded compressions: one entry per
-	// pattern-group shard, in order. The Compress section then carries
+	// Shards is present for results of more than one shard: one entry
+	// per pattern-group shard, in order. The Compress section carries
 	// the aggregate (counts summed, maxima taken across shards).
 	Shards []ShardRecord `json:"shards,omitempty"`
 }
@@ -90,12 +90,13 @@ type DecompressorRecord struct {
 }
 
 // NewRunRecord builds the record for a compressed result. The compress
-// section carries whatever the Result's Stats hold — complete after a
-// live compression, partial after decoding a container.
+// section carries the Result's aggregate Stats — complete after a live
+// compression, partial after decoding a container. A Result of more
+// than one shard also gets the per-shard breakdown in Shards.
 func NewRunRecord(r *Result) RunRecord {
-	cfg := r.Stream.Cfg
-	st := r.Stream.Stats
-	return RunRecord{
+	cfg := r.Cfg
+	st := r.Stats()
+	rec := RunRecord{
 		Empty:        r.OriginalBits == 0 || st.Empty(),
 		Patterns:     r.Patterns,
 		Width:        r.Width,
@@ -125,60 +126,17 @@ func NewRunRecord(r *Result) RunRecord {
 			DynamicFills:   st.DynamicFills,
 		},
 	}
-}
-
-// NewShardedRunRecord builds the record for a sharded compression: the
-// compress section aggregates across shards (counts summed, maxima
-// taken) and Shards carries the per-shard breakdown.
-func NewShardedRunRecord(s *ShardedResult) RunRecord {
-	cfg := s.Cfg
-	rec := RunRecord{
-		Empty:        s.OriginalBits == 0,
-		Patterns:     s.Patterns,
-		Width:        s.Width,
-		OriginalBits: s.OriginalBits,
-		Config: ConfigRecord{
-			CharBits:  cfg.CharBits,
-			DictSize:  cfg.DictSize,
-			CodeBits:  cfg.CodeBits(),
-			EntryBits: cfg.EntryBits,
-			Fill:      cfg.Fill.String(),
-			Tie:       cfg.Tie.String(),
-			Full:      cfg.Full.String(),
-		},
-		Shards: make([]ShardRecord, len(s.Shards)),
-	}
-	c := &rec.Compress
-	for i, sh := range s.Shards {
-		st := sh.Stats
-		c.InputBits += st.InputBits
-		c.Chars += st.Chars
-		c.CodesEmitted += st.CodesEmitted
-		c.CompressedBits += st.CompressedBits
-		c.LiteralCodes += st.LiteralCodes
-		c.StringCodes += st.StringCodes
-		c.DictEntries += st.DictEntries
-		c.DictResets += st.DictResets
-		c.ResidualFills += st.ResidualFills
-		c.DynamicFills += st.DynamicFills
-		if st.MaxMatchChars > c.MaxMatchChars {
-			c.MaxMatchChars = st.MaxMatchChars
-		}
-		if st.MaxEntryChars > c.MaxEntryChars {
-			c.MaxEntryChars = st.MaxEntryChars
-		}
-		shardBits := s.ShardPatterns[i] * s.Width
-		shardRatio := 0.0
-		if shardBits > 0 {
-			shardRatio = 1 - float64(st.CompressedBits)/float64(shardBits)
-		}
-		rec.Shards[i] = ShardRecord{
-			Patterns:       s.ShardPatterns[i],
-			CompressedBits: st.CompressedBits,
-			Ratio:          shardRatio,
+	if len(r.Shards) > 1 {
+		rec.Shards = make([]ShardRecord, len(r.Shards))
+		for i, sh := range r.Shards {
+			bits := r.ShardPatterns[i] * r.Width
+			ratio := 0.0
+			if bits > 0 {
+				ratio = 1 - float64(sh.Stats.CompressedBits)/float64(bits)
+			}
+			rec.Shards[i] = ShardRecord{Patterns: r.ShardPatterns[i], CompressedBits: sh.Stats.CompressedBits, Ratio: ratio}
 		}
 	}
-	c.Ratio = s.Ratio()
 	return rec
 }
 

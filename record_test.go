@@ -1,8 +1,11 @@
 package lzwtc
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -61,14 +64,14 @@ func TestRunRecordSchema(t *testing.T) {
 	if err := json.Unmarshal(b, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.Compress.CodesEmitted != res.Stream.Stats.CodesEmitted {
+	if back.Compress.CodesEmitted != res.Shards[0].Stats.CodesEmitted {
 		t.Fatalf("round trip lost codes_emitted: %d vs %d",
-			back.Compress.CodesEmitted, res.Stream.Stats.CodesEmitted)
+			back.Compress.CodesEmitted, res.Shards[0].Stats.CodesEmitted)
 	}
 	if back.Decompressor == nil || back.Decompressor.TesterCycles != st.TesterCycles {
 		t.Fatalf("round trip lost decompressor record: %+v", back.Decompressor)
 	}
-	if back.Compress.MatchLenHist == nil || back.Compress.MatchLenHist.Count != int64(res.Stream.Stats.CodesEmitted) {
+	if back.Compress.MatchLenHist == nil || back.Compress.MatchLenHist.Count != int64(res.Shards[0].Stats.CodesEmitted) {
 		t.Fatalf("round trip lost match-length histogram: %+v", back.Compress.MatchLenHist)
 	}
 }
@@ -144,5 +147,43 @@ func TestSimulateDownloadObservedPatternEvents(t *testing.T) {
 	}
 	if patterns != len(ts.Cubes) {
 		t.Fatalf("pattern events = %d, want %d", patterns, len(ts.Cubes))
+	}
+}
+
+// TestRunRecordGoldens pins NewRunRecord byte for byte for one
+// conformance case, unsharded and at 5 patterns per shard, against the
+// records under testdata/records: the compress section aggregates
+// across shards and the per-shard rows appear exactly when there is
+// more than one shard.
+func TestRunRecordGoldens(t *testing.T) {
+	var c conformanceCase
+	for _, cc := range conformanceCases() {
+		if cc.name == "cc4-freeze" {
+			c = cc
+		}
+	}
+	ts := c.build()
+	for _, tc := range []struct {
+		golden string
+		per    int
+	}{
+		{"cc4-freeze.json", 0},
+		{"cc4-freeze-shard5.json", 5},
+	} {
+		res, err := CompressSharded(context.Background(), ts, c.cfg, tc.per, BatchOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := json.MarshalIndent(NewRunRecord(res), "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(filepath.Join("testdata", "records", tc.golden))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(append(got, '\n'), want) {
+			t.Fatalf("%s: record differs from the golden\ngot:\n%s", tc.golden, got)
+		}
 	}
 }

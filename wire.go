@@ -6,8 +6,8 @@ import (
 	"fmt"
 	"io"
 
-	"lzwtc/internal/bitvec"
 	"lzwtc/internal/core"
+	"lzwtc/internal/parallel"
 	"lzwtc/internal/telemetry"
 	"lzwtc/internal/wire"
 )
@@ -28,36 +28,30 @@ const (
 	SpanWireDecode = "wire.decode" // parse + verify + decompress a container
 )
 
-// writeWire is the one container writer behind every WriteWire entry
-// point: the CRC-protected header carrying the full Config and pattern
-// width, a 'D' frame exactly when ref is non-nil, one data frame per
-// shard in order, and the explicit EOS frame.
-func writeWire(w io.Writer, cfg Config, width int, shards []*core.Result, patterns []int, ref *DictRef) error {
-	ww, err := wire.NewWriter(w, wire.Header{Cfg: cfg, Width: width})
+// WriteWire streams a Result to w in the versioned wire format: a
+// CRC-protected header carrying the full Config and pattern width, a
+// 'D' frame exactly when r.Dict is set, one data frame per shard in
+// order, and an explicit EOS frame. The output is tamper-evident
+// (per-region CRC32C) and truncation-evident (missing EOS). Each data
+// frame is independently decompressible (a frame boundary is a
+// FullReset), so a streaming reader can decompress shard by shard in
+// constant memory.
+func (r *Result) WriteWire(w io.Writer) error {
+	ww, err := wire.NewWriter(w, wire.Header{Cfg: r.Cfg, Width: r.Width})
 	if err != nil {
 		return err
 	}
-	if ref != nil {
-		if err := ww.WriteDictRef(*ref); err != nil {
+	if r.Dict != nil {
+		if err := ww.WriteDictRef(*r.Dict); err != nil {
 			return err
 		}
 	}
-	for i, sh := range shards {
-		if err := ww.WriteResult(sh, patterns[i]); err != nil {
+	for i, sh := range r.Shards {
+		if err := ww.WriteResult(sh, r.ShardPatterns[i]); err != nil {
 			return err
 		}
 	}
 	return ww.Close()
-}
-
-// WriteWire streams a Result to w in the versioned wire format: a
-// CRC-protected header carrying the full Config and pattern width, a
-// 'D' frame when r.Dict is set, one data frame with the code stream,
-// and an explicit EOS frame. The
-// output is tamper-evident (per-region CRC32C) and truncation-evident
-// (missing EOS).
-func (r *Result) WriteWire(w io.Writer) error {
-	return writeWire(w, r.Stream.Cfg, r.Width, []*core.Result{r.Stream}, []int{r.Patterns}, r.Dict)
 }
 
 // WriteWireObserved is WriteWire wrapped in a SpanWireEncode trace
@@ -67,7 +61,7 @@ func (r *Result) WriteWire(w io.Writer) error {
 func (r *Result) WriteWireObserved(ctx context.Context, w io.Writer, rec *Recorder) error {
 	_, sp := rec.StartSpan(ctx, SpanWireEncode)
 	err := r.WriteWire(w)
-	sp.End(telemetry.F("frames", 1), telemetry.F("ok", err == nil))
+	sp.End(telemetry.F("frames", len(r.Shards)), telemetry.F("ok", err == nil))
 	return err
 }
 
@@ -80,53 +74,53 @@ func (r *Result) EncodeWire() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// WriteWireSharded streams a sharded compression as one container with
-// a frame per shard. Each frame is independently decompressible (a
-// frame boundary is a FullReset), so a streaming reader can decompress
-// shard by shard in constant memory.
-func WriteWireSharded(w io.Writer, s *ShardedResult) error {
-	return writeWire(w, s.Cfg, s.Width, s.Shards, s.ShardPatterns, nil)
-}
+// WriteWireSharded is s.WriteWire(w).
+func WriteWireSharded(w io.Writer, s *Result) error { return s.WriteWire(w) }
 
-// DecodeWireResult parses a single-frame wire container back into a
-// Result. Multi-frame (sharded) containers are rejected — their frames
-// have independent dictionary states and cannot merge into one code
-// stream; use DecompressWire for those. A 'D' frame's reference lands
-// in Result.Dict; the Result carries no preload, so such a container
-// decompresses through DecompressWireDict.
+// DecodeWireResult parses a wire container back into a Result, one
+// shard per data frame. A frame carries its codes, input length and
+// pattern count, so the Result's statistics hold the code counts and
+// compressed volume but none of the compressor's match or fill counts.
+// A 'D' frame's reference lands in Result.Dict; the Result carries no
+// preload, so such a container decompresses through
+// DecompressWireDict.
 func DecodeWireResult(data []byte) (*Result, error) {
 	wr, err := wire.NewReader(bytes.NewReader(data))
 	if err != nil {
 		return nil, err
 	}
 	hdr := wr.Header()
-	f, err := wr.ReadFrame()
-	if err != nil {
+	out := &Result{Cfg: hdr.Cfg, Width: hdr.Width}
+	for {
+		f, err := wr.ReadFrame()
 		if err == io.EOF {
-			return nil, fmt.Errorf("lzwtc: wire container has no data frames")
+			break
 		}
-		return nil, err
-	}
-	if _, err := wr.ReadFrame(); err != io.EOF {
-		if err == nil {
-			return nil, fmt.Errorf("lzwtc: wire container has multiple frames; use DecompressWire")
+		if err != nil {
+			return nil, err
 		}
-		return nil, err
+		out.Shards = append(out.Shards, frameShard(hdr.Cfg, f))
+		out.ShardPatterns = append(out.ShardPatterns, f.Patterns)
+		out.Patterns += f.Patterns
 	}
-	res := &core.Result{Cfg: hdr.Cfg, Codes: f.Codes, InputBits: f.InputBits}
-	res.Stats.InputBits = f.InputBits
-	res.Stats.CodesEmitted = len(f.Codes)
-	res.Stats.CompressedBits = len(f.Codes) * hdr.Cfg.CodeBits()
-	out := &Result{
-		Stream:       res,
-		Width:        hdr.Width,
-		OriginalBits: hdr.Width * f.Patterns,
-		Patterns:     f.Patterns,
+	if len(out.Shards) == 0 {
+		return nil, fmt.Errorf("lzwtc: wire container has no data frames")
 	}
+	out.OriginalBits = hdr.Width * out.Patterns
 	if ref, ok := wr.DictRef(); ok {
 		out.Dict = &ref
 	}
 	return out, nil
+}
+
+// frameShard is the shard a data frame carries, with the statistics the
+// frame determines: input bits, code count and compressed volume.
+func frameShard(cfg Config, f *wire.Frame) *core.Result {
+	sh := &core.Result{Cfg: cfg, Codes: f.Codes, InputBits: f.InputBits}
+	sh.Stats.InputBits = f.InputBits
+	sh.Stats.CodesEmitted = len(f.Codes)
+	sh.Stats.CompressedBits = len(f.Codes) * cfg.CodeBits()
+	return sh
 }
 
 // DecompressWire streams any wire container — single-frame or sharded —
@@ -197,17 +191,9 @@ func decompressWireDict(ctx context.Context, r io.Reader, res DictResolver, rec 
 			}
 		}
 		// A nil preload is a cold start.
-		stream, err := core.DecompressWithPreloadObservedCtx(ctx, f.Codes, hdr.Cfg, pre, f.InputBits, rec)
+		group, err := parallel.DecodeShard(ctx, frameShard(hdr.Cfg, f), hdr.Width, f.Patterns, pre, rec)
 		if err != nil {
 			return nil, wr.Frames(), fmt.Errorf("lzwtc: wire frame %d: %w", wr.Frames()-1, err)
-		}
-		group, err := bitvec.DeserializeAligned(stream, hdr.Width, hdr.Cfg.CharBits)
-		if err != nil {
-			return nil, wr.Frames(), fmt.Errorf("lzwtc: wire frame %d: %w", wr.Frames()-1, err)
-		}
-		if len(group.Cubes) != f.Patterns {
-			return nil, wr.Frames(), fmt.Errorf("lzwtc: wire frame %d decompressed to %d patterns, want %d",
-				wr.Frames()-1, len(group.Cubes), f.Patterns)
 		}
 		out.Cubes = append(out.Cubes, group.Cubes...)
 	}

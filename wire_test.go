@@ -32,21 +32,24 @@ func TestWireRoundTripConformance(t *testing.T) {
 			if err != nil {
 				t.Fatalf("decode: %v", err)
 			}
-			if back.Stream.Cfg != res.Stream.Cfg {
-				t.Fatalf("config: got %+v, want %+v", back.Stream.Cfg, res.Stream.Cfg)
+			if len(back.Shards) != 1 {
+				t.Fatalf("decoded %d shards from a one-frame container", len(back.Shards))
+			}
+			if back.Cfg != res.Cfg {
+				t.Fatalf("config: got %+v, want %+v", back.Cfg, res.Cfg)
 			}
 			if back.Width != res.Width || back.Patterns != res.Patterns {
 				t.Fatalf("geometry: got %dx%d, want %dx%d", back.Patterns, back.Width, res.Patterns, res.Width)
 			}
-			if back.Stream.InputBits != res.Stream.InputBits {
-				t.Fatalf("input bits: got %d, want %d", back.Stream.InputBits, res.Stream.InputBits)
+			if back.Shards[0].InputBits != res.Shards[0].InputBits {
+				t.Fatalf("input bits: got %d, want %d", back.Shards[0].InputBits, res.Shards[0].InputBits)
 			}
-			if len(back.Stream.Codes) != len(res.Stream.Codes) {
-				t.Fatalf("codes: got %d, want %d", len(back.Stream.Codes), len(res.Stream.Codes))
+			if len(back.Shards[0].Codes) != len(res.Shards[0].Codes) {
+				t.Fatalf("codes: got %d, want %d", len(back.Shards[0].Codes), len(res.Shards[0].Codes))
 			}
-			for i := range back.Stream.Codes {
-				if back.Stream.Codes[i] != res.Stream.Codes[i] {
-					t.Fatalf("code %d: got %d, want %d", i, back.Stream.Codes[i], res.Stream.Codes[i])
+			for i := range back.Shards[0].Codes {
+				if back.Shards[0].Codes[i] != res.Shards[0].Codes[i] {
+					t.Fatalf("code %d: got %d, want %d", i, back.Shards[0].Codes[i], res.Shards[0].Codes[i])
 				}
 			}
 
@@ -73,8 +76,10 @@ func TestWireRoundTripConformance(t *testing.T) {
 }
 
 // TestWireShardedRoundTrip streams a sharded compression into one
-// container and decompresses it frame by frame, matching the parallel
-// engine's DecompressSharded output exactly.
+// container and decompresses it frame by frame, matching the in-process
+// decompression of the sharded Result exactly. The container also
+// decodes back into a Result of one shard per frame that re-encodes
+// byte for byte and decompresses to the same set.
 func TestWireShardedRoundTrip(t *testing.T) {
 	for _, c := range conformanceCases()[:6] {
 		c := c
@@ -88,7 +93,7 @@ func TestWireShardedRoundTrip(t *testing.T) {
 			if err := WriteWireSharded(&buf, sr); err != nil {
 				t.Fatal(err)
 			}
-			want, err := DecompressSharded(context.Background(), sr, BatchOptions{})
+			want, err := Decompress(sr)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -98,10 +103,25 @@ func TestWireShardedRoundTrip(t *testing.T) {
 			}
 			assertSetsEqual(t, want, got)
 
-			// A multi-frame container is not one Result.
-			if _, err := DecodeWireResult(buf.Bytes()); err == nil {
-				t.Fatal("multi-frame container decoded as a single Result")
+			decoded, err := DecodeWireResult(buf.Bytes())
+			if err != nil {
+				t.Fatal(err)
 			}
+			if len(decoded.Shards) != len(sr.Shards) {
+				t.Fatalf("decoded %d shards, want %d", len(decoded.Shards), len(sr.Shards))
+			}
+			var again bytes.Buffer
+			if err := decoded.WriteWire(&again); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(again.Bytes(), buf.Bytes()) {
+				t.Fatal("decoded container does not re-encode byte for byte")
+			}
+			back, err := Decompress(decoded)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSetsEqual(t, got, back)
 		})
 	}
 }
