@@ -56,6 +56,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzWireRoundTrip -fuzztime=$(FUZZTIME) ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzPlanesDecode -fuzztime=$(FUZZTIME) ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzPlanesRoundTrip -fuzztime=$(FUZZTIME) ./internal/wire
+	$(GO) test -run='^$$' -fuzz=FuzzContainerDecode -fuzztime=$(FUZZTIME) .
 	$(GO) test -run='^$$' -fuzz=FuzzDictBlobDecode -fuzztime=$(FUZZTIME) ./internal/dictstore
 	$(GO) test -run='^$$' -fuzz=FuzzDictStoreRoundTrip -fuzztime=$(FUZZTIME) ./internal/dictstore
 

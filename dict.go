@@ -61,7 +61,7 @@ func Train(ts *TestSet, cfg Config, maxEntries int) (*Preload, error) {
 	if len(ts.Cubes) == 0 {
 		return nil, fmt.Errorf("lzwtc: empty training set")
 	}
-	return core.Train(ts.SerializeAligned(cfg.CharBits), cfg, maxEntries)
+	return core.TrainSet(ts, cfg, maxEntries)
 }
 
 // DictKeyFor derives the content address a training set compresses

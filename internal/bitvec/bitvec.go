@@ -216,7 +216,7 @@ func putBits(plane []uint64, pos, n int, x uint64) {
 
 // copyRange overwrites bits [dpos, dpos+n) of v with bits
 // [spos, spos+n) of src, 64 bits of each plane per step. It is the one
-// bit-range copier under Concat, SerializeAligned, Deserialize and
+// bit-range copier under Concat, SerializeAligned and
 // DeserializeAligned.
 func (v *Vector) copyRange(dpos int, src *Vector, spos, n int) {
 	if dpos < 0 || spos < 0 || n < 0 || dpos+n > v.n || spos+n > src.n {
@@ -576,36 +576,26 @@ func DeserializeAligned(stream *Vector, width, charBits int) (*CubeSet, error) {
 	if stream.Len()%w != 0 {
 		return nil, fmt.Errorf("bitvec: stream length %d not a multiple of padded width %d", stream.Len(), w)
 	}
-	return split(stream, width, w), nil
+	cs := MakeCubeSet(width, stream.n/w)
+	for i, v := range cs.Cubes {
+		v.copyRange(0, stream, i*w, width)
+	}
+	return cs, nil
 }
 
-// Deserialize splits a stream back into cubes of the set's width.
-// The stream length must be a multiple of Width.
-func Deserialize(stream *Vector, width int) (*CubeSet, error) {
-	if width <= 0 {
-		return nil, fmt.Errorf("bitvec: invalid width %d", width)
-	}
-	if stream.Len()%width != 0 {
-		return nil, fmt.Errorf("bitvec: stream length %d not a multiple of width %d", stream.Len(), width)
-	}
-	return split(stream, width, width), nil
-}
-
-// split cuts the first width bits of every stride-bit slot of stream
-// into a cube. The count is known, so the arena takes every cube from
-// one chunk: three allocations per set instead of three per cube.
-func split(stream *Vector, width, stride int) *CubeSet {
+// MakeCubeSet returns a set of count all-X cubes of the given width. The
+// count is known, so every cube comes from one arena chunk: three
+// allocations per set instead of three per cube. A decoder fills the
+// cubes in place through Planes, keeping the Vector invariants.
+func MakeCubeSet(width, count int) *CubeSet {
 	cs := NewCubeSet(width)
-	count := stream.n / stride
-	if count == 0 {
+	if count <= 0 {
 		return cs
 	}
 	a := cubeArena{width: width, chunk: count}
 	cs.Cubes = make([]*Vector, count)
 	for i := range cs.Cubes {
-		v := a.next()
-		v.copyRange(0, stream, i*stride, width)
-		cs.Cubes[i] = v
+		cs.Cubes[i] = a.next()
 	}
 	return cs
 }

@@ -195,7 +195,7 @@ func TestCubeSetSerializeDeserialize(t *testing.T) {
 	if got := stream.String(); got != "01XX1X10XXXX" {
 		t.Fatalf("Serialize = %q", got)
 	}
-	back, err := Deserialize(stream, 4)
+	back, err := DeserializeAligned(stream, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,8 +204,8 @@ func TestCubeSetSerializeDeserialize(t *testing.T) {
 			t.Fatalf("cube %d: %q != %q", i, cs.Cubes[i], back.Cubes[i])
 		}
 	}
-	if _, err := Deserialize(stream, 5); err == nil {
-		t.Fatal("Deserialize accepted bad width")
+	if _, err := DeserializeAligned(stream, 5, 1); err == nil {
+		t.Fatal("DeserializeAligned accepted bad width")
 	}
 }
 

@@ -102,16 +102,6 @@ func refDeserializeAligned(stream *Vector, width, charBits int) (*CubeSet, error
 	return refSplit(stream, width, w), nil
 }
 
-func refDeserialize(stream *Vector, width int) (*CubeSet, error) {
-	if width <= 0 {
-		return nil, fmt.Errorf("bitvec: invalid width %d", width)
-	}
-	if stream.Len()%width != 0 {
-		return nil, fmt.Errorf("bitvec: stream length %d not a multiple of width %d", stream.Len(), width)
-	}
-	return refSplit(stream, width, width), nil
-}
-
 func refReadCubes(r io.Reader) (*CubeSet, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<24)
@@ -391,8 +381,8 @@ func randomSet(rng *rand.Rand, width, n int, xProb float64) *CubeSet {
 }
 
 // TestAlignedMatchesPerBit drives the shared bit-range copier through
-// SerializeAligned, DeserializeAligned, Deserialize and Concat over
-// widths 1-300 and charBits 1-16 against the per-bit references.
+// SerializeAligned, DeserializeAligned and Concat over widths 1-300 and
+// charBits 1-16 against the per-bit references.
 func TestAlignedMatchesPerBit(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for width := 1; width <= 300; width++ {
@@ -411,12 +401,6 @@ func TestAlignedMatchesPerBit(t *testing.T) {
 				}
 			}
 		}
-		stream := randomVector(rng, width*rng.Intn(4), 0.3)
-		got, err := Deserialize(stream, width)
-		want, werr := refDeserialize(stream, width)
-		if err != nil || werr != nil || !sameSet(got, want) {
-			t.Fatalf("width %d: Deserialize (%v) differs from reference (%v)", width, err, werr)
-		}
 		parts := []*Vector{randomVector(rng, width, 0.4), randomVector(rng, rng.Intn(130), 0.4), randomVector(rng, width, 0.4)}
 		if got, want := Concat(parts...), refConcat(parts...); !got.Equal(want) {
 			t.Fatalf("width %d: Concat = %s, reference %s", width, got, want)
@@ -432,21 +416,17 @@ func TestAlignedErrorsMatchPerBit(t *testing.T) {
 		if !sameErr(err, werr) || !sameSet(got, want) {
 			t.Fatalf("DeserializeAligned(%d, %d) = %v, reference %v", tc.width, tc.charBits, err, werr)
 		}
-		got, err = Deserialize(stream, tc.width)
-		want, werr = refDeserialize(stream, tc.width)
-		if !sameErr(err, werr) || !sameSet(got, want) {
-			t.Fatalf("Deserialize(%d) = %v, reference %v", tc.width, err, werr)
-		}
 	}
 }
 
-// TestDeserializeCubesAreIsolated checks the shared backing array:
-// every cube's planes are capacity-capped, so appending to one cube's
-// plane cannot write into its neighbour.
+// TestDeserializeCubesAreIsolated checks the shared backing array of
+// MakeCubeSet, under DeserializeAligned: every cube's planes are
+// capacity-capped, so appending to one cube's plane cannot write into
+// its neighbour.
 func TestDeserializeCubesAreIsolated(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	stream := randomVector(rng, 3*130, 0.3)
-	cs, err := Deserialize(stream, 130)
+	cs, err := DeserializeAligned(stream, 130, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

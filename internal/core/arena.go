@@ -52,6 +52,11 @@ func acquireDict(cfg Config, rec *telemetry.Recorder) *dict {
 	return newDict(cfg)
 }
 
+// maxPooledCodes caps the code column a pooled dictionary keeps: 4 MiB
+// of codes. A larger column, left by one huge body, is dropped on
+// release rather than pinned in the arena.
+const maxPooledCodes = 1 << 20
+
 // releaseDict checks a dictionary back into the arena. Safe on nil. The
 // dict must not be referenced by the caller afterwards; every acquire
 // path reinitializes before use, so stale contents can never leak into
@@ -59,6 +64,9 @@ func acquireDict(cfg Config, rec *telemetry.Recorder) *dict {
 func releaseDict(d *dict) {
 	if d == nil {
 		return
+	}
+	if cap(d.emit) > maxPooledCodes {
+		d.emit = nil
 	}
 	dictPool.Put(d)
 }

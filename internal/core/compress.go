@@ -12,8 +12,8 @@ import (
 
 // Stats summarizes one compression run.
 type Stats struct {
-	InputBits      int // uncompressed stream length (before char padding)
-	Chars          int // characters consumed (ceil(InputBits/C_C))
+	InputBits      int // input length: patterns × padded width for a set, Len for a bare stream
+	Chars          int // characters consumed (⌈Width/C_C⌉ per pattern)
 	CodesEmitted   int // total codes in the output
 	CompressedBits int // CodesEmitted * C_E
 	LiteralCodes   int // emitted codes in the literal range
@@ -111,27 +111,36 @@ func (ev TraceEvent) String() string {
 		ev.Step, ev.Buffer, ev.BufferStr, ev.Input, ev.RawInput, em, ne)
 }
 
-// Compress compresses a three-valued stream under cfg.
+// Compress compresses a three-valued stream under cfg. The stream is a
+// one-cube set, so its InputBits is its own length rather than the
+// padded one.
 func Compress(stream *bitvec.Vector, cfg Config) (*Result, error) {
-	return CompressWithPreloadObservedCtx(context.Background(), stream, cfg, nil, nil)
+	return CompressWithPreload(stream, cfg, nil)
 }
 
-func compressInternal(ctx context.Context, stream *bitvec.Vector, cfg Config, rec *telemetry.Recorder, mk func() (*dict, error)) (*Result, error) {
-	res := &Result{Cfg: cfg, InputBits: stream.Len()}
-	res.Stats.InputBits = stream.Len()
-	if stream.Len() == 0 {
+// compressInternal is the one compress body. It reads characters
+// straight from the cube set's plane words, cube by cube: each cube is
+// ⌈Width/C_C⌉ characters, and bits at and past Width read as X, so a
+// cube's pad bits stay free for dynamic assignment exactly as in the
+// paper's pattern-by-pattern scan-in stream, where every scan vector
+// starts on a character boundary. InputBits is the padded volume.
+func compressInternal(ctx context.Context, cs *bitvec.CubeSet, cfg Config, rec *telemetry.Recorder, mk func() (*dict, error)) (*Result, error) {
+	cc := cfg.CharBits
+	width := cs.Width
+	slot := cfg.PaddedWidth(width)
+	res := &Result{Cfg: cfg, InputBits: slot * len(cs.Cubes)}
+	res.Stats.InputBits = res.InputBits
+	nChars := res.InputBits / cc
+	if nChars == 0 {
 		recordCompressRun(rec, res.Stats)
 		return res, nil
 	}
-
-	cc := cfg.CharBits
-	nChars := (stream.Len() + cc - 1) / cc
+	for i, c := range cs.Cubes {
+		if c.Len() != width {
+			return nil, fmt.Errorf("core: cube %d has width %d, set width %d", i, c.Len(), width)
+		}
+	}
 	fullMask := uint64(1)<<uint(cc) - 1
-	// One code per character is the worst case (nothing ever matches);
-	// reserving it up front keeps the emit path free of append growth —
-	// at 4 bytes per character the transient overshoot is well under the
-	// stream's own footprint.
-	res.Codes = make([]Code, 0, nChars)
 	_, dsp := rec.StartSpan(ctx, SpanDictBuild)
 	d, err := mk()
 	dsp.End()
@@ -140,11 +149,11 @@ func compressInternal(ctx context.Context, stream *bitvec.Vector, cfg Config, re
 	}
 	defer releaseDict(d)
 	_, msp := rec.StartSpan(ctx, SpanMatchLoop)
-	e := &encoder{cfg: cfg, d: d, res: res, stream: stream, rec: rec,
+	e := &encoder{cfg: cfg, d: d, rec: rec,
 		m: newCompressMetrics(rec, cfg), tracing: rec.Tracing(), fullMask: fullMask}
 
 	// Step a of Figure 3: the first message character initializes Buffer.
-	val, care := stream.Chunk(0, cc)
+	val, care := cs.Cubes[0].Chunk(0, cc)
 	first := e.fill(val, care)
 	if care != fullMask {
 		res.Stats.ResidualFills++
@@ -154,156 +163,163 @@ func compressInternal(ctx context.Context, stream *bitvec.Vector, cfg Config, re
 	// extends the string by one character, a miss restarts from a
 	// one-character literal.
 	bufLen := 1
-	e.traceStep(buffer, 0, false, nil, nil)
+	e.traceStep(buffer, cs.Cubes[0], 0, nil, nil)
 
-	// The per-character chunk extraction is written out against the raw
-	// plane words (same contract as stream.Chunk: bit pos+j at result
-	// bit j, X past the end). Every iteration of the match loop pays it,
-	// and the call + re-validation overhead of Chunk measurably shows
-	// next to the bit-sliced child kernel. pos < Len() holds for every
-	// character start, so only the high word needs a bounds check; a
-	// shift by 64 when off == 0 drops out as zero in Go.
-	valw, carew := stream.Planes()
 	tieOldest := cfg.Tie == TieOldest
 	// Loop-local mirrors of the result fields the hot path touches every
 	// character: appending through res.Codes and bumping res.Stats fields
 	// through the pointer defeats register allocation; these live in
-	// registers and are written back once after the loop.
-	codes := res.Codes
+	// registers and are written back once after the loop. Codes go into
+	// the dictionary's scratch column, which the arena recycles, and
+	// Result.Codes is an exact copy of the emitted ones.
+	codes := d.emit[:0]
 	var dynFills, resFills, dictEntries, maxEntry, maxMatch, litCodes, strCodes int
 	resFills = res.Stats.ResidualFills // first char may have residual-filled
 	maxChars, dictSize := d.maxChars, cfg.DictSize
 	direct := d.directBlocks
-	for i, pos := 1, cc; i < nChars; i, pos = i+1, pos+cc {
-		w, off := pos>>6, uint(pos&63)
-		val := valw[w] >> off & fullMask
-		care := carew[w] >> off & fullMask
-		if off+uint(cc) > 64 {
-			// Straddling word boundary — never taken when cc divides 64.
-			var hv, hc uint64
-			if w+1 < len(valw) {
-				hv, hc = valw[w+1], carew[w+1]
+	// The per-character chunk extraction is written out against the raw
+	// plane words (same contract as Vector.Chunk: bit pos+j at result bit
+	// j, X past the end). Every iteration of the match loop pays it, and
+	// the call + re-validation overhead of Chunk measurably shows next to
+	// the bit-sliced child kernel. pos < Width holds for every character
+	// start, so only the high word needs a bounds check; a shift by 64
+	// when off == 0 drops out as zero in Go. The walk starts at cube 0's
+	// second character.
+	pos := cc
+	for _, cube := range cs.Cubes {
+		valw, carew := cube.Planes()
+		for ; pos < width; pos += cc {
+			w, off := pos>>6, uint(pos&63)
+			val := valw[w] >> off & fullMask
+			care := carew[w] >> off & fullMask
+			if off+uint(cc) > 64 {
+				// Straddling word boundary — never taken when cc divides 64.
+				var hv, hc uint64
+				if w+1 < len(valw) {
+					hv, hc = valw[w+1], carew[w+1]
+				}
+				val |= hv << (64 - off) & fullMask
+				care |= hc << (64 - off) & fullMask
 			}
-			val |= hv << (64 - off) & fullMask
-			care |= hc << (64 - off) & fullMask
-		}
-		// Dispatch straight to the matcher arm: findChild is only the
-		// exact-vs-masked split plus the oracle cross-check, and its call
-		// frame shows up at this loop's query rate. Oracle builds keep
-		// going through findChild so every production lookup stays
-		// cross-checked.
-		var child Code
-		var ok bool
-		if dictOracle {
-			child, ok = d.findChild(buffer, val, care, fullMask)
-		} else if care == fullMask {
-			child, ok = d.lookupChild(buffer, val)
-		} else if tieOldest && !d.hasXLanes {
-			// TieOldest fast arms, sharing one chain-header load. All-X
-			// characters resolve positionally from the header alone and
-			// don't flip the dictionary into eager plane maintenance;
-			// single-block chains (the overwhelming shape) run the
-			// bit-sliced kernel right here, skipping the call and the
-			// is-X plane (production lanes are concrete). Longer chains
-			// and pre-sync dictionaries take the full path.
-			ch := d.chain[buffer]
-			if ch.count == 0 || val&^care != 0 {
-				// no children, or val demands bits outside its care mask
-			} else if care == 0 {
-				child, ok = ch.first, true
-			} else if d.anyMasked && int(ch.count) <= 64 {
-				// Under the direct block layout the plane and lane-code
-				// addresses come from the code itself, so these loads issue
-				// in parallel with the chain-header load above instead of
-				// chained behind it; loading lane 0's code up front warms
-				// its cache line while the kernel runs (TieOldest survivors
-				// are biased to the low lanes).
-				b := int(ch.head)
-				if direct {
-					b = int(buffer)
-				}
-				base := b * cc
-				lanes := ^uint64(0) >> (64 - uint(ch.count))
-				for m := care; m != 0 && lanes != 0; m &= m - 1 {
-					t := bits.TrailingZeros64(m)
-					lanes &^= d.blkVal[base+t] ^ (-(val >> uint(t) & 1))
-				}
-				if lanes != 0 {
-					child, ok = d.blkCodes[b*64+bits.TrailingZeros64(lanes)], true
+			// Dispatch straight to the matcher arm: findChild is only the
+			// exact-vs-masked split plus the oracle cross-check, and its call
+			// frame shows up at this loop's query rate. Oracle builds keep
+			// going through findChild so every production lookup stays
+			// cross-checked.
+			var child Code
+			var ok bool
+			if dictOracle {
+				child, ok = d.findChild(buffer, val, care, fullMask)
+			} else if care == fullMask {
+				child, ok = d.lookupChild(buffer, val)
+			} else if tieOldest && !d.hasXLanes {
+				// TieOldest fast arms, sharing one chain-header load. All-X
+				// characters resolve positionally from the header alone and
+				// don't flip the dictionary into eager plane maintenance;
+				// single-block chains (the overwhelming shape) run the
+				// bit-sliced kernel right here, skipping the call and the
+				// is-X plane (production lanes are concrete). Longer chains
+				// and pre-sync dictionaries take the full path.
+				ch := d.chain[buffer]
+				if ch.count == 0 || val&^care != 0 {
+					// no children, or val demands bits outside its care mask
+				} else if care == 0 {
+					child, ok = ch.first, true
+				} else if d.anyMasked && int(ch.count) <= 64 {
+					// Under the direct block layout the plane and lane-code
+					// addresses come from the code itself, so these loads issue
+					// in parallel with the chain-header load above instead of
+					// chained behind it; loading lane 0's code up front warms
+					// its cache line while the kernel runs (TieOldest survivors
+					// are biased to the low lanes).
+					b := int(ch.head)
+					if direct {
+						b = int(buffer)
+					}
+					base := b * cc
+					lanes := ^uint64(0) >> (64 - uint(ch.count))
+					for m := care; m != 0 && lanes != 0; m &= m - 1 {
+						t := bits.TrailingZeros64(m)
+						lanes &^= d.blkVal[base+t] ^ (-(val >> uint(t) & 1))
+					}
+					if lanes != 0 {
+						child, ok = d.blkCodes[b*64+bits.TrailingZeros64(lanes)], true
+					}
+				} else {
+					child, ok = d.findChildMasked(buffer, val, care, fullMask)
 				}
 			} else {
 				child, ok = d.findChildMasked(buffer, val, care, fullMask)
 			}
-		} else {
-			child, ok = d.findChildMasked(buffer, val, care, fullMask)
-		}
-		if ok {
-			// Dynamic don't-care assignment: the X bits of this character
-			// are bound to the child's character, extending the match.
+			if ok {
+				// Dynamic don't-care assignment: the X bits of this character
+				// are bound to the child's character, extending the match.
+				if care != fullMask {
+					dynFills++
+				}
+				buffer = child
+				bufLen++
+				if e.tracing {
+					e.traceStep(buffer, cube, pos, nil, nil)
+				}
+				continue
+			}
+			// No continuation: emit Buffer, concretize the character residually,
+			// record the new dictionary entry, restart from the literal.
+			codes = append(codes, buffer)
+			if bufLen > maxMatch {
+				maxMatch = bufLen
+			}
+			if buffer < d.firstCode {
+				litCodes++
+			} else {
+				strCodes++
+			}
+			if m := e.m; m != nil {
+				m.observeEmit(bufLen, int(d.next-d.firstCode))
+			}
+			// FillRepeat's chain bit is the previous character's top bit, which
+			// is always Buffer's last character's top bit (after a miss, Buffer
+			// is the literal code of the concretized character, whose lastChar
+			// is itself). Refreshing it here, once per emitted code, keeps the
+			// matched fast path free of a cold lastChar load per character.
+			e.lastBit = d.lastChar[buffer] >> uint(cc-1) & 1
+			concrete := e.fill(val, care)
 			if care != fullMask {
-				dynFills++
+				resFills++
 			}
-			buffer = child
-			bufLen++
+			// Dispatch the add directly: an in-budget add into a non-full
+			// dictionary (the overwhelming case between resets) goes straight
+			// to commitAdd; the policy edges (length cap, FullFreeze, reset,
+			// parent invalidation) stay behind addWithLen.
+			var newCode Code
+			added := false
+			if bufLen < maxChars && int(d.next) < dictSize {
+				newCode = d.commitAdd(buffer, concrete)
+				added = true
+			} else {
+				newCode, added = d.addWithLen(buffer, concrete, bufLen)
+			}
+			var newEntry *TraceEntry
+			if added {
+				dictEntries++
+				if n := bufLen + 1; n > maxEntry {
+					maxEntry = n
+				}
+				if e.tracing {
+					newEntry = &TraceEntry{Code: newCode, Str: stringBits(d, newCode, cc)}
+				}
+			}
+			buffer = Code(concrete)
+			bufLen = 1
 			if e.tracing {
-				e.traceStep(buffer, pos, false, nil, nil)
-			}
-			continue
-		}
-		// No continuation: emit Buffer, concretize the character residually,
-		// record the new dictionary entry, restart from the literal.
-		codes = append(codes, buffer)
-		if bufLen > maxMatch {
-			maxMatch = bufLen
-		}
-		if buffer < d.firstCode {
-			litCodes++
-		} else {
-			strCodes++
-		}
-		if m := e.m; m != nil {
-			m.observeEmit(bufLen, int(d.next-d.firstCode))
-		}
-		// FillRepeat's chain bit is the previous character's top bit, which
-		// is always Buffer's last character's top bit (after a miss, Buffer
-		// is the literal code of the concretized character, whose lastChar
-		// is itself). Refreshing it here, once per emitted code, keeps the
-		// matched fast path free of a cold lastChar load per character.
-		e.lastBit = d.lastChar[buffer] >> uint(cc-1) & 1
-		concrete := e.fill(val, care)
-		if care != fullMask {
-			resFills++
-		}
-		// Dispatch the add directly: an in-budget add into a non-full
-		// dictionary (the overwhelming case between resets) goes straight
-		// to commitAdd; the policy edges (length cap, FullFreeze, reset,
-		// parent invalidation) stay behind addWithLen.
-		var newCode Code
-		added := false
-		if bufLen < maxChars && int(d.next) < dictSize {
-			newCode = d.commitAdd(buffer, concrete)
-			added = true
-		} else {
-			newCode, added = d.addWithLen(buffer, concrete, bufLen)
-		}
-		var newEntry *TraceEntry
-		if added {
-			dictEntries++
-			if n := bufLen + 1; n > maxEntry {
-				maxEntry = n
-			}
-			if e.tracing {
-				newEntry = &TraceEntry{Code: newCode, Str: stringBits(d, newCode, cc)}
+				// Taking the emitted code's address here would make it escape
+				// into traceStep on every iteration; only traced runs pay it.
+				emitted := codes[len(codes)-1]
+				e.traceStep(buffer, cube, pos, &emitted, newEntry)
 			}
 		}
-		buffer = Code(concrete)
-		bufLen = 1
-		if e.tracing {
-			// Taking the emitted code's address here would make it escape
-			// into traceStep on every iteration; only traced runs pay it.
-			emitted := codes[len(codes)-1]
-			e.traceStep(buffer, pos, false, &emitted, newEntry)
-		}
+		pos = 0
 	}
 	// Figure 3k: the final Buffer completes the compressed output.
 	codes = append(codes, buffer)
@@ -319,7 +335,9 @@ func compressInternal(ctx context.Context, stream *bitvec.Vector, cfg Config, re
 		m.observeEmit(bufLen, int(d.next-d.firstCode))
 		m.flush()
 	}
-	res.Codes = codes
+	res.Codes = make([]Code, len(codes))
+	copy(res.Codes, codes)
+	d.emit = codes[:0]
 	res.Stats.DynamicFills += dynFills
 	res.Stats.ResidualFills = resFills
 	res.Stats.DictEntries += dictEntries
@@ -333,7 +351,7 @@ func compressInternal(ctx context.Context, stream *bitvec.Vector, cfg Config, re
 	res.Stats.StringCodes += strCodes
 	if e.tracing {
 		last := codes[len(codes)-1]
-		e.traceStep(buffer, 0, true, &last, nil)
+		e.traceStep(buffer, nil, 0, &last, nil)
 	}
 
 	res.Stats.Chars = nChars
@@ -348,8 +366,6 @@ func compressInternal(ctx context.Context, stream *bitvec.Vector, cfg Config, re
 type encoder struct {
 	cfg      Config
 	d        *dict
-	res      *Result
-	stream   *bitvec.Vector
 	rec      *telemetry.Recorder
 	m        *compressMetrics
 	tracing  bool
@@ -392,12 +408,12 @@ func (e *encoder) fill(val, care uint64) uint64 {
 }
 
 // traceStep emits one Figure 3 step as an EventCompressStep telemetry
-// event. rawPos is the stream position of the character just consumed;
-// atEnd marks the final flush step, which has no input character. The
-// whole rendering — buffer labels, uncompressed strings, the raw
-// three-valued character — is gated on tracing, so untraced runs never
-// build a single step string.
-func (e *encoder) traceStep(buffer Code, rawPos int, atEnd bool, emitted *Code, entry *TraceEntry) {
+// event. raw and pos locate the character just consumed: bit pos of
+// cube raw; a nil raw marks the final flush step, which has no input
+// character. The whole rendering — buffer labels, uncompressed strings,
+// the raw three-valued character — is gated on tracing, so untraced runs
+// never build a single step string.
+func (e *encoder) traceStep(buffer Code, raw *bitvec.Vector, pos int, emitted *Code, entry *TraceEntry) {
 	if !e.tracing {
 		return
 	}
@@ -410,8 +426,8 @@ func (e *encoder) traceStep(buffer Code, rawPos int, atEnd bool, emitted *Code, 
 		Emitted:   emitted,
 		NewEntry:  entry,
 	}
-	if !atEnd {
-		ev.RawInput = rawChar(e.stream, rawPos, cc)
+	if raw != nil {
+		ev.RawInput = rawChar(raw, pos, cc)
 		ev.Input = bufStr[len(bufStr)-cc:]
 	}
 	e.rec.Emit(EventCompressStep, telemetry.F("event", ev))
@@ -447,8 +463,9 @@ func bufferLabel(d *dict, c Code, cc int) string {
 	return fmt.Sprintf("%d", c)
 }
 
-// rawChar renders the three-valued character at stream position pos,
-// one byte per trit straight from the value — no per-bit string.
+// rawChar renders the three-valued character at bit pos of cube v, one
+// byte per trit straight from the value — no per-bit string. Bits past
+// the cube's width are its pad bits and read as X.
 func rawChar(v *bitvec.Vector, pos, cc int) string {
 	b := make([]byte, cc)
 	for j := 0; j < cc; j++ {

@@ -159,6 +159,27 @@ func (c Config) MaxChars() int {
 	return c.EntryBits / c.CharBits
 }
 
+// PaddedWidth returns a pattern of the given width rounded up to a
+// whole number of characters: the bits it occupies in the scan-in
+// stream, where every pattern starts on a character boundary.
+func (c Config) PaddedWidth(width int) int {
+	return (width + c.CharBits - 1) / c.CharBits * c.CharBits
+}
+
+// MaxOutputBits bounds the bits n codes can decode to under c, from a
+// dictionary whose longest entry is longest characters: 1 for a cold
+// start, the longest preload string otherwise. Each code is at most one
+// character longer than the longest entry defined before it, and never
+// longer than MaxChars, so code i spans at most min(MaxChars,
+// longest+i) characters.
+func (c Config) MaxOutputBits(n, longest int) int {
+	m := c.MaxChars()
+	// The first k codes still grow by one character each; the rest sit
+	// at the entry bound.
+	k := min(max(m-longest, 0), n)
+	return c.CharBits * (k*longest + k*(k-1)/2 + (n-k)*m)
+}
+
 // LenBits returns C_MLEN, the width of the per-entry length field of the
 // decompressor memory: enough to count 1..MaxChars characters.
 func (c Config) LenBits() int {

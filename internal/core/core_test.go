@@ -32,7 +32,7 @@ func TestHandWorkedExample(t *testing.T) {
 		t.Fatal(err)
 	}
 	if out.String() != "001001001" {
-		t.Fatalf("decompressed %q", out.String())
+		t.Fatalf("decompressed %q", out)
 	}
 	if res.Stats.DictEntries != 5 || res.Stats.MaxEntryChars != 3 {
 		t.Fatalf("stats = %+v", res.Stats)
@@ -51,7 +51,7 @@ func TestSpecialCaseCode(t *testing.T) {
 		t.Fatalf("codes = %v, want %v", res.Codes, want)
 	}
 	rec, steps := stepRecorder[DecompressTraceEvent](EventDecompressStep)
-	out, err := DecompressWithPreloadObservedCtx(context.Background(), res.Codes, res.Cfg, nil, 3, rec)
+	set, err := DecompressWithPreloadObservedCtx(context.Background(), res.Codes, res.Cfg, nil, 3, 1, rec)
 	sawSpecial := false
 	for _, ev := range *steps {
 		if ev.Special {
@@ -61,8 +61,8 @@ func TestSpecialCaseCode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.String() != "000" {
-		t.Fatalf("decompressed %q", out.String())
+	if out := set.Cubes[0]; out.String() != "000" {
+		t.Fatalf("decompressed %q", out)
 	}
 	if !sawSpecial {
 		t.Fatal("special case not exercised")

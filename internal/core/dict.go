@@ -48,6 +48,12 @@ type dict struct {
 	// reinit like every other column.
 	str []uint64
 
+	// emit is the compressor's code column: the match loop appends each
+	// emitted code here and the Result gets an exact copy. It rides the
+	// arena with the rest of the dictionary, so a recycled run emits
+	// without growing a slice; reinit leaves it alone.
+	emit []Code
+
 	// Bit-sliced child index. chain[c] bundles code c's child-chain
 	// bookkeeping — first and last plane block plus population — into one
 	// cache line per parent. count is the single source of truth for

@@ -31,6 +31,18 @@ func (p *Preload) Entries() int {
 	return len(p.Strings)
 }
 
+// longest returns the length in characters of the longest entry a
+// dictionary holds once p is installed: 1, a literal, without a preload.
+func (p *Preload) longest() int {
+	n := 1
+	if p != nil {
+		for _, s := range p.Strings {
+			n = max(n, len(s))
+		}
+	}
+	return n
+}
+
 // preload installs the strings into a fresh dictionary.
 func (d *dict) preload(p *Preload) error {
 	if p == nil {
@@ -73,24 +85,30 @@ func (d *dict) preload(p *Preload) error {
 	return nil
 }
 
-// Train builds a preload dictionary from a training stream: it compresses
-// the stream under cfg and keeps the first maxEntries dictionary strings
-// in creation order, which is prefix-closed by construction. maxEntries
-// of 0 keeps everything the training run built.
+// Train builds a preload dictionary from a training stream, a one-cube
+// TrainSet.
 func Train(stream *bitvec.Vector, cfg Config, maxEntries int) (*Preload, error) {
+	return TrainSet(oneCube(stream), cfg, maxEntries)
+}
+
+// TrainSet builds a preload dictionary from a training set: it
+// compresses the set under cfg and keeps the first maxEntries dictionary
+// strings in creation order, which is prefix-closed by construction.
+// maxEntries of 0 keeps everything the training run built.
+func TrainSet(cs *bitvec.CubeSet, cfg Config, maxEntries int) (*Preload, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if cfg.Full == FullReset {
 		return nil, fmt.Errorf("core: training with FullReset would not be prefix-closed")
 	}
-	d := newDict(cfg)
-	// Compress the training stream, then replay its code sequence: the
+	// Compress the training set, then replay its code sequence: the
 	// decoder-side rebuild yields the same dictionary deterministically.
-	res, err := Compress(stream, cfg)
+	res, err := CompressWithPreloadObservedCtx(context.Background(), cs, cfg, nil, nil)
 	if err != nil {
 		return nil, err
 	}
+	d := newDict(cfg)
 	if _, err := d.decode(res.Codes, nil, nil); err != nil {
 		return nil, err
 	}
@@ -106,29 +124,40 @@ func Train(stream *bitvec.Vector, cfg Config, maxEntries int) (*Preload, error) 
 	return p, nil
 }
 
-// CompressWithPreload is Compress starting from a warm dictionary. The
-// decompressor must be given the same preload.
-func CompressWithPreload(stream *bitvec.Vector, cfg Config, pre *Preload) (*Result, error) {
-	return CompressWithPreloadObservedCtx(context.Background(), stream, cfg, pre, nil)
+// oneCube views a bare stream as a set of one cube, the form every
+// compress and decompress body works on.
+func oneCube(stream *bitvec.Vector) *bitvec.CubeSet {
+	return &bitvec.CubeSet{Width: stream.Len(), Cubes: []*bitvec.Vector{stream}}
 }
 
-// CompressWithPreloadObservedCtx is the one observed compress entry:
-// CompressWithPreload instrumented through a telemetry recorder and a
+// CompressWithPreload is Compress starting from a warm dictionary. The
+// decompressor must be given the same preload. The stream is a one-cube
+// set whose InputBits is its own length rather than the padded one.
+func CompressWithPreload(stream *bitvec.Vector, cfg Config, pre *Preload) (*Result, error) {
+	res, err := CompressWithPreloadObservedCtx(context.Background(), oneCube(stream), cfg, pre, nil)
+	if err != nil {
+		return nil, err
+	}
+	res.InputBits, res.Stats.InputBits = stream.Len(), stream.Len()
+	return res, nil
+}
+
+// CompressWithPreloadObservedCtx is the one observed compress entry: it
+// compresses a cube set pattern by pattern, each pattern padded with X
+// bits to a character boundary, from a warm dictionary (a nil preload
+// is a cold start), instrumented through a telemetry recorder and a
 // trace context. The recorder takes per-code match-length and
 // dictionary-occupancy histograms, one EventCompressRun record and,
 // when it is Tracing, one EventCompressStep per Figure 3 step; when
 // ctx carries a span, the dictionary build and the match loop are
-// recorded as child spans of it. A nil preload is a cold start. A nil
-// recorder is the production fast path: it never touches ctx and costs
-// one pointer check per emitted code.
-func CompressWithPreloadObservedCtx(ctx context.Context, stream *bitvec.Vector, cfg Config, pre *Preload, rec *telemetry.Recorder) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
+// recorded as child spans of it. A nil recorder is the production fast
+// path: it never touches ctx and costs one pointer check per emitted
+// code.
+func CompressWithPreloadObservedCtx(ctx context.Context, cs *bitvec.CubeSet, cfg Config, pre *Preload, rec *telemetry.Recorder) (*Result, error) {
+	if err := checkPreload(cfg, pre); err != nil {
 		return nil, err
 	}
-	if pre.Entries() > 0 && cfg.Full == FullReset {
-		return nil, fmt.Errorf("core: FullReset would discard the preloaded dictionary inconsistently")
-	}
-	return compressInternal(ctx, stream, cfg, rec, func() (*dict, error) { return preloadedDict(cfg, pre, rec) })
+	return compressInternal(ctx, cs, cfg, rec, func() (*dict, error) { return preloadedDict(cfg, pre, rec) })
 }
 
 // preloadedDict takes a dictionary from the arena (counting the take in
@@ -143,38 +172,44 @@ func preloadedDict(cfg Config, pre *Preload, rec *telemetry.Recorder) (*dict, er
 }
 
 // DecompressWithPreloadObservedCtx is the one observed decompress
-// entry: DecompressWithPreload wrapped in a SpanDecode trace span and
-// instrumented through a telemetry recorder. When ctx carries a span
-// and rec has sinks, the frame's software decompression is recorded as
-// a child span carrying the code count and output length; when rec is
-// Tracing, every code is reported as one EventDecompressStep (the
-// Figure 4 row). A nil preload is a cold start, so every wire frame
-// decodes through it; a nil recorder adds one pointer check.
-func DecompressWithPreloadObservedCtx(ctx context.Context, codes []Code, cfg Config, pre *Preload, outBits int, rec *telemetry.Recorder) (*bitvec.Vector, error) {
+// entry: it inverts CompressWithPreloadObservedCtx, decoding the codes
+// straight into a set of patterns cubes of the given width, under a
+// SpanDecode trace span and instrumented through a telemetry recorder.
+// When ctx carries a span and rec has sinks, the frame's software
+// decompression is recorded as a child span carrying the code count and
+// output length; when rec is Tracing, every code is reported as one
+// EventDecompressStep (the Figure 4 row). A nil preload is a cold
+// start, so every wire frame decodes through it; a nil recorder adds
+// one pointer check.
+func DecompressWithPreloadObservedCtx(ctx context.Context, codes []Code, cfg Config, pre *Preload, width, patterns int, rec *telemetry.Recorder) (*bitvec.CubeSet, error) {
 	_, sp := rec.StartSpan(ctx, SpanDecode)
-	out, err := decompressPreload(codes, cfg, pre, outBits, rec)
+	out, err := decompressSet(codes, cfg, pre, width, patterns, rec)
 	if sp != nil {
 		// Building the fields boxes two ints; the disabled path skips
 		// them so it allocates no more than Decompress.
-		sp.End(telemetry.F("codes", len(codes)), telemetry.F("out_bits", outBits))
+		sp.End(telemetry.F("codes", len(codes)), telemetry.F("out_bits", patterns*cfg.PaddedWidth(width)))
 	}
 	return out, err
 }
 
-// DecompressWithPreload inverts CompressWithPreload.
+// DecompressWithPreload inverts CompressWithPreload: it decodes into one
+// cube of outBits bits.
 func DecompressWithPreload(codes []Code, cfg Config, pre *Preload, outBits int) (*bitvec.Vector, error) {
-	return decompressPreload(codes, cfg, pre, outBits, nil)
-}
-
-// decompressPreload is the body behind every decompress entry: it
-// validates cfg, builds the (possibly preloaded) dictionary, and
-// decodes with step events going to rec.
-func decompressPreload(codes []Code, cfg Config, pre *Preload, outBits int, rec *telemetry.Recorder) (*bitvec.Vector, error) {
-	if err := cfg.Validate(); err != nil {
+	cs, err := decompressSet(codes, cfg, pre, outBits, 1, nil)
+	if err != nil {
 		return nil, err
 	}
-	if pre.Entries() > 0 && cfg.Full == FullReset {
-		return nil, fmt.Errorf("core: FullReset would discard the preloaded dictionary inconsistently")
+	return cs.Cubes[0], nil
+}
+
+// checkPreload validates a configuration and the preload a compressor
+// or decompressor starts from.
+func checkPreload(cfg Config, pre *Preload) error {
+	if err := cfg.Validate(); err != nil {
+		return err
 	}
-	return decompressWithDict(codes, cfg, outBits, rec, func() (*dict, error) { return preloadedDict(cfg, pre, nil) })
+	if pre.Entries() > 0 && cfg.Full == FullReset {
+		return fmt.Errorf("core: FullReset would discard the preloaded dictionary inconsistently")
+	}
+	return nil
 }

@@ -45,7 +45,7 @@ const (
 // per request: how long dictionary construction took versus the match
 // loop itself.
 const (
-	SpanSerialize = "core.serialize"  // cube-set serialization into the stream
+	SpanSerialize = "core.serialize"  // never emitted (compression reads the cube set in place); kept for trace readers that name it
 	SpanDictBuild = "core.dict_build" // dictionary acquisition/preload
 	SpanMatchLoop = "core.match_loop" // the Figure 3 compression loop
 	SpanDecode    = "core.decode"     // one frame's software decompression

@@ -31,7 +31,7 @@ func stepRecorder[T any](kind string) (*telemetry.Recorder, *[]T) {
 // compressObserved is a cold-start observed compression with no trace
 // context.
 func compressObserved(stream *bitvec.Vector, cfg Config, rec *telemetry.Recorder) (*Result, error) {
-	return CompressWithPreloadObservedCtx(context.Background(), stream, cfg, nil, rec)
+	return CompressWithPreloadObservedCtx(context.Background(), oneCube(stream), cfg, nil, rec)
 }
 
 // formatTraceEvent renders a TraceEvent in the tuple form used by the
@@ -125,7 +125,7 @@ func TestDecompressStepEventOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec, steps := stepRecorder[DecompressTraceEvent](EventDecompressStep)
-	if _, err := DecompressWithPreloadObservedCtx(context.Background(), res.Codes, cfg, nil, stream.Len(), rec); err != nil {
+	if _, err := DecompressWithPreloadObservedCtx(context.Background(), res.Codes, cfg, nil, stream.Len(), 1, rec); err != nil {
 		t.Fatal(err)
 	}
 	var got []string
@@ -158,7 +158,7 @@ func TestStepEventsReachJSONLSink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecompressWithPreloadObservedCtx(context.Background(), res.Codes, cfg, nil, stream.Len(), rec); err != nil {
+	if _, err := DecompressWithPreloadObservedCtx(context.Background(), res.Codes, cfg, nil, stream.Len(), 1, rec); err != nil {
 		t.Fatal(err)
 	}
 	sinkSteps := map[string]int{}

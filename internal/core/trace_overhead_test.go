@@ -22,11 +22,12 @@ func traceCtx() context.Context {
 // gates it against BenchmarkCompressTelemetryDisabled at <= 3%.
 func BenchmarkCompressTraceDisabled(b *testing.B) {
 	stream, cfg := overheadWorkload()
+	set := oneCube(stream)
 	ctx := traceCtx()
 	b.SetBytes(int64(stream.Len() / 8))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := CompressWithPreloadObservedCtx(ctx, stream, cfg, nil, nil); err != nil {
+		if _, err := CompressWithPreloadObservedCtx(ctx, set, cfg, nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -44,6 +45,7 @@ func BenchmarkCompressTraceDisabled(b *testing.B) {
 // the fewest included.
 func TestTraceDisabledAllocParity(t *testing.T) {
 	stream, cfg := overheadWorkload()
+	set := oneCube(stream)
 	ctx := traceCtx()
 	plain := func() {
 		if _, err := Compress(stream, cfg); err != nil {
@@ -51,7 +53,7 @@ func TestTraceDisabledAllocParity(t *testing.T) {
 		}
 	}
 	traced := func() {
-		if _, err := CompressWithPreloadObservedCtx(ctx, stream, cfg, nil, nil); err != nil {
+		if _, err := CompressWithPreloadObservedCtx(ctx, set, cfg, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -82,7 +84,7 @@ func TestDecodeTraceDisabledAllocParity(t *testing.T) {
 		}
 	}
 	traced := func() {
-		if _, err := DecompressWithPreloadObservedCtx(ctx, res.Codes, cfg, nil, stream.Len(), nil); err != nil {
+		if _, err := DecompressWithPreloadObservedCtx(ctx, res.Codes, cfg, nil, stream.Len(), 1, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

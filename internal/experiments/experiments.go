@@ -17,6 +17,7 @@ import (
 
 	"lzwtc/internal/ate"
 	"lzwtc/internal/bench"
+	"lzwtc/internal/bitvec"
 	"lzwtc/internal/core"
 	"lzwtc/internal/decomp"
 	"lzwtc/internal/lz77"
@@ -48,12 +49,17 @@ func LZ77Config(p bench.Profile) lz77.Config {
 // compressLZW runs the full paper pipeline for one profile and returns
 // the result plus the ratio against the unpadded volume.
 func compressLZW(p bench.Profile, cfg core.Config) (*core.Result, float64, error) {
-	stream := p.Generate().SerializeAligned(cfg.CharBits)
-	res, err := core.Compress(stream, cfg)
+	res, err := compressSet(p.Generate(), cfg)
 	if err != nil {
 		return nil, 0, err
 	}
 	return res, ratioVs(res, p.TotalBits()), nil
+}
+
+// compressSet compresses a test set pattern by pattern, each pattern
+// padded to a character boundary: the service's compression.
+func compressSet(cs *bitvec.CubeSet, cfg core.Config) (*core.Result, error) {
+	return core.CompressWithPreloadObservedCtx(context.Background(), cs, cfg, nil, nil)
 }
 
 func ratioVs(res *core.Result, origBits int) float64 {
@@ -154,8 +160,7 @@ func Table3() (*report.Table, error) {
 	for _, p := range bench.Profiles() {
 		cs := p.Generate()
 		cfg := LZWConfig(p)
-		stream := cs.SerializeAligned(cfg.CharBits)
-		res, err := core.Compress(stream, cfg)
+		res, err := compressSet(cs, cfg)
 		if err != nil {
 			return nil, err
 		}

@@ -96,7 +96,7 @@ func Multichain() (*report.Table, error) {
 			streams++
 			total += cs.TotalBits()
 			cfg := core.Config{CharBits: 7, DictSize: 512, EntryBits: 63}
-			res, err := core.Compress(cs.SerializeAligned(cfg.CharBits), cfg)
+			res, err := compressSet(cs, cfg)
 			if err != nil {
 				return nil, err
 			}

@@ -31,9 +31,12 @@ func Figure3() (*report.Table, error) {
 		Headers: []string{"Step", "Compressed Output", "Dictionary", "Buffer", "Input"},
 		Note:    "Literal codes 0-1; dictionary codes from 2. Entries are written as code(bits).",
 	}
-	stream := bitvec.MustParse(FigureExample)
+	example := bitvec.NewCubeSet(len(FigureExample))
+	if err := example.Add(bitvec.MustParse(FigureExample)); err != nil {
+		return nil, err
+	}
 	rec, rows := collectSteps[core.TraceEvent](core.EventCompressStep)
-	if _, err := core.CompressWithPreloadObservedCtx(context.Background(), stream, figureConfig(), nil, rec); err != nil {
+	if _, err := core.CompressWithPreloadObservedCtx(context.Background(), example, figureConfig(), nil, rec); err != nil {
 		return nil, err
 	}
 	for i, ev := range *rows {
@@ -63,10 +66,11 @@ func Figure4() (*report.Table, error) {
 		return nil, err
 	}
 	rec, rows := collectSteps[core.DecompressTraceEvent](core.EventDecompressStep)
-	out, err := core.DecompressWithPreloadObservedCtx(context.Background(), res.Codes, cfg, nil, stream.Len(), rec)
+	set, err := core.DecompressWithPreloadObservedCtx(context.Background(), res.Codes, cfg, nil, stream.Len(), 1, rec)
 	if err != nil {
 		return nil, err
 	}
+	out := set.Cubes[0]
 	for _, ev := range *rows {
 		dict := ""
 		if ev.NewEntry != nil {

@@ -143,12 +143,6 @@ func Table6Ctx(ctx context.Context, workers int) (*report.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	// All Table 6 configs use C_C = 7: serialize each circuit once and
-	// share the stream read-only across its row's cells.
-	streams := make([]*bitvec.Vector, len(sets))
-	for i, cs := range sets {
-		streams[i] = cs.SerializeAligned(7)
-	}
 	ebs := entrySweep()
 	cells := make([]t6cell, 0, len(ps)*(len(ebs)+1))
 	for ci := range ps {
@@ -161,7 +155,7 @@ func Table6Ctx(ctx context.Context, workers int) (*report.Table, error) {
 	}
 	outcomes, err := parallel.Map(ctx, cells, parallel.Options{Workers: workers},
 		func(_ context.Context, _ int, c t6cell) (t6value, error) {
-			res, err := core.Compress(streams[c.circuit], c.cfg)
+			res, err := compressSet(sets[c.circuit], c.cfg)
 			if err != nil {
 				return t6value{}, err
 			}

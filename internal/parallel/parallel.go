@@ -250,8 +250,8 @@ func (r JobResult) Ratio() float64 {
 }
 
 // CompressJobs compresses a batch of jobs across the pool. Each job
-// serializes its set aligned to its own character size and compresses
-// it exactly as the sequential root API does, so results are
+// compresses its set pattern by pattern under its own character size,
+// exactly as the sequential root API does, so results are
 // byte-identical to a one-job-at-a-time loop. The returned slice always
 // has one entry per job, in job order.
 func CompressJobs(ctx context.Context, jobs []Job, opts Options) ([]JobResult, error) {
@@ -272,8 +272,9 @@ func CompressJobs(ctx context.Context, jobs []Job, opts Options) ([]JobResult, e
 	return results, err
 }
 
-// compressJob runs one job body: validate, then the shared compress
-// body with a cold start.
+// compressJob runs one job body: validate, then compress with a cold
+// start. ctx carries the job's trace span, so the core phases attribute
+// under it.
 func compressJob(ctx context.Context, j Job, rec *telemetry.Recorder) (*core.Result, error) {
 	if err := j.Cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("parallel: job %q: %w", j.Name, err)
@@ -281,7 +282,7 @@ func compressJob(ctx context.Context, j Job, rec *telemetry.Recorder) (*core.Res
 	if j.Set == nil || len(j.Set.Cubes) == 0 {
 		return nil, fmt.Errorf("parallel: job %q: empty test set", j.Name)
 	}
-	res, err := compressGroup(ctx, j.Set, j.Cfg, nil, rec)
+	res, err := core.CompressWithPreloadObservedCtx(ctx, j.Set, j.Cfg, nil, rec)
 	if err != nil {
 		return nil, fmt.Errorf("parallel: job %q: %w", j.Name, err)
 	}

@@ -14,8 +14,8 @@ import (
 // one preload), so a shard boundary is semantically a FullReset: the
 // decompressor state at each boundary is exactly the initial state,
 // and decompression is exact shard by shard. Because every pattern is
-// padded to a character boundary (SerializeAligned), shard streams
-// concatenate back into the whole set with no realignment.
+// padded to a character boundary (core.Config.PaddedWidth), shard
+// outputs concatenate back into the whole set with no realignment.
 //
 // The price is compression ratio: each shard re-learns the dictionary
 // from scratch, so short shards never reach the long strings the tail
@@ -64,7 +64,7 @@ func CompressShardedPreloaded(ctx context.Context, cs *bitvec.CubeSet, cfg core.
 
 	ratioHist := shardRatioHist(opts.Recorder)
 	outcomes, err := Map(ctx, groups, shardOpts, func(jctx context.Context, _ int, g *bitvec.CubeSet) (*core.Result, error) {
-		res, e := compressGroup(jctx, g, cfg, pre, opts.Recorder)
+		res, e := core.CompressWithPreloadObservedCtx(jctx, g, cfg, pre, opts.Recorder)
 		if e != nil {
 			return nil, e
 		}
@@ -87,17 +87,6 @@ func CompressShardedPreloaded(ctx context.Context, cs *bitvec.CubeSet, cfg core.
 		reg.Counter(MetricShards, "shards compressed").Add(int64(len(groups)))
 	}
 	return shards, patterns, nil
-}
-
-// compressGroup is the one compress body behind batch jobs and shards:
-// serialize the pattern group aligned under a SpanSerialize span, then
-// compress it from pre (nil is a cold start). ctx carries the job's
-// trace span, so serialization and the core phases attribute under it.
-func compressGroup(ctx context.Context, g *bitvec.CubeSet, cfg core.Config, pre *core.Preload, rec *telemetry.Recorder) (*core.Result, error) {
-	_, ssp := rec.StartSpan(ctx, core.SpanSerialize)
-	stream := g.SerializeAligned(cfg.CharBits)
-	ssp.End(telemetry.F("bits", stream.Len()))
-	return core.CompressWithPreloadObservedCtx(ctx, stream, cfg, pre, rec)
 }
 
 // DecompressShardedPreloaded inverts CompressShardedPreloaded: each
@@ -126,22 +115,17 @@ func DecompressShardedPreloaded(ctx context.Context, shards []*core.Result, widt
 }
 
 // DecodeShard is the one frame decode body behind every decompressor
-// of codes: decompress sh from pre (nil is a cold start), split the
-// stream back into patterns of the given width, and check the pattern
-// count the container or compressor recorded for the shard.
+// of codes: check that sh's input length is the given number of
+// patterns of the given width, each padded to a character boundary,
+// then decompress sh from pre (nil is a cold start) straight into them.
 func DecodeShard(ctx context.Context, sh *core.Result, width, patterns int, pre *core.Preload, rec *telemetry.Recorder) (*bitvec.CubeSet, error) {
-	stream, err := core.DecompressWithPreloadObservedCtx(ctx, sh.Codes, sh.Cfg, pre, sh.InputBits, rec)
-	if err != nil {
+	if err := sh.Cfg.Validate(); err != nil {
 		return nil, err
 	}
-	set, err := bitvec.DeserializeAligned(stream, width, sh.Cfg.CharBits)
-	if err != nil {
-		return nil, err
+	if slot := sh.Cfg.PaddedWidth(width); sh.InputBits != patterns*slot {
+		return nil, fmt.Errorf("input length %d bits is not %d patterns of %d padded bits", sh.InputBits, patterns, slot)
 	}
-	if len(set.Cubes) != patterns {
-		return nil, fmt.Errorf("decompressed to %d patterns, want %d", len(set.Cubes), patterns)
-	}
-	return set, nil
+	return core.DecompressWithPreloadObservedCtx(ctx, sh.Codes, sh.Cfg, pre, width, patterns, rec)
 }
 
 // shardRatioHist resolves the per-shard ratio histogram, nil-safe.

@@ -64,14 +64,13 @@ func TestBatchTraceLinkage(t *testing.T) {
 		jobIDs[js.SpanID] = true
 	}
 
-	serSpans := byName[core.SpanSerialize]
-	if len(serSpans) != len(jobs) {
-		t.Fatalf("%q spans = %d, want %d", core.SpanSerialize, len(serSpans), len(jobs))
+	// Each job compresses straight from its cube set: one match loop per
+	// job, and no serialization span.
+	if n := len(byName[core.SpanMatchLoop]); n != len(jobs) {
+		t.Fatalf("%q spans = %d, want %d", core.SpanMatchLoop, n, len(jobs))
 	}
-	for _, ss := range serSpans {
-		if !jobIDs[ss.ParentID] {
-			t.Fatalf("serialize span parented on %s, not on any job span", ss.ParentID)
-		}
+	if n := len(byName[core.SpanSerialize]); n != 0 {
+		t.Fatalf("%q spans = %d, want none", core.SpanSerialize, n)
 	}
 	// Core phases nest beneath the job spans too — the trace descends
 	// through the pool into the compression core.
@@ -87,8 +86,8 @@ func TestBatchTraceLinkage(t *testing.T) {
 	}
 }
 
-// TestShardedTraceLinkage: sharded compression serializes per shard;
-// those spans must also join the caller's trace.
+// TestShardedTraceLinkage: sharded compression runs one match loop per
+// shard; those spans must also join the caller's trace.
 func TestShardedTraceLinkage(t *testing.T) {
 	cap := &spanCapture{}
 	rec := telemetry.New(telemetry.NewRegistry(), cap)
@@ -102,16 +101,16 @@ func TestShardedTraceLinkage(t *testing.T) {
 	root.End()
 
 	trace := root.Context().String()[:16]
-	var serialize int
+	var loops int
 	for _, s := range cap.spans {
 		if s.TraceID != trace {
 			t.Fatalf("span %s escaped the trace: %s != %s", s.Name, s.TraceID, trace)
 		}
-		if s.Name == core.SpanSerialize {
-			serialize++
+		if s.Name == core.SpanMatchLoop {
+			loops++
 		}
 	}
-	if serialize < 2 {
-		t.Fatalf("sharded run produced %d serialize spans, want one per shard (>=2)", serialize)
+	if loops < 2 {
+		t.Fatalf("sharded run produced %d match-loop spans, want one per shard (>=2)", loops)
 	}
 }

@@ -115,7 +115,7 @@ func TestServiceEndToEndTrace(t *testing.T) {
 	}
 	for _, want := range []string{
 		client.SpanClientRequest, server.SpanCompress, server.SpanReadBody,
-		parallel.EventJob, core.SpanSerialize, core.SpanDictBuild,
+		parallel.EventJob, core.SpanDictBuild,
 		core.SpanMatchLoop, lzwtc.SpanWireEncode,
 	} {
 		if byName[want] == 0 {

@@ -411,7 +411,7 @@ func (w *Writer) Close() error {
 // the EOS frame, after which it returns io.EOF. A stream that ends
 // before its EOS frame yields ErrTruncated.
 type Reader struct {
-	r        *bufio.Reader
+	r        byteReader
 	hdr      Header
 	cb       int
 	frames   int
@@ -421,9 +421,14 @@ type Reader struct {
 	err      error
 }
 
-// NewReader reads and validates the container header.
+// NewReader reads and validates the container header. A reader that
+// already reads byte by byte (a *bytes.Reader, a *bufio.Reader) is read
+// directly; any other is buffered.
 func NewReader(r io.Reader) (*Reader, error) {
-	br := bufio.NewReader(r)
+	br, ok := r.(byteReader)
+	if !ok {
+		br = bufio.NewReader(r)
+	}
 	hdr, err := readHeader(br)
 	if err != nil {
 		return nil, err
@@ -445,7 +450,7 @@ func PeekHeader(br *bufio.Reader) (Header, error) {
 }
 
 // byteReader is what the region parsers read from: a *bufio.Reader on
-// a stream, or a *bytes.Reader on peeked bytes.
+// a stream, or a *bytes.Reader on bytes in memory.
 type byteReader interface {
 	io.Reader
 	io.ByteReader
@@ -621,18 +626,18 @@ func (r *Reader) readDataFrame(raw []byte) (*Frame, error) {
 		return nil, fmt.Errorf("%w: frame %d code count %d", ErrLimit, r.frames, nCodes)
 	}
 	payloadLen := (int(nCodes)*r.cb + 7) / 8
-	// Read the payload through a bounded-growth buffer: allocation
-	// tracks bytes actually present in the stream, so a hostile nCodes
-	// with a short body cannot force a giant up-front allocation.
-	var payload bytes.Buffer
-	if n, err := io.CopyN(&payload, r.r, int64(payloadLen)); err != nil {
-		return nil, truncErr(err, fmt.Sprintf("frame %d payload: got %d of %d bytes", r.frames, n, payloadLen))
+	payload, err := readPayload(r.r, payloadLen)
+	if err != nil {
+		return nil, truncErr(err, fmt.Sprintf("frame %d payload: got %d of %d bytes", r.frames, len(payload), payloadLen))
 	}
-	raw = append(raw, payload.Bytes()...)
-	if err := checkCRC(r.r, crc32.Checksum(raw, crcTable), fmt.Sprintf("frame %d", r.frames)); err != nil {
+	crc := crc32.Update(crc32.Checksum(raw, crcTable), crcTable, payload)
+	if err := checkCRC(r.r, crc, fmt.Sprintf("frame %d", r.frames)); err != nil {
 		return nil, err
 	}
-	codes, err := unpackCodes(payload.Bytes(), int(nCodes), r.cb)
+	if err := r.checkShape(patterns, inputBits, nCodes); err != nil {
+		return nil, err
+	}
+	codes, err := unpackCodes(payload, int(nCodes), r.cb)
 	if err != nil {
 		return nil, fmt.Errorf("frame %d: %w", r.frames, err)
 	}
@@ -649,6 +654,52 @@ func (r *Reader) readDataFrame(raw []byte) (*Frame, error) {
 	r.frames++
 	r.patterns += f.Patterns
 	return f, nil
+}
+
+// checkShape rejects a data frame whose input length the decoder could
+// never fill, before the decoder sizes its output by it. The frame's
+// patterns are header-width cubes, each padded to a character boundary,
+// so the length is fixed by the pattern count; and it can be no longer
+// than the frame's codes expand to. Without a 'D' frame the dictionary
+// starts from literals; with one, the preload is not known here, so its
+// entries are taken to be as long as the entry bound allows.
+func (r *Reader) checkShape(patterns, inputBits, nCodes uint64) error {
+	cfg := r.hdr.Cfg
+	if want := patterns * uint64(cfg.PaddedWidth(r.hdr.Width)); inputBits != want {
+		return fmt.Errorf("%w: frame %d input bits %d, want %d patterns of width %d padded to %d-bit characters (%d)",
+			ErrLimit, r.frames, inputBits, patterns, r.hdr.Width, cfg.CharBits, want)
+	}
+	longest := 1
+	if r.dictRef != nil {
+		longest = cfg.MaxChars()
+	}
+	if most := cfg.MaxOutputBits(int(nCodes), longest); inputBits > uint64(most) {
+		return fmt.Errorf("%w: frame %d input bits %d, more than its %d codes can expand to (%d)",
+			ErrLimit, r.frames, inputBits, nCodes, most)
+	}
+	return nil
+}
+
+// exactPayloadBytes is the largest payload read into one buffer of the
+// announced size. A larger announced size is only trusted as far as the
+// bytes actually arrive: the buffer grows with them.
+const exactPayloadBytes = 64 << 10
+
+// readPayload reads the n payload bytes of a frame. Up to
+// exactPayloadBytes it reads into one exactly sized buffer; above that
+// it grows the buffer by doubling as the bytes arrive, so a hostile
+// nCodes with a short body cannot force a giant up-front allocation.
+// On a short read it returns the bytes it got and the read error.
+func readPayload(r io.Reader, n int) ([]byte, error) {
+	if n <= exactPayloadBytes {
+		buf := make([]byte, n)
+		got, err := io.ReadFull(r, buf)
+		return buf[:got], err
+	}
+	var b bytes.Buffer
+	b.Grow(exactPayloadBytes)
+	_, err := io.CopyN(&b, r, int64(n))
+	return b.Bytes(), err
 }
 
 // readEOSFrame validates the EOS totals and returns io.EOF on success.

@@ -17,11 +17,11 @@ type Recorder = telemetry.Recorder
 // CompressObservedCtx is Compress instrumented through a telemetry
 // recorder and a trace context: per-code histograms into the
 // recorder's registry, a compress.run event to its sinks, and, when
-// ctx carries a trace span, the batch job, serialization and the core
-// phases as child spans, so a request trace attributes the whole
-// pipeline. It is the one-shard call of CompressShardedPreloaded, the
-// call the service makes for an unsharded request; Compress calls it
-// with a nil recorder.
+// ctx carries a trace span, the batch job and the core phases as child
+// spans, so a request trace attributes the whole pipeline. It is the
+// one-shard call of CompressShardedPreloaded, the call the service
+// makes for an unsharded request; Compress calls it with a nil
+// recorder.
 func CompressObservedCtx(ctx context.Context, ts *TestSet, cfg Config, rec *Recorder) (*Result, error) {
 	return CompressShardedPreloaded(ctx, ts, cfg, nil, 0, BatchOptions{Recorder: rec})
 }
@@ -50,8 +50,7 @@ func SimulateDownloadObserved(r *Result, clockRatio int, rec *Recorder) (*TestSe
 	hw.SetRecorder(rec)
 	// Pattern boundaries in the scan stream fall on the aligned width
 	// (each pattern is padded to a character boundary).
-	cc := cfg.CharBits
-	hw.SetPatternBits((r.Width + cc - 1) / cc * cc)
+	hw.SetPatternBits(cfg.PaddedWidth(r.Width))
 	stream, stats, err := hw.Run(sh.Pack(), len(sh.Codes), sh.InputBits)
 	if err != nil {
 		return nil, nil, 0, err

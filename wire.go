@@ -19,6 +19,9 @@ var (
 	ErrWireVersion   = wire.ErrVersion
 	ErrWireChecksum  = wire.ErrChecksum
 	ErrWireTruncated = wire.ErrTruncated
+	// ErrWireLimit reports a length field beyond the format's bounds, or
+	// a frame whose input length its patterns or codes cannot fill.
+	ErrWireLimit = wire.ErrLimit
 )
 
 // Trace span names for wire-container framing, recorded by the
