@@ -116,7 +116,7 @@ func TestWireHostileFrameShapes(t *testing.T) {
 // with.
 var containerErrors = []error{
 	ErrWireBadMagic, ErrWireVersion, ErrWireChecksum, ErrWireTruncated, ErrWireLimit,
-	ErrWireDictFrame, wire.ErrFrameType, ErrDictNotFound,
+	ErrWireConfig, ErrWireDictFrame, wire.ErrFrameType, ErrDictNotFound,
 }
 
 func typedContainerErr(err error) bool {
@@ -138,6 +138,32 @@ func regionsVerify(data []byte) bool {
 		_, err = r.ReadFrame()
 	}
 	return errors.Is(err, io.EOF) || !typedContainerErr(err)
+}
+
+// TestWireBadConfigHeader: a checksum-valid header carrying an unknown
+// policy, or a dictionary smaller than its literal space, fails with
+// ErrWireConfig through every entry that reads a container.
+func TestWireBadConfigHeader(t *testing.T) {
+	for name, cfg := range map[string]Config{
+		"fill=9":           {CharBits: 8, DictSize: 512, Fill: 9},
+		"DictSize < 2^C_C": {CharBits: 8, DictSize: 255},
+	} {
+		data := wire.EncodeHeader(wire.Header{Cfg: cfg, Width: 8})
+		t.Run(name, func(t *testing.T) {
+			for entry, decode := range map[string]func() error{
+				"DecompressWire": func() error { _, err := DecompressWire(bytes.NewReader(data)); return err },
+				"DecodeWireResult": func() error {
+					_, err := DecodeWireResult(data)
+					return err
+				},
+				"wire.NewReader": func() error { _, err := wire.NewReader(bytes.NewReader(data)); return err },
+			} {
+				if err := decode(); !errors.Is(err, ErrWireConfig) {
+					t.Fatalf("%s: got %v, want ErrWireConfig", entry, err)
+				}
+			}
+		})
+	}
 }
 
 // Container decodes may allocate containerOverhead bytes whatever they

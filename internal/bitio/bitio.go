@@ -9,8 +9,10 @@
 package bitio
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"lzwtc/internal/invariant"
 )
@@ -138,8 +140,71 @@ func (r *Reader) ReadBit() (uint, error) {
 	return uint(v), err
 }
 
-// Remaining reports how many readable bits are left.
-func (r *Reader) Remaining() int { return r.lim - r.pos }
+// AppendCodes appends codes to dst as consecutive width-bit fields,
+// MSB-first, zero-padding the final byte, and returns the extended
+// slice: the same bytes as one WriteBits(code, width) per code. Bits of
+// a code above width are dropped. width must be in [1, 32]. Codes shift
+// into a 64-bit accumulator that drains whole bytes, so it never holds
+// more than width+7 bits.
+func AppendCodes[T ~uint32](dst []byte, codes []T, width int) []byte {
+	invariant.Check(width >= 1 && width <= 32, "bitio: AppendCodes width %d out of range", width)
+	start, nb := len(dst), (len(codes)*width+7)/8
+	dst = slices.Grow(dst, nb)[:start+nb]
+	// Stores go through an index into the grown slice rather than
+	// append, and every shift is masked to 63: both keep the loop free
+	// of calls and out-of-range shift fix-ups, so its state stays in
+	// registers.
+	out := dst[start:]
+	w := uint(width) & 63
+	mask := uint64(1)<<w - 1
+	var acc uint64
+	n, i := uint(0), 0 // bits pending in acc, next byte of out
+	for _, c := range codes {
+		acc = acc<<w | uint64(c)&mask
+		n += w
+		for n >= 8 {
+			n -= 8
+			out[i] = byte(acc >> (n & 63))
+			i++
+		}
+	}
+	if n > 0 {
+		out[i] = byte(acc << ((8 - n) & 63))
+	}
+	return dst
+}
 
-// Pos reports the current bit offset from the start of the stream.
-func (r *Reader) Pos() int { return r.pos }
+// ReadCodes fills codes with consecutive width-bit fields of src read
+// MSB-first, the inverse of AppendCodes. It returns ErrUnexpectedEOF,
+// reading nothing, when src holds fewer than len(codes)·width bits.
+// width must be in [1, 32].
+func ReadCodes[T ~uint32](codes []T, src []byte, width int) error {
+	invariant.Check(width >= 1 && width <= 32, "bitio: ReadCodes width %d out of range", width)
+	if len(codes)*width > 8*len(src) {
+		return ErrUnexpectedEOF
+	}
+	w := uint(width) & 63
+	mask := uint64(1)<<w - 1
+	var acc uint64
+	have, next := uint(0), 0 // bits pending in acc, next byte of src
+	for i := range codes {
+		if have < w {
+			// Refill 32 bits at once while 4 bytes remain: acc then holds
+			// fewer than 64 live bits, and one refill always covers a code.
+			if next+4 <= len(src) {
+				acc = acc<<32 | uint64(binary.BigEndian.Uint32(src[next:]))
+				next += 4
+				have += 32
+			} else {
+				for have < w {
+					acc = acc<<8 | uint64(src[next])
+					next++
+					have += 8
+				}
+			}
+		}
+		have -= w
+		codes[i] = T(acc >> (have & 63) & mask)
+	}
+	return nil
+}

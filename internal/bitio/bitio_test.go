@@ -32,8 +32,8 @@ func TestWriteReadRoundTrip(t *testing.T) {
 			t.Errorf("read %d: got %#x want %#x (width %d)", i, got, want, x.n)
 		}
 	}
-	if r.Remaining() != 0 {
-		t.Errorf("remaining = %d, want 0", r.Remaining())
+	if _, err := r.ReadBit(); err != ErrUnexpectedEOF {
+		t.Errorf("bits remain after reading everything back (err %v)", err)
 	}
 }
 
@@ -136,7 +136,8 @@ func TestQuickRoundTrip(t *testing.T) {
 				return false
 			}
 		}
-		return r.Remaining() == 0
+		_, err := r.ReadBit()
+		return err == ErrUnexpectedEOF
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -167,6 +168,47 @@ func BenchmarkWriteBits(b *testing.B) {
 		w.WriteBits(uint64(i), 10)
 		if w.BitLen() > 1<<20 {
 			w.Reset()
+		}
+	}
+}
+
+// TestCodesMatchWriteBits holds the bulk packers to the per-field
+// Writer and Reader over every width they accept: AppendCodes must emit
+// the bytes of one WriteBits per code (stray high bits dropped), after
+// any prefix already in dst, and ReadCodes must read back what ReadBits
+// reads, also from random bytes with the pad bits set.
+func TestCodesMatchWriteBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for width := 1; width <= 32; width++ {
+		for _, n := range []int{0, 1, 3, 7, 8, 9, 64, 65} {
+			codes := make([]uint32, n)
+			var w Writer
+			for i := range codes {
+				codes[i] = rng.Uint32()
+				w.WriteBits(uint64(codes[i]), width)
+			}
+			prefix := []byte{0xa5}
+			got := AppendCodes(prefix, codes, width)
+			if want := append([]byte{0xa5}, w.Bytes()...); string(got) != string(want) {
+				t.Fatalf("width=%d n=%d: AppendCodes = %x, WriteBits %x", width, n, got, want)
+			}
+			noise := make([]byte, len(got)-1)
+			rng.Read(noise)
+			back := make([]uint32, n)
+			if err := ReadCodes(back, noise, width); err != nil {
+				t.Fatalf("width=%d n=%d: ReadCodes: %v", width, n, err)
+			}
+			r := NewReader(noise, -1)
+			for i, c := range back {
+				if v, _ := r.ReadBits(width); uint64(c) != v {
+					t.Fatalf("width=%d n=%d code %d: ReadCodes %d, ReadBits %d", width, n, i, c, v)
+				}
+			}
+			if n > 0 {
+				if err := ReadCodes(back, noise[:(n*width-1)/8], width); err != ErrUnexpectedEOF {
+					t.Fatalf("width=%d n=%d: short input: got %v, want ErrUnexpectedEOF", width, n, err)
+				}
+			}
 		}
 	}
 }

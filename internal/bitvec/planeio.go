@@ -67,9 +67,10 @@ func (l *PlaneLoader) Load(src []byte) error {
 		return fmt.Errorf("bitvec: %d plane bytes is not a whole number of %d-byte cubes", len(src), pb)
 	}
 	w := pb / 16
-	tail := ^LaneMask(l.cs.Width % 64)
-	if l.cs.Width%64 == 0 {
-		tail = 0
+	// tail marks the bits at and past the width in a plane's last word.
+	var tail uint64
+	if r := l.cs.Width % 64; r != 0 {
+		tail = ^uint64(0) << uint(r)
 	}
 	for off := 0; off < len(src); off += pb {
 		v := l.arena.next()

@@ -53,12 +53,7 @@ type Result struct {
 // Pack serializes the code sequence as fixed-width C_E-bit codes, MSB
 // first — exactly the bit stream the ATE would feed the decompressor.
 func (r *Result) Pack() []byte {
-	var w bitio.Writer
-	cb := r.Cfg.CodeBits()
-	for _, c := range r.Codes {
-		w.WriteBits(uint64(c), cb)
-	}
-	return w.Bytes()
+	return bitio.AppendCodes(nil, r.Codes, r.Cfg.CodeBits())
 }
 
 // UnpackCodes parses n fixed-width codes from a packed stream.
@@ -66,15 +61,16 @@ func UnpackCodes(data []byte, n int, cfg Config) ([]Code, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	r := bitio.NewReader(data, -1)
+	if n < 0 {
+		return nil, fmt.Errorf("core: negative code count %d", n)
+	}
 	cb := cfg.CodeBits()
-	codes := make([]Code, 0, n)
-	for i := 0; i < n; i++ {
-		v, err := r.ReadBits(cb)
-		if err != nil {
-			return nil, fmt.Errorf("core: truncated code stream at code %d: %w", i, err)
-		}
-		codes = append(codes, Code(v))
+	if have := 8 * len(data) / cb; n > have {
+		return nil, fmt.Errorf("core: truncated code stream at code %d: %w", have, bitio.ErrUnexpectedEOF)
+	}
+	codes := make([]Code, n)
+	if err := bitio.ReadCodes(codes, data, cb); err != nil {
+		return nil, err
 	}
 	return codes, nil
 }
@@ -123,8 +119,9 @@ func Compress(stream *bitvec.Vector, cfg Config) (*Result, error) {
 // ⌈Width/C_C⌉ characters, and bits at and past Width read as X, so a
 // cube's pad bits stay free for dynamic assignment exactly as in the
 // paper's pattern-by-pattern scan-in stream, where every scan vector
-// starts on a character boundary. InputBits is the padded volume.
-func compressInternal(ctx context.Context, cs *bitvec.CubeSet, cfg Config, rec *telemetry.Recorder, mk func() (*dict, error)) (*Result, error) {
+// starts on a character boundary. InputBits is the padded volume. The
+// dictionary starts from pre (nil is a cold start).
+func compressInternal(ctx context.Context, cs *bitvec.CubeSet, cfg Config, pre *Preload, rec *telemetry.Recorder) (*Result, error) {
 	cc := cfg.CharBits
 	width := cs.Width
 	slot := cfg.PaddedWidth(width)
@@ -142,7 +139,8 @@ func compressInternal(ctx context.Context, cs *bitvec.CubeSet, cfg Config, rec *
 	}
 	fullMask := uint64(1)<<uint(cc) - 1
 	_, dsp := rec.StartSpan(ctx, SpanDictBuild)
-	d, err := mk()
+	// A run of nChars characters adds fewer than nChars entries.
+	d, err := preloadedDict(cfg, pre, nChars, rec)
 	dsp.End()
 	if err != nil {
 		return nil, err
@@ -175,7 +173,7 @@ func compressInternal(ctx context.Context, cs *bitvec.CubeSet, cfg Config, rec *
 	codes := d.emit[:0]
 	var dynFills, resFills, dictEntries, maxEntry, maxMatch, litCodes, strCodes int
 	resFills = res.Stats.ResidualFills // first char may have residual-filled
-	maxChars, dictSize := d.maxChars, cfg.DictSize
+	maxChars, dictSize := d.maxChars, d.cfg.DictSize
 	direct := d.directBlocks
 	// The per-character chunk extraction is written out against the raw
 	// plane words (same contract as Vector.Chunk: bit pos+j at result bit
@@ -203,53 +201,44 @@ func compressInternal(ctx context.Context, cs *bitvec.CubeSet, cfg Config, rec *
 			}
 			// Dispatch straight to the matcher arm: findChild is only the
 			// exact-vs-masked split plus the oracle cross-check, and its call
-			// frame shows up at this loop's query rate. Oracle builds keep
-			// going through findChild so every production lookup stays
-			// cross-checked.
+			// frame shows up at this loop's query rate. Oracle builds run the
+			// same dispatch and check its answer afterwards.
 			var child Code
 			var ok bool
-			if dictOracle {
-				child, ok = d.findChild(buffer, val, care, fullMask)
-			} else if care == fullMask {
+			if care == fullMask {
 				child, ok = d.lookupChild(buffer, val)
-			} else if tieOldest && !d.hasXLanes {
+			} else if tieOldest {
 				// TieOldest fast arms, sharing one chain-header load. All-X
 				// characters resolve positionally from the header alone and
 				// don't flip the dictionary into eager plane maintenance;
 				// single-block chains (the overwhelming shape) run the
-				// bit-sliced kernel right here, skipping the call and the
-				// is-X plane (production lanes are concrete). Longer chains
-				// and pre-sync dictionaries take the full path.
+				// bit-sliced kernel right here, skipping the call. Longer
+				// chains and pre-sync dictionaries take the full path.
 				ch := d.chain[buffer]
 				if ch.count == 0 || val&^care != 0 {
 					// no children, or val demands bits outside its care mask
 				} else if care == 0 {
 					child, ok = ch.first, true
-				} else if d.anyMasked && int(ch.count) <= 64 {
+				} else if d.anyMasked && int(ch.count) <= blockLanes {
 					// Under the direct block layout the plane and lane-code
 					// addresses come from the code itself, so these loads issue
 					// in parallel with the chain-header load above instead of
-					// chained behind it; loading lane 0's code up front warms
-					// its cache line while the kernel runs (TieOldest survivors
-					// are biased to the low lanes).
+					// chained behind it.
 					b := int(ch.head)
 					if direct {
 						b = int(buffer)
 					}
-					base := b * cc
-					lanes := ^uint64(0) >> (64 - uint(ch.count))
-					for m := care; m != 0 && lanes != 0; m &= m - 1 {
-						t := bits.TrailingZeros64(m)
-						lanes &^= d.blkVal[base+t] ^ (-(val >> uint(t) & 1))
-					}
-					if lanes != 0 {
-						child, ok = d.blkCodes[b*64+bits.TrailingZeros64(lanes)], true
+					if lanes := d.blockMatch(b, val, care, int(ch.count)); lanes != 0 {
+						child, ok = d.blkCodes[b*blockLanes+bits.TrailingZeros64(lanes)], true
 					}
 				} else {
 					child, ok = d.findChildMasked(buffer, val, care, fullMask)
 				}
 			} else {
 				child, ok = d.findChildMasked(buffer, val, care, fullMask)
+			}
+			if dictOracle {
+				d.checkRef(buffer, val, care, fullMask, child, ok)
 			}
 			if ok {
 				// Dynamic don't-care assignment: the X bits of this character

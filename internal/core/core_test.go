@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -559,5 +560,41 @@ func TestLiteralOnlyDictResetRoundTrip(t *testing.T) {
 	}
 	if !stream.CompatibleWith(out) {
 		t.Fatal("round trip violates a care bit")
+	}
+}
+
+// TestCompressDictSizedByInput: a one-pattern compress announcing the
+// largest N the format allows sizes its dictionary by the input, not by
+// N, and emits the codes a small dictionary emits, at the requested
+// C_E.
+func TestCompressDictSizedByInput(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	stream := randomCube(rng, 64, 0.5)
+	huge := Config{CharBits: 8, DictSize: 1 << 24, EntryBits: 64}
+	small := huge
+	small.DictSize = 1 << 12
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := Compress(stream, huge)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 4<<20 {
+		t.Fatalf("compressing 64 bits at N=2^24 allocated %d bytes", n)
+	}
+	if res.Cfg.DictSize != huge.DictSize || res.Cfg.CodeBits() != 24 {
+		t.Fatalf("result config N=%d C_E=%d, want N=2^24 C_E=24", res.Cfg.DictSize, res.Cfg.CodeBits())
+	}
+	want, err := Compress(stream, small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res.Codes, want.Codes) {
+		t.Fatalf("codes at N=2^24 %v, at N=2^12 %v", res.Codes, want.Codes)
+	}
+	out, err := Decompress(res.Codes, res.Cfg, res.InputBits)
+	if err != nil || !stream.CompatibleWith(out) {
+		t.Fatalf("round trip at N=2^24 failed (err %v)", err)
 	}
 }

@@ -62,14 +62,8 @@ func decompressSet(codes []Code, cfg Config, pre *Preload, width, patterns int, 
 		return bitvec.MakeCubeSet(width, patterns), nil
 	}
 
-	// n codes add at most n entries, so the dictionary never needs more
-	// codes than that past the literals and the preload. Sizing it so
-	// keeps a huge announced N from costing memory the codes cannot use,
-	// and replays the same: the dictionary fills under neither size or
-	// the sizes are equal.
-	dcfg := cfg
-	dcfg.DictSize = min(cfg.DictSize, cfg.Literals()+pre.Entries()+len(codes))
-	d, err := preloadedDict(dcfg, pre, nil)
+	// n codes add at most n entries.
+	d, err := preloadedDict(cfg, pre, len(codes), nil)
 	if err != nil {
 		return nil, err
 	}

@@ -17,13 +17,16 @@ import (
 // lookup is one probe of an open-addressed table, and an X-laden lookup
 // runs a word-parallel kernel over the parent's children. Children are
 // batched, in creation (= ascending code) order, into 64-lane plane
-// blocks — per-bit value and is-X planes plus a lane → code column — so
-// "which of these 64 children is compatible with the query cube" is a
-// couple of AND/ANDN/XOR word operations per cared query bit
-// (bitvec.MatchLanes), and the TieOldest/TieNewest/TieWidest policies
-// resolve over the surviving bitmask instead of per-candidate probes.
-// The result is identical to the historical per-node map scan (see
-// refMatcher, the retained reference oracle).
+// blocks — one value plane per character bit plus a lane → code column —
+// so "which of these 64 children agree with the query cube on its cared
+// bits" is one XOR and one ANDN per cared query bit (blockMatch), and the
+// TieOldest/TieNewest/TieWidest policies resolve over the surviving
+// bitmask instead of per-candidate probes. Every stored character is
+// concrete, as in the paper's dictionary: the compressor binds a
+// character's X bits before it adds it, the decompressor replays those
+// adds, and preloads are validated. The result is identical to the
+// historical per-node map scan (see refMatcher, the retained reference
+// oracle).
 type dict struct {
 	cfg       Config
 	firstCode Code
@@ -64,7 +67,7 @@ type dict struct {
 	chain []chainHdr
 
 	// Block arena backing every chain: block b owns lanes
-	// blkCodes[64b : 64b+64] and plane words blkVal/blkX[cc·b : cc·b+cc]
+	// blkCodes[64b : 64b+64] and plane words blkVal[cc·b : cc·b+cc]
 	// (cc = CharBits, one word per character bit). Blocks are handed out
 	// in order and recycled wholesale on reset; capacities are retained
 	// across reinit, so a recycled dictionary re-slices rather than
@@ -79,7 +82,6 @@ type dict struct {
 	blkHdr   []blockHdr // per-block chain link + fill (one cache line)
 	blkCodes []Code     // lane → child code
 	blkVal   []uint64   // value planes, bit b of every lane's character
-	blkX     []uint64   // is-X planes (all zero for concrete characters)
 	nBlocks  int
 	usedBlk  int
 
@@ -119,14 +121,6 @@ type dict struct {
 	// path. reinit clears it; reset deliberately does not (the workload's
 	// character doesn't change at a dictionary-full boundary).
 	anyMasked bool
-
-	// hasXLanes marks that some plane block carries a lane with is-X bits
-	// set. Production dictionaries never do — the compressor concretizes
-	// every character before adding and the decompressor replays those —
-	// so the kernel skips the is-X plane load entirely (and the add path
-	// skips zeroing it) unless a test has built three-valued lanes
-	// directly and raised the flag.
-	hasXLanes bool
 
 	// tableLive is the probe table's counterpart to anyMasked: while
 	// false the table's contents are garbage and commitAdd skips the
@@ -320,7 +314,6 @@ func (d *dict) reinit(cfg Config) {
 	d.maxChars = cfg.MaxChars()
 	d.noChildIndex = false
 	d.anyMasked = false
-	d.hasXLanes = false
 	d.tableLive = false
 	if dictOracle {
 		d.ref = newRefMatcher(cfg)
@@ -335,15 +328,11 @@ func (d *dict) resliceBlocks() {
 	d.blkHdr = d.blkHdr[:cap(d.blkHdr)]
 	d.blkCodes = d.blkCodes[:cap(d.blkCodes)]
 	d.blkVal = d.blkVal[:cap(d.blkVal)]
-	d.blkX = d.blkX[:cap(d.blkX)]
 	n := len(d.blkHdr)
 	if m := len(d.blkCodes) / blockLanes; m < n {
 		n = m
 	}
 	if m := len(d.blkVal) / cc; m < n {
-		n = m
-	}
-	if m := len(d.blkX) / cc; m < n {
 		n = m
 	}
 	d.nBlocks = n
@@ -370,11 +359,6 @@ func (d *dict) growBlocksTo(n int) {
 		nw := make([]uint64, n*cc)
 		copy(nw, d.blkVal)
 		d.blkVal = nw
-	}
-	if cap(d.blkX) < n*cc {
-		nw := make([]uint64, n*cc)
-		copy(nw, d.blkX)
-		d.blkX = nw
 	}
 	d.resliceBlocks()
 }
@@ -544,17 +528,11 @@ func (d *dict) commitAdd(parent Code, char uint64) Code {
 		// character are in registers, instead of leaving the block one
 		// lane stale for the next query's syncPlanes call. A recycled
 		// block's first lane overwrites the full (dirty) words — the
-		// single-lane analogue of the k==0 rebuild. The is-X words carry
-		// no production traffic at all (see hasXLanes).
+		// single-lane analogue of the k==0 rebuild.
 		base := int(tb) * d.cfg.CharBits
 		if ln == 0 {
 			for t := 0; t < d.cfg.CharBits; t++ {
 				d.blkVal[base+t] = char >> uint(t) & 1
-			}
-			if d.hasXLanes {
-				for t := 0; t < d.cfg.CharBits; t++ {
-					d.blkX[base+t] = 0
-				}
 			}
 		} else {
 			bit := uint64(1) << uint(ln)
@@ -598,30 +576,22 @@ func (d *dict) growChain(parent Code, tb int32) int32 {
 }
 
 // syncPlanes transposes the lanes appended since the block's last sync
-// into its value/is-X planes. A block recycled by reset starts with
-// dirty plane words (plane counter 0), so the first sync clears them;
+// into its value planes. A block recycled by reset starts with dirty
+// plane words (plane counter 0), so the first sync overwrites them;
 // later syncs are OR-only appends. Dictionary characters are always
 // concrete (the compressor adds the fill-concretized character, the
 // decompressor replays it), so the lane's character is exactly
-// lastChar[child] and its is-X plane bits stay zero — the is-X planes
-// keep the kernel honest for three-valued lanes, which tests build
-// directly.
+// lastChar[child]. Characters are always below 2^CharBits (preloads are
+// validated), so every set bit indexes this block's own plane words.
 func (d *dict) syncPlanes(b int32) {
 	cc := d.cfg.CharBits
 	base := int(b) * cc
 	cb := int(b) * blockLanes
 	k, n := int(d.blkHdr[b].plane), int(d.blkHdr[b].len)
-	// The transposition is bitvec.AppendLane with a full care mask,
-	// written out to avoid a call per lane. Characters are always below
-	// 2^CharBits (the compressor concretizes within fullMask, the
-	// decompressor and preload replay validated characters), so every
-	// set bit indexes this block's own plane words.
 	if k == 0 {
 		// Full rebuild of a recycled block: accumulate the plane words on
 		// the stack and overwrite, so the dirty words are never read and
-		// never need a separate clear. The is-X words see no store at all
-		// — production lanes are concrete (hasXLanes) and the kernel only
-		// reads the words a test explicitly wrote.
+		// never need a separate clear.
 		var acc [16]uint64 // cc ≤ 16
 		for i := 0; i < n; i++ {
 			bit := uint64(1) << uint(i)
@@ -631,13 +601,6 @@ func (d *dict) syncPlanes(b int32) {
 		}
 		for t := 0; t < cc; t++ {
 			d.blkVal[base+t] = acc[t]
-		}
-		if d.hasXLanes {
-			// Only dictionaries carrying test-built three-valued lanes ever
-			// read the is-X words, and only they pay for clearing them.
-			for t := 0; t < cc; t++ {
-				d.blkX[base+t] = 0
-			}
 		}
 		d.blkHdr[b].plane = int32(n)
 		return
@@ -749,21 +712,45 @@ func (d *dict) findChild(code Code, val, care, fullMask uint64) (Code, bool) {
 		c, ok = d.findChildMasked(code, val, care, fullMask)
 	}
 	if dictOracle {
-		// The not-found code value is unspecified (the reference returns
-		// the map zero value, the flat matcher noCode); only the found
-		// flag, and the code when found, are part of the contract.
-		rc, rok := d.ref.findChild(code, val, care, fullMask)
-		invariant.Check(rok == ok && (!ok || rc == c),
-			"core: flat matcher diverges from reference at code %d (val=%#x care=%#x): flat=(%d,%v) ref=(%d,%v)",
-			code, val, care, c, ok, rc, rok)
+		d.checkRef(code, val, care, fullMask, c, ok)
 	}
 	return c, ok
+}
+
+// checkRef holds a lookup's answer (c, ok) to the reference matcher's
+// under the lzwtc_dictoracle build tag. The not-found code value is
+// unspecified (the reference returns the map zero value, the flat
+// matcher noCode); only the found flag, and the code when found, are
+// part of the contract.
+func (d *dict) checkRef(code Code, val, care, fullMask uint64, c Code, ok bool) {
+	rc, rok := d.ref.findChild(code, val, care, fullMask)
+	invariant.Check(rok == ok && (!ok || rc == c),
+		"core: flat matcher diverges from reference at code %d (val=%#x care=%#x): flat=(%d,%v) ref=(%d,%v)",
+		code, val, care, c, ok, rc, rok)
+}
+
+// blockMatch is the match kernel: it returns the lanes of plane block b,
+// among its first min(left, 64), whose character agrees with val on
+// every bit of care. Each cared bit t drops the lanes whose plane bit
+// differs from val's bit t: one XOR against val's bit broadcast to all
+// lanes, one ANDN. The loop stops as soon as no lane survives. left
+// must be at least 1 (a block holds at least one lane); the &63 lets the
+// compiler drop its fix-up for shifts of 64 and more. Every call site
+// inlines it (go build -gcflags=-m ./internal/core).
+func (d *dict) blockMatch(b int, val, care uint64, left int) uint64 {
+	lanes := ^uint64(0) >> ((blockLanes - uint(min(left, blockLanes))) & 63)
+	base := b * d.cfg.CharBits
+	for m := care; m != 0 && lanes != 0; m &= m - 1 {
+		t := bits.TrailingZeros64(m)
+		lanes &^= d.blkVal[base+t] ^ -(val >> uint(t) & 1)
+	}
+	return lanes
 }
 
 // findChildMasked resolves an X-laden lookup with the bit-sliced kernel:
 // each 64-lane block of code's chain answers "which children are
 // compatible with (val, care)" in popcount(care) word operations
-// (bitvec.MatchLanes), and the tie-break is decided over the surviving
+// (blockMatch), and the tie-break is decided over the surviving
 // bitmasks. Lanes ascend in code order, so TieOldest stops at the first
 // surviving block's lowest lane, TieNewest keeps the last surviving
 // block's highest lane, and TieWidest compares childCount across the
@@ -806,107 +793,47 @@ func (d *dict) findChildMasked(code Code, val, care, fullMask uint64) (Code, boo
 			return d.blkCodes[int(ch.tail)*blockLanes+int(ch.count-1)&63], true
 		}
 	}
-	cc := d.cfg.CharBits
-	// Each tie arm writes the per-block kernel out inline — base-indexed
-	// plane loads instead of bitvec.MatchLanes over subslices — because
-	// this is the hottest loop in the module and the call plus
-	// slice-header construction measurably dominates the word operations
-	// themselves. bitvec.MatchLanes remains the formula of record: the
-	// bit-plane tests hold this path equivalent to it lane for lane.
 	// growChain only opens a block once the tail is full, so every block
 	// before the tail holds exactly 64 lanes and the per-block lane count
 	// falls out of the running count — the block header is only loaded
 	// for its next link when a chain actually spills past 64 children.
+	// Each policy keeps its own block loop: a policy switch per block
+	// measurably slows chains that spill past one block.
 	switch d.cfg.Tie {
 	case TieOldest:
-		left := int(ch.count)
-		for b := ch.head; ; {
-			base := int(b) * cc
-			lanes := ^uint64(0)
-			if left < blockLanes {
-				lanes >>= 64 - uint(left)
-			}
-			for m := care; m != 0 && lanes != 0; m &= m - 1 {
-				t := bits.TrailingZeros64(m)
-				bcast := -(val >> uint(t) & 1)
-				mis := d.blkVal[base+t] ^ bcast
-				if d.hasXLanes {
-					mis &^= d.blkX[base+t]
-				}
-				lanes &^= mis
-			}
-			if lanes != 0 {
+		for b, left := ch.head, int(ch.count); ; b = d.blkHdr[b].next {
+			if lanes := d.blockMatch(int(b), val, care, left); lanes != 0 {
 				return d.blkCodes[int(b)*blockLanes+bits.TrailingZeros64(lanes)], true
 			}
 			if left -= blockLanes; left <= 0 {
 				return noCode, false
 			}
-			b = d.blkHdr[b].next
 		}
 	case TieNewest:
 		best := noCode
-		left := int(ch.count)
-		for b := ch.head; ; {
-			base := int(b) * cc
-			lanes := ^uint64(0)
-			if left < blockLanes {
-				lanes >>= 64 - uint(left)
-			}
-			for m := care; m != 0 && lanes != 0; m &= m - 1 {
-				t := bits.TrailingZeros64(m)
-				bcast := -(val >> uint(t) & 1)
-				mis := d.blkVal[base+t] ^ bcast
-				if d.hasXLanes {
-					mis &^= d.blkX[base+t]
-				}
-				lanes &^= mis
-			}
-			if lanes != 0 {
+		for b, left := ch.head, int(ch.count); ; b = d.blkHdr[b].next {
+			if lanes := d.blockMatch(int(b), val, care, left); lanes != 0 {
 				best = d.blkCodes[int(b)*blockLanes+63-bits.LeadingZeros64(lanes)]
 			}
 			if left -= blockLanes; left <= 0 {
-				break
+				return best, best != noCode
 			}
-			b = d.blkHdr[b].next
 		}
-		if best != noCode {
-			return best, true
-		}
-	case TieWidest:
+	default: // TieWidest
 		best := noCode
 		bestWidth := int32(-1)
-		left := int(ch.count)
-		for b := ch.head; ; {
-			base := int(b) * cc
-			lanes := ^uint64(0)
-			if left < blockLanes {
-				lanes >>= 64 - uint(left)
-			}
-			for m := care; m != 0 && lanes != 0; m &= m - 1 {
-				t := bits.TrailingZeros64(m)
-				bcast := -(val >> uint(t) & 1)
-				mis := d.blkVal[base+t] ^ bcast
-				if d.hasXLanes {
-					mis &^= d.blkX[base+t]
-				}
-				lanes &^= mis
-			}
-			for s := lanes; s != 0; s &= s - 1 {
+		for b, left := ch.head, int(ch.count); ; b = d.blkHdr[b].next {
+			for s := d.blockMatch(int(b), val, care, left); s != 0; s &= s - 1 {
 				child := d.blkCodes[int(b)*blockLanes+bits.TrailingZeros64(s)]
 				if w := d.chain[child].count; w > bestWidth {
 					best, bestWidth = child, w
 				}
 			}
 			if left -= blockLanes; left <= 0 {
-				break
+				return best, best != noCode
 			}
-			b = d.blkHdr[b].next
-		}
-		if best != noCode {
-			return best, true
 		}
 	}
-	return noCode, false
 }
 
 // stringOf materializes the uncompressed characters of code c, oldest

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math/bits"
 	"math/rand"
 	"testing"
 )
@@ -9,8 +8,8 @@ import (
 // Edge-case coverage for the bit-sliced child index: chain lengths
 // around the 64-lane block boundary, all-X and zero-X cubes, the
 // direct vs dense block layouts, reinit stride reuse across CharBits,
-// and synthetic three-valued lanes (hasXLanes), which only tests build.
-// The map-based refMatcher is the behavioral reference throughout.
+// and the per-block match kernel lane for lane. The map-based
+// refMatcher is the behavioral reference throughout.
 
 // slicedCfg is the common shape: cc8 so chains can exceed 64 children.
 func slicedCfg(dictSize int, tie TieBreak) Config {
@@ -202,104 +201,58 @@ func TestReinitStrideReuse(t *testing.T) {
 	}
 }
 
-// xLaneRef is the per-lane reference for three-valued lanes: a lane is
-// compatible when every cared query bit is either a don't-care in the
-// lane or equal to the lane's stored bit.
-func xLaneRef(val, care uint64, chars, xmasks []uint64) int {
-	for i := range chars {
-		ok := true
-		for m := care; m != 0; m &= m - 1 {
-			b := m & -m
-			if xmasks[i]&b == 0 && (chars[i]^val)&b != 0 {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return i
-		}
-	}
-	return -1
-}
-
-// TestSyntheticXLanes builds three-valued lanes directly in the planes
-// (production dictionaries never do — the compressor concretizes every
-// add) and checks the kernel honors the is-X planes under hasXLanes.
-// The lanes are written over a live chain so the planes-always-current
-// invariant (plane == len) holds.
-func TestSyntheticXLanes(t *testing.T) {
-	for _, n := range []int{3, 64, 70} {
-		d, _ := mirroredDict(t, slicedCfg(1024, TieOldest), n)
-		fullMask := uint64(0xff)
-		// Flip into masked mode so the planes are synced and current.
-		d.findChildMasked(1, 0, 1, fullMask)
-
-		// Rebuild every lane of parent 1's chain as a three-valued
-		// character: char i with bits (i%3==1 ? low nibble : top bit) X.
-		chars := make([]uint64, n)
-		xmasks := make([]uint64, n)
-		for i := range chars {
-			chars[i] = uint64(i) & 0xff
-			if i%3 == 1 {
-				xmasks[i] = 0x0f
-			} else if i%3 == 2 {
-				xmasks[i] = 0x80
-			}
-		}
-		d.hasXLanes = true
-		cc := d.cfg.CharBits
-		lane := 0
-		for b := d.chain[1].head; b != noBlock; b = d.blkHdr[b].next {
-			base := int(b) * cc
-			for tbit := 0; tbit < cc; tbit++ {
-				d.blkVal[base+tbit] = 0
-				d.blkX[base+tbit] = 0
-			}
-			ln := int(d.blkHdr[b].len)
-			for i := 0; i < ln; i++ {
-				care := fullMask &^ xmasks[lane]
-				for m := chars[lane] & care; m != 0; m &= m - 1 {
-					d.blkVal[base+bits.TrailingZeros64(m)] |= 1 << uint(i)
+// TestBlockMatchAgainstReference fills a block with distinct random
+// concrete characters over the character widths 1–16 and checks the
+// match kernel lane for lane against a per-lane reference over random
+// queries, including care = 0 (every lane survives) and full-care exact
+// queries. A lane bound below the fill must keep the excluded lanes out
+// whatever the query.
+func TestBlockMatchAgainstReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, width := range []int{1, 2, 7, 8, 13, 16} {
+		mask := uint64(1)<<uint(width) - 1
+		for _, fill := range []int{1, 3, 63, 64} {
+			fill = min(fill, 1<<uint(width))
+			cfg := Config{CharBits: width, DictSize: 2 << uint(width), Tie: TieOldest, Full: FullFreeze}
+			d := newDict(cfg)
+			chars := make([]uint64, 0, fill)
+			for len(chars) < fill {
+				ch := rng.Uint64() & mask
+				if _, dup := d.lookupChild(1, ch); dup {
+					continue
 				}
-				for m := xmasks[lane]; m != 0; m &= m - 1 {
-					d.blkX[base+bits.TrailingZeros64(m)] |= 1 << uint(i)
+				if _, ok := d.add(1, ch); !ok {
+					t.Fatalf("width=%d: add %d failed", width, len(chars))
 				}
-				lane++
+				chars = append(chars, ch)
 			}
-		}
-		if lane != n {
-			t.Fatalf("rebuilt %d lanes, want %d", lane, n)
-		}
-
-		rng := rand.New(rand.NewSource(int64(n)))
-		for trial := 0; trial < 400; trial++ {
-			care := rng.Uint64() & fullMask
-			val := rng.Uint64() & care
-			got, gok := d.findChildMasked(1, val, care, fullMask)
-			wantLane := xLaneRef(val, care, chars, xmasks)
-			if (wantLane >= 0) != gok {
-				t.Fatalf("n=%d val=%#x care=%#x: kernel found=%v, reference lane=%d", n, val, care, gok, wantLane)
+			d.findChildMasked(1, 0, 1, mask) // sync the planes
+			b := int(d.chain[1].head)
+			queries := [][2]uint64{{0, 0}, {0, mask}, {mask, mask}, {chars[0], mask}}
+			for q := 0; q < 200; q++ {
+				care := rng.Uint64() & mask
+				queries = append(queries, [2]uint64{rng.Uint64() & care, care})
 			}
-			if gok {
-				// TieOldest: the kernel must return the oldest compatible
-				// lane, which is exactly the reference's first hit.
-				wantCode := d.blkCodes[chainLaneIndex(d, 1, wantLane)]
-				if got != wantCode {
-					t.Fatalf("n=%d val=%#x care=%#x: kernel=%d, want lane %d = code %d",
-						n, val, care, got, wantLane, wantCode)
+			for _, q := range queries {
+				val, care := q[0], q[1]
+				want := uint64(0)
+				for i, ch := range chars {
+					if ch&care == val {
+						want |= 1 << uint(i)
+					}
+				}
+				if got := d.blockMatch(b, val, care, fill); got != want {
+					t.Fatalf("width=%d fill=%d val=%#x care=%#x: blockMatch=%#x, reference %#x",
+						width, fill, val, care, got, want)
+				}
+			}
+			if fill > 1 {
+				partial := uint64(1)<<uint(fill-1) - 1
+				if got := d.blockMatch(b, 0, 0, fill-1); got != partial {
+					t.Fatalf("width=%d fill=%d: all-X over %d lanes = %#x, want %#x",
+						width, fill, fill-1, got, partial)
 				}
 			}
 		}
 	}
-}
-
-// chainLaneIndex resolves chain lane i of parent p to its blkCodes
-// index, hopping blocks as needed.
-func chainLaneIndex(d *dict, p Code, i int) int {
-	b := d.chain[p].head
-	for i >= blockLanes {
-		i -= blockLanes
-		b = d.blkHdr[b].next
-	}
-	return int(b)*blockLanes + i
 }

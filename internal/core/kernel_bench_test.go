@@ -72,3 +72,14 @@ func BenchmarkFindChildMaskedWidest(b *testing.B) {
 		d.findChildMasked(1, uint64(i)&care, care, fullMask)
 	}
 }
+
+// Exact query: a fully specified character on the 48-lane chain, which
+// findChild answers from the probe table instead of the kernel. It keeps
+// the table's advantage over the kernel on X-free input measurable.
+func BenchmarkFindChildExact(b *testing.B) {
+	d, fullMask := benchChainDict(b, TieOldest, 48)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.findChild(1, uint64(i)%48, fullMask, fullMask)
+	}
+}

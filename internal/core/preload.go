@@ -108,7 +108,12 @@ func TrainSet(cs *bitvec.CubeSet, cfg Config, maxEntries int) (*Preload, error) 
 	if err != nil {
 		return nil, err
 	}
-	d := newDict(cfg)
+	d, err := preloadedDict(cfg, nil, len(res.Codes), nil)
+	if err != nil {
+		return nil, err
+	}
+	defer releaseDict(d)
+	d.noChildIndex = true // the rebuild only replays adds
 	if _, err := d.decode(res.Codes, nil, nil); err != nil {
 		return nil, err
 	}
@@ -157,12 +162,18 @@ func CompressWithPreloadObservedCtx(ctx context.Context, cs *bitvec.CubeSet, cfg
 	if err := checkPreload(cfg, pre); err != nil {
 		return nil, err
 	}
-	return compressInternal(ctx, cs, cfg, rec, func() (*dict, error) { return preloadedDict(cfg, pre, rec) })
+	return compressInternal(ctx, cs, cfg, pre, rec)
 }
 
 // preloadedDict takes a dictionary from the arena (counting the take in
-// rec) and installs pre into it; a nil preload leaves it cold.
-func preloadedDict(cfg Config, pre *Preload, rec *telemetry.Recorder) (*dict, error) {
+// rec) and installs pre into it; a nil preload leaves it cold. The run
+// it serves adds at most adds entries, so the dictionary is sized to
+// min(N, 2^C_C + preload entries + adds) codes: a huge N then costs no
+// memory the run cannot use, and the run replays the same, because the
+// dictionary fills under neither size or the sizes are equal. Only the
+// dictionary is sized so; the run's Config, and with it C_E, keeps N.
+func preloadedDict(cfg Config, pre *Preload, adds int, rec *telemetry.Recorder) (*dict, error) {
+	cfg.DictSize = min(cfg.DictSize, cfg.Literals()+pre.Entries()+adds)
 	d := acquireDict(cfg, rec)
 	if err := d.preload(pre); err != nil {
 		releaseDict(d)

@@ -252,7 +252,7 @@ type writerShim struct{ w bitio.Writer }
 func (s *writerShim) String() string {
 	r := bitio.NewReader(s.w.Bytes(), s.w.BitLen())
 	var sb strings.Builder
-	for r.Remaining() > 0 {
+	for range s.w.BitLen() {
 		b, _ := r.ReadBit()
 		sb.WriteByte('0' + byte(b))
 	}

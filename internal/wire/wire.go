@@ -41,9 +41,9 @@
 // the EOS frame (ErrTruncated).
 //
 // Decoding is hostile-input safe: arbitrary bytes produce a typed error
-// (ErrBadMagic, ErrVersion, ErrChecksum, ErrTruncated, or a config
-// validation error), never a panic, and allocation is bounded by the
-// bytes actually read, not by attacker-controlled length fields.
+// (ErrBadMagic, ErrVersion, ErrChecksum, ErrTruncated, ErrConfig and
+// the other sentinels below), never a panic, and allocation is bounded
+// by the bytes actually read, not by attacker-controlled length fields.
 package wire
 
 import (
@@ -55,6 +55,7 @@ import (
 	"hash/crc32"
 	"io"
 
+	"lzwtc/internal/bitio"
 	"lzwtc/internal/core"
 )
 
@@ -93,6 +94,10 @@ var (
 	ErrPlanes = errors.New("wire: invalid cube planes")
 	// ErrTrailing reports bytes after the EOS frame of a planes message.
 	ErrTrailing = errors.New("wire: trailing bytes")
+	// ErrConfig reports a checksum-valid header whose configuration no
+	// compressor can have written: an unknown policy, or a Config that
+	// fails core.Config.Validate.
+	ErrConfig = errors.New("wire: invalid configuration in header")
 )
 
 // Frame marker bytes.
@@ -194,15 +199,16 @@ func appendHeader(b []byte, h Header) []byte {
 	return binary.BigEndian.AppendUint32(b, crc32.Checksum(b[start:], crcTable))
 }
 
-// encodeFrame renders one data frame region.
+// encodeFrame renders one data frame region. The codes are packed
+// MSB-first, the bit order core.Result.Pack emits for the ATE channel,
+// straight into the frame.
 func encodeFrame(f *Frame, cb int) []byte {
-	payload := packCodes(f.Codes, cb)
-	b := make([]byte, 0, len(payload)+24)
+	b := make([]byte, 0, 1+3*binary.MaxVarintLen64+(len(f.Codes)*cb+7)/8+4)
 	b = append(b, frameData)
 	b = appendUvarint(b, uint64(f.Patterns))
 	b = appendUvarint(b, uint64(f.InputBits))
 	b = appendUvarint(b, uint64(len(f.Codes)))
-	b = append(b, payload...)
+	b = bitio.AppendCodes(b, f.Codes, cb)
 	return binary.BigEndian.AppendUint32(b, crc32.Checksum(b, crcTable))
 }
 
@@ -224,39 +230,15 @@ func appendEOS(b []byte, frames, patterns int) []byte {
 }
 
 // maxCodeBits is the widest code the format carries: core.Config.Validate
-// caps DictSize at 2^24, so CodeBits never exceeds 24. The 64-bit
-// accumulators of packCodes and unpackCodes hold at most cb+7 bits and
-// so stay exact for every width up to this bound.
+// caps DictSize at 2^24, so CodeBits never exceeds 24.
 const maxCodeBits = 24
 
-// packCodes packs fixed-width cb-bit codes MSB-first — the same bit
-// order core.Result.Pack emits for the ATE channel. Codes shift into a
-// 64-bit accumulator that drains whole bytes, high bits first.
-func packCodes(codes []core.Code, cb int) []byte {
-	out := make([]byte, 0, (len(codes)*cb+7)/8)
-	mask := uint64(1)<<uint(cb) - 1
-	var acc uint64
-	n := uint(0) // bits pending in acc
-	for _, c := range codes {
-		acc = acc<<uint(cb) | uint64(c)&mask
-		n += uint(cb)
-		for n >= 8 {
-			n -= 8
-			out = append(out, byte(acc>>n))
-		}
-	}
-	if n > 0 {
-		out = append(out, byte(acc<<(8-n)))
-	}
-	return out
-}
-
-// unpackCodes inverts packCodes; data must hold at least n cb-bit codes
-// (plus zero padding to the byte boundary). n and cb arrive from the
-// decoded stream, so the bounds are re-checked here — the function must
-// stay safe even if a future caller forgets the frame-level limits: a
-// hostile count or width must produce a typed error, never a giant
-// allocation, an index panic or a code wider than the format allows.
+// unpackCodes reads n cb-bit codes packed MSB-first from data (plus zero
+// padding to the byte boundary). n and cb arrive from the decoded
+// stream, so the bounds are re-checked here — the function must stay
+// safe even if a future caller forgets the frame-level limits: a hostile
+// count or width must produce a typed error, never a giant allocation,
+// an index panic or a code wider than the format allows.
 func unpackCodes(data []byte, n, cb int) ([]core.Code, error) {
 	if n < 0 || n > MaxFrameCodes {
 		return nil, fmt.Errorf("%w: code count %d", ErrLimit, n)
@@ -269,17 +251,8 @@ func unpackCodes(data []byte, n, cb int) ([]core.Code, error) {
 			ErrTruncated, n, cb, (n*cb+7)/8, len(data))
 	}
 	codes := make([]core.Code, n)
-	mask := uint64(1)<<uint(cb) - 1
-	var acc uint64
-	have, next := uint(0), 0 // bits pending in acc, next byte of data
-	for i := range codes {
-		for have < uint(cb) {
-			acc = acc<<8 | uint64(data[next])
-			next++
-			have += 8
-		}
-		have -= uint(cb)
-		codes[i] = core.Code(acc >> have & mask)
+	if err := bitio.ReadCodes(codes, data, cb); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrTruncated, err)
 	}
 	return codes, nil
 }
@@ -501,10 +474,10 @@ func readHeader(br byteReader) (Header, error) {
 		Width: clampInt(fields[6]),
 	}
 	if fields[3] > uint64(core.FillRepeat) || fields[4] > uint64(core.TieWidest) || fields[5] > uint64(core.FullReset) {
-		return Header{}, fmt.Errorf("wire: unknown policy in header (fill=%d tie=%d full=%d)", fields[3], fields[4], fields[5])
+		return Header{}, fmt.Errorf("%w: unknown policy (fill=%d tie=%d full=%d)", ErrConfig, fields[3], fields[4], fields[5])
 	}
 	if err := hdr.Cfg.Validate(); err != nil {
-		return Header{}, err
+		return Header{}, fmt.Errorf("%w: %w", ErrConfig, err)
 	}
 	if hdr.Width <= 0 || hdr.Width > MaxWidth {
 		return Header{}, fmt.Errorf("%w: pattern width %d", ErrLimit, hdr.Width)

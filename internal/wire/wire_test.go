@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"lzwtc/internal/bitio"
 	"lzwtc/internal/bitvec"
 	"lzwtc/internal/core"
 )
@@ -331,7 +332,7 @@ func TestPackUnpackCodes(t *testing.T) {
 	cfg := core.Config{CharBits: 4, DictSize: 64, EntryBits: 16}
 	cs := buildSet(5, 10, 20, 0.6)
 	res := compressSet(t, cs, cfg)
-	packed := packCodes(res.Codes, cfg.CodeBits())
+	packed := bitio.AppendCodes(nil, res.Codes, cfg.CodeBits())
 	if !bytes.Equal(packed, res.Pack()) {
 		t.Fatal("wire packing differs from core.Result.Pack")
 	}
@@ -384,8 +385,8 @@ func TestUnpackCodesHostileInputs(t *testing.T) {
 	}
 }
 
-// refPackCodes and refUnpackCodes are the per-bit packers the 64-bit
-// accumulators replaced, kept as their reference.
+// refPackCodes and refUnpackCodes are the per-bit packers the bulk
+// bitio.AppendCodes/ReadCodes replaced, kept as their reference.
 func refPackCodes(codes []core.Code, cb int) []byte {
 	out := make([]byte, (len(codes)*cb+7)/8)
 	bitPos := 0
@@ -417,7 +418,7 @@ func refUnpackCodes(data []byte, n, cb int) []core.Code {
 	return codes
 }
 
-// TestPackCodesMatchesPerBit compares the accumulator packers with the
+// TestPackCodesMatchesPerBit compares the bulk packers with the
 // per-bit reference over every code width the format admits, with
 // counts whose bit totals end on and off byte boundaries. Codes carry
 // stray bits above cb, which both packers must drop.
@@ -429,9 +430,9 @@ func TestPackCodesMatchesPerBit(t *testing.T) {
 			for i := range codes {
 				codes[i] = core.Code(rng.Uint32())
 			}
-			packed := packCodes(codes, cb)
+			packed := bitio.AppendCodes(nil, codes, cb)
 			if want := refPackCodes(codes, cb); !bytes.Equal(packed, want) {
-				t.Fatalf("cb=%d n=%d: packCodes = %x, reference %x", cb, n, packed, want)
+				t.Fatalf("cb=%d n=%d: AppendCodes = %x, reference %x", cb, n, packed, want)
 			}
 			got, err := unpackCodes(packed, n, cb)
 			if err != nil {
@@ -473,14 +474,14 @@ func BenchmarkPackCodes(b *testing.B) {
 	codes := benchCodes()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		packCodes(codes, 12)
+		bitio.AppendCodes(nil, codes, 12)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(codes)), "ns/code")
 }
 
 func BenchmarkUnpackCodes(b *testing.B) {
 	codes := benchCodes()
-	packed := packCodes(codes, 12)
+	packed := bitio.AppendCodes(nil, codes, 12)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := unpackCodes(packed, len(codes), 12); err != nil {

@@ -22,6 +22,9 @@ var (
 	// ErrWireLimit reports a length field beyond the format's bounds, or
 	// a frame whose input length its patterns or codes cannot fill.
 	ErrWireLimit = wire.ErrLimit
+	// ErrWireConfig reports a header whose configuration is invalid: an
+	// unknown policy, or a Config that fails Validate.
+	ErrWireConfig = wire.ErrConfig
 )
 
 // Trace span names for wire-container framing, recorded by the
