@@ -2,10 +2,15 @@ GO ?= go
 FUZZTIME ?= 10s
 BENCHTIME ?= 1x
 
-.PHONY: build vet vet-concurrency test race lzwtcvet lzwtcvet-baseline dict-oracle fuzz telemetry-overhead trace-overhead batch-bench kernel-bench text-bench bench-json bench-gate bench-module cover lzwtcd-smoke loadgen-smoke api-count verify
+.PHONY: build fmt vet vet-concurrency test race lzwtcvet lzwtcvet-baseline dict-oracle fuzz telemetry-overhead trace-overhead batch-bench kernel-bench text-bench bench-json bench-gate bench-module cover lzwtcd-smoke loadgen-smoke api-count verify
 
 build:
 	$(GO) build ./...
+
+# Formatting gate: fail, listing the files, when any Go file in the
+# tree is not gofmt-clean.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -138,4 +143,4 @@ bench-module:
 api-count:
 	sh scripts/api_count.sh
 
-verify: build vet vet-concurrency test race lzwtcvet lzwtcvet-baseline dict-oracle fuzz telemetry-overhead trace-overhead batch-bench kernel-bench text-bench bench-module cover lzwtcd-smoke loadgen-smoke api-count
+verify: build fmt vet vet-concurrency test race lzwtcvet lzwtcvet-baseline dict-oracle fuzz telemetry-overhead trace-overhead batch-bench kernel-bench text-bench bench-module cover lzwtcd-smoke loadgen-smoke api-count

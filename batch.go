@@ -69,16 +69,6 @@ func CompressBatch(ctx context.Context, jobs []BatchJob, opts BatchOptions) ([]B
 	return out, err
 }
 
-// CompressSharded splits one test set into shards of at most
-// patternsPerShard consecutive patterns and compresses them
-// concurrently, each with a fresh dictionary. A shard boundary is
-// semantically a FullReset — decompression is exact — at a measured
-// ratio cost (each shard re-learns its dictionary). patternsPerShard
-// <= 0 compresses the whole set as one shard.
-func CompressSharded(ctx context.Context, ts *TestSet, cfg Config, patternsPerShard int, opts BatchOptions) (*Result, error) {
-	return CompressShardedPreloaded(ctx, ts, cfg, nil, patternsPerShard, opts)
-}
-
 // newResult assembles the Result of compressing ts as the given shards.
 func newResult(ts *TestSet, cfg Config, shards []*core.Result, patterns []int) *Result {
 	return &Result{

@@ -360,16 +360,6 @@ func (c *Client) capError() error {
 	return fmt.Errorf("lzwtcd: response body exceeds the %d-byte client cap; raise Options.MaxResponseBytes if intended", c.opts.MaxResponseBytes)
 }
 
-// CompressResult is Compress followed by a local decode into a Result,
-// one shard per container frame.
-func (c *Client) CompressResult(ctx context.Context, ts *lzwtc.TestSet, cfg lzwtc.Config) (*lzwtc.Result, error) {
-	data, err := c.Compress(ctx, ts, cfg, CompressOptions{})
-	if err != nil {
-		return nil, err
-	}
-	return lzwtc.DecodeWireResult(data)
-}
-
 // Decompress sends a wire container for remote decompression and
 // returns the fully specified test set, which the service sends back as
 // cube planes. A reply of any other Content-Type is an error.

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
@@ -184,7 +185,7 @@ func runBatch(ctx context.Context, jobs []lzwtc.BatchJob, opts lzwtc.BatchOption
 // pattern-group shards that the pool compresses concurrently.
 func runShardedBatch(ctx context.Context, jobs []lzwtc.BatchJob, per int, opts lzwtc.BatchOptions, outDir string, agg *batchRecord) error {
 	for i, j := range jobs {
-		res, err := lzwtc.CompressSharded(ctx, j.Set, j.Cfg, per, opts)
+		res, err := lzwtc.Compress(ctx, j.Set, j.Cfg, lzwtc.Options{ShardPatterns: per, Workers: opts.Workers, Recorder: opts.Recorder})
 		if err != nil {
 			if ctx.Err() != nil {
 				return ctx.Err()
@@ -208,11 +209,11 @@ func runShardedBatch(ctx context.Context, jobs []lzwtc.BatchJob, per int, opts l
 // shards, like the record lists them, only when there is more than one.
 func writeJob(outDir, name string, res *lzwtc.Result, row *batchJobRecord) error {
 	base := filepath.Join(outDir, name)
-	container, err := res.EncodeWire()
-	if err != nil {
+	var container bytes.Buffer
+	if err := res.WriteWire(&container); err != nil {
 		return err
 	}
-	if err := os.WriteFile(base+".lzw", container, 0o644); err != nil {
+	if err := os.WriteFile(base+".lzw", container.Bytes(), 0o644); err != nil {
 		return err
 	}
 	if err := writeJSON(base+".json", lzwtc.NewRunRecord(res)); err != nil {

@@ -73,7 +73,7 @@ func TestBatchSubcommandEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		filled, err := lzwtc.DecompressWire(bytes.NewReader(raw))
+		filled, err := lzwtc.Decompress(context.Background(), bytes.NewReader(raw), lzwtc.Options{})
 		if err != nil {
 			t.Fatalf("%s.lzw decompress: %v", name, err)
 		}
@@ -121,7 +121,7 @@ func TestBatchSubcommandSharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts, err := lzwtc.DecompressWire(bytes.NewReader(raw))
+	ts, err := lzwtc.Decompress(context.Background(), bytes.NewReader(raw), lzwtc.Options{})
 	if err != nil {
 		t.Fatalf("b.lzw decompress: %v", err)
 	}
@@ -222,7 +222,7 @@ func TestBatchMismatchedConfigFailsLoudly(t *testing.T) {
 	// flipping it is exactly a "decoded under the wrong Config" setup.
 	mut := bytes.Clone(raw)
 	mut[5] ^= 0x01
-	_, err = lzwtc.DecompressWire(bytes.NewReader(mut))
+	_, err = lzwtc.Decompress(context.Background(), bytes.NewReader(mut), lzwtc.Options{})
 	if !errors.Is(err, lzwtc.ErrWireChecksum) {
 		t.Fatalf("mismatched config decode: got %v, want ErrWireChecksum", err)
 	}

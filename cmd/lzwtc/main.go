@@ -160,11 +160,10 @@ func compress(args []string) error {
 		return err
 	}
 
-	// A dictionary-warmed compression resolves the preload from the
-	// local store; the container's 'D' frame tells the decompressor
-	// which dictionary to reinstall.
-	var pre *lzwtc.Preload
-	var ref *lzwtc.DictRef
+	// A dictionary-warmed compression resolves the entry from the local
+	// store; the container's 'D' frame tells the decompressor which
+	// dictionary to reinstall.
+	copts := lzwtc.Options{Recorder: rec}
 	if *dictID != "" {
 		key, err := lzwtc.ParseDictKey(*dictID)
 		if err != nil {
@@ -175,20 +174,17 @@ func compress(args []string) error {
 			return err
 		}
 		defer store.Close()
-		ent, err := store.Resolve(context.Background(), key)
-		if err != nil {
+		if copts.Dict, err = store.Resolve(context.Background(), key); err != nil {
 			return err
 		}
-		r := lzwtc.DictEntryRef(ent)
-		pre, ref = ent.Pre, &r
 	}
 
-	// The same pipeline the service runs: one shard, cold when pre is nil.
-	res, err := lzwtc.CompressShardedPreloaded(context.Background(), ts, *cfg, pre, 0, lzwtc.BatchOptions{Recorder: rec})
+	// The same pipeline the service runs: one shard, cold without a
+	// dictionary.
+	res, err := lzwtc.Compress(context.Background(), ts, *cfg, copts)
 	if err != nil {
 		return err
 	}
-	res.Dict = ref
 	w, err := openOut(*out)
 	if err != nil {
 		return err
@@ -232,7 +228,7 @@ func decompress(args []string) error {
 	// The run span parents the wire.decode spans, so `lzwtc trace` can
 	// render the whole decompress tree.
 	ctx, sp := rec.StartSpan(context.Background(), SpanDecompressRun)
-	ts, err := lzwtc.DecompressWireDictObserved(ctx, r, lazyDictResolver{dir: *dictStore}, rec)
+	ts, err := lzwtc.Decompress(ctx, r, lzwtc.Options{Resolver: lazyDictResolver{dir: *dictStore}, Recorder: rec})
 	sp.End(telemetry.F("patterns", patternCount(ts)))
 	if err != nil {
 		return err
@@ -310,7 +306,7 @@ func compare(args []string) error {
 	if err != nil {
 		return err
 	}
-	res, err := lzwtc.Compress(ts, *cfg)
+	res, err := lzwtc.Compress(context.Background(), ts, *cfg, lzwtc.Options{})
 	if err != nil {
 		return err
 	}

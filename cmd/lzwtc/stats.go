@@ -77,7 +77,7 @@ func stats(ctx context.Context, args []string) error {
 		return err
 	}
 	cctx, sp := rec.StartSpan(rctx, SpanStatsCompress)
-	res, err := lzwtc.CompressObservedCtx(cctx, ts, *cfg, rec)
+	res, err := lzwtc.Compress(cctx, ts, *cfg, lzwtc.Options{Recorder: rec})
 	sp.End()
 	if err != nil {
 		return err
@@ -102,12 +102,12 @@ func stats(ctx context.Context, args []string) error {
 	_, sp = rec.StartSpan(rctx, SpanStatsDecompress)
 	if cfg.EntryBits > 0 && cfg.Full == lzwtc.FullFreeze {
 		var st *lzwtc.DownloadStats
-		filled, st, _, err = lzwtc.SimulateDownloadObserved(res, *ratio, rec)
+		filled, st, _, err = lzwtc.SimulateDownload(res, *ratio, rec)
 		if err == nil {
 			record.AttachDownload(*ratio, st)
 		}
 	} else {
-		filled, err = lzwtc.Decompress(res)
+		filled, err = res.Decompress(ctx, lzwtc.Options{})
 	}
 	sp.End()
 	if err != nil {

@@ -250,11 +250,15 @@ func syntheticSet(patterns, width int) (*lzwtc.TestSet, error) {
 // through the same sharded pipeline the server runs (shard <= 0 is one
 // shard).
 func referenceContainer(ctx context.Context, ts *lzwtc.TestSet, cfg lzwtc.Config, shard int) ([]byte, error) {
-	res, err := lzwtc.CompressSharded(ctx, ts, cfg, shard, lzwtc.BatchOptions{})
+	res, err := lzwtc.Compress(ctx, ts, cfg, lzwtc.Options{ShardPatterns: shard})
 	if err != nil {
 		return nil, err
 	}
-	return res.EncodeWire()
+	var buf bytes.Buffer
+	if err := res.WriteWire(&buf); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }
 
 // report prints the client-side view.

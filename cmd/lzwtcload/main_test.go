@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"testing"
 
@@ -144,7 +145,7 @@ func TestSyntheticSetDeterministic(t *testing.T) {
 		t.Fatal("synthetic set has no X bits")
 	}
 	// And it must compress cleanly with the default config.
-	if _, err := lzwtc.Compress(a, lzwtc.DefaultConfig()); err != nil {
+	if _, err := lzwtc.Compress(context.Background(), a, lzwtc.DefaultConfig(), lzwtc.Options{}); err != nil {
 		t.Fatalf("synthetic set does not compress: %v", err)
 	}
 }

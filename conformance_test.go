@@ -2,6 +2,7 @@ package lzwtc
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -123,20 +124,17 @@ func TestConformance(t *testing.T) {
 				t.Fatalf("builder output differs from %s — the deterministic generator moved.\n%s", conformancePath(c.name, ".cubes"), regenHint)
 			}
 
-			res, err := Compress(ts, c.cfg)
+			res, err := Compress(context.Background(), ts, c.cfg, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotLzw, err := res.EncodeWire()
-			if err != nil {
-				t.Fatal(err)
-			}
+			gotLzw := wireBytes(t, res)
 			wantLzw := readConformance(t, c.name, ".lzw")
 			if !bytes.Equal(gotLzw, wantLzw) {
 				t.Fatalf("compressed container differs from %s — the compressor's output changed.\n%s", conformancePath(c.name, ".lzw"), regenHint)
 			}
 
-			filled, err := DecompressWire(bytes.NewReader(wantLzw))
+			filled, err := Decompress(context.Background(), bytes.NewReader(wantLzw), Options{})
 			if err != nil {
 				t.Fatalf("decompressing committed container: %v", err)
 			}
@@ -180,18 +178,18 @@ func regenerateConformance() error {
 		if err := os.WriteFile(conformancePath(c.name, ".cubes"), cubesBuf.Bytes(), 0o644); err != nil {
 			return err
 		}
-		res, err := Compress(ts, c.cfg)
+		res, err := Compress(context.Background(), ts, c.cfg, Options{})
 		if err != nil {
 			return fmt.Errorf("%s: %w", c.name, err)
 		}
-		container, err := res.EncodeWire()
-		if err != nil {
+		var container bytes.Buffer
+		if err := res.WriteWire(&container); err != nil {
 			return fmt.Errorf("%s: %w", c.name, err)
 		}
-		if err := os.WriteFile(conformancePath(c.name, ".lzw"), container, 0o644); err != nil {
+		if err := os.WriteFile(conformancePath(c.name, ".lzw"), container.Bytes(), 0o644); err != nil {
 			return err
 		}
-		filled, err := Decompress(res)
+		filled, err := res.Decompress(context.Background(), Options{})
 		if err != nil {
 			return fmt.Errorf("%s: %w", c.name, err)
 		}

@@ -2,6 +2,7 @@ package lzwtc
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"io"
 	"os"
@@ -72,7 +73,7 @@ func TestWireHugeDictionaryFewCodes(t *testing.T) {
 	data := hostileContainer(t, cfg, 8, &wire.Frame{Patterns: 1, InputBits: 8, Codes: []Code{0x55}}, false)
 	var set *TestSet
 	var err error
-	n := allocBytes(func() { set, err = DecompressWire(bytes.NewReader(data)) })
+	n := allocBytes(func() { set, err = Decompress(context.Background(), bytes.NewReader(data), Options{}) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +94,7 @@ func TestWireHostileFrameShapes(t *testing.T) {
 	for name, data := range hostileShapes(t) {
 		t.Run(name, func(t *testing.T) {
 			for entry, decode := range map[string]func() error{
-				"DecompressWire": func() error { _, err := DecompressWire(bytes.NewReader(data)); return err },
+				"Decompress": func() error { _, err := Decompress(context.Background(), bytes.NewReader(data), Options{}); return err },
 				"DecodeWireResult": func() error {
 					_, err := DecodeWireResult(data)
 					return err
@@ -109,6 +110,57 @@ func TestWireHostileFrameShapes(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// dataLessContainers are checksum-valid containers with no data frame:
+// the header and EOS frame alone, and a 'D' frame between them.
+func dataLessContainers(t testing.TB) [][]byte {
+	t.Helper()
+	var out [][]byte
+	for _, dict := range []bool{false, true} {
+		var buf bytes.Buffer
+		w, err := wire.NewWriter(&buf, wire.Header{Cfg: DefaultConfig(), Width: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dict {
+			if err := w.WriteDictRef(DictRef{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, buf.Bytes())
+	}
+	return out
+}
+
+// TestWireNoDataFrame: a container whose EOS frame comes before any
+// data frame lost its frames. Every entry that reads a container
+// rejects it with ErrWireTruncated, the 'D'-only one included, before
+// any dictionary is resolved.
+func TestWireNoDataFrame(t *testing.T) {
+	for i, data := range dataLessContainers(t) {
+		for entry, decode := range map[string]func() error{
+			"Decompress": func() error { _, err := Decompress(context.Background(), bytes.NewReader(data), Options{}); return err },
+			"DecodeWireResult": func() error {
+				_, err := DecodeWireResult(data)
+				return err
+			},
+			"wire.NewReader": func() error {
+				r, err := wire.NewReader(bytes.NewReader(data))
+				for err == nil {
+					_, err = r.ReadFrame()
+				}
+				return err
+			},
+		} {
+			if err := decode(); !errors.Is(err, ErrWireTruncated) {
+				t.Fatalf("container %d, %s: got %v, want ErrWireTruncated", i, entry, err)
+			}
+		}
 	}
 }
 
@@ -151,7 +203,7 @@ func TestWireBadConfigHeader(t *testing.T) {
 		data := wire.EncodeHeader(wire.Header{Cfg: cfg, Width: 8})
 		t.Run(name, func(t *testing.T) {
 			for entry, decode := range map[string]func() error{
-				"DecompressWire": func() error { _, err := DecompressWire(bytes.NewReader(data)); return err },
+				"Decompress": func() error { _, err := Decompress(context.Background(), bytes.NewReader(data), Options{}); return err },
 				"DecodeWireResult": func() error {
 					_, err := DecodeWireResult(data)
 					return err
@@ -178,7 +230,7 @@ const (
 )
 
 // FuzzContainerDecode feeds arbitrary bytes to both container decoders:
-// DecompressWire and DecodeWireResult then Decompress. Each call must
+// Decompress and DecodeWireResult then Result.Decompress. Each call must
 // return a typed error or a well-formed set, and allocate no more than
 // containerOverhead plus containerPerByte per byte, however large the
 // shape the container claims.
@@ -199,12 +251,15 @@ func FuzzContainerDecode(f *testing.F) {
 	for _, data := range hostileShapes(f) {
 		f.Add(data)
 	}
+	for _, data := range dataLessContainers(f) {
+		f.Add(data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		limit := containerOverhead + containerPerByte*uint64(len(data))
 		var set *TestSet
 		var err error
-		if n := allocBytes(func() { set, err = DecompressWire(bytes.NewReader(data)) }); n > limit {
-			t.Fatalf("DecompressWire allocated %d bytes for a %d-byte container", n, len(data))
+		if n := allocBytes(func() { set, err = Decompress(context.Background(), bytes.NewReader(data), Options{}) }); n > limit {
+			t.Fatalf("Decompress allocated %d bytes for a %d-byte container", n, len(data))
 		}
 		checkDecoded(t, data, set, err)
 
@@ -216,8 +271,8 @@ func FuzzContainerDecode(f *testing.F) {
 			checkDecoded(t, data, nil, err)
 			return
 		}
-		if n := allocBytes(func() { set, err = Decompress(res) }); n > limit {
-			t.Fatalf("Decompress allocated %d bytes for a %d-byte container", n, len(data))
+		if n := allocBytes(func() { set, err = res.Decompress(context.Background(), Options{}) }); n > limit {
+			t.Fatalf("Result.Decompress allocated %d bytes for a %d-byte container", n, len(data))
 		}
 		checkDecoded(t, data, set, err)
 	})

@@ -4,11 +4,9 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"io"
 
 	"lzwtc/internal/core"
 	"lzwtc/internal/dictstore"
-	"lzwtc/internal/parallel"
 	"lzwtc/internal/wire"
 )
 
@@ -88,33 +86,6 @@ func EncodeDictBlob(cfg Config, pre *Preload) ([]byte, error) {
 // DecodeDictBlob parses and fully validates an LZWD blob.
 func DecodeDictBlob(data []byte) (Config, *Preload, error) {
 	return dictstore.DecodeBlob(data)
-}
-
-// CompressShardedPreloaded is CompressSharded with every shard starting
-// from the same warm dictionary — the multi-frame form of a 'D'-frame
-// container (each frame reinstalls the preload). A nil pre is a cold
-// start and patternsPerShard <= 0 is one shard, so this one call covers
-// every compression the service runs.
-func CompressShardedPreloaded(ctx context.Context, ts *TestSet, cfg Config, pre *Preload, patternsPerShard int, opts BatchOptions) (*Result, error) {
-	shards, patterns, err := parallel.CompressShardedPreloaded(ctx, ts, cfg, pre, patternsPerShard, opts)
-	if err != nil {
-		return nil, err
-	}
-	return newResult(ts, cfg, shards, patterns), nil
-}
-
-// WriteWireDict is s.WriteWire(w) with ref as the dictionary the 'D'
-// frame names; s itself is not modified. The receiver resolves ref
-// through its own store and verifies the digest before decompressing.
-func WriteWireDict(w io.Writer, s *Result, ref DictRef) error {
-	r := *s
-	r.Dict = &ref
-	return r.WriteWire(w)
-}
-
-// DictEntryRef derives the container reference for a store entry.
-func DictEntryRef(ent *dictstore.Entry) DictRef {
-	return DictRef{Key: ent.Key, Digest: ent.Digest}
 }
 
 // DictResolver resolves a container's dictionary reference into the

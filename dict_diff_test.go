@@ -4,13 +4,15 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"lzwtc/internal/bitvec"
 	"lzwtc/internal/core"
 	"lzwtc/internal/dictstore"
-	"lzwtc/internal/parallel"
+	"lzwtc/internal/telemetry"
+	"lzwtc/internal/wire"
 )
 
 // dictDiffConfig maps a conformance configuration onto the dictionary
@@ -44,19 +46,30 @@ func cubesText(t *testing.T, ts *TestSet) []byte {
 	return b.Bytes()
 }
 
-// dictContainer compresses ts from pre as one shard and renders the
-// 'D'-frame wire container naming ref.
-func dictContainer(t *testing.T, ts *TestSet, cfg Config, pre *Preload, ref DictRef) []byte {
+// dictContainer compresses ts from ent as one shard and renders the
+// 'D'-frame wire container naming it.
+func dictContainer(t *testing.T, ts *TestSet, cfg Config, ent *dictstore.Entry) []byte {
 	t.Helper()
-	sr, err := CompressShardedPreloaded(context.Background(), ts, cfg, pre, 0, BatchOptions{})
+	res, err := Compress(context.Background(), ts, cfg, Options{Dict: ent})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := WriteWireDict(&buf, sr, ref); err != nil {
+	return wireBytes(t, res)
+}
+
+// trainedEntry trains a preload from ts in-process, with no store, and
+// returns it as the store entry it would become.
+func trainedEntry(t *testing.T, ts *TestSet, cfg Config) *dictstore.Entry {
+	t.Helper()
+	pre, err := Train(ts, cfg, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	blob, err := EncodeDictBlob(cfg, pre)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &dictstore.Entry{Key: DictKeyFor(ts, cfg), Cfg: cfg, Pre: pre, Digest: dictstore.BlobDigest(blob)}
 }
 
 // TestDictDifferentialCompression proves the store is transparent: for
@@ -77,19 +90,11 @@ func TestDictDifferentialCompression(t *testing.T) {
 			// the container names the key and the digest of the
 			// in-process blob.
 			key := DictKeyFor(ts, cfg)
-			basePre, err := Train(ts, cfg, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			blob, err := EncodeDictBlob(cfg, basePre)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := dictContainer(t, ts, cfg, basePre, DictRef{Key: key, Digest: dictstore.BlobDigest(blob)})
+			want := dictContainer(t, ts, cfg, trainedEntry(t, ts, cfg))
 
 			compressVia := func(ent *dictstore.Entry) []byte {
 				t.Helper()
-				return dictContainer(t, ts, cfg, ent.Pre, DictEntryRef(ent))
+				return dictContainer(t, ts, cfg, ent)
 			}
 
 			dir := t.TempDir()
@@ -157,86 +162,162 @@ func TestDictDifferentialCompression(t *testing.T) {
 // TestDictDifferentialWireRoundTrip proves the 'D'-frame container
 // closes the loop for every conformance case: a receiver holding only
 // the store reconstructs the same fully specified set the sender's
-// in-process decompression produces, in both the single-frame and the
-// sharded container forms.
+// in-process decompression produces. It also pins the deprecated entry
+// forms to Compress and Decompress, cold and warm, in one shard and in
+// 3-pattern shards: the same container bytes and the same decoded set.
+// It is the only test that calls the deprecated forms; it loses those
+// calls when ROADMAP item 3 step 2 deletes them.
 func TestDictDifferentialWireRoundTrip(t *testing.T) {
 	ctx := context.Background()
 	for _, c := range conformanceCases() {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			cfg := dictDiffConfig(c.cfg)
+			warmCfg := dictDiffConfig(c.cfg)
 			ts := c.build()
 			store, err := OpenDictStore(DictStoreConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer store.Close()
-			ent, _, err := store.GetOrTrain(ctx, DictKeyFor(ts, cfg), cfg,
-				func(context.Context) (*Preload, error) { return Train(ts, cfg, 0) })
+			ent, _, err := store.GetOrTrain(ctx, DictKeyFor(ts, warmCfg), warmCfg,
+				func(context.Context) (*Preload, error) { return Train(ts, warmCfg, 0) })
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref := DictEntryRef(ent)
+			ref := DictRef{Key: ent.Key, Digest: ent.Digest}
 
 			// In-process reference: the core codec with the preload
 			// installed, no container.
-			res, err := core.CompressWithPreload(ts.SerializeAligned(cfg.CharBits), cfg, ent.Pre)
+			res, err := core.CompressWithPreload(ts.SerializeAligned(warmCfg.CharBits), warmCfg, ent.Pre)
 			if err != nil {
 				t.Fatal(err)
 			}
-			stream, err := core.DecompressWithPreload(res.Codes, cfg, ent.Pre, res.InputBits)
+			stream, err := core.DecompressWithPreload(res.Codes, warmCfg, ent.Pre, res.InputBits)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantSet, err := bitvec.DeserializeAligned(stream, ts.Width, cfg.CharBits)
+			wantSet, err := bitvec.DeserializeAligned(stream, ts.Width, warmCfg.CharBits)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := cubesText(t, wantSet)
+			inProcess := cubesText(t, wantSet)
 
-			// Single-frame 'D' container.
-			got, err := DecompressWireDict(bytes.NewReader(dictContainer(t, ts, cfg, ent.Pre, ref)), store)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := Verify(ts, got); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(cubesText(t, got), want) {
-				t.Fatal("wire 'D'-frame decompression diverged from in-process decompression")
+			for _, warm := range []bool{false, true} {
+				for _, per := range []int{0, 3} {
+					name := fmt.Sprintf("cold-shards%d", per)
+					cfg, opts := c.cfg, Options{ShardPatterns: per}
+					if warm {
+						name = fmt.Sprintf("warm-shards%d", per)
+						cfg, opts.Dict = warmCfg, ent
+					}
+					t.Run(name, func(t *testing.T) {
+						res, err := Compress(ctx, ts, cfg, opts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						container := wireBytes(t, res)
+
+						// The deprecated compress and write forms emit the
+						// same bytes.
+						var pre *Preload
+						if warm {
+							pre = ent.Pre
+						}
+						old, err := CompressShardedPreloaded(ctx, ts, cfg, pre, per, BatchOptions{})
+						if err != nil {
+							t.Fatal(err)
+						}
+						var oldBuf bytes.Buffer
+						if warm {
+							err = WriteWireDict(&oldBuf, old, ref)
+						} else {
+							err = WriteWireSharded(&oldBuf, old)
+						}
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !bytes.Equal(oldBuf.Bytes(), container) {
+							t.Fatal("CompressShardedPreloaded + WriteWireDict/WriteWireSharded differ from Compress + WriteWire")
+						}
+						var observedBuf bytes.Buffer
+						if err := res.WriteWireObserved(ctx, &observedBuf, nil); err != nil {
+							t.Fatal(err)
+						}
+						if !bytes.Equal(observedBuf.Bytes(), container) {
+							t.Fatal("WriteWireObserved differs from WriteWire")
+						}
+						if !warm {
+							sharded, err := CompressSharded(ctx, ts, cfg, per, BatchOptions{})
+							if err != nil {
+								t.Fatal(err)
+							}
+							if !bytes.Equal(wireBytes(t, sharded), container) {
+								t.Fatal("CompressSharded differs from Compress")
+							}
+							if per == 0 {
+								observed, err := CompressObservedCtx(ctx, ts, cfg, nil)
+								if err != nil {
+									t.Fatal(err)
+								}
+								if !bytes.Equal(wireBytes(t, observed), container) {
+									t.Fatal("CompressObservedCtx differs from Compress")
+								}
+							}
+						}
+
+						// Every decoder yields the same set: the stream
+						// decoder, the Result decoder, and the deprecated
+						// stream decoders.
+						got, err := Decompress(ctx, bytes.NewReader(container), Options{Resolver: store})
+						if err != nil {
+							t.Fatal(err)
+						}
+						if err := Verify(ts, got); err != nil {
+							t.Fatal(err)
+						}
+						want := cubesText(t, got)
+						if warm && per == 0 && !bytes.Equal(want, inProcess) {
+							t.Fatal("wire 'D'-frame decompression diverged from in-process decompression")
+						}
+						decoded, err := DecodeWireResult(container)
+						if err != nil {
+							t.Fatal(err)
+						}
+						viaResult, err := decoded.Decompress(ctx, Options{Resolver: store})
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !bytes.Equal(cubesText(t, viaResult), want) {
+							t.Fatal("DecodeWireResult + Result.Decompress differs from Decompress")
+						}
+						viaOld, err := DecompressWireDict(bytes.NewReader(container), store)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !bytes.Equal(cubesText(t, viaOld), want) {
+							t.Fatal("DecompressWireDict differs from Decompress")
+						}
+						viaObserved, err := DecompressWireObserved(ctx, bytes.NewReader(container), nil)
+						if warm {
+							if !errors.Is(err, ErrDictNotFound) {
+								t.Fatalf("DecompressWireObserved of a 'D' container: got %v, want ErrDictNotFound", err)
+							}
+							return
+						}
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !bytes.Equal(cubesText(t, viaObserved), want) {
+							t.Fatal("DecompressWireObserved differs from Decompress")
+						}
+					})
+				}
 			}
 
-			// Sharded 'D' container: every frame reinstalls the preload, so
-			// the in-process reference is the sharded decompressor (per-shard
-			// dictionary restarts fill don't-cares differently from the
-			// continuous stream).
-			sharded, err := CompressShardedPreloaded(ctx, ts, cfg, ent.Pre, 5, BatchOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantShardSet, err := parallel.DecompressShardedPreloaded(ctx, sharded.Shards, sharded.Width, sharded.ShardPatterns, ent.Pre, BatchOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantShard := cubesText(t, wantShardSet)
-			var buf bytes.Buffer
-			if err := WriteWireDict(&buf, sharded, ref); err != nil {
-				t.Fatal(err)
-			}
-			got, err = DecompressWireDict(bytes.NewReader(buf.Bytes()), store)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := Verify(ts, got); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(cubesText(t, got), wantShard) {
-				t.Fatal("sharded 'D'-frame decompression diverged from in-process sharded decompression")
-			}
-
-			// A container naming a dictionary nobody has fails typed, and a
-			// resolver-less receiver reports the same class.
-			if _, err := DecompressWireDict(bytes.NewReader(buf.Bytes()), nil); !errors.Is(err, ErrDictNotFound) {
+			// A container naming a dictionary nobody has fails typed, and
+			// a resolver-less receiver reports the same class.
+			container := dictContainer(t, ts, warmCfg, ent)
+			if _, err := Decompress(ctx, bytes.NewReader(container), Options{}); !errors.Is(err, ErrDictNotFound) {
 				t.Fatalf("resolver-less decode: got %v, want ErrDictNotFound", err)
 			}
 			empty, err := OpenDictStore(DictStoreConfig{})
@@ -244,37 +325,79 @@ func TestDictDifferentialWireRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer empty.Close()
-			if _, err := DecompressWireDict(bytes.NewReader(buf.Bytes()), empty); !errors.Is(err, ErrDictNotFound) {
+			if _, err := Decompress(ctx, bytes.NewReader(container), Options{Resolver: empty}); !errors.Is(err, ErrDictNotFound) {
 				t.Fatalf("empty-store decode: got %v, want ErrDictNotFound", err)
 			}
 		})
 	}
 }
 
-// TestDecompressWireRejectsDictContainer: the plain wire decoders must
-// not decode a 'D'-frame container cold. Its codes only mean something
-// with the named dictionary installed, so DecompressWire and
-// DecompressWireObserved fail with ErrDictNotFound for every
+// TestDecompressWireRejectsDictContainer: a warm Compress names its
+// dictionary, and no decoder decompresses it cold. For every
 // conformance case and for random small configurations with a trained
-// preload, whether or not the preload holds any strings.
+// preload, whether or not the preload holds any strings, the Result
+// and its container carry the entry's reference in a 'D' frame;
+// Decompress, with or without a recorder, and Result.Decompress fail
+// with ErrDictNotFound when given no resolver, and reproduce the same
+// fully specified set when given the store.
 func TestDecompressWireRejectsDictContainer(t *testing.T) {
+	ctx := context.Background()
 	check := func(t *testing.T, ts *TestSet, cfg Config) {
 		t.Helper()
-		pre, err := Train(ts, cfg, 0)
+		store, err := OpenDictStore(DictStoreConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		blob, err := EncodeDictBlob(cfg, pre)
+		defer store.Close()
+		ent, _, err := store.GetOrTrain(ctx, DictKeyFor(ts, cfg), cfg,
+			func(context.Context) (*Preload, error) { return Train(ts, cfg, 0) })
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref := DictRef{Key: DictKeyFor(ts, cfg), Digest: dictstore.BlobDigest(blob)}
-		container := dictContainer(t, ts, cfg, pre, ref)
-		if _, err := DecompressWire(bytes.NewReader(container)); !errors.Is(err, ErrDictNotFound) {
-			t.Fatalf("DecompressWire: got %v, want ErrDictNotFound", err)
+		ref := DictRef{Key: ent.Key, Digest: ent.Digest}
+		res, err := Compress(ctx, ts, cfg, Options{Dict: ent})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if _, err := DecompressWireObserved(context.Background(), bytes.NewReader(container), nil); !errors.Is(err, ErrDictNotFound) {
-			t.Fatalf("DecompressWireObserved: got %v, want ErrDictNotFound", err)
+		if res.Dict == nil || *res.Dict != ref {
+			t.Fatalf("Result.Dict = %v, want %x", res.Dict, ref.Key)
+		}
+		container := wireBytes(t, res)
+		wr, err := wire.NewReader(bytes.NewReader(container))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := wr.ReadFrame(); err != nil {
+			t.Fatal(err)
+		}
+		if got, ok := wr.DictRef(); !ok || got != ref {
+			t.Fatalf("container 'D' frame = %x (present %v), want %x", got.Key, ok, ref.Key)
+		}
+
+		if _, err := Decompress(ctx, bytes.NewReader(container), Options{}); !errors.Is(err, ErrDictNotFound) {
+			t.Fatalf("Decompress: got %v, want ErrDictNotFound", err)
+		}
+		rec := telemetry.New(telemetry.NewRegistry())
+		if _, err := Decompress(ctx, bytes.NewReader(container), Options{Recorder: rec}); !errors.Is(err, ErrDictNotFound) {
+			t.Fatalf("Decompress with a recorder: got %v, want ErrDictNotFound", err)
+		}
+		if _, err := res.Decompress(ctx, Options{}); !errors.Is(err, ErrDictNotFound) {
+			t.Fatalf("Result.Decompress: got %v, want ErrDictNotFound", err)
+		}
+
+		got, err := Decompress(ctx, bytes.NewReader(container), Options{Resolver: store})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := Verify(ts, got); err != nil {
+			t.Fatal(err)
+		}
+		back, err := res.Decompress(ctx, Options{Resolver: store})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(cubesText(t, back), cubesText(t, got)) {
+			t.Fatal("Result.Decompress and Decompress of its container differ")
 		}
 	}
 	for _, c := range conformanceCases() {
@@ -295,23 +418,17 @@ func TestDecompressWireRejectsDictContainer(t *testing.T) {
 // TestDecodeWireResultCarriesDictRef: for every conformance case, a
 // single-frame container with a 'D' frame decodes to a Result whose
 // Dict is the container's reference. Such a Result re-encodes to the
-// same container, and the decoders that start from an empty dictionary
-// refuse it with ErrDictNotFound instead of decompressing it cold.
+// same container, and the decoders and the cycle model, which would
+// start it from an empty dictionary, refuse it with ErrDictNotFound
+// instead of running it cold.
 func TestDecodeWireResultCarriesDictRef(t *testing.T) {
 	for _, c := range conformanceCases() {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := dictDiffConfig(c.cfg)
 			ts := c.build()
-			pre, err := Train(ts, cfg, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			blob, err := EncodeDictBlob(cfg, pre)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref := DictRef{Key: DictKeyFor(ts, cfg), Digest: dictstore.BlobDigest(blob)}
-			container := dictContainer(t, ts, cfg, pre, ref)
+			ent := trainedEntry(t, ts, cfg)
+			ref := DictRef{Key: ent.Key, Digest: ent.Digest}
+			container := dictContainer(t, ts, cfg, ent)
 
 			res, err := DecodeWireResult(container)
 			if err != nil {
@@ -320,19 +437,18 @@ func TestDecodeWireResultCarriesDictRef(t *testing.T) {
 			if res.Dict == nil || *res.Dict != ref {
 				t.Fatalf("Result.Dict = %v, want %x", res.Dict, ref.Key)
 			}
-			again, err := res.EncodeWire()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(again, container) {
+			if again := wireBytes(t, res); !bytes.Equal(again, container) {
 				t.Fatal("re-encoded Result lost or changed its 'D' frame")
 			}
-			if _, err := Decompress(res); !errors.Is(err, ErrDictNotFound) {
-				t.Fatalf("Decompress: got %v, want ErrDictNotFound", err)
+			if _, err := res.Decompress(context.Background(), Options{}); !errors.Is(err, ErrDictNotFound) {
+				t.Fatalf("Result.Decompress: got %v, want ErrDictNotFound", err)
 			}
 			if cfg.EntryBits > 0 && cfg.Full == FullFreeze {
-				if _, _, _, err := SimulateDownload(res, 4); !errors.Is(err, ErrDictNotFound) {
+				if _, _, _, err := SimulateDownload(res, 4, nil); !errors.Is(err, ErrDictNotFound) {
 					t.Fatalf("SimulateDownload: got %v, want ErrDictNotFound", err)
+				}
+				if _, err := PredictDownloadCycles(res, 4); !errors.Is(err, ErrDictNotFound) {
+					t.Fatalf("PredictDownloadCycles: got %v, want ErrDictNotFound", err)
 				}
 			}
 		})

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -58,7 +59,7 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	cres, err := lzwtc.Compress(ts, cfg)
+	cres, err := lzwtc.Compress(context.Background(), ts, cfg, lzwtc.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -17,6 +18,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	p, err := bench.ByName("s13207")
 	if err != nil {
 		log.Fatal(err)
@@ -28,7 +30,7 @@ func main() {
 	// The longest-string demand (Table 6): compress once with unbounded
 	// entries to see how much C_MDATA the test set could use.
 	unbounded := lzwtc.Config{CharBits: 7, DictSize: 1024, EntryBits: 0}
-	ur, err := lzwtc.Compress(cubes, unbounded)
+	ur, err := lzwtc.Compress(ctx, cubes, unbounded, lzwtc.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -48,7 +50,7 @@ func main() {
 					if cfg.MemoryBits() > budget {
 						continue
 					}
-					res, err := lzwtc.Compress(cubes, cfg)
+					res, err := lzwtc.Compress(ctx, cubes, cfg, lzwtc.Options{})
 					if err != nil {
 						log.Fatal(err)
 					}
@@ -69,7 +71,7 @@ func main() {
 
 	// The paper's exact sizing example.
 	paper := lzwtc.Config{CharBits: 7, DictSize: 1024, EntryBits: 483}
-	res, err := lzwtc.Compress(cubes, paper)
+	res, err := lzwtc.Compress(ctx, cubes, paper, lzwtc.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

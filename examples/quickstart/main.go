@@ -3,6 +3,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -30,7 +31,8 @@ func main() {
 	// dictionary, 64-bit dictionary entries. Small sets work better with
 	// a small dictionary.
 	cfg := lzwtc.Config{CharBits: 4, DictSize: 64, EntryBits: 32}
-	res, err := lzwtc.Compress(ts, cfg)
+	ctx := context.Background()
+	res, err := lzwtc.Compress(ctx, ts, cfg, lzwtc.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -42,7 +44,7 @@ func main() {
 
 	// Decompression yields the fully specified stream the scan chain
 	// would receive: the compressor chose every X bit.
-	filled, err := lzwtc.Decompress(res)
+	filled, err := res.Decompress(ctx, lzwtc.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

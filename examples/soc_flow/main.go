@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -60,7 +61,7 @@ func main() {
 
 	// --- LZW compression with dynamic don't-care assignment -------------
 	cfg := lzwtc.Config{CharBits: 7, DictSize: 512, EntryBits: 63}
-	res, err := lzwtc.Compress(cubes, cfg)
+	res, err := lzwtc.Compress(context.Background(), cubes, cfg, lzwtc.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,54 +8,59 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"lzwtc"
 	"lzwtc/internal/bench"
-	"lzwtc/internal/bitvec"
-	"lzwtc/internal/core"
 	"lzwtc/internal/decomp"
 	"lzwtc/internal/mem"
 	"lzwtc/internal/signature"
 )
 
 func main() {
+	ctx := context.Background()
 	p, err := bench.ByName("s13207")
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg := core.Config{CharBits: 7, DictSize: p.DictSize, EntryBits: 63}
+	cfg := lzwtc.Config{CharBits: 7, DictSize: p.DictSize, EntryBits: 63}
 	cs := p.Generate()
 	half := len(cs.Cubes) / 2
-	session1 := &bitvec.CubeSet{Width: cs.Width, Cubes: cs.Cubes[:half]}
-	session2 := &bitvec.CubeSet{Width: cs.Width, Cubes: cs.Cubes[half:]}
+	session1 := &lzwtc.TestSet{Width: cs.Width, Cubes: cs.Cubes[:half]}
+	session2 := &lzwtc.TestSet{Width: cs.Width, Cubes: cs.Cubes[half:]}
 	fmt.Printf("%s: two test sessions of %d and %d patterns\n", p.Name, half, len(cs.Cubes)-half)
 
-	// Session 1 runs cold and trains the dictionary.
-	train := session1.SerializeAligned(cfg.CharBits)
-	pre, err := core.Train(train, cfg, 0)
+	// Session 1 runs cold and trains the dictionary, which a store
+	// keeps under the content address of its training set.
+	store, err := lzwtc.OpenDictStore(lzwtc.DictStoreConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("session 1 trained %d dictionary strings\n", pre.Entries())
+	defer store.Close()
+	dict, _, err := store.GetOrTrain(ctx, lzwtc.DictKeyFor(session1, cfg), cfg,
+		func(context.Context) (*lzwtc.Preload, error) { return lzwtc.Train(session1, cfg, 0) })
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("session 1 trained %d dictionary strings\n", dict.Pre.Entries())
 
-	// Session 2, cold vs warm.
-	payload := session2.SerializeAligned(cfg.CharBits)
-	orig := session2.TotalBits()
-	cold, err := core.Compress(payload, cfg)
+	// Session 2, cold vs warm. The warm Result names its dictionary, so
+	// its container carries a 'D' frame that Decompress resolves with
+	// the store as Options.Resolver.
+	cold, err := lzwtc.Compress(ctx, session2, cfg, lzwtc.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	warm, err := core.CompressWithPreload(payload, cfg, pre)
+	warm, err := lzwtc.Compress(ctx, session2, cfg, lzwtc.Options{Dict: dict})
 	if err != nil {
 		log.Fatal(err)
 	}
-	ratio := func(r *core.Result) float64 { return 100 * (1 - float64(r.Stats.CompressedBits)/float64(orig)) }
-	fmt.Printf("session 2 compression: cold %.2f%%, warm %.2f%%\n", ratio(cold), ratio(warm))
+	fmt.Printf("session 2 compression: cold %.2f%%, warm %.2f%%\n", 100*cold.Ratio(), 100*warm.Ratio())
 
-	// The decompressor receives the same preload through the shared
-	// memory port before the warm session starts.
+	// The hardware decompressor receives the same preload through the
+	// shared memory port before the warm session starts.
 	words, width := decomp.MemoryGeometry(cfg)
 	shared := mem.NewShared(mem.New(words, width))
 	shared.Select(mem.SrcLZW)
@@ -63,14 +68,15 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := hw.Preload(pre); err != nil {
+	if err := hw.Preload(dict.Pre); err != nil {
 		log.Fatal(err)
 	}
-	stream, stats, err := hw.Run(warm.Pack(), len(warm.Codes), warm.InputBits)
+	sh := warm.Shards[0] // one shard: one code stream
+	stream, stats, err := hw.Run(sh.Pack(), len(sh.Codes), sh.InputBits)
 	if err != nil {
 		log.Fatal(err)
 	}
-	filled, err := bitvec.DeserializeAligned(stream, cs.Width, cfg.CharBits)
+	filled, err := lzwtc.DecompressedSetFromStream(stream, warm)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -78,7 +84,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("warm hardware decompression: %d codes in %d tester cycles (raw would take %d), verified\n",
-		stats.CodesDecoded, stats.TesterCycles, orig)
+		stats.CodesDecoded, stats.TesterCycles, session2.TotalBits())
 
 	// Response side: fold the delivered vectors into a MISR signature
 	// (in a real flow these would be the captured responses).

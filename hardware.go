@@ -3,8 +3,10 @@ package lzwtc
 import (
 	"fmt"
 
+	"lzwtc/internal/ate"
 	"lzwtc/internal/core"
 	"lzwtc/internal/decomp"
+	"lzwtc/internal/mem"
 )
 
 // DownloadStats is the cycle accounting of a simulated test download
@@ -21,10 +23,36 @@ type DownloadStats = decomp.Stats
 //
 // The configuration must be hardware-realizable: bounded entries
 // (EntryBits > 0) and the freeze dictionary-full policy. The model
-// decodes one code stream, so a Result of more than one shard is
-// refused.
-func SimulateDownload(r *Result, clockRatio int) (*TestSet, *DownloadStats, float64, error) {
-	return SimulateDownloadObserved(r, clockRatio, nil)
+// decodes one code stream from an empty dictionary, so a Result of
+// more than one shard, or one naming a dictionary, is refused. A
+// non-nil rec gets decomp.pattern events (cycles, memory reads and
+// load stalls per scan pattern) and the run totals.
+func SimulateDownload(r *Result, clockRatio int, rec *Recorder) (*TestSet, *DownloadStats, float64, error) {
+	sh, err := r.oneStream()
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	cfg := r.Cfg
+	words, width := decomp.MemoryGeometry(cfg)
+	shared := mem.NewShared(mem.New(words, width))
+	shared.Select(mem.SrcLZW)
+	hw, err := decomp.New(cfg, clockRatio, shared)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	hw.SetRecorder(rec)
+	// Pattern boundaries in the scan stream fall on the aligned width
+	// (each pattern is padded to a character boundary).
+	hw.SetPatternBits(cfg.PaddedWidth(r.Width))
+	stream, stats, err := hw.Run(sh.Pack(), len(sh.Codes), sh.InputBits)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	ts, err := DecompressedSetFromStream(stream, r)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	return ts, stats, ate.Improvement(r.OriginalBits, stats.TesterCycles), nil
 }
 
 // PredictDownloadCycles computes the download time in tester cycles in
@@ -40,9 +68,14 @@ func PredictDownloadCycles(r *Result, clockRatio int) (int, error) {
 }
 
 // oneStream returns the Result's only code stream, the input the cycle
-// model runs. A multi-shard Result is refused rather than modelled by
-// its first shard alone.
+// model runs from an empty dictionary. A multi-shard Result is refused
+// rather than modelled by its first shard alone, and one naming a
+// dictionary rather than modelled cold.
 func (r *Result) oneStream() (*core.Result, error) {
+	if r.Dict != nil {
+		return nil, fmt.Errorf("lzwtc: result references dictionary %x and the decompressor model starts from an empty dictionary: %w",
+			r.Dict.Key, ErrDictNotFound)
+	}
 	if len(r.Shards) != 1 {
 		return nil, fmt.Errorf("lzwtc: the decompressor model runs one code stream; result has %d shards", len(r.Shards))
 	}

@@ -248,6 +248,7 @@ func JobStatusFrom(st jobs.Status) JobStatusResponse {
 
 // EncodeCompressQuery renders a Config (and optional shard size) as
 // /v1/compress query parameters.
+//
 //lzwtcvet:ignore configbeforeuse pure serializer; ParseCompressQuery validates on receipt
 func EncodeCompressQuery(cfg core.Config, shardPatterns int) url.Values {
 	v := url.Values{}

@@ -38,9 +38,9 @@ func parseDictID(v url.Values) (dictstore.Key, bool, error) {
 	return key, true, nil
 }
 
-// resolveDictParam answers the preload and container reference for a
-// request's dictid, writing the error response itself on failure.
-func (s *Server) resolveDictParam(ctx context.Context, w http.ResponseWriter, r *http.Request, key dictstore.Key) (*core.Preload, lzwtc.DictRef, bool) {
+// resolveDictParam answers the stored dictionary a request's dictid
+// names, writing the error response itself on failure.
+func (s *Server) resolveDictParam(ctx context.Context, w http.ResponseWriter, r *http.Request, key dictstore.Key) (*dictstore.Entry, bool) {
 	ent, err := s.dict.Resolve(ctx, key)
 	if err != nil {
 		if errors.Is(err, dictstore.ErrNotFound) {
@@ -49,9 +49,9 @@ func (s *Server) resolveDictParam(ctx context.Context, w http.ResponseWriter, r 
 		} else {
 			s.writeError(w, r, http.StatusInternalServerError, CodeInternal, err.Error())
 		}
-		return nil, lzwtc.DictRef{}, false
+		return nil, false
 	}
-	return ent.Pre, lzwtc.DictEntryRef(ent), true
+	return ent, true
 }
 
 // setDictHeaders stamps the dictionary identity onto a response.

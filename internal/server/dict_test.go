@@ -191,12 +191,12 @@ func TestDictRemoteCompressDifferential(t *testing.T) {
 			if ent.Digest.String() != info.Digest {
 				t.Fatal("local and remote training produced different canonical blobs")
 			}
-			sr, err := lzwtc.CompressShardedPreloaded(ctx, ts, cfg, pre, 0, lzwtc.BatchOptions{})
+			sr, err := lzwtc.Compress(ctx, ts, cfg, lzwtc.Options{Dict: ent})
 			if err != nil {
 				t.Fatal(err)
 			}
 			var want bytes.Buffer
-			if err := lzwtc.WriteWireDict(&want, sr, lzwtc.DictEntryRef(ent)); err != nil {
+			if err := sr.WriteWire(&want); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(container, want.Bytes()) {
@@ -209,7 +209,7 @@ func TestDictRemoteCompressDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("remote decompress: %v", err)
 			}
-			localSet, err := lzwtc.DecompressWireDict(bytes.NewReader(container), store)
+			localSet, err := lzwtc.Decompress(ctx, bytes.NewReader(container), lzwtc.Options{Resolver: store})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -88,7 +88,7 @@ func TestJobsDifferentialCorpus(t *testing.T) {
 			ts := readCorpusSet(t, name)
 
 			var local bytes.Buffer
-			res, err := lzwtc.Compress(ts, cfg)
+			res, err := lzwtc.Compress(context.Background(), ts, cfg, lzwtc.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -609,8 +609,7 @@ type compressRequest struct {
 	ts    *lzwtc.TestSet
 	cfg   lzwtc.Config
 	shard int
-	pre   *lzwtc.Preload
-	ref   *lzwtc.DictRef // non-nil exactly when pre came from a dictid
+	dict  *dictstore.Entry // the dictid's dictionary; nil is a cold start
 }
 
 // readCompressRequest is the front half both compress endpoints
@@ -637,11 +636,11 @@ func (s *Server) readCompressRequest(ctx context.Context, w http.ResponseWriter,
 	}
 	req := compressRequest{ts: ts, cfg: cfg, shard: shard}
 	if haveDict {
-		pre, ref, ok := s.resolveDictParam(ctx, w, r, dictKey)
+		ent, ok := s.resolveDictParam(ctx, w, r, dictKey)
 		if !ok {
 			return compressRequest{}, false
 		}
-		req.pre, req.ref = pre, &ref
+		req.dict = ent
 	}
 	return req, true
 }
@@ -702,20 +701,19 @@ func hasMediaType(h, mt string) bool {
 
 // compressToWire is the one compress→wire path behind the sync
 // endpoint and the job runner. Unsharded is one shard and no
-// dictionary is a nil preload, so every request runs
-// CompressShardedPreloaded; the container then goes out through
-// WriteWireObserved, with a 'D' frame exactly when the request named a
-// dictionary. h (nil for a job, whose result headers come from its
+// dictionary is a cold start, so every request runs lzwtc.Compress;
+// the container then goes out through WriteWire under a
+// lzwtc.SpanWireEncode span, with a 'D' frame exactly when the request
+// named a dictionary. h (nil for a job, whose result headers come from its
 // status) receives the response headers before the first container
 // byte reaches w. A nil result with an error means nothing was
 // written; a result with an error means the write failed part way.
 func (s *Server) compressToWire(ctx context.Context, h http.Header, w io.Writer, req compressRequest, rec *telemetry.Recorder) (*lzwtc.Result, error) {
-	opts := lzwtc.BatchOptions{Workers: s.cfg.Workers, Policy: lzwtc.FailFast, Recorder: rec}
-	res, err := lzwtc.CompressShardedPreloaded(ctx, req.ts, req.cfg, req.pre, req.shard, opts)
+	opts := lzwtc.Options{Dict: req.dict, ShardPatterns: req.shard, Workers: s.cfg.Workers, Recorder: rec}
+	res, err := lzwtc.Compress(ctx, req.ts, req.cfg, opts)
 	if err != nil {
 		return nil, err
 	}
-	res.Dict = req.ref
 	if h != nil {
 		h.Set("Content-Type", "application/octet-stream")
 		h.Set(HeaderPatterns, strconv.Itoa(res.Patterns))
@@ -726,7 +724,10 @@ func (s *Server) compressToWire(ctx context.Context, h http.Header, w io.Writer,
 			h.Set(HeaderDictKey, dictstore.Key(res.Dict.Key).String())
 		}
 	}
-	if err := res.WriteWireObserved(ctx, w, rec); err != nil {
+	_, sp := rec.StartSpan(ctx, lzwtc.SpanWireEncode)
+	err = res.WriteWire(w)
+	sp.End(telemetry.F("frames", len(res.Shards)), telemetry.F("ok", err == nil))
+	if err != nil {
 		return res, err
 	}
 	s.patternsIn.Add(int64(res.Patterns))
@@ -757,10 +758,10 @@ func (s *Server) handleDecompress(w http.ResponseWriter, r *http.Request) {
 		hdr, err := wire.PeekHeader(br)
 		var ts *lzwtc.TestSet
 		if err == nil {
-			// The dict-aware path degrades to plain DecompressWire for
-			// containers without a 'D' frame, so every container
-			// decompresses through one entry point.
-			ts, err = lzwtc.DecompressWireDictObserved(ctx, br, s.dict, s.rec)
+			// The store is consulted only for a container with a 'D'
+			// frame, so every container decompresses through one entry
+			// point.
+			ts, err = lzwtc.Decompress(ctx, br, lzwtc.Options{Resolver: s.dict, Recorder: s.rec})
 		}
 		done <- result{hdr, ts, err}
 	}()

@@ -88,14 +88,11 @@ func TestServiceConformanceE2E(t *testing.T) {
 			if err != nil {
 				t.Fatalf("remote compress: %v", err)
 			}
-			res, err := lzwtc.Compress(ts, cfg)
+			res, err := lzwtc.Compress(context.Background(), ts, cfg, lzwtc.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := res.EncodeWire()
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := wireBytes(t, res)
 			if !bytes.Equal(container, want) {
 				t.Fatalf("remote container differs from in-process Compress (%d vs %d bytes)",
 					len(container), len(want))
@@ -105,7 +102,7 @@ func TestServiceConformanceE2E(t *testing.T) {
 			if err != nil {
 				t.Fatalf("remote decompress: %v", err)
 			}
-			localSet, err := lzwtc.Decompress(res)
+			localSet, err := res.Decompress(ctx, lzwtc.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -136,12 +133,12 @@ func TestServiceShardedE2E(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sr, err := lzwtc.CompressSharded(ctx, ts, cfg, 4, lzwtc.BatchOptions{})
+	sr, err := lzwtc.Compress(ctx, ts, cfg, lzwtc.Options{ShardPatterns: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var want bytes.Buffer
-	if err := lzwtc.WriteWireSharded(&want, sr); err != nil {
+	if err := sr.WriteWire(&want); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(container, want.Bytes()) {
@@ -422,14 +419,11 @@ func TestServiceGracefulDrain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := lzwtc.Compress(ts, cfg)
+		res, err := lzwtc.Compress(context.Background(), ts, cfg, lzwtc.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := res.EncodeWire()
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := wireBytes(t, res)
 		if !bytes.Equal(container, want) {
 			t.Fatal("container served during drain differs from in-process result")
 		}
@@ -488,14 +482,11 @@ func TestServiceDecompressContentLength(t *testing.T) {
 	hs := httptest.NewServer(srv.Handler())
 	t.Cleanup(hs.Close)
 	for _, ts := range []*lzwtc.TestSet{readCorpusSet(t, "cc8-default"), bigSet(t, 700, 214)} {
-		res, err := lzwtc.Compress(ts, lzwtc.Config{CharBits: 7, DictSize: 1024, EntryBits: 63})
+		res, err := lzwtc.Compress(context.Background(), ts, lzwtc.Config{CharBits: 7, DictSize: 1024, EntryBits: 63}, lzwtc.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		container, err := res.EncodeWire()
-		if err != nil {
-			t.Fatal(err)
-		}
+		container := wireBytes(t, res)
 		resp, body := decompressBody(t, hs.URL, container)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("status %d: %s", resp.StatusCode, body)
@@ -581,17 +572,24 @@ func startFailingService(t *testing.T) string {
 	return hs.URL
 }
 
+// wireBytes renders r as one in-memory wire container.
+func wireBytes(t *testing.T, r *lzwtc.Result) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := r.WriteWire(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // containerOf compresses ts under the paper's configuration into a
 // wire container.
 func containerOf(t *testing.T, ts *lzwtc.TestSet) []byte {
 	t.Helper()
-	res, err := lzwtc.Compress(ts, lzwtc.Config{CharBits: 7, DictSize: 1024, EntryBits: 63})
+	res, err := lzwtc.Compress(context.Background(), ts, lzwtc.Config{CharBits: 7, DictSize: 1024, EntryBits: 63}, lzwtc.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	container, err := res.EncodeWire()
-	if err != nil {
-		t.Fatal(err)
-	}
+	container := wireBytes(t, res)
 	return container
 }

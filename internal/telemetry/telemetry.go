@@ -87,8 +87,8 @@ type Recorder struct {
 	sinks   []Sink
 	now     func() time.Time
 	start   time.Time
-	proc    string // process name stamped on trace spans; see WithProcess
-	tracing bool   // any sink wants per-step events; fixed at construction
+	proc    string     // process name stamped on trace spans; see WithProcess
+	tracing bool       // any sink wants per-step events; fixed at construction
 	mu      sync.Mutex // serializes sink emission
 }
 

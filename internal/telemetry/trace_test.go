@@ -22,7 +22,7 @@ func TestSpanContextWireRoundTrip(t *testing.T) {
 	bad := []string{
 		"",
 		"short",
-		strings.Repeat("0", 33),                  // no dash
+		strings.Repeat("0", 33), // no dash
 		strings.Repeat("z", 16) + "-" + strings.Repeat("0", 15) + "1", // bad hex trace
 		strings.Repeat("0", 15) + "1-" + strings.Repeat("z", 16),      // bad hex span
 		strings.Repeat("0", 16) + "-" + strings.Repeat("0", 15) + "1", // zero trace id

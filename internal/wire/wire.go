@@ -38,7 +38,8 @@
 // The explicit EOS frame carries the frame and pattern totals, so
 // truncation at any byte is always detectable: either a CRC fails, a
 // read hits EOF mid-region (ErrTruncated), or the stream ends before
-// the EOS frame (ErrTruncated).
+// the EOS frame (ErrTruncated). A code container holds at least one
+// data frame, so one whose EOS frame comes first is truncated too.
 //
 // Decoding is hostile-input safe: arbitrary bytes produce a typed error
 // (ErrBadMagic, ErrVersion, ErrChecksum, ErrTruncated, ErrConfig and
@@ -77,7 +78,8 @@ var (
 	// ErrChecksum reports a CRC32C mismatch in a header or frame.
 	ErrChecksum = errors.New("wire: checksum mismatch")
 	// ErrTruncated reports a stream that ended mid-region or before the
-	// EOS frame.
+	// EOS frame, or a code container whose EOS frame comes before any
+	// data frame.
 	ErrTruncated = errors.New("wire: truncated stream")
 	// ErrFrameType reports an unknown frame marker byte.
 	ErrFrameType = errors.New("wire: unknown frame type")
@@ -506,8 +508,8 @@ func (r *Reader) Patterns() int { return r.patterns }
 
 // ReadFrame returns the next data frame, or io.EOF after a valid EOS
 // frame. Every other outcome is an error: ErrTruncated when the stream
-// ends early, ErrChecksum on corruption, ErrFrameType on an unknown
-// marker.
+// ends early or holds no data frame, ErrChecksum on corruption,
+// ErrFrameType on an unknown marker.
 func (r *Reader) ReadFrame() (*Frame, error) {
 	if r.err != nil {
 		return nil, r.err
@@ -534,6 +536,9 @@ func (r *Reader) readFrame() (*Frame, error) {
 	case frameData:
 		return r.readDataFrame(raw)
 	case frameEOS:
+		if r.frames == 0 { // every compressor writes a data frame
+			return nil, fmt.Errorf("%w: EOS frame before any data frame", ErrTruncated)
+		}
 		return nil, r.readEOSFrame(raw)
 	case frameDict:
 		if err := r.readDictFrame(raw); err != nil {

@@ -12,10 +12,14 @@
 //	ts := lzwtc.NewTestSet(8)
 //	ts.Add(lzwtc.MustPattern("01XX10XX"))
 //	ts.Add(lzwtc.MustPattern("X1XX10X0"))
-//	res, err := lzwtc.Compress(ts, lzwtc.DefaultConfig())
+//	ctx := context.Background()
+//	res, err := lzwtc.Compress(ctx, ts, lzwtc.DefaultConfig(), lzwtc.Options{})
 //	// res.Ratio(), res.WriteWire(w), ...
-//	back, err := lzwtc.Decompress(res)
+//	back, err := res.Decompress(ctx, lzwtc.Options{})
 //	err = lzwtc.Verify(ts, back) // every specified bit preserved
+//
+// Decompress reads a wire container from an io.Reader; Options holds
+// every setting that is not a configurator parameter.
 //
 // The don't-care bits (X) are assigned during compression so that the
 // LZW dictionary walk keeps extending existing strings; the decompressed
@@ -30,7 +34,9 @@ import (
 
 	"lzwtc/internal/bitvec"
 	"lzwtc/internal/core"
+	"lzwtc/internal/dictstore"
 	"lzwtc/internal/parallel"
+	"lzwtc/internal/telemetry"
 )
 
 // Bit is a three-valued test-data bit: Zero, One or X (don't-care).
@@ -85,6 +91,10 @@ const (
 // characters, a 1024-code dictionary and 64-bit dictionary entries.
 func DefaultConfig() Config { return core.DefaultConfig() }
 
+// Recorder re-exports the telemetry recorder, so instrumented calls
+// are usable from the public API.
+type Recorder = telemetry.Recorder
+
 // Stats summarizes a compression run.
 type Stats = core.Stats
 
@@ -111,25 +121,48 @@ type Result struct {
 	// ShardPatterns is the pattern count of each shard, in order.
 	ShardPatterns []int
 	// Dict names the shared dictionary the codes were compressed from,
-	// and is nil for a cold start. WriteWire carries it as a 'D' frame.
-	// Decompress and SimulateDownload cannot resolve it and fail with
-	// ErrDictNotFound; decompress such a container through
-	// DecompressWireDict.
+	// and is nil for a cold start. Compress sets it exactly when
+	// Options.Dict is set, and WriteWire carries it as a 'D' frame.
+	// Result.Decompress resolves it through Options.Resolver;
+	// SimulateDownload cannot load it and fails with ErrDictNotFound.
 	Dict *DictRef
 }
 
-// ShardedResult is an alias of Result for callers that name the
-// sharded form.
-type ShardedResult = Result
+// Options are the settings of Compress, Decompress and
+// Result.Decompress beyond the configurator's parameters. The zero
+// value is a cold start, one shard, GOMAXPROCS workers and no tracing.
+type Options struct {
+	// Dict is the stored dictionary Compress starts every shard from,
+	// as DictStore.Resolve returns it: the preload and its reference
+	// in one value, so the Result names it. nil is a cold start.
+	Dict *dictstore.Entry
+	// ShardPatterns splits Compress's input into shards of at most
+	// this many consecutive patterns; <= 0 is one shard.
+	ShardPatterns int
+	// Resolver resolves the dictionary a container or Result names; a
+	// nil one fails such data with ErrDictNotFound.
+	Resolver DictResolver
+	// Workers bounds the shards run at once; <= 0 means GOMAXPROCS.
+	Workers int
+	// Recorder receives metrics, events and trace spans; nil is
+	// untraced.
+	Recorder *Recorder
+}
 
-// needsNoDict is the check in front of every decoder of a Result that
-// starts from an empty dictionary.
-func (r *Result) needsNoDict() error {
-	if r.Dict != nil {
-		return fmt.Errorf("lzwtc: result references dictionary %x; decompress its container through DecompressWireDict: %w",
-			r.Dict.Key, ErrDictNotFound)
+// resolveDict returns the preload ref names, through res: nil when ref
+// is nil, ErrDictNotFound when there is no resolver.
+func resolveDict(ctx context.Context, ref *DictRef, res DictResolver) (*Preload, error) {
+	switch {
+	case ref == nil:
+		return nil, nil
+	case res == nil:
+		return nil, fmt.Errorf("lzwtc: data references dictionary %x but no resolver given: %w", ref.Key, ErrDictNotFound)
 	}
-	return nil
+	pre, err := res.ResolveDict(ctx, *ref)
+	if err != nil {
+		return nil, fmt.Errorf("lzwtc: resolving dictionary %x: %w", ref.Key, err)
+	}
+	return pre, nil
 }
 
 // Ratio returns the compression ratio against the original volume.
@@ -169,24 +202,45 @@ func (r *Result) Stats() Stats {
 
 // Compress compresses a test set under the given configuration.
 //
-// Patterns are serialized in order with each pattern padded (with X
-// bits) to the next character boundary — the hardware decompressor
-// flushes its output shifter at the capture cycle between patterns —
-// and the stream is compressed with dynamic don't-care assignment.
-// The Result has one shard.
-func Compress(ts *TestSet, cfg Config) (*Result, error) {
-	return CompressObservedCtx(context.Background(), ts, cfg, nil)
+// Patterns are taken in order, each padded (with X bits) to the next
+// character boundary — the hardware decompressor flushes its output
+// shifter at the capture cycle between patterns — and compressed with
+// dynamic don't-care assignment. The Result has one shard, or one per
+// opts.ShardPatterns patterns; with opts.Dict every shard starts from
+// that dictionary and the Result names it. ctx cancels the run.
+func Compress(ctx context.Context, ts *TestSet, cfg Config, opts Options) (*Result, error) {
+	var pre *Preload
+	var ref *DictRef
+	if d := opts.Dict; d != nil {
+		pre, ref = d.Pre, &DictRef{Key: d.Key, Digest: d.Digest}
+	}
+	return compress(ctx, ts, cfg, pre, ref, opts.ShardPatterns, BatchOptions{Workers: opts.Workers, Recorder: opts.Recorder})
+}
+
+// compress is the one compression body: ts in shards of at most
+// patternsPerShard patterns (<= 0 is one shard), every shard from pre
+// (nil is a cold start), and ref as the Result's Dict.
+func compress(ctx context.Context, ts *TestSet, cfg Config, pre *Preload, ref *DictRef, patternsPerShard int, opts BatchOptions) (*Result, error) {
+	shards, patterns, err := parallel.CompressShardedPreloaded(ctx, ts, cfg, pre, patternsPerShard, opts)
+	if err != nil {
+		return nil, err
+	}
+	res := newResult(ts, cfg, shards, patterns)
+	res.Dict = ref
+	return res, nil
 }
 
 // Decompress reconstructs the fully specified test set a decompressor
 // would deliver to the scan chain: every original care bit preserved,
 // every don't-care concretized. Shards decompress concurrently and
-// concatenate in order.
-func Decompress(r *Result) (*TestSet, error) {
-	if err := r.needsNoDict(); err != nil {
+// concatenate in order. A Result naming a dictionary resolves it
+// through opts.Resolver first.
+func (r *Result) Decompress(ctx context.Context, opts Options) (*TestSet, error) {
+	pre, err := resolveDict(ctx, r.Dict, opts.Resolver)
+	if err != nil {
 		return nil, err
 	}
-	return parallel.DecompressShardedPreloaded(context.Background(), r.Shards, r.Width, r.ShardPatterns, nil, BatchOptions{})
+	return parallel.DecompressShardedPreloaded(ctx, r.Shards, r.Width, r.ShardPatterns, pre, BatchOptions{Workers: opts.Workers, Recorder: opts.Recorder})
 }
 
 // DecompressedSetFromStream splits a concrete scan stream — e.g. the

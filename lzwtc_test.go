@@ -32,11 +32,11 @@ X1XX10X0
 func TestCompressDecompressVerify(t *testing.T) {
 	ts := sampleSet(t)
 	cfg := Config{CharBits: 2, DictSize: 16, EntryBits: 8}
-	res, err := Compress(ts, cfg)
+	res, err := Compress(context.Background(), ts, cfg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := Decompress(res)
+	back, err := res.Decompress(context.Background(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,11 +55,11 @@ func TestCompressDecompressVerify(t *testing.T) {
 
 func TestVerifyCatchesCorruption(t *testing.T) {
 	ts := sampleSet(t)
-	res, err := Compress(ts, Config{CharBits: 2, DictSize: 16})
+	res, err := Compress(context.Background(), ts, Config{CharBits: 2, DictSize: 16}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := Decompress(res)
+	back, err := res.Decompress(context.Background(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,11 +74,11 @@ func TestVerifyCatchesCorruption(t *testing.T) {
 }
 
 func TestCompressErrors(t *testing.T) {
-	if _, err := Compress(NewTestSet(4), DefaultConfig()); err == nil {
+	if _, err := Compress(context.Background(), NewTestSet(4), DefaultConfig(), Options{}); err == nil {
 		t.Fatal("empty set accepted")
 	}
 	ts := sampleSet(t)
-	if _, err := Compress(ts, Config{CharBits: 0, DictSize: 4}); err == nil {
+	if _, err := Compress(context.Background(), ts, Config{CharBits: 0, DictSize: 4}, Options{}); err == nil {
 		t.Fatal("invalid config accepted")
 	}
 }
@@ -86,14 +86,11 @@ func TestCompressErrors(t *testing.T) {
 func TestContainerRoundTrip(t *testing.T) {
 	ts := sampleSet(t)
 	cfg := Config{CharBits: 3, DictSize: 32, EntryBits: 9}
-	res, err := Compress(ts, cfg)
+	res, err := Compress(context.Background(), ts, cfg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc, err := res.EncodeWire()
-	if err != nil {
-		t.Fatal(err)
-	}
+	enc := wireBytes(t, res)
 	dec, err := DecodeWireResult(enc)
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +98,7 @@ func TestContainerRoundTrip(t *testing.T) {
 	if dec.Width != res.Width || dec.Patterns != res.Patterns || dec.OriginalBits != res.OriginalBits {
 		t.Fatalf("geometry changed: %+v vs %+v", dec, res)
 	}
-	back, err := Decompress(dec)
+	back, err := dec.Decompress(context.Background(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +116,7 @@ func TestContainerRoundTrip(t *testing.T) {
 func TestRatioAccounting(t *testing.T) {
 	ts := sampleSet(t)
 	cfg := Config{CharBits: 2, DictSize: 16}
-	res, err := Compress(ts, cfg)
+	res, err := Compress(context.Background(), ts, cfg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,11 +148,11 @@ func TestQuickFacadeRoundTrip(t *testing.T) {
 			}
 		}
 		cfg := Config{CharBits: 4, DictSize: 64, EntryBits: 16}
-		res, err := Compress(ts, cfg)
+		res, err := Compress(context.Background(), ts, cfg, Options{})
 		if err != nil {
 			return false
 		}
-		back, err := Decompress(res)
+		back, err := res.Decompress(context.Background(), Options{})
 		if err != nil {
 			return false
 		}
@@ -189,7 +186,7 @@ func TestEndToEndSoCFlow(t *testing.T) {
 	}
 
 	cfg := Config{CharBits: 7, DictSize: 512, EntryBits: 63}
-	res, err := Compress(cubes, cfg)
+	res, err := Compress(context.Background(), cubes, cfg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,11 +232,11 @@ func TestEndToEndSoCFlow(t *testing.T) {
 func TestSimulateDownload(t *testing.T) {
 	ts := sampleSet(t)
 	cfg := Config{CharBits: 2, DictSize: 16, EntryBits: 8}
-	res, err := Compress(ts, cfg)
+	res, err := Compress(context.Background(), ts, cfg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	filled, stats, imp, err := SimulateDownload(res, 8)
+	filled, stats, imp, err := SimulateDownload(res, 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,11 +258,11 @@ func TestSimulateDownload(t *testing.T) {
 		t.Fatalf("predicted %d cycles, simulated %d", tc, stats.TesterCycles)
 	}
 	// Unbounded configurations have no hardware realization.
-	res2, err := Compress(ts, Config{CharBits: 2, DictSize: 16})
+	res2, err := Compress(context.Background(), ts, Config{CharBits: 2, DictSize: 16}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := SimulateDownload(res2, 8); err == nil {
+	if _, _, _, err := SimulateDownload(res2, 8, nil); err == nil {
 		t.Fatal("unbounded config accepted")
 	}
 }
@@ -278,11 +275,7 @@ func TestHardwareEntryPointsRefuseShards(t *testing.T) {
 	cfg := Config{CharBits: 4, DictSize: 64, EntryBits: 16}
 	entries := map[string]func(*Result) error{
 		"SimulateDownload": func(r *Result) error {
-			_, _, _, err := SimulateDownload(r, 8)
-			return err
-		},
-		"SimulateDownloadObserved": func(r *Result) error {
-			_, _, _, err := SimulateDownloadObserved(r, 8, nil)
+			_, _, _, err := SimulateDownload(r, 8, nil)
 			return err
 		},
 		"PredictDownloadCycles": func(r *Result) error {
@@ -293,7 +286,7 @@ func TestHardwareEntryPointsRefuseShards(t *testing.T) {
 	for _, tc := range []struct {
 		per, shards int
 	}{{0, 1}, {4, 3}} {
-		res, err := CompressSharded(context.Background(), ts, cfg, tc.per, BatchOptions{})
+		res, err := Compress(context.Background(), ts, cfg, Options{ShardPatterns: tc.per})
 		if err != nil {
 			t.Fatal(err)
 		}

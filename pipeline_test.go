@@ -2,6 +2,7 @@ package lzwtc
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"runtime"
 	"testing"
@@ -26,7 +27,7 @@ func pipelineInput(t testing.TB, name string) (*TestSet, Config) {
 // roundTrip runs the library's request pipeline once: compress, write
 // the wire container, decompress it.
 func roundTrip(t testing.TB, ts *TestSet, cfg Config, buf *bytes.Buffer) {
-	res, err := Compress(ts, cfg)
+	res, err := Compress(context.Background(), ts, cfg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,13 +35,13 @@ func roundTrip(t testing.TB, ts *TestSet, cfg Config, buf *bytes.Buffer) {
 	if err := res.WriteWire(buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecompressWire(bytes.NewReader(buf.Bytes())); err != nil {
+	if _, err := Decompress(context.Background(), bytes.NewReader(buf.Bytes()), Options{}); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestPipelineAllocBytesPerBit pins the bytes one compress → WriteWire
-// → DecompressWire round trip allocates per input bit. Compression reads
+// → Decompress round trip allocates per input bit. Compression reads
 // the cube set in place and decoding writes straight into the output
 // cubes, so no aligned copy of the set is made in either direction; an
 // extra whole-set copy adds about 0.25 B/bit (two planes) and fails the

@@ -30,13 +30,13 @@ func TestRunRecordSchema(t *testing.T) {
 	cfg := Config{CharBits: 2, DictSize: 32, EntryBits: 8}
 	reg := telemetry.NewRegistry()
 	rec := telemetry.New(reg)
-	res, err := CompressObservedCtx(context.Background(), recordTestSet(t), cfg, rec)
+	res, err := Compress(context.Background(), recordTestSet(t), cfg, Options{Recorder: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
 	record := NewRunRecord(res)
 	record.AttachHistograms(reg.Snapshot())
-	_, st, _, err := SimulateDownloadObserved(res, 8, rec)
+	_, st, _, err := SimulateDownload(res, 8, rec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,14 +81,11 @@ func TestRunRecordSchema(t *testing.T) {
 // headline numbers intact.
 func TestRunRecordFromContainer(t *testing.T) {
 	cfg := Config{CharBits: 2, DictSize: 32, EntryBits: 8}
-	res, err := Compress(recordTestSet(t), cfg)
+	res, err := Compress(context.Background(), recordTestSet(t), cfg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	container, err := res.EncodeWire()
-	if err != nil {
-		t.Fatal(err)
-	}
+	container := wireBytes(t, res)
 	decoded, err := DecodeWireResult(container)
 	if err != nil {
 		t.Fatal(err)
@@ -108,12 +105,12 @@ func TestRunRecordFromContainer(t *testing.T) {
 	}
 }
 
-// TestCompressObservedRootEmitsRunRecord checks the root wrapper
-// threads the recorder down to core.
+// TestCompressObservedRootEmitsRunRecord checks Compress threads
+// Options.Recorder down to core.
 func TestCompressObservedRootEmitsRunRecord(t *testing.T) {
 	var kinds []string
 	rec := telemetry.New(nil, telemetry.SinkFunc(func(ev telemetry.Event) { kinds = append(kinds, ev.Kind) }))
-	if _, err := CompressObservedCtx(context.Background(), recordTestSet(t), DefaultConfig(), rec); err != nil {
+	if _, err := Compress(context.Background(), recordTestSet(t), DefaultConfig(), Options{Recorder: rec}); err != nil {
 		t.Fatal(err)
 	}
 	found := false
@@ -123,7 +120,7 @@ func TestCompressObservedRootEmitsRunRecord(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Fatalf("no compress.run event from root wrapper; got %v", kinds)
+		t.Fatalf("no compress.run event from root Compress; got %v", kinds)
 	}
 }
 
@@ -132,7 +129,7 @@ func TestCompressObservedRootEmitsRunRecord(t *testing.T) {
 func TestSimulateDownloadObservedPatternEvents(t *testing.T) {
 	ts := recordTestSet(t)
 	cfg := Config{CharBits: 2, DictSize: 32, EntryBits: 8}
-	res, err := Compress(ts, cfg)
+	res, err := Compress(context.Background(), ts, cfg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +139,7 @@ func TestSimulateDownloadObservedPatternEvents(t *testing.T) {
 			patterns++
 		}
 	}))
-	if _, _, _, err := SimulateDownloadObserved(res, 8, rec); err != nil {
+	if _, _, _, err := SimulateDownload(res, 8, rec); err != nil {
 		t.Fatal(err)
 	}
 	if patterns != len(ts.Cubes) {
@@ -170,7 +167,7 @@ func TestRunRecordGoldens(t *testing.T) {
 		{"cc4-freeze.json", 0},
 		{"cc4-freeze-shard5.json", 5},
 	} {
-		res, err := CompressSharded(context.Background(), ts, c.cfg, tc.per, BatchOptions{})
+		res, err := Compress(context.Background(), ts, c.cfg, Options{ShardPatterns: tc.per})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,23 +11,20 @@ import (
 )
 
 // TestWireRoundTripConformance runs every conformance case through the
-// wire format with no out-of-band Config: DecodeWireResult(EncodeWire(r))
-// must reproduce the Result exactly — config, geometry and every code —
-// and decompressing the decoded container must match decompressing the
-// original.
+// wire format with no out-of-band Config: DecodeWireResult of a
+// Result's container must reproduce the Result exactly — config,
+// geometry and every code — and decompressing the decoded container
+// must match decompressing the original.
 func TestWireRoundTripConformance(t *testing.T) {
 	for _, c := range conformanceCases() {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			ts := c.build()
-			res, err := Compress(ts, c.cfg)
+			res, err := Compress(context.Background(), ts, c.cfg, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			data, err := res.EncodeWire()
-			if err != nil {
-				t.Fatal(err)
-			}
+			data := wireBytes(t, res)
 			back, err := DecodeWireResult(data)
 			if err != nil {
 				t.Fatalf("decode: %v", err)
@@ -53,17 +50,17 @@ func TestWireRoundTripConformance(t *testing.T) {
 				}
 			}
 
-			wantSet, err := Decompress(res)
+			wantSet, err := res.Decompress(context.Background(), Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotSet, err := DecompressWire(bytes.NewReader(data))
+			gotSet, err := Decompress(context.Background(), bytes.NewReader(data), Options{})
 			if err != nil {
 				t.Fatalf("streaming decompress: %v", err)
 			}
 			assertSetsEqual(t, wantSet, gotSet)
 
-			gotSet2, err := Decompress(back)
+			gotSet2, err := back.Decompress(context.Background(), Options{})
 			if err != nil {
 				t.Fatalf("decoded-result decompress: %v", err)
 			}
@@ -85,39 +82,32 @@ func TestWireShardedRoundTrip(t *testing.T) {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			ts := c.build()
-			sr, err := CompressSharded(context.Background(), ts, c.cfg, 5, BatchOptions{})
+			sr, err := Compress(context.Background(), ts, c.cfg, Options{ShardPatterns: 5})
 			if err != nil {
 				t.Fatal(err)
 			}
-			var buf bytes.Buffer
-			if err := WriteWireSharded(&buf, sr); err != nil {
-				t.Fatal(err)
-			}
-			want, err := Decompress(sr)
+			container := wireBytes(t, sr)
+			want, err := sr.Decompress(context.Background(), Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := DecompressWire(bytes.NewReader(buf.Bytes()))
+			got, err := Decompress(context.Background(), bytes.NewReader(container), Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			assertSetsEqual(t, want, got)
 
-			decoded, err := DecodeWireResult(buf.Bytes())
+			decoded, err := DecodeWireResult(container)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if len(decoded.Shards) != len(sr.Shards) {
 				t.Fatalf("decoded %d shards, want %d", len(decoded.Shards), len(sr.Shards))
 			}
-			var again bytes.Buffer
-			if err := decoded.WriteWire(&again); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(again.Bytes(), buf.Bytes()) {
+			if !bytes.Equal(wireBytes(t, decoded), container) {
 				t.Fatal("decoded container does not re-encode byte for byte")
 			}
-			back, err := Decompress(decoded)
+			back, err := decoded.Decompress(context.Background(), Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -129,14 +119,11 @@ func TestWireShardedRoundTrip(t *testing.T) {
 // TestWireTypedErrorsAtRoot pins the re-exported error identities.
 func TestWireTypedErrorsAtRoot(t *testing.T) {
 	ts := conformanceSet(42, 6, 12, 0.5)
-	res, err := Compress(ts, Config{CharBits: 4, DictSize: 32, EntryBits: 16})
+	res, err := Compress(context.Background(), ts, Config{CharBits: 4, DictSize: 32, EntryBits: 16}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := res.EncodeWire()
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := wireBytes(t, res)
 
 	if _, err := DecodeWireResult([]byte("XXXX")); !errors.Is(err, ErrWireBadMagic) {
 		t.Fatalf("magic: %v", err)
@@ -154,6 +141,16 @@ func TestWireTypedErrorsAtRoot(t *testing.T) {
 	if _, err := DecodeWireResult(flip); !errors.Is(err, ErrWireChecksum) && !errors.Is(err, ErrWireTruncated) {
 		t.Fatalf("corrupt: %v", err)
 	}
+}
+
+// wireBytes renders r as one in-memory wire container.
+func wireBytes(t testing.TB, r *Result) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := r.WriteWire(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 func assertSetsEqual(t *testing.T, want, got *TestSet) {
@@ -176,7 +173,7 @@ func assertSetsEqual(t *testing.T, want, got *TestSet) {
 func TestWireStreamingPipe(t *testing.T) {
 	ts := conformanceSet(77, 9, 18, 0.7)
 	cfg := Config{CharBits: 2, DictSize: 16, EntryBits: 8}
-	res, err := Compress(ts, cfg)
+	res, err := Compress(context.Background(), ts, cfg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,11 +181,11 @@ func TestWireStreamingPipe(t *testing.T) {
 	go func() {
 		pw.CloseWithError(res.WriteWire(pw))
 	}()
-	got, err := DecompressWire(pr)
+	got, err := Decompress(context.Background(), pr, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Decompress(res)
+	want, err := res.Decompress(context.Background(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,8 +202,8 @@ func TestPlanesMessageIsNotAContainer(t *testing.T) {
 	if err := wire.WritePlanes(&msg, wire.Header{Cfg: cfg, Width: ts.Width}, ts); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecompressWire(bytes.NewReader(msg.Bytes())); !errors.Is(err, wire.ErrFrameType) {
-		t.Fatalf("DecompressWire: got %v, want ErrFrameType", err)
+	if _, err := Decompress(context.Background(), bytes.NewReader(msg.Bytes()), Options{}); !errors.Is(err, wire.ErrFrameType) {
+		t.Fatalf("Decompress: got %v, want ErrFrameType", err)
 	}
 	if _, err := DecodeWireResult(msg.Bytes()); !errors.Is(err, wire.ErrFrameType) {
 		t.Fatalf("DecodeWireResult: got %v, want ErrFrameType", err)
