@@ -26,7 +26,7 @@ race:
 
 # Repo-specific static analysis (bitwidth / droppederror / panicpolicy /
 # configbeforeuse / allocbound / goctx / lockhygiene / metricname /
-# staleignore). Non-zero exit on any finding.
+# deadexport / staleignore). Non-zero exit on any finding.
 lzwtcvet:
 	$(GO) run ./cmd/lzwtcvet ./...
 
@@ -72,9 +72,8 @@ telemetry-overhead:
 	$(GO) test -run='^$$' -bench='BenchmarkCompressTelemetry' -benchtime=$(BENCHTIME) ./internal/core
 
 # Trace-overhead gate: the disabled-tracing ctx path must stay within
-# 3% of the disabled-telemetry baseline and allocate identically
-# (min-of-3 interleaved runs; COUNT/BENCHTIME/TOLERANCE_PCT env vars
-# override).
+# 3% of plain Compress and allocate identically (median of paired
+# in-process timings; the TOLERANCE_PCT env var overrides the bar).
 trace-overhead:
 	sh scripts/check_trace_overhead.sh
 

@@ -92,12 +92,6 @@ func New(baseURL string, opts Options) *Client {
 	return &Client{base: strings.TrimRight(baseURL, "/"), http: opts.HTTPClient, opts: opts}
 }
 
-// NewWithRetries is New with an explicit retry count (a convenience for
-// callers configuring nothing else).
-func NewWithRetries(baseURL string, retries int) *Client {
-	return New(baseURL, Options{Retries: retries})
-}
-
 // SpanClientRequest is the trace span each instrumented client call
 // records, covering every retry attempt of one logical request.
 const SpanClientRequest = "client.request"

@@ -14,6 +14,8 @@
 //   - configbeforeuse: exported functions consuming a validatable
 //     config (a type with a `Validate() error` method) must validate it
 //     on some path, directly or by passing it to a function that does.
+//   - deadexport: an exported name or method of an internal/ package
+//     must be referenced by another package (see deadexport.go).
 //
 // Findings can be suppressed per line with a comment of the form
 //
@@ -125,7 +127,7 @@ type Config struct {
 	// Registry whose Counter/Gauge/Histogram calls metricname audits.
 	TelemetryPaths []string
 	// MetricNameAllow are sanctioned dynamic-metric-name constructors
-	// (PhaseMetricName); a registration through one is exempt from the
+	// (phaseMetricName); a registration through one is exempt from the
 	// string-constant rule.
 	MetricNameAllow []string
 	// MetricAssertPaths are packages whose registered metric names must
@@ -173,7 +175,7 @@ func DefaultConfig() Config {
 		},
 		BlockingCalls:     []string{"(*net/http.Client).Do", "net/http.Get", "net/http.Post"},
 		TelemetryPaths:    []string{"internal/telemetry"},
-		MetricNameAllow:   []string{"internal/telemetry.PhaseMetricName"},
+		MetricNameAllow:   []string{"internal/telemetry.phaseMetricName"},
 		MetricAssertPaths: []string{"internal/server", "internal/parallel", "internal/jobs", "internal/dictstore"},
 	}
 }
@@ -225,7 +227,7 @@ type Check interface {
 func Checks() []Check {
 	return []Check{
 		bitwidthCheck{}, droppedErrorCheck{}, panicPolicyCheck{}, configBeforeUseCheck{},
-		allocBoundCheck{}, goctxCheck{}, lockHygieneCheck{}, metricNameCheck{}, staleIgnoreCheck{},
+		allocBoundCheck{}, goctxCheck{}, lockHygieneCheck{}, metricNameCheck{}, deadExportCheck{}, staleIgnoreCheck{},
 	}
 }
 

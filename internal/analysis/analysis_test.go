@@ -485,7 +485,7 @@ func TestDiagnosticString(t *testing.T) {
 func TestChecksCatalog(t *testing.T) {
 	want := []string{
 		"bitwidth", "droppederror", "panicpolicy", "configbeforeuse",
-		"allocbound", "goctx", "lockhygiene", "metricname", "staleignore",
+		"allocbound", "goctx", "lockhygiene", "metricname", "deadexport", "staleignore",
 	}
 	checks := analysis.Checks()
 	if len(checks) != len(want) {

@@ -26,7 +26,7 @@ import (
 //
 // The same contract extends to trace spans: every Recorder.StartSpan
 // name must be a compile-time string constant in the
-// dotted-lowercase span grammar (span names feed PhaseMetricName
+// dotted-lowercase span grammar (span names feed phaseMetricName
 // histograms and trace dashboards), and in MetricAssertPaths packages
 // each span name must be asserted in that package's tests.
 type metricNameCheck struct{}
@@ -39,7 +39,7 @@ func (metricNameCheck) Doc() string {
 var metricNameRE = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
 
 // spanNameRE is the grammar for trace span names: lowercase dotted
-// segments ("core.match_loop", "parse"). PhaseMetricName maps them onto
+// segments ("core.match_loop", "parse"). phaseMetricName maps them onto
 // Prometheus names, so anything outside this set would silently mangle.
 var spanNameRE = regexp.MustCompile(`^[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)*$`)
 
@@ -77,7 +77,7 @@ func (c metricNameCheck) Run(cfg *Config, pkgs []*Package) []Diagnostic {
 					value := constant.StringVal(tv.Value)
 					if !spanNameRE.MatchString(value) {
 						report(pkg, nameArg, "span name "+strconv.Quote(value)+
-							" is not in the span grammar (lowercase dotted segments); PhaseMetricName would mangle it")
+							" is not in the span grammar (lowercase dotted segments); phaseMetricName would mangle it")
 						return true
 					}
 					spans = append(spans, metricReg{pkg, nameArg, "Span", value, constIdentName(nameArg)})

@@ -7,7 +7,7 @@ import (
 
 // panicPolicyCheck forbids bare panic calls in the library packages.
 // The sanctioned route is internal/invariant (Violatef/Check/Must),
-// which panics with a typed Violation value through one auditable
+// which panics with a typed violation value through one auditable
 // chokepoint; callers can then distinguish invariant violations from
 // incidental runtime panics, and every deliberate halt is greppable.
 type panicPolicyCheck struct{}

@@ -38,15 +38,10 @@ func (t Tester) Validate() error {
 	return nil
 }
 
-// Fits reports whether a test set of the given volume fits the vector
+// fits reports whether a test set of the given volume fits the vector
 // memory.
-func (t Tester) Fits(bits int) bool {
+func (t Tester) fits(bits int) bool {
 	return t.VectorMemBits == 0 || bits <= t.VectorMemBits
-}
-
-// CycleTime returns the duration of one tester cycle.
-func (t Tester) CycleTime() time.Duration {
-	return time.Duration(float64(time.Second) / t.ClockHz)
 }
 
 // DownloadTime returns the wall-clock time to deliver the given number

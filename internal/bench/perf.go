@@ -18,9 +18,9 @@ import (
 // the committed BENCH_*.json trajectory is built from exactly these
 // cases, and the CI regression gate diffs a fresh run against it.
 
-// PerfSchema versions the report format; bump it when the JSON shape or
+// perfSchema versions the report format; bump it when the JSON shape or
 // the case grid changes incompatibly.
-const PerfSchema = "lzwtc-bench/2"
+const perfSchema = "lzwtc-bench/2"
 
 // DefaultPerfBits is the per-case stream length used by the committed
 // trajectory: long enough to fill a 1024-code dictionary several times
@@ -61,11 +61,11 @@ func (c PerfCase) Config() core.Config {
 	}
 }
 
-// PerfCases returns the fixed measurement grid: C_C ∈ {2,4,8} crossed
+// perfCases returns the fixed measurement grid: C_C ∈ {2,4,8} crossed
 // with don't-care densities {0%, 50%, 90%}. The 90% column is the
 // paper-realistic regime (Table 3 circuits run 35–93% X) and the hot
 // one: nearly every lookup is X-laden.
-func PerfCases() []PerfCase {
+func perfCases() []PerfCase {
 	var cases []PerfCase
 	for _, cc := range []int{2, 4, 8} {
 		for _, x := range []float64{0, 0.5, 0.9} {
@@ -100,7 +100,7 @@ func PerfCases() []PerfCase {
 // PerfCase.Gen): block-structured repetition punctured to the case's X
 // density, or the chain-heavy anchor shape. Fully deterministic per
 // case.
-func (c PerfCase) Stream(totalBits int) *bitvec.Vector {
+func (c PerfCase) stream(totalBits int) *bitvec.Vector {
 	rng := rand.New(rand.NewSource(int64(c.CharBits)*1000 + int64(c.XDensity*100)))
 	if c.Gen == "chain" {
 		return c.chainStream(rng, totalBits)
@@ -203,8 +203,8 @@ func RunPerf(totalBits int, minDur time.Duration) (*PerfReport, error) {
 	if totalBits <= 0 {
 		totalBits = DefaultPerfBits
 	}
-	rep := &PerfReport{Schema: PerfSchema, GoVersion: runtime.Version(), StreamBits: totalBits}
-	for _, pc := range PerfCases() {
+	rep := &PerfReport{Schema: perfSchema, GoVersion: runtime.Version(), StreamBits: totalBits}
+	for _, pc := range perfCases() {
 		r, err := runPerfCase(pc, totalBits, minDur)
 		if err != nil {
 			return nil, fmt.Errorf("bench: case %s: %w", pc.Name, err)
@@ -216,7 +216,7 @@ func RunPerf(totalBits int, minDur time.Duration) (*PerfReport, error) {
 
 func runPerfCase(pc PerfCase, totalBits int, minDur time.Duration) (PerfResult, error) {
 	cfg := pc.Config()
-	stream := pc.Stream(totalBits)
+	stream := pc.stream(totalBits)
 	res, err := core.Compress(stream, cfg)
 	if err != nil {
 		return PerfResult{}, err

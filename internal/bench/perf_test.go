@@ -42,7 +42,7 @@ func TestComparePerfGatesBothDirections(t *testing.T) {
 // column (the paper default, C_MDATA=63).
 func TestPerfCasesCoverPackedDecode(t *testing.T) {
 	var packed, walk int
-	for _, pc := range PerfCases() {
+	for _, pc := range perfCases() {
 		cfg := pc.Config()
 		if err := cfg.Validate(); err != nil {
 			t.Fatalf("%s: %v", pc.Name, err)

@@ -230,8 +230,8 @@ func (v *Vector) copyRange(dpos int, src *Vector, spos, n int) {
 	}
 }
 
-// CareCount returns the number of specified bits.
-func (v *Vector) CareCount() int {
+// careCount returns the number of specified bits.
+func (v *Vector) careCount() int {
 	total := 0
 	for _, w := range v.care {
 		total += popcount(w)
@@ -240,7 +240,7 @@ func (v *Vector) CareCount() int {
 }
 
 // XCount returns the number of don't-care bits.
-func (v *Vector) XCount() int { return v.n - v.CareCount() }
+func (v *Vector) XCount() int { return v.n - v.careCount() }
 
 // XDensity returns the fraction of don't-care bits, in [0,1].
 // An empty vector has density 0.
@@ -486,8 +486,8 @@ func (v *Vector) putText(dst []byte, from, to int) {
 	}
 }
 
-// Concat returns the concatenation of vs as a single vector.
-func Concat(vs ...*Vector) *Vector {
+// concat returns the concatenation of vs as a single vector.
+func concat(vs ...*Vector) *Vector {
 	total := 0
 	for _, v := range vs {
 		total += v.n
@@ -541,7 +541,7 @@ func (cs *CubeSet) XDensity() float64 {
 // compressor consumes (pattern 0 first), matching the paper's
 // single-scan-chain evaluation.
 func (cs *CubeSet) Serialize() *Vector {
-	return Concat(cs.Cubes...)
+	return concat(cs.Cubes...)
 }
 
 // SerializeAligned is Serialize with every pattern padded (with X bits)

@@ -17,8 +17,8 @@ func TestNewAllX(t *testing.T) {
 			t.Fatalf("bit %d = %v, want X", i, v.Get(i))
 		}
 	}
-	if v.XCount() != 100 || v.CareCount() != 0 {
-		t.Fatalf("XCount=%d CareCount=%d", v.XCount(), v.CareCount())
+	if v.XCount() != 100 || v.careCount() != 0 {
+		t.Fatalf("XCount=%d CareCount=%d", v.XCount(), v.careCount())
 	}
 }
 
@@ -166,7 +166,7 @@ func TestFilledIsCompatible(t *testing.T) {
 }
 
 func TestConcat(t *testing.T) {
-	v := Concat(MustParse("01"), MustParse("X1"), MustParse(""), MustParse("0"))
+	v := concat(MustParse("01"), MustParse("X1"), MustParse(""), MustParse("0"))
 	if got := v.String(); got != "01X10" {
 		t.Fatalf("Concat = %q", got)
 	}
@@ -300,12 +300,12 @@ func TestQuickChunkGetAgree(t *testing.T) {
 	}
 }
 
-// Property: XCount + CareCount == Len.
+// Property: XCount + careCount == Len.
 func TestQuickCounts(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		v := randomVector(rng, rng.Intn(500), 0.5)
-		return v.XCount()+v.CareCount() == v.Len()
+		return v.XCount()+v.careCount() == v.Len()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

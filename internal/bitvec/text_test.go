@@ -402,7 +402,7 @@ func TestAlignedMatchesPerBit(t *testing.T) {
 			}
 		}
 		parts := []*Vector{randomVector(rng, width, 0.4), randomVector(rng, rng.Intn(130), 0.4), randomVector(rng, width, 0.4)}
-		if got, want := Concat(parts...), refConcat(parts...); !got.Equal(want) {
+		if got, want := concat(parts...), refConcat(parts...); !got.Equal(want) {
 			t.Fatalf("width %d: Concat = %s, reference %s", width, got, want)
 		}
 	}

@@ -142,8 +142,8 @@ func typeByName(s string) (GateType, error) {
 	return 0, fmt.Errorf("circuit: unknown gate type %q", s)
 }
 
-// WriteBench renders the circuit in .bench format, stable across runs.
-func (c *Circuit) WriteBench(w io.Writer) error {
+// writeBench renders the circuit in .bench format, stable across runs.
+func (c *Circuit) writeBench(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "# %s\n", c.Name)
 	for _, id := range c.Inputs {

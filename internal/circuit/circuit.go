@@ -156,14 +156,14 @@ func (c *Circuit) Validate() error {
 		}
 		_ = id
 	}
-	_, err := c.Levelize()
+	_, err := c.levelize()
 	return err
 }
 
 // Levelize returns a topological order of the combinational core: primary
 // inputs and flip-flop outputs are sources; every other gate appears
 // after all its fanins. Combinational cycles are an error.
-func (c *Circuit) Levelize() ([]int, error) {
+func (c *Circuit) levelize() ([]int, error) {
 	n := len(c.Gates)
 	indeg := make([]int, n)
 	for id, g := range c.Gates {
@@ -220,7 +220,7 @@ type Comb struct {
 
 // NewComb builds the full-scan view.
 func NewComb(c *Circuit) (*Comb, error) {
-	order, err := c.Levelize()
+	order, err := c.levelize()
 	if err != nil {
 		return nil, err
 	}

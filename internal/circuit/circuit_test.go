@@ -32,7 +32,7 @@ func TestParseC17(t *testing.T) {
 func TestBenchRoundTrip(t *testing.T) {
 	c := S27()
 	var buf bytes.Buffer
-	if err := c.WriteBench(&buf); err != nil {
+	if err := c.writeBench(&buf); err != nil {
 		t.Fatal(err)
 	}
 	c2, err := ParseBench("s27rt", strings.NewReader(buf.String()))
@@ -79,7 +79,7 @@ func TestParseErrors(t *testing.T) {
 
 func TestLevelizeOrdersFaninsFirst(t *testing.T) {
 	c := S27()
-	order, err := c.Levelize()
+	order, err := c.levelize()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,8 +142,8 @@ func TestGenerateValidAndDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ab, bb bytes.Buffer
-	a.WriteBench(&ab)
-	b.WriteBench(&bb)
+	a.writeBench(&ab)
+	b.writeBench(&bb)
 	if ab.String() != bb.String() {
 		t.Fatal("generator not deterministic")
 	}
@@ -185,7 +185,7 @@ func TestQuickGenerateAlwaysValid(t *testing.T) {
 
 func TestWriteBenchGoldenC17(t *testing.T) {
 	var buf bytes.Buffer
-	if err := C17().WriteBench(&buf); err != nil {
+	if err := C17().writeBench(&buf); err != nil {
 		t.Fatal(err)
 	}
 	got := buf.String()

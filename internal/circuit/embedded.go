@@ -2,10 +2,10 @@ package circuit
 
 import "strings"
 
-// S27Bench is the ISCAS89 s27 benchmark netlist — the suite's smallest
+// s27Bench is the ISCAS89 s27 benchmark netlist — the suite's smallest
 // sequential circuit (4 inputs, 1 output, 3 flip-flops, 10 gates) —
 // embedded for tests and examples.
-const S27Bench = `# s27 (ISCAS89)
+const s27Bench = `# s27 (ISCAS89)
 INPUT(G0)
 INPUT(G1)
 INPUT(G2)
@@ -26,9 +26,9 @@ G13 = NAND(G2, G12)
 G17 = NOT(G11)
 `
 
-// C17Bench is the ISCAS85 c17 benchmark — the canonical 6-NAND
+// c17Bench is the ISCAS85 c17 benchmark — the canonical 6-NAND
 // combinational example.
-const C17Bench = `# c17 (ISCAS85)
+const c17Bench = `# c17 (ISCAS85)
 INPUT(N1)
 INPUT(N2)
 INPUT(N3)
@@ -46,7 +46,7 @@ N23 = NAND(N16, N19)
 
 // S27 parses the embedded s27 netlist.
 func S27() *Circuit {
-	c, err := ParseBench("s27", strings.NewReader(S27Bench))
+	c, err := ParseBench("s27", strings.NewReader(s27Bench))
 	if err != nil {
 		panic("circuit: embedded s27 invalid: " + err.Error())
 	}
@@ -55,7 +55,7 @@ func S27() *Circuit {
 
 // C17 parses the embedded c17 netlist.
 func C17() *Circuit {
-	c, err := ParseBench("c17", strings.NewReader(C17Bench))
+	c, err := ParseBench("c17", strings.NewReader(c17Bench))
 	if err != nil {
 		panic("circuit: embedded c17 invalid: " + err.Error())
 	}

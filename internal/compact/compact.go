@@ -27,9 +27,9 @@ type Stats struct {
 	XDensityOut float64
 }
 
-// Compatible reports whether two cubes agree on every bit where both
+// compatible reports whether two cubes agree on every bit where both
 // are specified (so their union is a valid cube detecting both targets).
-func Compatible(a, b *bitvec.Vector) bool {
+func compatible(a, b *bitvec.Vector) bool {
 	if a.Len() != b.Len() {
 		return false
 	}
@@ -42,9 +42,9 @@ func Compatible(a, b *bitvec.Vector) bool {
 	return true
 }
 
-// Merge returns the union of two compatible cubes.
-func Merge(a, b *bitvec.Vector) (*bitvec.Vector, error) {
-	if !Compatible(a, b) {
+// merge returns the union of two compatible cubes.
+func merge(a, b *bitvec.Vector) (*bitvec.Vector, error) {
+	if !compatible(a, b) {
 		return nil, fmt.Errorf("compact: cubes conflict")
 	}
 	out := a.Clone()
@@ -56,17 +56,17 @@ func Merge(a, b *bitvec.Vector) (*bitvec.Vector, error) {
 	return out, nil
 }
 
-// MergeCubes greedily merges compatible cubes: each cube is folded into
+// mergeCubes greedily merges compatible cubes: each cube is folded into
 // the first existing output cube it is compatible with, otherwise it
 // starts a new one. O(n²) worst case, fine for test-set sizes.
-func MergeCubes(cs *bitvec.CubeSet) (*bitvec.CubeSet, *Stats) {
+func mergeCubes(cs *bitvec.CubeSet) (*bitvec.CubeSet, *Stats) {
 	st := &Stats{PatternsIn: len(cs.Cubes), XDensityIn: cs.XDensity()}
 	out := bitvec.NewCubeSet(cs.Width)
 	for _, c := range cs.Cubes {
 		merged := false
 		for i, o := range out.Cubes {
-			if Compatible(o, c) {
-				m, err := Merge(o, c)
+			if compatible(o, c) {
+				m, err := merge(o, c)
 				if err == nil {
 					out.Cubes[i] = m
 					merged = true
@@ -85,12 +85,12 @@ func MergeCubes(cs *bitvec.CubeSet) (*bitvec.CubeSet, *Stats) {
 	return out, st
 }
 
-// ReverseOrderDrop removes patterns that detect no fault first: cubes
+// reverseOrderDrop removes patterns that detect no fault first: cubes
 // are fault-simulated in reverse order with dropping, and any cube that
 // is never the first detector of a remaining fault is discarded. This is
 // classic reverse-order static compaction; detection is X-aware, so the
 // kept set's coverage is independent of later don't-care filling.
-func ReverseOrderDrop(cb *circuit.Comb, cs *bitvec.CubeSet, faults []fault.Fault) (*bitvec.CubeSet, *Stats, error) {
+func reverseOrderDrop(cb *circuit.Comb, cs *bitvec.CubeSet, faults []fault.Fault) (*bitvec.CubeSet, *Stats, error) {
 	st := &Stats{PatternsIn: len(cs.Cubes), XDensityIn: cs.XDensity()}
 	rev := bitvec.NewCubeSet(cs.Width)
 	for i := len(cs.Cubes) - 1; i >= 0; i-- {
@@ -125,8 +125,8 @@ func ReverseOrderDrop(cb *circuit.Comb, cs *bitvec.CubeSet, faults []fault.Fault
 
 // Compact runs merge-then-drop, the standard static compaction recipe.
 func Compact(cb *circuit.Comb, cs *bitvec.CubeSet, faults []fault.Fault) (*bitvec.CubeSet, *Stats, error) {
-	merged, mst := MergeCubes(cs)
-	dropped, dst, err := ReverseOrderDrop(cb, merged, faults)
+	merged, mst := mergeCubes(cs)
+	dropped, dst, err := reverseOrderDrop(cb, merged, faults)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -16,20 +16,20 @@ func TestCompatibleAndMerge(t *testing.T) {
 	a := bitvec.MustParse("1X0X")
 	b := bitvec.MustParse("1X01")
 	c := bitvec.MustParse("0XXX")
-	if !Compatible(a, b) || Compatible(a, c) {
+	if !compatible(a, b) || compatible(a, c) {
 		t.Fatal("compatibility wrong")
 	}
-	m, err := Merge(a, b)
+	m, err := merge(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.String() != "1X01" {
 		t.Fatalf("merge = %q", m)
 	}
-	if _, err := Merge(a, c); err == nil {
+	if _, err := merge(a, c); err == nil {
 		t.Fatal("conflicting merge accepted")
 	}
-	if Compatible(a, bitvec.MustParse("1X0")) {
+	if compatible(a, bitvec.MustParse("1X0")) {
 		t.Fatal("length mismatch compatible")
 	}
 }
@@ -40,7 +40,7 @@ func TestMergeCubes(t *testing.T) {
 	cs.Add(bitvec.MustParse("X0XX"))
 	cs.Add(bitvec.MustParse("0XXX")) // conflicts with cube 0 merged set
 	cs.Add(bitvec.MustParse("XX1X"))
-	out, st := MergeCubes(cs)
+	out, st := mergeCubes(cs)
 	if st.PatternsOut >= st.PatternsIn || st.Merges == 0 {
 		t.Fatalf("no compaction: %+v", st)
 	}
@@ -48,7 +48,7 @@ func TestMergeCubes(t *testing.T) {
 	for i, c := range cs.Cubes {
 		covered := false
 		for _, o := range out.Cubes {
-			if Compatible(o, c) {
+			if compatible(o, c) {
 				covered = true
 				break
 			}
@@ -107,7 +107,7 @@ func TestReverseOrderDropRemovesRedundantPattern(t *testing.T) {
 	for _, s := range []string{"11111", "11111", "00000", "10101", "01010", "00111", "11100", "01101"} {
 		cs.Add(bitvec.MustParse(s))
 	}
-	out, st, err := ReverseOrderDrop(cb, cs, faults)
+	out, st, err := reverseOrderDrop(cb, cs, faults)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,11 +131,11 @@ func TestQuickMergePreservesCares(t *testing.T) {
 			}
 			cs.Add(v)
 		}
-		out, _ := MergeCubes(cs)
+		out, _ := mergeCubes(cs)
 		for _, c := range cs.Cubes {
 			covered := false
 			for _, o := range out.Cubes {
-				if Compatible(o, c) {
+				if compatible(o, c) {
 					covered = true
 					break
 				}

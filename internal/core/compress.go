@@ -56,8 +56,8 @@ func (r *Result) Pack() []byte {
 	return bitio.AppendCodes(nil, r.Codes, r.Cfg.CodeBits())
 }
 
-// UnpackCodes parses n fixed-width codes from a packed stream.
-func UnpackCodes(data []byte, n int, cfg Config) ([]Code, error) {
+// unpackCodes parses n fixed-width codes from a packed stream.
+func unpackCodes(data []byte, n int, cfg Config) ([]Code, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}

@@ -277,14 +277,14 @@ func TestPackUnpack(t *testing.T) {
 	if got, want := len(packed), (len(res.Codes)*res.Cfg.CodeBits()+7)/8; got != want {
 		t.Fatalf("packed %d bytes, want %d", got, want)
 	}
-	codes, err := UnpackCodes(packed, len(res.Codes), res.Cfg)
+	codes, err := unpackCodes(packed, len(res.Codes), res.Cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(codes, res.Codes) {
 		t.Fatal("unpacked codes differ")
 	}
-	if _, err := UnpackCodes(packed[:1], len(res.Codes), res.Cfg); err == nil {
+	if _, err := unpackCodes(packed[:1], len(res.Codes), res.Cfg); err == nil {
 		t.Error("truncated stream accepted")
 	}
 }

@@ -67,7 +67,7 @@ func fuzzStream(data []byte) *bitvec.Vector {
 }
 
 // FuzzRoundTrip checks the full pipeline on arbitrary streams and
-// configurations: Compress -> Pack -> UnpackCodes must reproduce the
+// configurations: Compress -> Pack -> unpackCodes must reproduce the
 // code sequence bit-exactly, and Decompress must yield a fully
 // specified stream compatible with every care bit of the input and
 // identical to the per-character reference decoder's.
@@ -99,12 +99,12 @@ func FuzzRoundTrip(f *testing.F) {
 		}
 
 		packed := res.Pack()
-		codes, err := UnpackCodes(packed, len(res.Codes), cfg)
+		codes, err := unpackCodes(packed, len(res.Codes), cfg)
 		if err != nil {
-			t.Fatalf("UnpackCodes: %v", err)
+			t.Fatalf("unpackCodes: %v", err)
 		}
 		if len(codes) != len(res.Codes) {
-			t.Fatalf("UnpackCodes returned %d codes, want %d", len(codes), len(res.Codes))
+			t.Fatalf("unpackCodes returned %d codes, want %d", len(codes), len(res.Codes))
 		}
 		for i := range codes {
 			if codes[i] != res.Codes[i] {
@@ -145,12 +145,12 @@ func FuzzUnpackCodes(f *testing.F) {
 			t.Fatalf("derived config invalid: %v", err)
 		}
 		want := int(n) % 1024
-		codes, err := UnpackCodes(data, want, cfg)
+		codes, err := unpackCodes(data, want, cfg)
 		if err != nil {
 			return // truncated input: rejection is the correct outcome
 		}
 		if len(codes) != want {
-			t.Fatalf("UnpackCodes returned %d codes, want %d", len(codes), want)
+			t.Fatalf("unpackCodes returned %d codes, want %d", len(codes), want)
 		}
 		repacked := (&Result{Cfg: cfg, Codes: codes}).Pack()
 		nbits := want * cfg.CodeBits()

@@ -22,25 +22,25 @@ const (
 // the paper's Tables 1 and 5: how long the emitted strings get, and how
 // quickly the N-code dictionary fills).
 const (
-	MetricCompressRuns          = "lzwtc_compress_runs_total"
-	MetricCompressEmptyRuns     = "lzwtc_compress_empty_runs_total"
-	MetricCompressInputBits     = "lzwtc_compress_input_bits_total"
-	MetricCompressChars         = "lzwtc_compress_chars_total"
-	MetricCompressCodes         = "lzwtc_compress_codes_total"
-	MetricCompressCompressed    = "lzwtc_compress_compressed_bits_total"
-	MetricCompressLiteralCodes  = "lzwtc_compress_literal_codes_total"
-	MetricCompressStringCodes   = "lzwtc_compress_string_codes_total"
-	MetricCompressDictEntries   = "lzwtc_compress_dict_entries_total"
-	MetricCompressDictResets    = "lzwtc_compress_dict_resets_total"
-	MetricCompressResidualFills = "lzwtc_compress_residual_fills_total"
-	MetricCompressDynamicFills  = "lzwtc_compress_dynamic_fills_total"
+	metricCompressRuns          = "lzwtc_compress_runs_total"
+	metricCompressEmptyRuns     = "lzwtc_compress_empty_runs_total"
+	metricCompressInputBits     = "lzwtc_compress_input_bits_total"
+	metricCompressChars         = "lzwtc_compress_chars_total"
+	metricCompressCodes         = "lzwtc_compress_codes_total"
+	metricCompressCompressed    = "lzwtc_compress_compressed_bits_total"
+	metricCompressLiteralCodes  = "lzwtc_compress_literal_codes_total"
+	metricCompressStringCodes   = "lzwtc_compress_string_codes_total"
+	metricCompressDictEntries   = "lzwtc_compress_dict_entries_total"
+	metricCompressDictResets    = "lzwtc_compress_dict_resets_total"
+	metricCompressResidualFills = "lzwtc_compress_residual_fills_total"
+	metricCompressDynamicFills  = "lzwtc_compress_dynamic_fills_total"
 	MetricCompressMatchLen      = "lzwtc_compress_match_len_chars"
 	MetricCompressOccupancy     = "lzwtc_compress_dict_occupancy"
-	MetricCompressRatio         = "lzwtc_compress_ratio"
+	metricCompressRatio         = "lzwtc_compress_ratio"
 )
 
 // Trace span names for the core phases. These appear as span records in
-// request traces and (via telemetry.PhaseMetricName) as phase-duration
+// request traces and (via telemetry.phaseMetricName) as phase-duration
 // histograms, so the compressor's internal cost structure is visible
 // per request: how long dictionary construction took versus the match
 // loop itself.
@@ -61,19 +61,14 @@ const (
 
 // matchLenBounds and occupancyBounds are the compressor histograms'
 // bucket bounds; arrays, so the per-run bucket tallies can be too.
+// Match lengths are in characters: the paper's C_MDATA sweep (Table 5)
+// spans 9–73 characters per entry at C_C=7, so the tail buckets cover
+// it. Occupancy is the filled fraction of the N−2^C_C string-code
+// space.
 var (
 	matchLenBounds  = [...]float64{1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96}
 	occupancyBounds = [...]float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 1}
 )
-
-// MatchLenBuckets returns the histogram bounds for emitted-string
-// lengths, in characters. The paper's C_MDATA sweep (Table 5) spans
-// 9–73 characters per entry at C_C=7, so the tail buckets cover it.
-func MatchLenBuckets() []float64 { return append([]float64(nil), matchLenBounds[:]...) }
-
-// OccupancyBuckets returns the histogram bounds for dictionary
-// occupancy, as the filled fraction of the N−2^C_C string-code space.
-func OccupancyBuckets() []float64 { return append([]float64(nil), occupancyBounds[:]...) }
 
 // matchLenBucket maps an integer match length to its matchLen bucket:
 // entry k is the first bound >= k, the histogram's own rule. Every
@@ -176,21 +171,21 @@ func recordCompressRun(rec *telemetry.Recorder, st Stats) {
 		return
 	}
 	if reg := rec.Registry(); reg != nil {
-		reg.Counter(MetricCompressRuns, "compression runs").Inc()
+		reg.Counter(metricCompressRuns, "compression runs").Inc()
 		if st.InputBits == 0 {
-			reg.Counter(MetricCompressEmptyRuns, "zero-input compression runs").Inc()
+			reg.Counter(metricCompressEmptyRuns, "zero-input compression runs").Inc()
 		}
-		reg.Counter(MetricCompressInputBits, "uncompressed input bits").Add(int64(st.InputBits))
-		reg.Counter(MetricCompressChars, "characters consumed").Add(int64(st.Chars))
-		reg.Counter(MetricCompressCodes, "codes emitted").Add(int64(st.CodesEmitted))
-		reg.Counter(MetricCompressCompressed, "compressed output bits").Add(int64(st.CompressedBits))
-		reg.Counter(MetricCompressLiteralCodes, "codes in the literal range").Add(int64(st.LiteralCodes))
-		reg.Counter(MetricCompressStringCodes, "codes in the dictionary range").Add(int64(st.StringCodes))
-		reg.Counter(MetricCompressDictEntries, "dictionary entries created").Add(int64(st.DictEntries))
-		reg.Counter(MetricCompressDictResets, "FullReset occurrences").Add(int64(st.DictResets))
-		reg.Counter(MetricCompressResidualFills, "characters concretized by the fill policy").Add(int64(st.ResidualFills))
-		reg.Counter(MetricCompressDynamicFills, "X-laden characters concretized by a dictionary walk").Add(int64(st.DynamicFills))
-		reg.Gauge(MetricCompressRatio, "last run compression ratio").Set(st.Ratio())
+		reg.Counter(metricCompressInputBits, "uncompressed input bits").Add(int64(st.InputBits))
+		reg.Counter(metricCompressChars, "characters consumed").Add(int64(st.Chars))
+		reg.Counter(metricCompressCodes, "codes emitted").Add(int64(st.CodesEmitted))
+		reg.Counter(metricCompressCompressed, "compressed output bits").Add(int64(st.CompressedBits))
+		reg.Counter(metricCompressLiteralCodes, "codes in the literal range").Add(int64(st.LiteralCodes))
+		reg.Counter(metricCompressStringCodes, "codes in the dictionary range").Add(int64(st.StringCodes))
+		reg.Counter(metricCompressDictEntries, "dictionary entries created").Add(int64(st.DictEntries))
+		reg.Counter(metricCompressDictResets, "FullReset occurrences").Add(int64(st.DictResets))
+		reg.Counter(metricCompressResidualFills, "characters concretized by the fill policy").Add(int64(st.ResidualFills))
+		reg.Counter(metricCompressDynamicFills, "X-laden characters concretized by a dictionary walk").Add(int64(st.DynamicFills))
+		reg.Gauge(metricCompressRatio, "last run compression ratio").Set(st.Ratio())
 	}
 	rec.Emit(EventCompressRun,
 		telemetry.F("empty", st.Empty()),

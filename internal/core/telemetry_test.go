@@ -199,24 +199,24 @@ func TestCompressObservedMetrics(t *testing.T) {
 		metric string
 		want   int
 	}{
-		{MetricCompressRuns, 1},
-		{MetricCompressEmptyRuns, 0},
-		{MetricCompressInputBits, st.InputBits},
-		{MetricCompressChars, st.Chars},
-		{MetricCompressCodes, st.CodesEmitted},
-		{MetricCompressCompressed, st.CompressedBits},
-		{MetricCompressLiteralCodes, st.LiteralCodes},
-		{MetricCompressStringCodes, st.StringCodes},
-		{MetricCompressDictEntries, st.DictEntries},
-		{MetricCompressDictResets, st.DictResets},
-		{MetricCompressResidualFills, st.ResidualFills},
-		{MetricCompressDynamicFills, st.DynamicFills},
+		{metricCompressRuns, 1},
+		{metricCompressEmptyRuns, 0},
+		{metricCompressInputBits, st.InputBits},
+		{metricCompressChars, st.Chars},
+		{metricCompressCodes, st.CodesEmitted},
+		{metricCompressCompressed, st.CompressedBits},
+		{metricCompressLiteralCodes, st.LiteralCodes},
+		{metricCompressStringCodes, st.StringCodes},
+		{metricCompressDictEntries, st.DictEntries},
+		{metricCompressDictResets, st.DictResets},
+		{metricCompressResidualFills, st.ResidualFills},
+		{metricCompressDynamicFills, st.DynamicFills},
 	} {
 		if got := reg.Counter(tc.metric, "").Value(); got != int64(tc.want) {
 			t.Errorf("%s = %d, want %d", tc.metric, got, tc.want)
 		}
 	}
-	if got := reg.Gauge(MetricCompressRatio, "").Value(); got != st.Ratio() {
+	if got := reg.Gauge(metricCompressRatio, "").Value(); got != st.Ratio() {
 		t.Errorf("ratio gauge = %v, want %v", got, st.Ratio())
 	}
 	for _, name := range []string{MetricCompressMatchLen, MetricCompressOccupancy} {
@@ -273,7 +273,7 @@ func TestCompressObservedEmptyRun(t *testing.T) {
 	if res.Stats.Ratio() != 0 {
 		t.Fatalf("empty Ratio = %v, want 0", res.Stats.Ratio())
 	}
-	if got := reg.Counter(MetricCompressEmptyRuns, "").Value(); got != 1 {
+	if got := reg.Counter(metricCompressEmptyRuns, "").Value(); got != 1 {
 		t.Fatalf("empty-runs counter = %d, want 1", got)
 	}
 	var run *telemetry.Event
@@ -328,8 +328,8 @@ func TestCompressMetricsBinningMatchesObserve(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	m := newCompressMetrics(telemetry.New(reg), cfg)
 	ref := telemetry.NewRegistry()
-	refLen := ref.Histogram("lzwtc_test_len", "", MatchLenBuckets())
-	refOcc := ref.Histogram("lzwtc_test_occ", "", OccupancyBuckets())
+	refLen := ref.Histogram("lzwtc_test_len", "", matchLenBounds[:])
+	refOcc := ref.Histogram("lzwtc_test_occ", "", occupancyBounds[:])
 	space := cfg.DictSize - cfg.Literals()
 	used := 0
 	for k := 0; k <= cfg.MaxChars()+1; k++ {

@@ -116,7 +116,7 @@ func (d *Decompressor) SetRecorder(rec *telemetry.Recorder) { d.rec = rec }
 
 // SetPatternBits sets the scan-pattern width so Run can charge internal
 // cycles, memory reads, and load stalls to individual patterns
-// (EventPattern records plus the pattern-cycles histogram). Zero — the
+// (eventPattern records plus the pattern-cycles histogram). Zero — the
 // default — disables per-pattern accounting.
 func (d *Decompressor) SetPatternBits(w int) { d.patternBits = w }
 

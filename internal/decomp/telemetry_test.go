@@ -33,24 +33,24 @@ func TestRunRecordsTelemetry(t *testing.T) {
 		metric string
 		want   int
 	}{
-		{MetricRuns, 1},
-		{MetricEmptyRuns, 0},
-		{MetricInternalCycles, st.InternalCycles},
-		{MetricTesterCycles, st.TesterCycles},
-		{MetricLoadStalls, st.LoadStalls},
-		{MetricDecodeCycles, st.DecodeCycles},
-		{MetricWriteCycles, st.WriteCycles},
-		{MetricShiftCycles, st.ShiftCycles},
-		{MetricMemReads, st.MemReads},
-		{MetricMemWrites, st.MemWrites},
-		{MetricCodesDecoded, st.CodesDecoded},
-		{MetricOutputBits, st.OutputBits},
+		{metricRuns, 1},
+		{metricEmptyRuns, 0},
+		{metricInternalCycles, st.InternalCycles},
+		{metricTesterCycles, st.TesterCycles},
+		{metricLoadStalls, st.LoadStalls},
+		{metricDecodeCycles, st.DecodeCycles},
+		{metricWriteCycles, st.WriteCycles},
+		{metricShiftCycles, st.ShiftCycles},
+		{metricMemReads, st.MemReads},
+		{metricMemWrites, st.MemWrites},
+		{metricCodesDecoded, st.CodesDecoded},
+		{metricOutputBits, st.OutputBits},
 	} {
 		if got := reg.Counter(tc.metric, "").Value(); got != int64(tc.want) {
 			t.Errorf("%s = %d, want %d", tc.metric, got, tc.want)
 		}
 	}
-	if got := reg.Gauge(MetricUtilization, "").Value(); got != st.Utilization() {
+	if got := reg.Gauge(metricUtilization, "").Value(); got != st.Utilization() {
 		t.Errorf("utilization gauge = %v, want %v", got, st.Utilization())
 	}
 	if st.Utilization() <= 0 || st.Utilization() > 1 {
@@ -63,7 +63,7 @@ func TestRunRecordsTelemetry(t *testing.T) {
 	var runSeen bool
 	for _, ev := range events {
 		switch ev.Kind {
-		case EventPattern:
+		case eventPattern:
 			if idx, _ := ev.Field("index"); idx != patternEvents {
 				t.Fatalf("pattern events out of order: got index %v at position %d", idx, patternEvents)
 			}
@@ -72,7 +72,7 @@ func TestRunRecordsTelemetry(t *testing.T) {
 			r, _ := ev.Field("mem_reads")
 			readSum += r.(int)
 			patternEvents++
-		case EventRun:
+		case eventRun:
 			runSeen = true
 			if empty, _ := ev.Field("empty"); empty != false {
 				t.Fatalf("run record empty = %v, want false", empty)
@@ -91,7 +91,7 @@ func TestRunRecordsTelemetry(t *testing.T) {
 	if readSum > st.MemReads {
 		t.Fatalf("per-pattern reads %d exceed run total %d", readSum, st.MemReads)
 	}
-	if h := reg.Histogram(MetricPatternCycles, "", nil); h.Count() != int64(patterns) {
+	if h := reg.Histogram(metricPatternCycles, "", nil); h.Count() != int64(patterns) {
 		t.Fatalf("pattern-cycles histogram count = %d, want %d", h.Count(), patterns)
 	}
 }
@@ -113,12 +113,12 @@ func TestRunEmptyTelemetry(t *testing.T) {
 	if st.Utilization() != 0 {
 		t.Fatalf("empty Utilization = %v, want 0", st.Utilization())
 	}
-	if got := reg.Counter(MetricEmptyRuns, "").Value(); got != 1 {
+	if got := reg.Counter(metricEmptyRuns, "").Value(); got != 1 {
 		t.Fatalf("empty-runs counter = %d, want 1", got)
 	}
 	found := false
 	for _, ev := range events {
-		if ev.Kind == EventRun {
+		if ev.Kind == eventRun {
 			found = true
 			if empty, ok := ev.Field("empty"); !ok || empty != true {
 				t.Fatalf("run record empty field = %v, %v; want true", empty, ok)
@@ -204,8 +204,8 @@ func TestRunStepEventsOnlyWhenTracing(t *testing.T) {
 		if _, _, err := d.Run(res.Pack(), len(res.Codes), stream.Len()); err != nil {
 			t.Fatal(err)
 		}
-		if counts[EventRun] != 1 {
-			t.Fatalf("tracing=%v: %d run records, want 1", wantSteps, counts[EventRun])
+		if counts[eventRun] != 1 {
+			t.Fatalf("tracing=%v: %d run records, want 1", wantSteps, counts[eventRun])
 		}
 		if got := counts[EventStep]; wantSteps && got < len(res.Codes) || !wantSteps && got != 0 {
 			t.Fatalf("tracing=%v: %d step events for %d codes", wantSteps, got, len(res.Codes))

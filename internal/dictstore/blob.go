@@ -17,8 +17,8 @@
 //     compact manifest, crash-safe via write-to-temp-then-rename).
 //
 // Decoding is hostile-input safe: arbitrary bytes produce a typed
-// error (ErrDictMagic, ErrDictVersion, ErrDictChecksum,
-// ErrDictTruncated, ErrDictLimit or a config validation error), never
+// error (errDictMagic, errDictVersion, ErrDictChecksum,
+// ErrDictTruncated, errDictLimit or a config validation error), never
 // a panic, and allocation tracks the bytes actually present.
 package dictstore
 
@@ -33,40 +33,40 @@ import (
 	"lzwtc/internal/core"
 )
 
-// BlobMagic is the 4-byte dictionary-blob signature.
-var BlobMagic = [4]byte{'L', 'Z', 'W', 'D'}
+// blobMagic is the 4-byte dictionary-blob signature.
+var blobMagic = [4]byte{'L', 'Z', 'W', 'D'}
 
-// BlobVersion is the current blob format version. Decoders reject
+// blobVersion is the current blob format version. Decoders reject
 // anything newer.
-const BlobVersion = 1
+const blobVersion = 1
 
-// KeyLen is the byte length of a store key (SHA-256).
-const KeyLen = 32
+// keyLen is the byte length of a store key (SHA-256).
+const keyLen = 32
 
-// DigestLen is the byte length of a blob digest (SHA-256).
-const DigestLen = 32
+// digestLen is the byte length of a blob digest (SHA-256).
+const digestLen = 32
 
-// MaxBlobChars bounds the total reconstructed character count across
+// maxBlobChars bounds the total reconstructed character count across
 // all strings of one blob, so a hostile chain of entries (each
 // extending the last) cannot make decode memory quadratic in the input
 // size. 2^26 characters is far beyond any real trained dictionary
 // (DictSize caps entries at 2^24).
-const MaxBlobChars = 1 << 26
+const maxBlobChars = 1 << 26
 
 // Typed decode errors. Wrapped errors carry position detail; test with
 // errors.Is.
 var (
-	// ErrDictMagic reports bytes that are not an LZWD blob at all.
-	ErrDictMagic = errors.New("dictstore: bad magic (not an LZWD blob)")
-	// ErrDictVersion reports a blob from a newer (or zero) version.
-	ErrDictVersion = errors.New("dictstore: unsupported blob version")
+	// errDictMagic reports bytes that are not an LZWD blob at all.
+	errDictMagic = errors.New("dictstore: bad magic (not an LZWD blob)")
+	// errDictVersion reports a blob from a newer (or zero) version.
+	errDictVersion = errors.New("dictstore: unsupported blob version")
 	// ErrDictChecksum reports a CRC32C mismatch in the header or payload.
 	ErrDictChecksum = errors.New("dictstore: checksum mismatch")
 	// ErrDictTruncated reports a blob that ends mid-region.
 	ErrDictTruncated = errors.New("dictstore: truncated blob")
-	// ErrDictLimit reports a length or reference field exceeding the
+	// errDictLimit reports a length or reference field exceeding the
 	// format's hard bounds.
-	ErrDictLimit = errors.New("dictstore: field exceeds format limit")
+	errDictLimit = errors.New("dictstore: field exceeds format limit")
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -74,7 +74,7 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // Key is the content address of a stored dictionary: SHA-256 over the
 // canonicalized training corpus and the configuration it was trained
 // under.
-type Key [KeyLen]byte
+type Key [keyLen]byte
 
 // String renders the key as 64 hex digits, the form used in file
 // names, URLs and the CLI.
@@ -83,8 +83,8 @@ func (k Key) String() string { return hex.EncodeToString(k[:]) }
 // ParseKey inverts Key.String.
 func ParseKey(s string) (Key, error) {
 	var k Key
-	if len(s) != 2*KeyLen {
-		return k, fmt.Errorf("dictstore: key %q must be %d hex digits", s, 2*KeyLen)
+	if len(s) != 2*keyLen {
+		return k, fmt.Errorf("dictstore: key %q must be %d hex digits", s, 2*keyLen)
 	}
 	if _, err := hex.Decode(k[:], []byte(s)); err != nil {
 		return k, fmt.Errorf("dictstore: key %q: %w", s, err)
@@ -96,7 +96,7 @@ func ParseKey(s string) (Key, error) {
 // dictionary-reference frame carries both the key (how to find the
 // dictionary) and the digest (how to prove the one found is the one
 // the container was compressed with).
-type Digest [DigestLen]byte
+type Digest [digestLen]byte
 
 // String renders the digest as 64 hex digits.
 func (d Digest) String() string { return hex.EncodeToString(d[:]) }
@@ -158,8 +158,8 @@ func EncodeBlob(cfg core.Config, pre *core.Preload) ([]byte, error) {
 	}
 
 	b := make([]byte, 0, 32+4*n)
-	b = append(b, BlobMagic[:]...)
-	b = append(b, BlobVersion)
+	b = append(b, blobMagic[:]...)
+	b = append(b, blobVersion)
 	b = appendConfig(b, cfg)
 	b = binary.AppendUvarint(b, uint64(n))
 	b = binary.BigEndian.AppendUint32(b, crc32.Checksum(b, crcTable))
@@ -264,15 +264,15 @@ func DecodeBlob(data []byte) (core.Config, *core.Preload, error) {
 	if err != nil {
 		return cfg, nil, err
 	}
-	if [4]byte(magic) != BlobMagic {
-		return cfg, nil, ErrDictMagic
+	if [4]byte(magic) != blobMagic {
+		return cfg, nil, errDictMagic
 	}
 	ver, err := c.bytes(1, "version")
 	if err != nil {
 		return cfg, nil, err
 	}
-	if ver[0] != BlobVersion {
-		return cfg, nil, fmt.Errorf("%w: got %d, support <= %d", ErrDictVersion, ver[0], BlobVersion)
+	if ver[0] != blobVersion {
+		return cfg, nil, fmt.Errorf("%w: got %d, support <= %d", errDictVersion, ver[0], blobVersion)
 	}
 	var fields [7]uint64
 	for i := range fields {
@@ -292,18 +292,18 @@ func DecodeBlob(data []byte) (core.Config, *core.Preload, error) {
 		Full:      core.FullPolicy(fields[5]),
 	}
 	if fields[3] > uint64(core.FillRepeat) || fields[4] > uint64(core.TieWidest) || fields[5] > uint64(core.FullReset) {
-		return cfg, nil, fmt.Errorf("%w: unknown policy (fill=%d tie=%d full=%d)", ErrDictLimit, fields[3], fields[4], fields[5])
+		return cfg, nil, fmt.Errorf("%w: unknown policy (fill=%d tie=%d full=%d)", errDictLimit, fields[3], fields[4], fields[5])
 	}
 	if err := cfg.Validate(); err != nil {
 		return cfg, nil, err
 	}
 	if cfg.Full == core.FullReset {
-		return cfg, nil, fmt.Errorf("%w: FullReset configuration cannot carry a preload", ErrDictLimit)
+		return cfg, nil, fmt.Errorf("%w: FullReset configuration cannot carry a preload", errDictLimit)
 	}
 	literals := cfg.Literals()
 	n := clampInt(fields[6])
 	if n > cfg.DictSize-literals {
-		return cfg, nil, fmt.Errorf("%w: %d entries overflow dictionary size %d", ErrDictLimit, n, cfg.DictSize)
+		return cfg, nil, fmt.Errorf("%w: %d entries overflow dictionary size %d", errDictLimit, n, cfg.DictSize)
 	}
 	// Each entry consumes at least two payload bytes, so the count is
 	// re-bounded by the bytes actually present before any allocation.
@@ -326,17 +326,17 @@ func DecodeBlob(data []byte) (core.Config, *core.Preload, error) {
 			return cfg, nil, err
 		}
 		if parent >= uint64(literals+i) {
-			return cfg, nil, fmt.Errorf("%w: entry %d parent %d is not an earlier code", ErrDictLimit, i, parent)
+			return cfg, nil, fmt.Errorf("%w: entry %d parent %d is not an earlier code", errDictLimit, i, parent)
 		}
 		if ch >= uint64(literals) {
-			return cfg, nil, fmt.Errorf("%w: entry %d character %d exceeds %d-bit range", ErrDictLimit, i, ch, cfg.CharBits)
+			return cfg, nil, fmt.Errorf("%w: entry %d character %d exceeds %d-bit range", errDictLimit, i, ch, cfg.CharBits)
 		}
 		// Training never inserts a string twice, so a repeated
 		// (parent, char) edge marks a non-canonical blob; rejecting it
 		// keeps decode∘encode the identity.
 		edge := [2]uint64{parent, ch}
 		if edges[edge] {
-			return cfg, nil, fmt.Errorf("%w: entry %d duplicates edge (%d,%d)", ErrDictLimit, i, parent, ch)
+			return cfg, nil, fmt.Errorf("%w: entry %d duplicates edge (%d,%d)", errDictLimit, i, parent, ch)
 		}
 		edges[edge] = true
 		var s []uint64
@@ -348,11 +348,11 @@ func DecodeBlob(data []byte) (core.Config, *core.Preload, error) {
 			s = append(append(s, prefix...), ch)
 		}
 		if len(s) > maxChars {
-			return cfg, nil, fmt.Errorf("%w: entry %d string length %d exceeds entry bound %d", ErrDictLimit, i, len(s), maxChars)
+			return cfg, nil, fmt.Errorf("%w: entry %d string length %d exceeds entry bound %d", errDictLimit, i, len(s), maxChars)
 		}
 		totalChars += len(s)
-		if totalChars > MaxBlobChars {
-			return cfg, nil, fmt.Errorf("%w: total string volume exceeds %d characters", ErrDictLimit, MaxBlobChars)
+		if totalChars > maxBlobChars {
+			return cfg, nil, fmt.Errorf("%w: total string volume exceeds %d characters", errDictLimit, maxBlobChars)
 		}
 		strings = append(strings, s)
 	}
@@ -360,7 +360,7 @@ func DecodeBlob(data []byte) (core.Config, *core.Preload, error) {
 		return cfg, nil, err
 	}
 	if c.remaining() != 0 {
-		return cfg, nil, fmt.Errorf("%w: %d trailing bytes after payload checksum", ErrDictLimit, c.remaining())
+		return cfg, nil, fmt.Errorf("%w: %d trailing bytes after payload checksum", errDictLimit, c.remaining())
 	}
 	return cfg, &core.Preload{Strings: strings}, nil
 }

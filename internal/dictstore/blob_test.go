@@ -93,9 +93,9 @@ func TestBlobEmptyPreload(t *testing.T) {
 // contract. Truncation can only surface before the header CRC passes,
 // so config validation errors (untyped) are unreachable here.
 func dictErrorClass(err error) bool {
-	return errors.Is(err, ErrDictMagic) || errors.Is(err, ErrDictVersion) ||
+	return errors.Is(err, errDictMagic) || errors.Is(err, errDictVersion) ||
 		errors.Is(err, ErrDictChecksum) || errors.Is(err, ErrDictTruncated) ||
-		errors.Is(err, ErrDictLimit)
+		errors.Is(err, errDictLimit)
 }
 
 // TestBlobTruncationEveryPrefix decodes every strict prefix of a valid
@@ -152,9 +152,9 @@ func TestDecodeBlobRejects(t *testing.T) {
 		want error
 	}{
 		{"empty", nil, ErrDictTruncated},
-		{"not-a-blob", []byte("LZWW1234"), ErrDictMagic},
-		{"future-version", append(append([]byte{}, blob[:4]...), 99), ErrDictVersion},
-		{"trailing-garbage", append(append([]byte{}, blob...), 0xAA), ErrDictLimit},
+		{"not-a-blob", []byte("LZWW1234"), errDictMagic},
+		{"future-version", append(append([]byte{}, blob[:4]...), 99), errDictVersion},
+		{"trailing-garbage", append(append([]byte{}, blob...), 0xAA), errDictLimit},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -17,8 +17,8 @@ var (
 	// ErrNotFound reports a key present in neither the memory LRU nor
 	// the disk index.
 	ErrNotFound = errors.New("dictstore: dictionary not found")
-	// ErrClosed reports an operation on a closed store.
-	ErrClosed = errors.New("dictstore: store closed")
+	// errClosed reports an operation on a closed store.
+	errClosed = errors.New("dictstore: store closed")
 	// ErrDigestMismatch reports a resolved dictionary whose canonical
 	// blob digest differs from the one a container references: the key
 	// named a dictionary, but not the dictionary the container was
@@ -161,12 +161,12 @@ func Open(cfg Config) (*Store, error) {
 	s := &Store{
 		memBudget: cfg.MemBudget,
 		rec:       cfg.Recorder,
-		hits:      reg.Counter(MetricHits, "dictionary resolutions served without training"),
-		misses:    reg.Counter(MetricMisses, "dictionary resolutions that trained or found nothing"),
-		evictions: reg.Counter(MetricEvictions, "dictionary entries evicted from memory or disk"),
-		trains:    reg.Counter(MetricTrains, "training runs executed through the singleflight gate"),
-		memG:      reg.Gauge(MetricBytes, "decoded bytes held by the memory LRU"),
-		diskG:     reg.Gauge(MetricDiskBytes, "blob bytes held by the disk index"),
+		hits:      reg.Counter(metricHits, "dictionary resolutions served without training"),
+		misses:    reg.Counter(metricMisses, "dictionary resolutions that trained or found nothing"),
+		evictions: reg.Counter(metricEvictions, "dictionary entries evicted from memory or disk"),
+		trains:    reg.Counter(metricTrains, "training runs executed through the singleflight gate"),
+		memG:      reg.Gauge(metricBytes, "decoded bytes held by the memory LRU"),
+		diskG:     reg.Gauge(metricDiskBytes, "blob bytes held by the disk index"),
 		elems:     map[Key]*list.Element{},
 		lru:       list.New(),
 		flights:   map[Key]*flight{},
@@ -189,7 +189,7 @@ func Open(cfg Config) (*Store, error) {
 func (s *Store) SetRecorder(rec *telemetry.Recorder) { s.rec = rec }
 
 // Close marks the store closed. In-flight resolutions complete; new
-// operations fail with ErrClosed. The disk index needs no flush — every
+// operations fail with errClosed. The disk index needs no flush — every
 // mutation already persisted via rename.
 func (s *Store) Close() error {
 	s.mu.Lock()
@@ -227,7 +227,7 @@ func (s *Store) getOrTrain(ctx context.Context, key Key, cfg core.Config, train 
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return nil, SourceMem, ErrClosed
+		return nil, SourceMem, errClosed
 	}
 	if el, ok := s.elems[key]; ok {
 		s.lru.MoveToFront(el)
@@ -313,7 +313,7 @@ func (s *Store) PutPreload(key Key, cfg core.Config, pre *core.Preload) (*Entry,
 	closed := s.closed
 	s.mu.Unlock()
 	if closed {
-		return nil, ErrClosed
+		return nil, errClosed
 	}
 	return s.insert(key, cfg, pre)
 }
@@ -433,7 +433,7 @@ func (s *Store) Delete(key Key) (bool, error) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return false, ErrClosed
+		return false, errClosed
 	}
 	removed := false
 	if el, ok := s.elems[key]; ok {

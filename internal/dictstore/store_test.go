@@ -15,7 +15,7 @@ import (
 
 // wireRef is the container reference for a store entry.
 func wireRef(ent *Entry) wire.DictRef {
-	return wire.DictRef{Key: [KeyLen]byte(ent.Key), Digest: [DigestLen]byte(ent.Digest)}
+	return wire.DictRef{Key: [keyLen]byte(ent.Key), Digest: [digestLen]byte(ent.Digest)}
 }
 
 // keyN derives a distinct test key.
@@ -79,20 +79,20 @@ func TestStoreTrainThenHit(t *testing.T) {
 	}
 
 	snap := reg.Snapshot()
-	if got := snap.CounterValue(MetricTrains); got != 1 {
-		t.Fatalf("%s = %d, want 1", MetricTrains, got)
+	if got := snap.CounterValue(metricTrains); got != 1 {
+		t.Fatalf("%s = %d, want 1", metricTrains, got)
 	}
-	if got := snap.CounterValue(MetricHits); got != 1 {
-		t.Fatalf("%s = %d, want 1", MetricHits, got)
+	if got := snap.CounterValue(metricHits); got != 1 {
+		t.Fatalf("%s = %d, want 1", metricHits, got)
 	}
-	if got := snap.CounterValue(MetricMisses); got != 1 {
-		t.Fatalf("%s = %d, want 1", MetricMisses, got)
+	if got := snap.CounterValue(metricMisses); got != 1 {
+		t.Fatalf("%s = %d, want 1", metricMisses, got)
 	}
-	if got := snap.GaugeValue(MetricBytes); got <= 0 {
-		t.Fatalf("%s = %v, want > 0", MetricBytes, got)
+	if got := snap.GaugeValue(metricBytes); got <= 0 {
+		t.Fatalf("%s = %v, want > 0", metricBytes, got)
 	}
-	if got := snap.GaugeValue(MetricDiskBytes); got != 0 {
-		t.Fatalf("%s = %v for a memory-only store", MetricDiskBytes, got)
+	if got := snap.GaugeValue(metricDiskBytes); got != 0 {
+		t.Fatalf("%s = %v for a memory-only store", metricDiskBytes, got)
 	}
 }
 
@@ -159,13 +159,13 @@ func TestStoreClosed(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Resolve(context.Background(), keyN(5)); !errors.Is(err, ErrClosed) {
+	if _, err := s.Resolve(context.Background(), keyN(5)); !errors.Is(err, errClosed) {
 		t.Fatalf("resolve after close: %v, want ErrClosed", err)
 	}
-	if _, err := s.PutPreload(keyN(5), testConfig(), testPreload()); !errors.Is(err, ErrClosed) {
+	if _, err := s.PutPreload(keyN(5), testConfig(), testPreload()); !errors.Is(err, errClosed) {
 		t.Fatalf("put after close: %v, want ErrClosed", err)
 	}
-	if _, err := s.Delete(keyN(5)); !errors.Is(err, ErrClosed) {
+	if _, err := s.Delete(keyN(5)); !errors.Is(err, errClosed) {
 		t.Fatalf("delete after close: %v, want ErrClosed", err)
 	}
 }
@@ -303,8 +303,8 @@ func TestStoreCrashSafety(t *testing.T) {
 	if _, err := os.Stat(blobPath); !errors.Is(err, os.ErrNotExist) {
 		t.Fatal("corrupt blob file not evicted")
 	}
-	if got := reg.Snapshot().CounterValue(MetricEvictions); got != 1 {
-		t.Fatalf("%s = %d, want 1 for the corrupt-blob eviction", MetricEvictions, got)
+	if got := reg.Snapshot().CounterValue(metricEvictions); got != 1 {
+		t.Fatalf("%s = %d, want 1 for the corrupt-blob eviction", metricEvictions, got)
 	}
 }
 

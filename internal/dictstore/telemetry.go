@@ -4,25 +4,25 @@ package dictstore
 // const — never computed — so the lzwtcvet metricname check can audit
 // the full surface against the names the tests assert.
 const (
-	// MetricHits counts resolutions served from the store (memory LRU
+	// metricHits counts resolutions served from the store (memory LRU
 	// or disk rehydration) without training.
-	MetricHits = "lzwtc_dictstore_hits_total"
-	// MetricMisses counts resolutions that had to train (or that found
+	metricHits = "lzwtc_dictstore_hits_total"
+	// metricMisses counts resolutions that had to train (or that found
 	// nothing, for pure lookups).
-	MetricMisses = "lzwtc_dictstore_misses_total"
-	// MetricEvictions counts entries dropped from the memory LRU or
+	metricMisses = "lzwtc_dictstore_misses_total"
+	// metricEvictions counts entries dropped from the memory LRU or
 	// the disk index — by byte budget, explicit delete, or corruption.
-	MetricEvictions = "lzwtc_dictstore_evictions_total"
-	// MetricBytes gauges the decoded bytes currently held by the
+	metricEvictions = "lzwtc_dictstore_evictions_total"
+	// metricBytes gauges the decoded bytes currently held by the
 	// memory LRU.
-	MetricBytes = "lzwtc_dictstore_bytes"
-	// MetricDiskBytes gauges the blob bytes currently in the disk
+	metricBytes = "lzwtc_dictstore_bytes"
+	// metricDiskBytes gauges the blob bytes currently in the disk
 	// index.
-	MetricDiskBytes = "lzwtc_dictstore_disk_bytes"
-	// MetricTrains counts actual core.Train executions through the
+	metricDiskBytes = "lzwtc_dictstore_disk_bytes"
+	// metricTrains counts actual core.Train executions through the
 	// singleflight gate — under concurrent misses on one key this
 	// advances once, which the concurrency suite asserts.
-	MetricTrains = "lzwtc_dictstore_trains_total"
+	metricTrains = "lzwtc_dictstore_trains_total"
 )
 
 // SpanDictResolve is the trace span one store resolution records

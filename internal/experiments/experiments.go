@@ -39,10 +39,10 @@ func LZWConfig(p bench.Profile) core.Config {
 	return core.Config{CharBits: cc, DictSize: p.DictSize, EntryBits: 63}
 }
 
-// LZ77Config returns the reference-[8]-faithful LZ77 geometry: the
+// lz77Config returns the reference-[8]-faithful LZ77 geometry: the
 // history window is the scan chain itself, so offsets address roughly
 // one previous pattern.
-func LZ77Config(p bench.Profile) lz77.Config {
+func lz77Config(p bench.Profile) lz77.Config {
 	return lz77.Config{OffsetBits: bits.Len(uint(p.ScanLen - 1)), LenBits: 6, MinMatch: 10}
 }
 
@@ -88,7 +88,7 @@ func Table1() (*report.Table, error) {
 			return nil, err
 		}
 		stream := p.Generate().Serialize()
-		l7, err := lz77.Compress(stream, LZ77Config(p))
+		l7, err := lz77.Compress(stream, lz77Config(p))
 		if err != nil {
 			return nil, err
 		}
@@ -179,14 +179,14 @@ func Table3() (*report.Table, error) {
 // The grid runs on the batch pool (see sweep.go); output is identical
 // to the sequential loop for any worker count.
 func Table4() (*report.Table, error) {
-	return Table4Ctx(context.Background(), 0)
+	return table4Ctx(context.Background(), 0)
 }
 
 // Table5 reproduces "Compression versus Entry Size": C_MDATA in
 // {63, 127, 255, 511} with N = 1024 and C_C = 7. The grid runs on the
 // batch pool (see sweep.go).
 func Table5() (*report.Table, error) {
-	return Table5Ctx(context.Background(), 0)
+	return table5Ctx(context.Background(), 0)
 }
 
 func entrySweep() []int { return []int{63, 127, 255, 511} }
@@ -197,7 +197,7 @@ func entrySweep() []int { return []int{63, 127, 255, 511} }
 // curve, 483 bits for s13207 in the paper's sizing example). The grid
 // runs on the batch pool (see sweep.go).
 func Table6() (*report.Table, error) {
-	return Table6Ctx(context.Background(), 0)
+	return table6Ctx(context.Background(), 0)
 }
 
 // Names lists the runnable experiments: the paper's tables and figures
@@ -207,8 +207,8 @@ func Names() []string {
 		"figure3", "figure4", "figure5", "figure6", "baselines", "multichain"}
 }
 
-// Run dispatches an experiment by name and returns its rendering.
-func Run(name string) (*report.Table, error) {
+// run dispatches an experiment by name and returns its rendering.
+func run(name string) (*report.Table, error) {
 	switch name {
 	case "table1":
 		return Table1()
@@ -231,9 +231,9 @@ func Run(name string) (*report.Table, error) {
 	case "figure6":
 		return Figure6()
 	case "baselines":
-		return Baselines()
+		return baselines()
 	case "multichain":
-		return Multichain()
+		return multichain()
 	}
 	return nil, fmt.Errorf("experiments: unknown experiment %q (have %v)", name, Names())
 }

@@ -139,7 +139,7 @@ func TestTable6LongestStringExplainsKnee(t *testing.T) {
 
 func TestFiguresRender(t *testing.T) {
 	for _, name := range []string{"figure3", "figure4", "figure5", "figure6"} {
-		tb, err := Run(name)
+		tb, err := run(name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -163,7 +163,7 @@ func TestFigure4ReconstructsInput(t *testing.T) {
 }
 
 func TestRunDispatch(t *testing.T) {
-	if _, err := Run("table9"); err == nil {
+	if _, err := run("table9"); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
 	if len(Names()) != 12 {
@@ -180,7 +180,7 @@ func TestConfigsMatchPaper(t *testing.T) {
 	if cfg.CharBits != 7 || cfg.DictSize != 1024 || cfg.EntryBits != 63 {
 		t.Fatalf("cfg = %+v", cfg)
 	}
-	l7 := LZ77Config(p)
+	l7 := lz77Config(p)
 	if l7.Window() < p.ScanLen {
 		t.Fatalf("LZ77 window %d smaller than scan chain %d", l7.Window(), p.ScanLen)
 	}
@@ -297,7 +297,7 @@ func TestExtensionExperimentsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full workloads in -short mode")
 	}
-	tb, err := Baselines()
+	tb, err := baselines()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +329,7 @@ func TestTable1NearPaperValues(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, row := range tb.Rows {
-		paper, ok := PaperTable1[row[0]]
+		paper, ok := paperTable1[row[0]]
 		if !ok {
 			t.Fatalf("no paper row for %s", row[0])
 		}

@@ -20,11 +20,11 @@ import (
 	"lzwtc/internal/scan"
 )
 
-// Baselines compares LZW against the full related-work taxonomy of
+// baselines compares LZW against the full related-work taxonomy of
 // Section 1.1 on all twelve circuits: LZ77 (ref [8]), Golomb RLE (ref
 // [10]), FDR and alternating run-length (ref [11]) and selective
 // Huffman statistical coding (refs [5],[15]).
-func Baselines() (*report.Table, error) {
+func baselines() (*report.Table, error) {
 	t := &report.Table{
 		Title:   "Extension: full baseline comparison (Section 1.1 taxonomy)",
 		Headers: []string{"Test", "LZW", "LZ77", "Golomb", "FDR", "Altern.", "Huffman"},
@@ -37,7 +37,7 @@ func Baselines() (*report.Table, error) {
 			return nil, err
 		}
 		stream := p.Generate().Serialize()
-		l7, err := lz77.Compress(stream, LZ77Config(p))
+		l7, err := lz77.Compress(stream, lz77Config(p))
 		if err != nil {
 			return nil, err
 		}
@@ -59,12 +59,12 @@ func Baselines() (*report.Table, error) {
 	return t, nil
 }
 
-// Multichain demonstrates scan-architecture independence: an ATPG cube
+// multichain demonstrates scan-architecture independence: an ATPG cube
 // set for a synthetic core is split over 1, 2 and 4 scan chains, each
 // chain compressed with its own dictionary, and the aggregate ratio
 // compared (the per-pattern alignment overhead grows with chain count;
 // the dictionaries shrink with it).
-func Multichain() (*report.Table, error) {
+func multichain() (*report.Table, error) {
 	t := &report.Table{
 		Title:   "Extension: compression vs scan-chain count (synthetic core, PODEM cubes)",
 		Headers: []string{"Chains", "Streams", "Aggregate bits", "Compressed", "Ratio"},
@@ -74,12 +74,19 @@ func Multichain() (*report.Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The chain count changes only how the cubes are split: every
+	// design's Comb is built from the circuit alone, so one
+	// deterministic ATPG run serves all three.
+	comb, err := circuit.NewComb(gen)
+	if err != nil {
+		return nil, err
+	}
+	ares, err := atpg.Run(comb, atpg.Options{Collapse: true, Seed: 77, RandomPatterns: 16})
+	if err != nil {
+		return nil, err
+	}
 	for _, nChains := range []int{1, 2, 4} {
 		design, err := scan.Insert(gen, nChains)
-		if err != nil {
-			return nil, err
-		}
-		ares, err := atpg.Run(design.Comb, atpg.Options{Collapse: true, Seed: 77, RandomPatterns: 16})
 		if err != nil {
 			return nil, err
 		}

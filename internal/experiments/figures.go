@@ -12,10 +12,10 @@ import (
 	"lzwtc/internal/telemetry"
 )
 
-// FigureExample is the worked example used for Figures 3-5: a 1-bit
+// figureExample is the worked example used for Figures 3-5: a 1-bit
 // character stream, as in the paper's illustration, long enough to
 // exercise dictionary creation, dictionary hits and the final flush.
-const FigureExample = "001001001"
+const figureExample = "001001001"
 
 // figureConfig is the 1-bit-character dictionary of the worked example.
 func figureConfig() core.Config {
@@ -27,12 +27,12 @@ func figureConfig() core.Config {
 // and the dictionary entries as they are created.
 func Figure3() (*report.Table, error) {
 	t := &report.Table{
-		Title:   fmt.Sprintf("Figure 3. LZW compression table representation (input %s, C_C=1)", FigureExample),
+		Title:   fmt.Sprintf("Figure 3. LZW compression table representation (input %s, C_C=1)", figureExample),
 		Headers: []string{"Step", "Compressed Output", "Dictionary", "Buffer", "Input"},
 		Note:    "Literal codes 0-1; dictionary codes from 2. Entries are written as code(bits).",
 	}
-	example := bitvec.NewCubeSet(len(FigureExample))
-	if err := example.Add(bitvec.MustParse(FigureExample)); err != nil {
+	example := bitvec.NewCubeSet(len(figureExample))
+	if err := example.Add(bitvec.MustParse(figureExample)); err != nil {
 		return nil, err
 	}
 	rec, rows := collectSteps[core.TraceEvent](core.EventCompressStep)
@@ -59,7 +59,7 @@ func Figure4() (*report.Table, error) {
 		Title:   "Figure 4. LZW decompression table representation",
 		Headers: []string{"Step", "Uncompressed Output", "Dictionary", "Buffer", "Input"},
 	}
-	stream := bitvec.MustParse(FigureExample)
+	stream := bitvec.MustParse(figureExample)
 	cfg := figureConfig()
 	res, err := core.Compress(stream, cfg)
 	if err != nil {
@@ -94,7 +94,7 @@ func Figure5() (*report.Table, error) {
 		Title:   "Figure 5. LZW decompression architecture: cycle trace (worked example, 4x clock)",
 		Headers: []string{"Internal Cycle", "Unit", "Action"},
 	}
-	stream := bitvec.MustParse(FigureExample)
+	stream := bitvec.MustParse(figureExample)
 	cfg := figureConfig()
 	res, err := core.Compress(stream, cfg)
 	if err != nil {

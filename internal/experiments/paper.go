@@ -6,47 +6,14 @@ package experiments
 // reconstruction used as reproduction targets in EXPERIMENTS.md. They
 // are reference points for the *shape* of each table, not exact-match
 // goals: the workload substrate here is a calibrated generator, not the
-// authors' TetraMAX vectors (see DESIGN.md section 5).
+// authors' TetraMAX vectors (see DESIGN.md section 5). Table 1 is the
+// one the tests compare against; EXPERIMENTS.md lists the others.
 
-// PaperTable1 maps circuit -> [LZW, LZ77, RLE] compression ratios.
-var PaperTable1 = map[string][3]float64{
+// paperTable1 maps circuit -> [LZW, LZ77, RLE] compression ratios.
+var paperTable1 = map[string][3]float64{
 	"s13207": {0.8069, 0.8045, 0.8030},
 	"s15850": {0.7626, 0.6190, 0.6583},
 	"s38417": {0.7060, 0.6056, 0.6055},
 	"s38584": {0.7504, 0.5997, 0.6030},
 	"s9234":  {0.7067, 0.3766, 0.4496},
-}
-
-// PaperTable2 maps circuit -> [4x, 8x, 10x] download improvements.
-// The 4x column survives only as "about only 50%" in the prose; the 8x
-// and 10x columns are legible.
-var PaperTable2 = map[string][3]float64{
-	"s13207": {0.50, 0.6769, 0.7085},
-	"s15850": {0.50, 0.6279, 0.6570},
-	"s38417": {0.50, 0.5546, 0.5799},
-	"s38584": {0.50, 0.6083, 0.6308},
-	"s9234":  {0.50, 0.5734, 0.5997},
-}
-
-// PaperTable3X maps circuit -> published don't-care density.
-var PaperTable3X = map[string]float64{
-	"s13207": 0.9350, "s15850": 0.8356, "s35932": 0.3530, "s38417": 0.6880,
-	"s38584": 0.8228, "s5378": 0.7262, "s9234": 0.7300,
-	"b14": 0.9240, "b15": 0.9080, "b17": 0.8240, "b20": 0.9200, "b22": 0.9060,
-}
-
-// PaperTable5 maps circuit -> compression at C_MDATA {63,127,255,511}.
-var PaperTable5 = map[string][4]float64{
-	"s13207": {0.7950, 0.8820, 0.9056, 0.9253},
-	"s15850": {0.7479, 0.8089, 0.8160, 0.8160},
-	"s38417": {0.6554, 0.6647, 0.6647, 0.6647},
-	"s38584": {0.6480, 0.6526, 0.6526, 0.6526},
-	"s9234":  {0.6944, 0.7354, 0.7388, 0.7388},
-}
-
-// PaperLongestString maps circuit -> the longest uncompressed string
-// demand in bits. Only the s13207 value (483, from the Section 6 sizing
-// example) survives the OCR unambiguously.
-var PaperLongestString = map[string]int{
-	"s13207": 483,
 }

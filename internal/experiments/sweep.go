@@ -83,9 +83,9 @@ func sweepGrid(ctx context.Context, workers int, t *report.Table, cfgs []core.Co
 	return t, nil
 }
 
-// Table4Ctx is Table 4 on the batch pool: the 5-circuit × C_C grid
+// table4Ctx is Table 4 on the batch pool: the 5-circuit × C_C grid
 // compressed concurrently. workers <= 0 means GOMAXPROCS.
-func Table4Ctx(ctx context.Context, workers int) (*report.Table, error) {
+func table4Ctx(ctx context.Context, workers int) (*report.Table, error) {
 	t := &report.Table{
 		Title:   "Table 4. Compression versus LZW Character Size (N=1024, C_MDATA=63)",
 		Headers: []string{"Test", "1", "4", "7", "10"},
@@ -99,9 +99,9 @@ func Table4Ctx(ctx context.Context, workers int) (*report.Table, error) {
 	})
 }
 
-// Table5Ctx is Table 5 on the batch pool: the 5-circuit × C_MDATA grid
+// table5Ctx is Table 5 on the batch pool: the 5-circuit × C_MDATA grid
 // compressed concurrently. workers <= 0 means GOMAXPROCS.
-func Table5Ctx(ctx context.Context, workers int) (*report.Table, error) {
+func table5Ctx(ctx context.Context, workers int) (*report.Table, error) {
 	t := &report.Table{
 		Title:   "Table 5. Compression versus Entry Size (N=1024, C_C=7)",
 		Headers: []string{"Test", "63", "127", "255", "511"},
@@ -130,11 +130,11 @@ type t6value struct {
 	improvement float64
 }
 
-// Table6Ctx is Table 6 on the batch pool. Each cell needs a compression
+// table6Ctx is Table 6 on the batch pool. Each cell needs a compression
 // plus a cycle-accurate decompressor run, so the grid goes through
 // parallel.Map directly rather than CompressJobs. workers <= 0 means
 // GOMAXPROCS.
-func Table6Ctx(ctx context.Context, workers int) (*report.Table, error) {
+func table6Ctx(ctx context.Context, workers int) (*report.Table, error) {
 	t := &report.Table{
 		Title:   "Table 6. Performance versus Entry Size (10x internal clock)",
 		Headers: []string{"Test", "Longest String", "63", "127", "255", "511"},
@@ -191,20 +191,20 @@ func Table6Ctx(ctx context.Context, workers int) (*report.Table, error) {
 	return t, nil
 }
 
-// RunCtx dispatches an experiment by name with context cancellation and
+// runCtx dispatches an experiment by name with context cancellation and
 // a worker bound for the pool-backed sweeps. Experiments that are not
 // grids run sequentially but still honor a pre-canceled context.
-func RunCtx(ctx context.Context, name string, workers int) (*report.Table, error) {
+func runCtx(ctx context.Context, name string, workers int) (*report.Table, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	switch name {
 	case "table4":
-		return Table4Ctx(ctx, workers)
+		return table4Ctx(ctx, workers)
 	case "table5":
-		return Table5Ctx(ctx, workers)
+		return table5Ctx(ctx, workers)
 	case "table6":
-		return Table6Ctx(ctx, workers)
+		return table6Ctx(ctx, workers)
 	}
-	return Run(name)
+	return run(name)
 }

@@ -16,10 +16,10 @@ func TestSweepWorkerCountInvariant(t *testing.T) {
 	}
 	runners := map[string]func(context.Context, int) (interface{ String() string }, error){
 		"table4": func(ctx context.Context, w int) (interface{ String() string }, error) {
-			return Table4Ctx(ctx, w)
+			return table4Ctx(ctx, w)
 		},
 		"table5": func(ctx context.Context, w int) (interface{ String() string }, error) {
-			return Table5Ctx(ctx, w)
+			return table5Ctx(ctx, w)
 		},
 	}
 	for name, run := range runners {
@@ -47,29 +47,29 @@ func TestRunCtxCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, name := range Names() {
-		if _, err := RunCtx(ctx, name, 2); !errors.Is(err, context.Canceled) {
+		if _, err := runCtx(ctx, name, 2); !errors.Is(err, context.Canceled) {
 			t.Fatalf("%s under canceled context: err = %v, want context.Canceled", name, err)
 		}
 	}
 }
 
-// TestRunCtxDispatch: RunCtx serves the same experiment set as Run.
+// TestRunCtxDispatch: runCtx serves the same experiment set as run.
 func TestRunCtxDispatch(t *testing.T) {
-	if _, err := RunCtx(context.Background(), "no-such-table", 1); err == nil {
+	if _, err := runCtx(context.Background(), "no-such-table", 1); err == nil {
 		t.Fatal("unknown experiment did not error")
 	}
 	if testing.Short() {
 		t.Skip("full workloads in -short mode")
 	}
-	seq, err := Run("table6")
+	seq, err := run("table6")
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunCtx(context.Background(), "table6", 3)
+	par, err := runCtx(context.Background(), "table6", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fmt.Sprint(par.Rows) != fmt.Sprint(seq.Rows) {
-		t.Fatalf("table6 rows differ between Run and RunCtx:\n%v\nvs\n%v", par.Rows, seq.Rows)
+		t.Fatalf("table6 rows differ between run and runCtx:\n%v\nvs\n%v", par.Rows, seq.Rows)
 	}
 }

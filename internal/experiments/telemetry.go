@@ -7,39 +7,34 @@ import (
 	"lzwtc/internal/telemetry"
 )
 
-// EventRow is the per-row record RunObserved emits: one per table row,
+// eventRow is the per-row record RunObservedCtx emits: one per table row,
 // which for every experiment here means one per circuit.
-const EventRow = "experiment.row"
+const eventRow = "experiment.row"
 
-// MetricRows counts table rows produced across all observed experiment
+// metricRows counts table rows produced across all observed experiment
 // runs.
-const MetricRows = "lzwtc_experiment_rows_total"
+const metricRows = "lzwtc_experiment_rows_total"
 
-// SpanExperimentRun is the span every observed experiment runs under;
+// spanExperimentRun is the span every observed experiment runs under;
 // the experiment's name travels as an "experiment" field rather than in
 // the span name, so the phase histogram stays one bounded series.
-const SpanExperimentRun = "experiment.run"
+const spanExperimentRun = "experiment.run"
 
-// RunObserved is Run instrumented through a telemetry recorder: the
-// whole experiment runs under a SpanExperimentRun span, and each
-// produced row is emitted as an EventRow record keyed by the table's
-// column headers. A nil recorder reduces to Run.
-func RunObserved(name string, rec *telemetry.Recorder) (*report.Table, error) {
-	return RunObservedCtx(context.Background(), name, 0, rec)
-}
-
-// RunObservedCtx is RunObserved with context cancellation and a worker
-// bound for the pool-backed sweep tables (workers <= 0 means
-// GOMAXPROCS).
+// RunObservedCtx runs the named experiment instrumented through a
+// telemetry recorder: the whole experiment runs under a
+// spanExperimentRun span, and each produced row is emitted as an
+// eventRow record keyed by the table's column headers. ctx cancels the
+// run, and workers bounds the pool-backed sweep tables (workers <= 0
+// means GOMAXPROCS). A nil recorder reduces to the plain run.
 func RunObservedCtx(ctx context.Context, name string, workers int, rec *telemetry.Recorder) (*report.Table, error) {
-	ctx, sp := rec.StartSpan(ctx, SpanExperimentRun)
-	t, err := RunCtx(ctx, name, workers)
+	ctx, sp := rec.StartSpan(ctx, spanExperimentRun)
+	t, err := runCtx(ctx, name, workers)
 	if err != nil {
 		sp.End(telemetry.F("experiment", name), telemetry.F("error", err.Error()))
 		return nil, err
 	}
 	if reg := rec.Registry(); reg != nil {
-		reg.Counter(MetricRows, "experiment table rows produced").Add(int64(len(t.Rows)))
+		reg.Counter(metricRows, "experiment table rows produced").Add(int64(len(t.Rows)))
 	}
 	for _, row := range t.Rows {
 		fields := make([]telemetry.Field, 0, len(row)+1)
@@ -51,7 +46,7 @@ func RunObservedCtx(ctx context.Context, name string, workers int, rec *telemetr
 			}
 			fields = append(fields, telemetry.F(key, cell))
 		}
-		rec.Emit(EventRow, fields...)
+		rec.Emit(eventRow, fields...)
 	}
 	sp.End(telemetry.F("experiment", name), telemetry.F("rows", len(t.Rows)))
 	return t, nil

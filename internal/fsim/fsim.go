@@ -94,7 +94,7 @@ func DetectsAny(cb *circuit.Comb, cones *ConeCache, good *sim.PState, faults []f
 // different.
 func detectMask(cb *circuit.Comb, cones *ConeCache, good []sim.PVal, fvals []sim.PVal, f fault.Fault, nPat int) uint64 {
 	site := f.SiteGate()
-	cone := cones.Cone(site)
+	cone := cones.cone(site)
 
 	// Faulty value at the site.
 	var fsite sim.PVal
@@ -176,8 +176,8 @@ func newConeCache(cb *circuit.Comb) *ConeCache {
 	return &ConeCache{cb: cb, pos: pos, cones: make(map[int]*cone)}
 }
 
-// Cone returns the fanout cone of a site.
-func (cc *ConeCache) Cone(site int) *cone {
+// cone returns the fanout cone of a site.
+func (cc *ConeCache) cone(site int) *cone {
 	if c, ok := cc.cones[site]; ok {
 		return c
 	}

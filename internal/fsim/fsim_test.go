@@ -121,7 +121,7 @@ func TestSequentialCircuitConeStopsAtDFF(t *testing.T) {
 	// Fault effects are captured at DFF inputs (PPOs), not propagated
 	// through them combinationally.
 	for id, g := range cb.C.Gates {
-		cone := cc.Cone(id)
+		cone := cc.cone(id)
 		for _, m := range cone.order {
 			if cb.C.Gates[m].Type == circuit.DFF {
 				t.Fatalf("cone of %s crosses DFF %s", g.Name, cb.C.Gates[m].Name)

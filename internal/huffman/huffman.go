@@ -186,8 +186,8 @@ func assign(val, care, full uint16, freq map[uint16]int) (uint16, bool) {
 	return val, false // X bits already zero in val
 }
 
-// Decompress inverts a compressed stream.
-func Decompress(res *Result, outBits int) (*bitvec.Vector, error) {
+// decompress inverts a compressed stream.
+func decompress(res *Result, outBits int) (*bitvec.Vector, error) {
 	if err := res.Cfg.Validate(); err != nil {
 		return nil, err
 	}

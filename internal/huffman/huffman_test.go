@@ -15,7 +15,7 @@ func TestRoundTripConcrete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Decompress(res, stream.Len())
+	out, err := decompress(res, stream.Len())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestXAssignmentMapsToFrequentPatterns(t *testing.T) {
 	if res.Stats.AssignedToFreq != 3 {
 		t.Fatalf("AssignedToFreq = %d, want 3", res.Stats.AssignedToFreq)
 	}
-	out, err := Decompress(res, stream.Len())
+	out, err := decompress(res, stream.Len())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestEmptyStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Decompress(res, 0)
+	out, err := decompress(res, 0)
 	if err != nil || out.Len() != 0 {
 		t.Fatalf("empty: %v %v", out, err)
 	}
@@ -86,7 +86,7 @@ func TestDecompressTruncation(t *testing.T) {
 		t.Fatal(err)
 	}
 	res.BitLen = 3 // corrupt
-	if _, err := Decompress(res, stream.Len()); err == nil {
+	if _, err := decompress(res, stream.Len()); err == nil {
 		t.Fatal("truncated stream accepted")
 	}
 }
@@ -151,7 +151,7 @@ func TestQuickRoundTripCompatibility(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		out, err := Decompress(res, n)
+		out, err := decompress(res, n)
 		if err != nil {
 			return false
 		}

@@ -13,32 +13,32 @@ package invariant
 
 import "fmt"
 
-// Violation is the panic value raised by this package, so recover()
+// violation is the panic value raised by this package, so recover()
 // sites can distinguish invariant violations from other panics.
-type Violation struct {
+type violation struct {
 	Msg string
 }
 
-// Error implements error, making a recovered Violation usable as one.
-func (v Violation) Error() string { return "invariant violation: " + v.Msg }
+// Error implements error, making a recovered violation usable as one.
+func (v violation) Error() string { return "invariant violation: " + v.Msg }
 
 // String returns the same rendering as Error.
-func (v Violation) String() string { return v.Error() }
+func (v violation) String() string { return v.Error() }
 
 // Violatef reports a broken invariant and halts by panicking with a
-// Violation value.
+// violation value.
 func Violatef(format string, args ...any) {
-	panic(Violation{Msg: fmt.Sprintf(format, args...)})
+	panic(violation{Msg: fmt.Sprintf(format, args...)})
 }
 
-// Check panics with a Violation when cond is false.
+// Check panics with a violation when cond is false.
 func Check(cond bool, format string, args ...any) {
 	if !cond {
 		Violatef(format, args...)
 	}
 }
 
-// Must panics with a Violation when err is non-nil. It is for call
+// Must panics with a violation when err is non-nil. It is for call
 // sites whose error is impossible by construction (widths matched by the
 // caller, literals validated at build time); genuinely fallible calls
 // must propagate their error instead.

@@ -14,7 +14,7 @@ func recovered(f func()) (v any) {
 
 func TestViolatef(t *testing.T) {
 	v := recovered(func() { Violatef("code %d out of range", 99) })
-	viol, ok := v.(Violation)
+	viol, ok := v.(violation)
 	if !ok {
 		t.Fatalf("panic value %T, want Violation", v)
 	}
@@ -40,7 +40,7 @@ func TestMust(t *testing.T) {
 		t.Fatalf("Must(nil) panicked: %v", v)
 	}
 	v := recovered(func() { Must(errors.New("boom")) })
-	viol, ok := v.(Violation)
+	viol, ok := v.(violation)
 	if !ok || !strings.Contains(viol.Msg, "boom") {
 		t.Fatalf("Must(err) panic = %#v, want Violation containing boom", v)
 	}

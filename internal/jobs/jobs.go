@@ -52,34 +52,34 @@ type State uint8
 // Canceled; Running may move to Done, Failed or Canceled; Done, Failed
 // and Canceled are terminal.
 const (
-	StateQueued State = iota
-	StateRunning
+	stateQueued State = iota
+	stateRunning
 	StateDone
-	StateFailed
-	StateCanceled
+	stateFailed
+	stateCanceled
 )
 
 // String names the state as it appears in status documents.
 func (s State) String() string {
 	switch s {
-	case StateQueued:
+	case stateQueued:
 		return "queued"
-	case StateRunning:
+	case stateRunning:
 		return "running"
 	case StateDone:
 		return "done"
-	case StateFailed:
+	case stateFailed:
 		return "failed"
-	case StateCanceled:
+	case stateCanceled:
 		return "canceled"
 	default:
 		return fmt.Sprintf("State(%d)", uint8(s))
 	}
 }
 
-// Terminal reports whether the state is final.
-func (s State) Terminal() bool {
-	return s == StateDone || s == StateFailed || s == StateCanceled
+// terminal reports whether the state is final.
+func (s State) terminal() bool {
+	return s == StateDone || s == stateFailed || s == stateCanceled
 }
 
 // Payload is what a finished job hands back: the encoded result plus
@@ -141,7 +141,7 @@ var (
 const (
 	ReasonQueueFull   = "queue_full"
 	ReasonRateLimited = "rate_limited"
-	ReasonActiveLimit = "active_limit"
+	reasonActiveLimit = "active_limit"
 )
 
 // RejectError is a refused submission: the admission queue is full or
@@ -315,7 +315,7 @@ func (m *Manager) Submit(ctx context.Context, tenant string, run RunFunc) (Statu
 	now := m.clock()
 	if reason, wait, ok := m.tenants.admit(tenant, now); !ok {
 		m.m.rejected.Inc()
-		if reason == ReasonActiveLimit && wait <= 0 {
+		if reason == reasonActiveLimit && wait <= 0 {
 			wait = m.RetryAfter()
 		}
 		return Status{}, &RejectError{Reason: reason, Tenant: tenant, RetryAfter: clampRetry(wait)}
@@ -328,7 +328,7 @@ func (m *Manager) Submit(ctx context.Context, tenant string, run RunFunc) (Statu
 		cancel:  cancel,
 		ctx:     jctx,
 		created: now,
-		state:   StateQueued,
+		state:   stateQueued,
 	}
 
 	m.mu.Lock()
@@ -394,9 +394,9 @@ func (m *Manager) Result(id string) (*Payload, Status, error) {
 	switch j.state {
 	case StateDone:
 		return j.payload, st, nil
-	case StateFailed:
+	case stateFailed:
 		return nil, st, j.err
-	case StateCanceled:
+	case stateCanceled:
 		return nil, st, context.Canceled
 	default:
 		return nil, st, ErrNotDone
@@ -420,12 +420,12 @@ func (m *Manager) Cancel(id string) (Status, error) {
 	}
 	var cancel context.CancelFunc
 	switch j.state {
-	case StateQueued:
+	case stateQueued:
 		// The runner will see the terminal state when it dequeues the
 		// job and skip it.
-		m.finishLocked(j, StateCanceled, nil, context.Canceled)
+		m.finishLocked(j, stateCanceled, nil, context.Canceled)
 		cancel = j.cancel
-	case StateRunning:
+	case stateRunning:
 		cancel = j.cancel
 	default:
 		// Terminal already; idempotent.
@@ -527,13 +527,13 @@ func (m *Manager) runOne(j *job) {
 	m.mu.Lock()
 	m.queued--
 	m.m.queueDepth.Set(float64(m.queued))
-	if j.state != StateQueued {
+	if j.state != stateQueued {
 		// Canceled while queued: bookkeeping only (finishLocked already
 		// ran under Cancel).
 		m.mu.Unlock()
 		return
 	}
-	j.state = StateRunning
+	j.state = stateRunning
 	j.started = m.clock()
 	run := j.run
 	m.running++
@@ -555,9 +555,9 @@ func (m *Manager) runOne(j *job) {
 	case err == nil:
 		m.finishLocked(j, StateDone, payload, nil)
 	case errors.Is(err, context.Canceled):
-		m.finishLocked(j, StateCanceled, nil, context.Canceled)
+		m.finishLocked(j, stateCanceled, nil, context.Canceled)
 	default:
-		m.finishLocked(j, StateFailed, nil, err)
+		m.finishLocked(j, stateFailed, nil, err)
 	}
 	st := j.snapshotLocked()
 	m.mu.Unlock()
@@ -585,7 +585,7 @@ func runContained(ctx context.Context, id string, run RunFunc, pr *Progress) (p 
 // rather than when the TTL sweep deletes the record — even while a
 // canceled job still sits in the admission queue.
 func (m *Manager) finishLocked(j *job, s State, payload *Payload, err error) {
-	if j.state.Terminal() {
+	if j.state.terminal() {
 		return
 	}
 	j.run = nil
@@ -599,9 +599,9 @@ func (m *Manager) finishLocked(j *job, s State, payload *Payload, err error) {
 	switch s {
 	case StateDone:
 		m.m.completed.Inc()
-	case StateFailed:
+	case stateFailed:
 		m.m.failed.Inc()
-	case StateCanceled:
+	case stateCanceled:
 		m.m.canceled.Inc()
 	}
 	m.m.retained.Set(float64(len(m.jobs)))
@@ -617,22 +617,22 @@ func (m *Manager) sweeper(ctx context.Context) {
 		case <-ctx.Done():
 			return
 		case <-t.C:
-			m.Sweep()
+			m.sweep()
 		}
 	}
 }
 
-// Sweep deletes every terminal job whose TTL has passed, remembering
+// sweep deletes every terminal job whose TTL has passed, remembering
 // the IDs in the tombstone ring, and returns how many it removed. The
 // background sweeper calls this on its interval; tests call it
 // directly.
-func (m *Manager) Sweep() int {
+func (m *Manager) sweep() int {
 	now := m.clock()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	n := 0
 	for id, j := range m.jobs {
-		if j.state.Terminal() && !j.expires.After(now) {
+		if j.state.terminal() && !j.expires.After(now) {
 			delete(m.jobs, id)
 			m.tombstoneLocked(id)
 			n++
@@ -682,11 +682,11 @@ func (m *Manager) Close() {
 	m.mu.Lock()
 	cancels := make([]context.CancelFunc, 0, len(m.jobs))
 	for _, j := range m.jobs {
-		if !j.state.Terminal() {
+		if !j.state.terminal() {
 			// Queued jobs the runners will never reach transition here;
 			// running jobs transition in runOne once their body returns.
-			if j.state == StateQueued {
-				m.finishLocked(j, StateCanceled, nil, context.Canceled)
+			if j.state == stateQueued {
+				m.finishLocked(j, stateCanceled, nil, context.Canceled)
 			}
 			cancels = append(cancels, j.cancel)
 		}

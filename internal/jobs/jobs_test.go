@@ -56,7 +56,7 @@ func waitTerminal(t *testing.T, m *Manager, id string) Status {
 		if err != nil {
 			t.Fatalf("job %s: %v", id, err)
 		}
-		if st.State.Terminal() {
+		if st.State.terminal() {
 			return st
 		}
 		if time.Now().After(deadline) {
@@ -96,7 +96,7 @@ func TestJobLifecycleDone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.State != StateQueued || st.ID == "" || st.Tenant != "t1" {
+	if st.State != stateQueued || st.ID == "" || st.Tenant != "t1" {
 		t.Fatalf("bad initial snapshot: %+v", st)
 	}
 	fin := waitTerminal(t, m, st.ID)
@@ -154,7 +154,7 @@ func TestJobFailureAndPanicContainment(t *testing.T) {
 		t.Fatal(err)
 	}
 	fin := waitTerminal(t, m, st.ID)
-	if fin.State != StateFailed || fin.Error != "boom" {
+	if fin.State != stateFailed || fin.Error != "boom" {
 		t.Fatalf("want failed/boom, got %s/%q", fin.State, fin.Error)
 	}
 	if _, _, err := m.Result(st.ID); !errors.Is(err, boom) {
@@ -168,7 +168,7 @@ func TestJobFailureAndPanicContainment(t *testing.T) {
 		t.Fatal(err)
 	}
 	fin2 := waitTerminal(t, m, st2.ID)
-	if fin2.State != StateFailed {
+	if fin2.State != stateFailed {
 		t.Fatalf("panicking job state %s", fin2.State)
 	}
 	// The runner survived the panic: a third job still executes.
@@ -198,7 +198,7 @@ func TestCancelWhileQueued(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.State != StateCanceled {
+	if st.State != stateCanceled {
 		t.Fatalf("queued cancel: want canceled now, got %s", st.State)
 	}
 	if _, _, err := m.Result(victim.ID); !errors.Is(err, context.Canceled) {
@@ -207,7 +207,7 @@ func TestCancelWhileQueued(t *testing.T) {
 	close(release)
 	// The runner dequeues the tombstoned entry and must not resurrect it.
 	time.Sleep(10 * time.Millisecond)
-	if st, _ := m.Get(victim.ID); st.State != StateCanceled {
+	if st, _ := m.Get(victim.ID); st.State != stateCanceled {
 		t.Fatalf("canceled job resurrected to %s", st.State)
 	}
 	if got := reg.Snapshot().CounterValue(MetricJobsCanceled); got != 1 {
@@ -229,16 +229,16 @@ func TestCancelWhileRunning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mid.State != StateRunning {
+	if mid.State != stateRunning {
 		t.Fatalf("cancel of running job should report running until the body returns, got %s", mid.State)
 	}
 	fin := waitTerminal(t, m, st.ID)
-	if fin.State != StateCanceled {
+	if fin.State != stateCanceled {
 		t.Fatalf("want canceled, got %s (%s)", fin.State, fin.Error)
 	}
 	// Idempotent: canceling a terminal job is a no-op.
 	again, err := m.Cancel(st.ID)
-	if err != nil || again.State != StateCanceled {
+	if err != nil || again.State != stateCanceled {
 		t.Fatalf("re-cancel: %v %s", err, again.State)
 	}
 }
@@ -269,11 +269,11 @@ func TestTTLSweepAndTombstones(t *testing.T) {
 
 	// Inside the TTL nothing is swept.
 	clock.Advance(30 * time.Second)
-	if n := m.Sweep(); n != 0 {
+	if n := m.sweep(); n != 0 {
 		t.Fatalf("premature sweep removed %d", n)
 	}
 	clock.Advance(31 * time.Second)
-	if n := m.Sweep(); n != 1 {
+	if n := m.sweep(); n != 1 {
 		t.Fatalf("sweep removed %d, want 1", n)
 	}
 	if _, err := m.Get(st.ID); !errors.Is(err, ErrExpired) {
@@ -364,7 +364,7 @@ func TestQuotaActiveLimit(t *testing.T) {
 	<-started
 	_, err = m.Submit(context.Background(), "t", quickJob(&Payload{}, nil))
 	var rej *RejectError
-	if !errors.As(err, &rej) || rej.Reason != ReasonActiveLimit {
+	if !errors.As(err, &rej) || rej.Reason != reasonActiveLimit {
 		t.Fatalf("want active_limit, got %v", err)
 	}
 	close(release)
@@ -461,9 +461,9 @@ func TestProgressSinkCountsPoolJobSpans(t *testing.T) {
 // stateRank maps states onto the monotone order the lifecycle promises.
 func stateRank(s State) int {
 	switch s {
-	case StateQueued:
+	case stateQueued:
 		return 0
-	case StateRunning:
+	case stateRunning:
 		return 1
 	default:
 		return 2 // terminal
@@ -500,7 +500,7 @@ func TestConcurrentStress(t *testing.T) {
 						m.Cancel(st.ID) //nolint:errcheck // racing cancel may hit any state
 					}
 					if i%7 == 0 {
-						m.Sweep()
+						m.sweep()
 					}
 					// Observe the lifecycle: the rank must never decrease.
 					last := -1
@@ -515,7 +515,7 @@ func TestConcurrentStress(t *testing.T) {
 							break
 						}
 						last = r
-						if cur.State.Terminal() {
+						if cur.State.terminal() {
 							break
 						}
 						time.Sleep(100 * time.Microsecond)
@@ -562,10 +562,10 @@ func TestCloseCancelsOutstanding(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.Close()
-	if st, _ := m.Get(run.ID); st.State != StateCanceled {
+	if st, _ := m.Get(run.ID); st.State != stateCanceled {
 		t.Fatalf("running job after Close: %s", st.State)
 	}
-	if st, _ := m.Get(queued.ID); st.State != StateCanceled {
+	if st, _ := m.Get(queued.ID); st.State != stateCanceled {
 		t.Fatalf("queued job after Close: %s", st.State)
 	}
 	m.Close() // idempotent
@@ -642,7 +642,7 @@ func TestFinishedJobReleasesRunClosure(t *testing.T) {
 	if _, err := m.Cancel(id); err != nil {
 		t.Fatal(err)
 	}
-	if st := waitTerminal(t, m, id); st.State != StateCanceled {
+	if st := waitTerminal(t, m, id); st.State != stateCanceled {
 		t.Fatalf("canceled while running: state %s", st.State)
 	}
 	waitCollected(t, freed, "canceled while running")
@@ -663,7 +663,7 @@ func TestCanceledQueuedJobReleasesRunClosure(t *testing.T) {
 	id, freed := capturingJob(t, m, func(context.Context) (*Payload, error) {
 		return &Payload{}, nil
 	})
-	if st, err := m.Cancel(id); err != nil || st.State != StateCanceled {
+	if st, err := m.Cancel(id); err != nil || st.State != stateCanceled {
 		t.Fatalf("cancel queued: %v %v", st.State, err)
 	}
 	waitCollected(t, freed, "canceled while queued")

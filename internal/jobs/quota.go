@@ -55,7 +55,7 @@ func (t *tenantTable) admit(tenant string, now time.Time) (reason string, wait t
 		t.byKey[tenant] = s
 	}
 	if t.q.MaxActive > 0 && s.active >= t.q.MaxActive {
-		return ReasonActiveLimit, 0, false
+		return reasonActiveLimit, 0, false
 	}
 	if t.q.RatePerSec > 0 {
 		elapsed := now.Sub(s.last).Seconds()

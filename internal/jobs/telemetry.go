@@ -98,7 +98,7 @@ func (p *Progress) Snapshot() (done, total int) {
 	return int(p.done.Load()), int(p.total.Load())
 }
 
-// WantsSteps opts out of per-step compressor events (telemetry.StepSink).
+// WantsSteps opts out of per-step compressor events (telemetry.stepSink).
 func (p *Progress) WantsSteps() bool { return false }
 
 // Emit implements telemetry.Sink: each completed pool job span

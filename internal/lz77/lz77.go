@@ -54,8 +54,8 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// MaxMatch returns the longest encodable copy.
-func (c Config) MaxMatch() int { return c.MinMatch + 1<<uint(c.LenBits) - 1 }
+// maxMatch returns the longest encodable copy.
+func (c Config) maxMatch() int { return c.MinMatch + 1<<uint(c.LenBits) - 1 }
 
 // Window returns the history window size in bits.
 func (c Config) Window() int { return 1 << uint(c.OffsetBits) }
@@ -106,7 +106,7 @@ func Compress(stream *bitvec.Vector, cfg Config) (*Result, error) {
 		if lo < 0 {
 			lo = 0
 		}
-		maxL := cfg.MaxMatch()
+		maxL := cfg.maxMatch()
 		if maxL > n-p {
 			maxL = n - p
 		}
@@ -223,9 +223,9 @@ func overlapBit(stream, out *bitvec.Vector, s, p, l int) bitvec.Bit {
 
 func trailingZeros(x uint64) int { return bits.TrailingZeros64(x) }
 
-// Decompress inverts a compressed stream, returning the fully specified
+// decompress inverts a compressed stream, returning the fully specified
 // output of length outBits.
-func Decompress(data []byte, bitLen int, cfg Config, outBits int) (*bitvec.Vector, error) {
+func decompress(data []byte, bitLen int, cfg Config, outBits int) (*bitvec.Vector, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}

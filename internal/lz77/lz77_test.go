@@ -18,7 +18,7 @@ func TestRoundTripConcrete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Decompress(res.Data, res.BitLen, res.Cfg, stream.Len())
+	out, err := decompress(res.Data, res.BitLen, res.Cfg, stream.Len())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestXBitsAssignedByHistory(t *testing.T) {
 	if res.Stats.AssignedByCopy == 0 {
 		t.Fatalf("no X bits assigned by copy: %+v", res.Stats)
 	}
-	out, err := Decompress(res.Data, res.BitLen, res.Cfg, stream.Len())
+	out, err := decompress(res.Data, res.BitLen, res.Cfg, stream.Len())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestOverlappingCopy(t *testing.T) {
 	if res.Stats.MaxMatchBits <= 1 {
 		t.Fatalf("run not captured by a copy: %+v", res.Stats)
 	}
-	out, err := Decompress(res.Data, res.BitLen, res.Cfg, stream.Len())
+	out, err := decompress(res.Data, res.BitLen, res.Cfg, stream.Len())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestLiteralFillPolicies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := Decompress(res.Data, res.BitLen, cfg, stream.Len())
+		out, err := decompress(res.Data, res.BitLen, cfg, stream.Len())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,8 +103,8 @@ func TestConfigValidate(t *testing.T) {
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Errorf("default invalid: %v", err)
 	}
-	if got := DefaultConfig().MaxMatch(); got != 10+63 {
-		t.Errorf("MaxMatch = %d", got)
+	if got := DefaultConfig().maxMatch(); got != 10+63 {
+		t.Errorf("maxMatch = %d", got)
 	}
 	if got := DefaultConfig().Window(); got != 2048 {
 		t.Errorf("Window = %d", got)
@@ -113,7 +113,7 @@ func TestConfigValidate(t *testing.T) {
 
 func TestDecompressErrors(t *testing.T) {
 	cfg := smallCfg()
-	if _, err := Decompress(nil, 0, cfg, 4); err == nil {
+	if _, err := decompress(nil, 0, cfg, 4); err == nil {
 		t.Error("empty stream accepted")
 	}
 	// A copy token with offset past the start.
@@ -124,7 +124,7 @@ func TestDecompressErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Corrupt: ask for more output than the stream encodes.
-	if _, err := Decompress(res.Data, res.BitLen, cfg, stream.Len()+100); err == nil {
+	if _, err := decompress(res.Data, res.BitLen, cfg, stream.Len()+100); err == nil {
 		t.Error("overlong output accepted")
 	}
 }
@@ -145,7 +145,7 @@ func TestQuickRoundTripCompatibility(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		out, err := Decompress(res.Data, res.BitLen, cfg, n)
+		out, err := decompress(res.Data, res.BitLen, cfg, n)
 		if err != nil {
 			return false
 		}
@@ -169,7 +169,7 @@ func TestQuickLosslessConcrete(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		out, err := Decompress(res.Data, res.BitLen, cfg, n)
+		out, err := decompress(res.Data, res.BitLen, cfg, n)
 		return err == nil && v.Equal(out)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {

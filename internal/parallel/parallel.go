@@ -65,17 +65,6 @@ func (p ErrorPolicy) String() string {
 	}
 }
 
-// ParsePolicy parses a policy name as printed by String.
-func ParsePolicy(s string) (ErrorPolicy, error) {
-	switch s {
-	case "failfast":
-		return FailFast, nil
-	case "collect":
-		return CollectAll, nil
-	}
-	return 0, fmt.Errorf("parallel: unknown error policy %q (want failfast or collect)", s)
-}
-
 // Options configures one pool run.
 type Options struct {
 	// Workers bounds concurrent jobs; <= 0 means GOMAXPROCS.

@@ -302,21 +302,21 @@ func TestPoolTelemetry(t *testing.T) {
 	for _, c := range snap.Counters {
 		counters[c.Name] = c.Value
 	}
-	if counters[MetricJobs] != int64(len(jobs)) {
-		t.Fatalf("%s = %d, want %d", MetricJobs, counters[MetricJobs], len(jobs))
+	if counters[metricJobs] != int64(len(jobs)) {
+		t.Fatalf("%s = %d, want %d", metricJobs, counters[metricJobs], len(jobs))
 	}
-	if counters[MetricJobErrors] != 0 {
-		t.Fatalf("%s = %d, want 0", MetricJobErrors, counters[MetricJobErrors])
+	if counters[metricJobErrors] != 0 {
+		t.Fatalf("%s = %d, want 0", metricJobErrors, counters[metricJobErrors])
 	}
 	gauges := map[string]float64{}
 	for _, g := range snap.Gauges {
 		gauges[g.Name] = g.Value
 	}
-	if gauges[MetricQueueDepth] != 0 || gauges[MetricInFlight] != 0 {
-		t.Fatalf("queue/in-flight gauges did not drain: %v / %v", gauges[MetricQueueDepth], gauges[MetricInFlight])
+	if gauges[MetricQueueDepth] != 0 || gauges[metricInFlight] != 0 {
+		t.Fatalf("queue/in-flight gauges did not drain: %v / %v", gauges[MetricQueueDepth], gauges[metricInFlight])
 	}
-	if counters[MetricJobPanics] != 0 {
-		t.Fatalf("%s = %d, want 0 on a clean run", MetricJobPanics, counters[MetricJobPanics])
+	if counters[metricJobPanics] != 0 {
+		t.Fatalf("%s = %d, want 0 on a clean run", metricJobPanics, counters[metricJobPanics])
 	}
 }
 
@@ -337,12 +337,12 @@ func TestPoolPanicTelemetry(t *testing.T) {
 	}
 	var got int64
 	for _, c := range reg.Snapshot().Counters {
-		if c.Name == MetricJobPanics {
+		if c.Name == metricJobPanics {
 			got = c.Value
 		}
 	}
 	if got != 1 {
-		t.Fatalf("%s = %d, want 1", MetricJobPanics, got)
+		t.Fatalf("%s = %d, want 1", metricJobPanics, got)
 	}
 }
 
@@ -379,8 +379,8 @@ func TestMapSingleJob(t *testing.T) {
 			for _, c := range reg.Snapshot().Counters {
 				counters[c.Name] = c.Value
 			}
-			if counters[MetricJobs] != 1 || (counters[MetricJobPanics] == 1) != tc.panics {
-				t.Fatalf("jobs/panics counters = %d/%d", counters[MetricJobs], counters[MetricJobPanics])
+			if counters[metricJobs] != 1 || (counters[metricJobPanics] == 1) != tc.panics {
+				t.Fatalf("jobs/panics counters = %d/%d", counters[metricJobs], counters[metricJobPanics])
 			}
 		})
 	}
@@ -393,18 +393,6 @@ func TestMapSingleJob(t *testing.T) {
 	})
 	if !errors.Is(err, context.Canceled) || !errors.Is(outcomes[0].Err, context.Canceled) || ran {
 		t.Fatalf("pre-canceled single job: err %v, outcome %v, ran %v", err, outcomes[0].Err, ran)
-	}
-}
-
-func TestParsePolicy(t *testing.T) {
-	for _, p := range []ErrorPolicy{FailFast, CollectAll} {
-		got, err := ParsePolicy(p.String())
-		if err != nil || got != p {
-			t.Fatalf("ParsePolicy(%q) = %v, %v", p.String(), got, err)
-		}
-	}
-	if _, err := ParsePolicy("nope"); err == nil {
-		t.Fatal("ParsePolicy accepted garbage")
 	}
 }
 

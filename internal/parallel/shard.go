@@ -20,7 +20,7 @@ import (
 // The price is compression ratio: each shard re-learns the dictionary
 // from scratch, so short shards never reach the long strings the tail
 // of a monolithic run emits. The per-shard ratio histogram
-// (MetricShardRatio) measures that cost rather than guessing it.
+// (metricShardRatio) measures that cost rather than guessing it.
 
 // SplitPatterns partitions a cube set into shards of at most
 // patternsPerShard consecutive patterns (the per-pattern-group split:
@@ -84,7 +84,7 @@ func CompressShardedPreloaded(ctx context.Context, cs *bitvec.CubeSet, cfg core.
 		patterns[i] = len(groups[i].Cubes)
 	}
 	if reg := opts.Recorder.Registry(); reg != nil {
-		reg.Counter(MetricShards, "shards compressed").Add(int64(len(groups)))
+		reg.Counter(metricShards, "shards compressed").Add(int64(len(groups)))
 	}
 	return shards, patterns, nil
 }
@@ -134,5 +134,5 @@ func shardRatioHist(rec *telemetry.Recorder) *telemetry.Histogram {
 	if reg == nil {
 		return nil
 	}
-	return reg.Histogram(MetricShardRatio, "per-shard compression ratio", ShardRatioBuckets())
+	return reg.Histogram(metricShardRatio, "per-shard compression ratio", shardRatioBuckets())
 }

@@ -139,20 +139,20 @@ func TestShardTelemetry(t *testing.T) {
 	var shardCount int64
 	var histCount int64
 	for _, c := range snap.Counters {
-		if c.Name == MetricShards {
+		if c.Name == metricShards {
 			shardCount = c.Value
 		}
 	}
 	for _, h := range snap.Histograms {
-		if h.Name == MetricShardRatio {
+		if h.Name == metricShardRatio {
 			histCount = h.Count
 		}
 	}
 	if shardCount != int64(len(shards)) {
-		t.Fatalf("%s = %d, want %d", MetricShards, shardCount, len(shards))
+		t.Fatalf("%s = %d, want %d", metricShards, shardCount, len(shards))
 	}
 	if histCount != int64(len(shards)) {
-		t.Fatalf("%s observations = %d, want %d", MetricShardRatio, histCount, len(shards))
+		t.Fatalf("%s observations = %d, want %d", metricShardRatio, histCount, len(shards))
 	}
 }
 

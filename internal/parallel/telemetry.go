@@ -18,18 +18,18 @@ const EventJob = "batch.job"
 // visible as a distribution, not just an aggregate.
 const (
 	MetricQueueDepth = "lzwtc_batch_queue_depth"
-	MetricInFlight   = "lzwtc_batch_jobs_inflight"
-	MetricJobs       = "lzwtc_batch_jobs_total"
-	MetricJobErrors  = "lzwtc_batch_job_errors_total"
-	MetricJobPanics  = "lzwtc_batch_job_panics_total"
-	MetricShards     = "lzwtc_batch_shards_total"
-	MetricShardRatio = "lzwtc_batch_shard_ratio"
+	metricInFlight   = "lzwtc_batch_jobs_inflight"
+	metricJobs       = "lzwtc_batch_jobs_total"
+	metricJobErrors  = "lzwtc_batch_job_errors_total"
+	metricJobPanics  = "lzwtc_batch_job_panics_total"
+	metricShards     = "lzwtc_batch_shards_total"
+	metricShardRatio = "lzwtc_batch_shard_ratio"
 )
 
-// ShardRatioBuckets returns the histogram bounds for per-shard
+// shardRatioBuckets returns the histogram bounds for per-shard
 // compression ratios: the paper's Table 3 spans 23–89%, and sharding
 // can push small shards negative (expansion), hence the low tail.
-func ShardRatioBuckets() []float64 {
+func shardRatioBuckets() []float64 {
 	return []float64{-0.5, -0.25, 0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1}
 }
 
@@ -53,10 +53,10 @@ func newPoolMetrics(rec *telemetry.Recorder, queued int) *poolMetrics {
 	m.queued.Store(int64(queued))
 	if reg := rec.Registry(); reg != nil {
 		m.queue = reg.Gauge(MetricQueueDepth, "batch jobs waiting for a worker")
-		m.inflight = reg.Gauge(MetricInFlight, "batch jobs currently executing")
-		m.jobs = reg.Counter(MetricJobs, "batch jobs completed")
-		m.errs = reg.Counter(MetricJobErrors, "batch jobs that returned an error")
-		m.panics = reg.Counter(MetricJobPanics, "batch jobs recovered from a panic")
+		m.inflight = reg.Gauge(metricInFlight, "batch jobs currently executing")
+		m.jobs = reg.Counter(metricJobs, "batch jobs completed")
+		m.errs = reg.Counter(metricJobErrors, "batch jobs that returned an error")
+		m.panics = reg.Counter(metricJobPanics, "batch jobs recovered from a panic")
 		m.queue.Set(float64(queued))
 		m.inflight.Set(0)
 	}

@@ -16,7 +16,7 @@ type Table struct {
 }
 
 // Cell formats a float as the paper prints ratios: "80.69%".
-func Percent(v float64) string { return fmt.Sprintf("%.2f%%", 100*v) }
+func percent(v float64) string { return fmt.Sprintf("%.2f%%", 100*v) }
 
 // Add appends a row; values are formatted with %v.
 func (t *Table) Add(cells ...interface{}) {
@@ -26,7 +26,7 @@ func (t *Table) Add(cells ...interface{}) {
 		case string:
 			row[i] = v
 		case float64:
-			row[i] = Percent(v)
+			row[i] = percent(v)
 		default:
 			row[i] = fmt.Sprintf("%v", v)
 		}

@@ -14,7 +14,7 @@ func sample() *Table {
 }
 
 func TestPercent(t *testing.T) {
-	if got := Percent(0.8069); got != "80.69%" {
+	if got := percent(0.8069); got != "80.69%" {
 		t.Fatalf("Percent = %q", got)
 	}
 }

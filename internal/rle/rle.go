@@ -256,9 +256,9 @@ func fdrGroup(r int) int {
 	return k
 }
 
-// Decompress inverts a compressed stream, returning the fully specified
+// decompress inverts a compressed stream, returning the fully specified
 // 0-filled output of length outBits.
-func Decompress(data []byte, bitLen int, cfg Config, outBits int) (*bitvec.Vector, error) {
+func decompress(data []byte, bitLen int, cfg Config, outBits int) (*bitvec.Vector, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}

@@ -91,7 +91,7 @@ func TestRoundTripEdges(t *testing.T) {
 			}
 			dcfg := res.Cfg
 			dcfg.M = res.Stats.ChosenM
-			out, err := Decompress(res.Data, res.BitLen, dcfg, stream.Len())
+			out, err := decompress(res.Data, res.BitLen, dcfg, stream.Len())
 			if err != nil {
 				t.Fatalf("%s %v: %v", s, kind, err)
 			}
@@ -141,10 +141,10 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestDecompressErrors(t *testing.T) {
-	if _, err := Decompress(nil, 0, Config{Kind: Golomb}, 4); err == nil {
+	if _, err := decompress(nil, 0, Config{Kind: Golomb}, 4); err == nil {
 		t.Error("Golomb decode without M accepted")
 	}
-	if _, err := Decompress(nil, 0, Config{Kind: Golomb, M: 4}, 4); err == nil {
+	if _, err := decompress(nil, 0, Config{Kind: Golomb, M: 4}, 4); err == nil {
 		t.Error("empty stream accepted")
 	}
 }
@@ -176,7 +176,7 @@ func TestQuickRoundTrip(t *testing.T) {
 		}
 		dcfg := cfg
 		dcfg.M = res.Stats.ChosenM
-		out, err := Decompress(res.Data, res.BitLen, dcfg, n)
+		out, err := decompress(res.Data, res.BitLen, dcfg, n)
 		if err != nil {
 			return false
 		}
@@ -200,7 +200,7 @@ func TestEmptyRoundTrip(t *testing.T) {
 		}
 		dcfg := cfg
 		dcfg.M = res.Stats.ChosenM
-		out, err := Decompress(res.Data, res.BitLen, dcfg, 0)
+		out, err := decompress(res.Data, res.BitLen, dcfg, 0)
 		if err != nil {
 			t.Fatalf("%v: decompress: %v", kind, err)
 		}
@@ -286,7 +286,7 @@ func TestAlternatingRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := Decompress(res.Data, res.BitLen, Config{Kind: Alternating}, stream.Len())
+		out, err := decompress(res.Data, res.BitLen, Config{Kind: Alternating}, stream.Len())
 		if err != nil {
 			t.Fatalf("%q: %v", s, err)
 		}
@@ -317,7 +317,7 @@ func TestQuickAlternatingRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		out, err := Decompress(res.Data, res.BitLen, Config{Kind: Alternating}, n)
+		out, err := decompress(res.Data, res.BitLen, Config{Kind: Alternating}, n)
 		if err != nil {
 			return false
 		}

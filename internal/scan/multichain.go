@@ -53,9 +53,9 @@ func (d *Design) ChainCubes(cs *bitvec.CubeSet) (chains []*bitvec.CubeSet, pis *
 	return chains, pis, nil
 }
 
-// MergeChainCubes inverts ChainCubes, reassembling full-width patterns
+// mergeChainCubes inverts ChainCubes, reassembling full-width patterns
 // from per-chain sets and the primary-input set.
-func (d *Design) MergeChainCubes(chains []*bitvec.CubeSet, pis *bitvec.CubeSet) (*bitvec.CubeSet, error) {
+func (d *Design) mergeChainCubes(chains []*bitvec.CubeSet, pis *bitvec.CubeSet) (*bitvec.CubeSet, error) {
 	if len(chains) != len(d.Chains) {
 		return nil, fmt.Errorf("scan: %d chain sets for %d chains", len(chains), len(d.Chains))
 	}

@@ -155,7 +155,7 @@ func TestChainCubesSplitMerge(t *testing.T) {
 	if care != orig {
 		t.Fatalf("care bits not conserved: %d vs %d", care, orig)
 	}
-	merged, err := d.MergeChainCubes(chains, pis)
+	merged, err := d.mergeChainCubes(chains, pis)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,10 +179,10 @@ func TestChainCubesErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.MergeChainCubes(chains[:1], pis); err == nil {
+	if _, err := d.mergeChainCubes(chains[:1], pis); err == nil {
 		t.Fatal("missing chain accepted")
 	}
-	if _, err := d.MergeChainCubes(chains, bitvec.NewCubeSet(2)); err == nil {
+	if _, err := d.mergeChainCubes(chains, bitvec.NewCubeSet(2)); err == nil {
 		t.Fatal("bad PI width accepted")
 	}
 }

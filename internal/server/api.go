@@ -47,13 +47,13 @@ const JobResultSuffix = "/result"
 // Query parameter names for /v1/compress. The values mirror the lzwtc
 // CLI flags and batch-manifest options.
 const (
-	ParamChar  = "char"
-	ParamDict  = "dict"
-	ParamEntry = "entry"
-	ParamFill  = "fill"
-	ParamTie   = "tie"
-	ParamFull  = "full"
-	ParamShard = "shard"
+	paramChar  = "char"
+	paramDict  = "dict"
+	paramEntry = "entry"
+	paramFill  = "fill"
+	paramTie   = "tie"
+	paramFull  = "full"
+	paramShard = "shard"
 	// ParamDictID names a stored shared dictionary (64-char hex store
 	// key) for /v1/compress and /v1/jobs/compress: the compression
 	// starts from that preload and the container carries a 'D' frame.
@@ -69,11 +69,11 @@ const (
 	HeaderWidth    = "X-Lzwtc-Width"
 	HeaderRatio    = "X-Lzwtc-Ratio"
 	HeaderShards   = "X-Lzwtc-Shards"
-	// HeaderDictKey / HeaderDictDigest ride dictionary-referencing
+	// HeaderDictKey / headerDictDigest ride dictionary-referencing
 	// responses: the store key and canonical blob digest of the
 	// dictionary the compression (or blob response) used.
 	HeaderDictKey    = "X-Lzwtc-Dict-Key"
-	HeaderDictDigest = "X-Lzwtc-Dict-Digest"
+	headerDictDigest = "X-Lzwtc-Dict-Digest"
 )
 
 // Request-scoped propagation headers.
@@ -112,23 +112,23 @@ type ErrorDetail struct {
 const (
 	CodeBadRequest       = "bad_request"
 	CodeBodyTooLarge     = "body_too_large"
-	CodeMethodNotAllowed = "method_not_allowed"
-	CodeNotFound         = "not_found"
+	codeMethodNotAllowed = "method_not_allowed"
+	codeNotFound         = "not_found"
 	CodeTimeout          = "timeout"
-	CodeCanceled         = "canceled"
-	CodeDraining         = "draining"
-	CodeInternal         = "internal"
+	codeCanceled         = "canceled"
+	codeDraining         = "draining"
+	codeInternal         = "internal"
 
-	// Job-tier codes. The three 429 codes mirror jobs.RejectError
-	// reasons verbatim so the client's backoff can distinguish a full
-	// queue from an exhausted quota.
-	CodeQueueFull   = "queue_full"
-	CodeRateLimited = "rate_limited"
-	CodeActiveLimit = "active_limit"
+	// Job-tier codes. A rejected submission's 429 carries its
+	// jobs.RejectError reason as the code, so the client's backoff can
+	// distinguish a full queue from an exhausted quota; the third
+	// reason, "active_limit", needs no alias here.
+	CodeQueueFull   = jobs.ReasonQueueFull
+	CodeRateLimited = jobs.ReasonRateLimited
 	CodeJobNotFound = "job_not_found"
 	CodeJobExpired  = "job_expired"
-	CodeJobNotDone  = "job_not_done"
-	CodeJobFailed   = "job_failed"
+	codeJobNotDone  = "job_not_done"
+	codeJobFailed   = "job_failed"
 	CodeJobCanceled = "job_canceled"
 
 	// Dictionary-store codes.
@@ -221,8 +221,8 @@ type JobStatusResponse struct {
 	ExpiresUnixUS  int64   `json:"expires_unix_us,omitempty"`
 }
 
-// JobStatusFrom converts a manager snapshot into the wire document.
-func JobStatusFrom(st jobs.Status) JobStatusResponse {
+// jobStatusFrom converts a manager snapshot into the wire document.
+func jobStatusFrom(st jobs.Status) JobStatusResponse {
 	resp := JobStatusResponse{
 		ID:            st.ID,
 		State:         st.State.String(),
@@ -249,24 +249,24 @@ func JobStatusFrom(st jobs.Status) JobStatusResponse {
 // EncodeCompressQuery renders a Config (and optional shard size) as
 // /v1/compress query parameters.
 //
-//lzwtcvet:ignore configbeforeuse pure serializer; ParseCompressQuery validates on receipt
+//lzwtcvet:ignore configbeforeuse pure serializer; parseCompressQuery validates on receipt
 func EncodeCompressQuery(cfg core.Config, shardPatterns int) url.Values {
 	v := url.Values{}
-	v.Set(ParamChar, strconv.Itoa(cfg.CharBits))
-	v.Set(ParamDict, strconv.Itoa(cfg.DictSize))
-	v.Set(ParamEntry, strconv.Itoa(cfg.EntryBits))
-	v.Set(ParamFill, cfg.Fill.String())
-	v.Set(ParamTie, cfg.Tie.String())
-	v.Set(ParamFull, cfg.Full.String())
+	v.Set(paramChar, strconv.Itoa(cfg.CharBits))
+	v.Set(paramDict, strconv.Itoa(cfg.DictSize))
+	v.Set(paramEntry, strconv.Itoa(cfg.EntryBits))
+	v.Set(paramFill, cfg.Fill.String())
+	v.Set(paramTie, cfg.Tie.String())
+	v.Set(paramFull, cfg.Full.String())
 	if shardPatterns > 0 {
-		v.Set(ParamShard, strconv.Itoa(shardPatterns))
+		v.Set(paramShard, strconv.Itoa(shardPatterns))
 	}
 	return v
 }
 
-// ParseCompressQuery inverts EncodeCompressQuery, starting from the
+// parseCompressQuery inverts EncodeCompressQuery, starting from the
 // paper's default configuration for absent parameters.
-func ParseCompressQuery(v url.Values) (core.Config, int, error) {
+func parseCompressQuery(v url.Values) (core.Config, int, error) {
 	cfg := core.DefaultConfig()
 	shard := 0
 	intParam := func(name string, dst *int) error {
@@ -281,22 +281,22 @@ func ParseCompressQuery(v url.Values) (core.Config, int, error) {
 		*dst = n
 		return nil
 	}
-	if err := intParam(ParamChar, &cfg.CharBits); err != nil {
+	if err := intParam(paramChar, &cfg.CharBits); err != nil {
 		return cfg, 0, err
 	}
-	if err := intParam(ParamDict, &cfg.DictSize); err != nil {
+	if err := intParam(paramDict, &cfg.DictSize); err != nil {
 		return cfg, 0, err
 	}
-	if err := intParam(ParamEntry, &cfg.EntryBits); err != nil {
+	if err := intParam(paramEntry, &cfg.EntryBits); err != nil {
 		return cfg, 0, err
 	}
-	if err := intParam(ParamShard, &shard); err != nil {
+	if err := intParam(paramShard, &shard); err != nil {
 		return cfg, 0, err
 	}
 	if shard < 0 {
 		return cfg, 0, fmt.Errorf("server: parameter shard=%d must be >= 0", shard)
 	}
-	switch s := v.Get(ParamFill); s {
+	switch s := v.Get(paramFill); s {
 	case "", "zero":
 		cfg.Fill = core.FillZero
 	case "one":
@@ -306,7 +306,7 @@ func ParseCompressQuery(v url.Values) (core.Config, int, error) {
 	default:
 		return cfg, 0, fmt.Errorf("server: unknown fill policy %q", s)
 	}
-	switch s := v.Get(ParamTie); s {
+	switch s := v.Get(paramTie); s {
 	case "", "oldest":
 		cfg.Tie = core.TieOldest
 	case "newest":
@@ -316,7 +316,7 @@ func ParseCompressQuery(v url.Values) (core.Config, int, error) {
 	default:
 		return cfg, 0, fmt.Errorf("server: unknown tie policy %q", s)
 	}
-	switch s := v.Get(ParamFull); s {
+	switch s := v.Get(paramFull); s {
 	case "", "freeze":
 		cfg.Full = core.FullFreeze
 	case "reset":

@@ -47,7 +47,7 @@ func (s *Server) resolveDictParam(ctx context.Context, w http.ResponseWriter, r 
 			s.writeError(w, r, http.StatusNotFound, CodeDictNotFound,
 				fmt.Sprintf("no stored dictionary %s; train or push it first", key))
 		} else {
-			s.writeError(w, r, http.StatusInternalServerError, CodeInternal, err.Error())
+			s.writeError(w, r, http.StatusInternalServerError, codeInternal, err.Error())
 		}
 		return nil, false
 	}
@@ -57,7 +57,7 @@ func (s *Server) resolveDictParam(ctx context.Context, w http.ResponseWriter, r 
 // setDictHeaders stamps the dictionary identity onto a response.
 func setDictHeaders(w http.ResponseWriter, ent *dictstore.Entry) {
 	w.Header().Set(HeaderDictKey, ent.Key.String())
-	w.Header().Set(HeaderDictDigest, ent.Digest.String())
+	w.Header().Set(headerDictDigest, ent.Digest.String())
 }
 
 // handleDictTrain serves PUT /v1/dict: test set in, trained (or
@@ -68,7 +68,7 @@ func (s *Server) handleDictTrain(w http.ResponseWriter, r *http.Request) {
 	if !s.requireMethod(w, r, http.MethodPut) || !s.checkDraining(w, r) {
 		return
 	}
-	cfg, _, err := ParseCompressQuery(r.URL.Query())
+	cfg, _, err := parseCompressQuery(r.URL.Query())
 	if err != nil {
 		s.writeError(w, r, http.StatusBadRequest, CodeBadRequest, err.Error())
 		return
@@ -138,7 +138,7 @@ func (s *Server) handleDictKey(w http.ResponseWriter, r *http.Request) {
 		s.handleDictDelete(w, r, key)
 	default:
 		w.Header().Set("Allow", "GET, PUT, DELETE")
-		s.writeError(w, r, http.StatusMethodNotAllowed, CodeMethodNotAllowed,
+		s.writeError(w, r, http.StatusMethodNotAllowed, codeMethodNotAllowed,
 			fmt.Sprintf("%s requires GET, PUT or DELETE", r.URL.Path))
 	}
 }
@@ -152,7 +152,7 @@ func (s *Server) handleDictFetch(w http.ResponseWriter, r *http.Request, key dic
 			s.writeError(w, r, http.StatusNotFound, CodeDictNotFound,
 				fmt.Sprintf("no stored dictionary %s", key))
 		} else {
-			s.writeError(w, r, http.StatusInternalServerError, CodeInternal, err.Error())
+			s.writeError(w, r, http.StatusInternalServerError, codeInternal, err.Error())
 		}
 		return
 	}
@@ -194,7 +194,7 @@ func (s *Server) handleDictUpload(w http.ResponseWriter, r *http.Request, key di
 func (s *Server) handleDictDelete(w http.ResponseWriter, r *http.Request, key dictstore.Key) {
 	removed, err := s.dict.Delete(key)
 	if err != nil {
-		s.writeError(w, r, http.StatusInternalServerError, CodeInternal, err.Error())
+		s.writeError(w, r, http.StatusInternalServerError, codeInternal, err.Error())
 		return
 	}
 	if !removed {

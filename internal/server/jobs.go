@@ -78,16 +78,16 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 				fmt.Sprintf("job submission rejected: %s (tenant %s)", rej.Reason, rej.Tenant),
 				retrySeconds(rej.RetryAfter.Microseconds()))
 		case errors.Is(err, jobs.ErrDraining):
-			s.writeError(w, r, http.StatusServiceUnavailable, CodeDraining, "server is draining")
+			s.writeError(w, r, http.StatusServiceUnavailable, codeDraining, "server is draining")
 		default:
-			s.writeError(w, r, http.StatusInternalServerError, CodeInternal, err.Error())
+			s.writeError(w, r, http.StatusInternalServerError, codeInternal, err.Error())
 		}
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Location", PathJobs+st.ID)
 	w.WriteHeader(http.StatusAccepted)
-	writeJSON(w, JobStatusFrom(st))
+	writeJSON(w, jobStatusFrom(st))
 }
 
 // compressJob compiles one admitted request into the manager's run
@@ -147,7 +147,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		s.handleJobCancel(w, r, id)
 	default:
 		w.Header().Set("Allow", "GET, DELETE")
-		s.writeError(w, r, http.StatusMethodNotAllowed, CodeMethodNotAllowed,
+		s.writeError(w, r, http.StatusMethodNotAllowed, codeMethodNotAllowed,
 			fmt.Sprintf("%s requires GET or DELETE", r.URL.Path))
 	}
 }
@@ -182,7 +182,7 @@ func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request, id stri
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	writeJSON(w, JobStatusFrom(st))
+	writeJSON(w, jobStatusFrom(st))
 }
 
 func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request, id string) {
@@ -203,7 +203,7 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request, id stri
 	case errors.Is(err, jobs.ErrNotDone):
 		// Not a failure: the caller polled too early. Retry-After keeps
 		// naive pollers off the hot loop.
-		s.writeRetryError(w, r, http.StatusConflict, CodeJobNotDone,
+		s.writeRetryError(w, r, http.StatusConflict, codeJobNotDone,
 			fmt.Sprintf("job %s is %s; poll %s%s until done", id, st.State, PathJobs, id), 1)
 	case errors.Is(err, context.Canceled):
 		s.writeError(w, r, http.StatusConflict, CodeJobCanceled,
@@ -211,7 +211,7 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request, id stri
 	case errors.Is(err, jobs.ErrNotFound), errors.Is(err, jobs.ErrExpired):
 		s.mapJobLookupError(w, r, id, err)
 	default:
-		s.writeError(w, r, http.StatusConflict, CodeJobFailed,
+		s.writeError(w, r, http.StatusConflict, codeJobFailed,
 			fmt.Sprintf("job %s failed: %v", id, err))
 	}
 }
@@ -227,7 +227,7 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request, id stri
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	writeJSON(w, JobStatusFrom(st))
+	writeJSON(w, jobStatusFrom(st))
 }
 
 // writeJSON encodes one response document; the response is already

@@ -245,7 +245,7 @@ func (c *configSink) Emit(ev telemetry.Event) {
 	c.sink.Emit(ev)
 }
 
-// WantsSteps implements telemetry.StepSink: server sinks take no step
+// WantsSteps implements telemetry.stepSink: server sinks take no step
 // events.
 func (*configSink) WantsSteps() bool { return false }
 
@@ -348,7 +348,7 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("/", s.instrument(
 		reg.Counter(MetricOtherRequests, "requests to unknown endpoints"), nil, nil,
 		func(w http.ResponseWriter, r *http.Request) {
-			s.writeError(w, r, http.StatusNotFound, CodeNotFound, fmt.Sprintf("no such endpoint %s", r.URL.Path))
+			s.writeError(w, r, http.StatusNotFound, codeNotFound, fmt.Sprintf("no such endpoint %s", r.URL.Path))
 		}))
 	return s
 }
@@ -557,7 +557,7 @@ func (s *Server) mapError(w http.ResponseWriter, r *http.Request, err error) {
 		s.writeError(w, r, http.StatusRequestTimeout, CodeTimeout, "request timed out")
 	case errors.Is(err, context.Canceled):
 		// The client went away; the status is best-effort.
-		s.writeError(w, r, 499, CodeCanceled, "request canceled")
+		s.writeError(w, r, 499, codeCanceled, "request canceled")
 	default:
 		s.writeError(w, r, http.StatusBadRequest, CodeBadRequest, err.Error())
 	}
@@ -567,7 +567,7 @@ func (s *Server) mapError(w http.ResponseWriter, r *http.Request, err error) {
 func (s *Server) requireMethod(w http.ResponseWriter, r *http.Request, method string) bool {
 	if r.Method != method {
 		w.Header().Set("Allow", method)
-		s.writeError(w, r, http.StatusMethodNotAllowed, CodeMethodNotAllowed,
+		s.writeError(w, r, http.StatusMethodNotAllowed, codeMethodNotAllowed,
 			fmt.Sprintf("%s requires %s", r.URL.Path, method))
 		return false
 	}
@@ -578,7 +578,7 @@ func (s *Server) requireMethod(w http.ResponseWriter, r *http.Request, method st
 // reachable over an already-open keep-alive connection).
 func (s *Server) checkDraining(w http.ResponseWriter, r *http.Request) bool {
 	if s.draining.Load() {
-		s.writeError(w, r, http.StatusServiceUnavailable, CodeDraining, "server is draining")
+		s.writeError(w, r, http.StatusServiceUnavailable, codeDraining, "server is draining")
 		return false
 	}
 	return true
@@ -619,7 +619,7 @@ type compressRequest struct {
 // missing key is the caller's signal to train first). On failure the
 // error response has been written.
 func (s *Server) readCompressRequest(ctx context.Context, w http.ResponseWriter, r *http.Request) (compressRequest, bool) {
-	cfg, shard, err := ParseCompressQuery(r.URL.Query())
+	cfg, shard, err := parseCompressQuery(r.URL.Query())
 	if err != nil {
 		s.writeError(w, r, http.StatusBadRequest, CodeBadRequest, err.Error())
 		return compressRequest{}, false

@@ -74,7 +74,7 @@ func startService(t *testing.T, cfg server.Config) (*client.Client, *server.Serv
 
 // TestServiceConformanceE2E round-trips every conformance case through
 // a hosted service: the remote container must be byte-identical to an
-// in-process Compress+EncodeWire, and the remote decompression must be
+// in-process Compress+WriteWire, and the remote decompression must be
 // byte-identical to the in-process one.
 func TestServiceConformanceE2E(t *testing.T) {
 	c, _ := startService(t, server.Config{})

@@ -13,8 +13,8 @@ import (
 	"lzwtc/internal/bitvec"
 )
 
-// LFSR is a Fibonacci linear-feedback shift register over GF(2).
-type LFSR struct {
+// lfsr is a Fibonacci linear-feedback shift register over GF(2).
+type lfsr struct {
 	width int
 	taps  uint64 // tap mask; bit i set means state bit i feeds back
 	state uint64
@@ -30,9 +30,9 @@ var primitiveTaps = map[int]uint64{
 	64: 0xD800000000000000, // x^64 + x^63 + x^61 + x^60 + 1
 }
 
-// NewLFSR builds an LFSR of the given width with a known-primitive
+// newLFSR builds an LFSR of the given width with a known-primitive
 // polynomial (widths 8, 16, 24, 32, 64) or a caller-supplied tap mask.
-func NewLFSR(width int, taps uint64) (*LFSR, error) {
+func newLFSR(width int, taps uint64) (*lfsr, error) {
 	if width < 2 || width > 64 {
 		return nil, fmt.Errorf("signature: width %d out of range [2,64]", width)
 	}
@@ -46,17 +46,17 @@ func NewLFSR(width int, taps uint64) (*LFSR, error) {
 	if width < 64 && taps >= 1<<uint(width) {
 		return nil, fmt.Errorf("signature: taps %#x exceed width %d", taps, width)
 	}
-	return &LFSR{width: width, taps: taps}, nil
+	return &lfsr{width: width, taps: taps}, nil
 }
 
 // Width returns the register width.
-func (l *LFSR) Width() int { return l.width }
+func (l *lfsr) Width() int { return l.width }
 
 // State returns the current register contents.
-func (l *LFSR) State() uint64 { return l.state }
+func (l *lfsr) State() uint64 { return l.state }
 
 // Seed sets the register contents.
-func (l *LFSR) Seed(v uint64) {
+func (l *lfsr) Seed(v uint64) {
 	if l.width < 64 {
 		v &= 1<<uint(l.width) - 1
 	}
@@ -65,7 +65,7 @@ func (l *LFSR) Seed(v uint64) {
 
 // Step advances one clock with serial input bit in (0 or 1), returning
 // the bit shifted out.
-func (l *LFSR) Step(in uint64) uint64 {
+func (l *lfsr) Step(in uint64) uint64 {
 	out := l.state >> uint(l.width-1) & 1
 	fb := uint64(bits.OnesCount64(l.state&l.taps)&1) ^ (in & 1)
 	l.state = l.state<<1 | fb
@@ -79,13 +79,13 @@ func (l *LFSR) Step(in uint64) uint64 {
 // clock XORs one response word into the register alongside the linear
 // feedback.
 type MISR struct {
-	lfsr   *LFSR
+	lfsr   *lfsr
 	cycles int
 }
 
-// NewMISR builds a MISR of the given width (see NewLFSR for taps).
+// NewMISR builds a MISR of the given width (see newLFSR for taps).
 func NewMISR(width int, taps uint64) (*MISR, error) {
-	l, err := NewLFSR(width, taps)
+	l, err := newLFSR(width, taps)
 	if err != nil {
 		return nil, err
 	}
@@ -101,8 +101,8 @@ func (m *MISR) Reset() {
 	m.cycles = 0
 }
 
-// CaptureWord folds one parallel response word into the register.
-func (m *MISR) CaptureWord(word uint64) {
+// captureWord folds one parallel response word into the register.
+func (m *MISR) captureWord(word uint64) {
 	w := m.lfsr.width
 	fb := uint64(bits.OnesCount64(m.lfsr.state&m.lfsr.taps) & 1)
 	m.lfsr.state = m.lfsr.state<<1 | fb
@@ -128,7 +128,7 @@ func (m *MISR) Capture(resp *bitvec.Vector) error {
 			n = resp.Len() - pos
 		}
 		word, _ := resp.Chunk(pos, n)
-		m.CaptureWord(word)
+		m.captureWord(word)
 	}
 	return nil
 }

@@ -10,7 +10,7 @@ import (
 
 func TestLFSRMaximalLength(t *testing.T) {
 	// A primitive polynomial cycles through all 2^w - 1 nonzero states.
-	l, err := NewLFSR(8, 0)
+	l, err := newLFSR(8, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestLFSRMaximalLength(t *testing.T) {
 }
 
 func TestLFSRZeroStaysZeroWithoutInput(t *testing.T) {
-	l, _ := NewLFSR(16, 0)
+	l, _ := newLFSR(16, 0)
 	for i := 0; i < 10; i++ {
 		l.Step(0)
 	}
@@ -43,19 +43,19 @@ func TestLFSRZeroStaysZeroWithoutInput(t *testing.T) {
 }
 
 func TestNewLFSRErrors(t *testing.T) {
-	if _, err := NewLFSR(1, 0); err == nil {
+	if _, err := newLFSR(1, 0); err == nil {
 		t.Error("width 1 accepted")
 	}
-	if _, err := NewLFSR(65, 0); err == nil {
+	if _, err := newLFSR(65, 0); err == nil {
 		t.Error("width 65 accepted")
 	}
-	if _, err := NewLFSR(13, 0); err == nil {
+	if _, err := newLFSR(13, 0); err == nil {
 		t.Error("width without built-in polynomial accepted with taps=0")
 	}
-	if _, err := NewLFSR(13, 1<<13); err == nil {
+	if _, err := newLFSR(13, 1<<13); err == nil {
 		t.Error("oversized taps accepted")
 	}
-	if _, err := NewLFSR(13, 0x1B); err != nil {
+	if _, err := newLFSR(13, 0x1B); err != nil {
 		t.Errorf("custom taps rejected: %v", err)
 	}
 }

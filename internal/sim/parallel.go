@@ -14,9 +14,6 @@ type PVal struct {
 	One, Zero uint64
 }
 
-// PX returns 64 X values.
-func PX() PVal { return PVal{} }
-
 // FromBit broadcasts a scalar value to all 64 slots.
 func FromBit(b bitvec.Bit) PVal {
 	switch b {

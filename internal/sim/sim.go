@@ -175,45 +175,12 @@ func (s *State) evalOrder(inject func(int, bitvec.Bit) bitvec.Bit) {
 	}
 }
 
-// Observations copies the observation-point values (POs then PPOs) into
+// observations copies the observation-point values (POs then PPOs) into
 // a vector.
-func (s *State) Observations() *bitvec.Vector {
+func (s *State) observations() *bitvec.Vector {
 	out := bitvec.New(s.cb.ObsCount())
 	for i := 0; i < s.cb.ObsCount(); i++ {
 		out.Set(i, s.vals[s.cb.ObsAt(i)])
 	}
 	return out
-}
-
-// Sequential simulates the sequential circuit (non-scan) for a sequence
-// of primary-input vectors from the all-X initial state, returning the
-// primary-output vector per cycle. Used to sanity-check netlists.
-func Sequential(c *circuit.Circuit, inputs []*bitvec.Vector) ([]*bitvec.Vector, error) {
-	cb, err := circuit.NewComb(c)
-	if err != nil {
-		return nil, err
-	}
-	st := NewState(cb)
-	state := bitvec.New(len(c.DFFs)) // all X
-	var outs []*bitvec.Vector
-	for cyc, in := range inputs {
-		if in.Len() != len(c.Inputs) {
-			return nil, fmt.Errorf("sim: cycle %d input width %d, want %d", cyc, in.Len(), len(c.Inputs))
-		}
-		pattern := bitvec.Concat(in, state)
-		if err := st.Apply(pattern); err != nil {
-			return nil, err
-		}
-		po := bitvec.New(len(c.Outputs))
-		for i, o := range c.Outputs {
-			po.Set(i, st.Get(o))
-		}
-		outs = append(outs, po)
-		next := bitvec.New(len(c.DFFs))
-		for i, d := range c.DFFs {
-			next.Set(i, st.Get(c.Gates[d].Fanin[0]))
-		}
-		state = next
-	}
-	return outs, nil
 }

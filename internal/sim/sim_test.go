@@ -83,37 +83,6 @@ func TestApplyWidthCheck(t *testing.T) {
 	}
 }
 
-func TestSequentialS27(t *testing.T) {
-	c := circuit.S27()
-	ins := []*bitvec.Vector{
-		bitvec.MustParse("0000"),
-		bitvec.MustParse("1010"),
-		bitvec.MustParse("1111"),
-	}
-	outs, err := Sequential(c, ins)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(outs) != 3 {
-		t.Fatalf("cycles = %d", len(outs))
-	}
-	for i, o := range outs {
-		if o.Len() != 1 {
-			t.Fatalf("cycle %d output width %d", i, o.Len())
-		}
-	}
-	// Deterministic across runs.
-	outs2, _ := Sequential(c, ins)
-	for i := range outs {
-		if !outs[i].Equal(outs2[i]) {
-			t.Fatal("sequential sim not deterministic")
-		}
-	}
-	if _, err := Sequential(c, []*bitvec.Vector{bitvec.MustParse("00")}); err == nil {
-		t.Fatal("bad input width accepted")
-	}
-}
-
 // Property: parallel simulation slot i equals scalar simulation of
 // pattern i, for every gate.
 func TestQuickParallelMatchesScalar(t *testing.T) {
@@ -219,7 +188,7 @@ func TestObservations(t *testing.T) {
 	if err := st.Apply(bitvec.MustParse("0000000")); err != nil {
 		t.Fatal(err)
 	}
-	obs := st.Observations()
+	obs := st.observations()
 	if obs.Len() != 4 { // 1 PO + 3 PPO
 		t.Fatalf("obs len = %d", obs.Len())
 	}

@@ -118,40 +118,3 @@ func escapeHelp(s string) string {
 	}
 	return b.String()
 }
-
-// WriteText renders the snapshot as aligned human-readable text:
-// counters and gauges one per line, histograms with per-bucket
-// cumulative counts indented beneath their summary line.
-func (s Snapshot) WriteText(w io.Writer) error {
-	width := 0
-	for _, c := range s.Counters {
-		width = max(width, len(c.Name))
-	}
-	for _, g := range s.Gauges {
-		width = max(width, len(g.Name))
-	}
-	for _, c := range s.Counters {
-		if _, err := fmt.Fprintf(w, "%-*s %d\n", width, c.Name, c.Value); err != nil {
-			return err
-		}
-	}
-	for _, g := range s.Gauges {
-		if _, err := fmt.Fprintf(w, "%-*s %s\n", width, g.Name, formatBound(g.Value)); err != nil {
-			return err
-		}
-	}
-	for _, h := range s.Histograms {
-		if _, err := fmt.Fprintf(w, "%s count=%d sum=%s\n", h.Name, h.Count, formatBound(h.Sum)); err != nil {
-			return err
-		}
-		for _, b := range h.Buckets {
-			if b.Count == 0 {
-				continue
-			}
-			if _, err := fmt.Fprintf(w, "  le %s: %d\n", formatBound(b.UpperBound), b.Count); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}

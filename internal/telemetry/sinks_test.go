@@ -34,7 +34,7 @@ func checkGolden(t *testing.T, name string, got []byte) {
 // run: a compress run record, a per-pattern decomp record, and a
 // decompressor step.
 func goldenEvents(s Sink) {
-	rec := NewWithClock(nil, fakeClock(1500*time.Microsecond), s)
+	rec := newWithClock(nil, fakeClock(1500*time.Microsecond), s)
 	rec.Emit("compress.run",
 		F("empty", false),
 		F("ratio", 0.8069),
@@ -93,14 +93,6 @@ func TestPrometheusExpositionGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGolden(t, "metrics.prom.golden", buf.Bytes())
-}
-
-func TestTextExpositionGolden(t *testing.T) {
-	var buf bytes.Buffer
-	if err := goldenRegistry().Snapshot().WriteText(&buf); err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "metrics.text.golden", buf.Bytes())
 }
 
 func TestSnapshotJSONRoundTrip(t *testing.T) {

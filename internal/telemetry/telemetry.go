@@ -55,21 +55,21 @@ func (e Event) Field(key string) (any, bool) {
 // Sink consumes events. Sinks are driven under the Recorder's lock and
 // need no internal synchronization.
 //
-// A sink may additionally implement StepSink to opt out of the
+// A sink may additionally implement stepSink to opt out of the
 // high-volume per-step event stream; sinks without the method receive
 // everything.
 type Sink interface {
 	Emit(Event)
 }
 
-// StepSink is optionally implemented by sinks to declare whether they
+// stepSink is optionally implemented by sinks to declare whether they
 // consume per-step events (one per compressor iteration). A sink that
 // returns false still receives every event that is emitted, but a
 // recorder whose sinks all return false reports Tracing() == false, so
 // hot loops skip building step payloads entirely. The ring-buffer
 // TraceBuffer returns false; the text and JSONL sinks do not implement
 // the interface and so keep the full stream.
-type StepSink interface {
+type stepSink interface {
 	WantsSteps() bool
 }
 
@@ -96,15 +96,15 @@ type Recorder struct {
 // be absent: a metrics-only recorder passes no sinks, an events-only
 // recorder passes a nil registry.
 func New(reg *Registry, sinks ...Sink) *Recorder {
-	return NewWithClock(reg, time.Now, sinks...)
+	return newWithClock(reg, time.Now, sinks...)
 }
 
-// NewWithClock is New with an injected clock, for deterministic event
+// newWithClock is New with an injected clock, for deterministic event
 // timestamps in tests and golden files.
-func NewWithClock(reg *Registry, now func() time.Time, sinks ...Sink) *Recorder {
+func newWithClock(reg *Registry, now func() time.Time, sinks ...Sink) *Recorder {
 	r := &Recorder{reg: reg, sinks: sinks, now: now, start: now()}
 	for _, s := range sinks {
-		if ss, ok := s.(StepSink); ok && !ss.WantsSteps() {
+		if ss, ok := s.(stepSink); ok && !ss.WantsSteps() {
 			continue
 		}
 		r.tracing = true
@@ -117,7 +117,7 @@ func NewWithClock(reg *Registry, now func() time.Time, sinks ...Sink) *Recorder 
 func (r *Recorder) Enabled() bool { return r != nil }
 
 // Tracing reports whether per-step events have anywhere to go: at
-// least one sink that does not opt out via StepSink. Hot loops gate
+// least one sink that does not opt out via stepSink. Hot loops gate
 // the construction of expensive event payloads on this, so a
 // metrics-only recorder — or one feeding only the trace ring buffer —
 // never pays for step rendering.
@@ -162,9 +162,9 @@ func emitContained(r *Recorder, i int, s Sink, ev Event) {
 	s.Emit(ev)
 }
 
-// PhaseMetricName maps a span name to its registry histogram name,
+// phaseMetricName maps a span name to its registry histogram name,
 // normalizing separators to Prometheus-legal characters.
-func PhaseMetricName(span string) string {
+func phaseMetricName(span string) string {
 	b := []byte("lzwtc_phase_seconds_" + span)
 	for i := range b {
 		switch {

@@ -202,10 +202,10 @@ func TestRecorderEmitConcurrency(t *testing.T) {
 func TestSpanRecordsDurationAndEvent(t *testing.T) {
 	reg := NewRegistry()
 	var events []Event
-	rec := NewWithClock(reg, fakeClock(time.Millisecond), SinkFunc(func(ev Event) { events = append(events, ev) }))
+	rec := newWithClock(reg, fakeClock(time.Millisecond), SinkFunc(func(ev Event) { events = append(events, ev) }))
 	_, sp := rec.StartSpan(context.Background(), "compress")
 	sp.End(F("codes", 7))
-	h := reg.Histogram(PhaseMetricName("compress"), "", nil)
+	h := reg.Histogram(phaseMetricName("compress"), "", nil)
 	if h.Count() != 1 {
 		t.Fatalf("phase histogram count = %d, want 1", h.Count())
 	}
@@ -226,7 +226,7 @@ func TestSpanRecordsDurationAndEvent(t *testing.T) {
 }
 
 func TestPhaseMetricName(t *testing.T) {
-	if got := PhaseMetricName("decomp.pattern-3"); got != "lzwtc_phase_seconds_decomp_pattern_3" {
-		t.Fatalf("PhaseMetricName = %q", got)
+	if got := phaseMetricName("decomp.pattern-3"); got != "lzwtc_phase_seconds_decomp_pattern_3" {
+		t.Fatalf("phaseMetricName = %q", got)
 	}
 }

@@ -42,8 +42,8 @@ type SpanContext struct {
 	SpanID  SpanID
 }
 
-// Valid reports whether the context carries a real trace identity.
-func (sc SpanContext) Valid() bool { return sc.TraceID != 0 && sc.SpanID != 0 }
+// valid reports whether the context carries a real trace identity.
+func (sc SpanContext) valid() bool { return sc.TraceID != 0 && sc.SpanID != 0 }
 
 // String renders the context in the X-Lzwtc-Trace wire form
 // "<16 hex trace>-<16 hex span>".
@@ -68,7 +68,7 @@ func ParseSpanContext(s string) (SpanContext, bool) {
 	}
 	sid := SpanID(binary.BigEndian.Uint64(raw[:]))
 	sc := SpanContext{TraceID: tid, SpanID: sid}
-	if !sc.Valid() {
+	if !sc.valid() {
 		return SpanContext{}, false
 	}
 	return sc, true
@@ -88,7 +88,7 @@ func ContextWithSpan(ctx context.Context, sc SpanContext) context.Context {
 // ctx carries none.
 func SpanFromContext(ctx context.Context) (SpanContext, bool) {
 	sc, ok := ctx.Value(spanCtxKey{}).(SpanContext)
-	return sc, ok && sc.Valid()
+	return sc, ok && sc.valid()
 }
 
 // ContextWithRequestID returns ctx carrying a request ID, attached to
@@ -217,7 +217,7 @@ func (s *TraceSpan) End(fields ...Field) {
 	s.ended = true
 	end := s.r.now()
 	d := end.Sub(s.start)
-	s.r.reg.Histogram(PhaseMetricName(s.name), "phase duration in seconds", DurationBuckets()).
+	s.r.reg.Histogram(phaseMetricName(s.name), "phase duration in seconds", DurationBuckets()).
 		Observe(d.Seconds())
 	ev := make([]Field, 0, 8+len(fields))
 	ev = append(ev,

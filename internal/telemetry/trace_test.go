@@ -75,7 +75,7 @@ func traceClock() func() time.Time {
 
 func TestStartSpanParentChildLinkage(t *testing.T) {
 	var events []Event
-	rec := NewWithClock(NewRegistry(), traceClock(),
+	rec := newWithClock(NewRegistry(), traceClock(),
 		SinkFunc(func(ev Event) { events = append(events, ev) })).WithProcess("testproc")
 
 	ctx := ContextWithRequestID(context.Background(), "req-42")
@@ -120,7 +120,7 @@ func TestStartSpanParentChildLinkage(t *testing.T) {
 
 	// Ending a span observes the phase histogram under its name.
 	snap := rec.Registry().Snapshot()
-	if h, ok := snap.HistogramNamed(PhaseMetricName("child.phase")); !ok || h.Count != 1 {
+	if h, ok := snap.HistogramNamed(phaseMetricName("child.phase")); !ok || h.Count != 1 {
 		t.Fatalf("phase histogram for child.phase: ok=%v %+v", ok, h)
 	}
 
@@ -142,7 +142,7 @@ func TestStartSpanNilRecorderZeroCost(t *testing.T) {
 		t.Fatal("nil recorder returned a live span")
 	}
 	sp.End() // must not panic
-	if sp.Context().Valid() {
+	if sp.Context().valid() {
 		t.Fatal("nil span has a valid context")
 	}
 
@@ -249,7 +249,7 @@ func TestEmitPanicContainment(t *testing.T) {
 
 func TestJSONLSpanFieldOrder(t *testing.T) {
 	var buf bytes.Buffer
-	rec := NewWithClock(NewRegistry(), traceClock(), NewJSONLSink(&buf)).WithProcess("p1")
+	rec := newWithClock(NewRegistry(), traceClock(), NewJSONLSink(&buf)).WithProcess("p1")
 	ctx := ContextWithRequestID(context.Background(), "rid")
 	rctx, root := rec.StartSpan(ctx, "a.root")
 	_, child := rec.StartSpan(rctx, "a.child")

@@ -54,10 +54,10 @@ func FuzzWireDecode(f *testing.F) {
 			}
 			frames++
 			// A frame the reader accepted satisfies the format bounds.
-			if fr.Patterns <= 0 || fr.Patterns > MaxFramePatterns {
+			if fr.Patterns <= 0 || fr.Patterns > maxFramePatterns {
 				t.Fatalf("accepted frame with pattern count %d", fr.Patterns)
 			}
-			if len(fr.Codes) > MaxFrameCodes {
+			if len(fr.Codes) > maxFrameCodes {
 				t.Fatalf("accepted frame with %d codes", len(fr.Codes))
 			}
 			for _, c := range fr.Codes {
@@ -179,7 +179,7 @@ func FuzzPlanesDecode(f *testing.F) {
 	for _, n := range []int{0, 1, 3} {
 		f.Add(encodePlanes(f, hdr, buildSet(int64(n), n, hdr.Width, 0.5)))
 	}
-	typed := []error{ErrBadMagic, ErrVersion, ErrChecksum, ErrTruncated, ErrFrameType, ErrLimit, ErrPlanes, ErrTrailing, ErrDictFrame}
+	typed := []error{ErrBadMagic, ErrVersion, ErrChecksum, ErrTruncated, ErrFrameType, ErrLimit, errPlanes, errTrailing, ErrDictFrame}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		hdr, cs, err := ReadPlanes(bytes.NewReader(data))
 		if err != nil {

@@ -184,8 +184,8 @@ func checkPlanes(hdr Header, cs *bitvec.CubeSet) error {
 	if err := hdr.Cfg.Validate(); err != nil {
 		return err
 	}
-	if hdr.Width <= 0 || hdr.Width > MaxWidth {
-		return fmt.Errorf("wire: pattern width %d out of range [1,%d]", hdr.Width, MaxWidth)
+	if hdr.Width <= 0 || hdr.Width > maxWidth {
+		return fmt.Errorf("wire: pattern width %d out of range [1,%d]", hdr.Width, maxWidth)
 	}
 	if cs.Width != hdr.Width {
 		return fmt.Errorf("wire: set width %d differs from header width %d", cs.Width, hdr.Width)
@@ -195,8 +195,8 @@ func checkPlanes(hdr Header, cs *bitvec.CubeSet) error {
 			return fmt.Errorf("wire: cube %d has width %d, want %d", i, c.Len(), hdr.Width)
 		}
 	}
-	if per := framePatterns(hdr.Width); (len(cs.Cubes)+per-1)/per > MaxFrames {
-		return fmt.Errorf("wire: %d cubes need more than %d frames", len(cs.Cubes), MaxFrames)
+	if per := framePatterns(hdr.Width); (len(cs.Cubes)+per-1)/per > maxFrames {
+		return fmt.Errorf("wire: %d cubes need more than %d frames", len(cs.Cubes), maxFrames)
 	}
 	return nil
 }
@@ -205,8 +205,8 @@ func checkPlanes(hdr Header, cs *bitvec.CubeSet) error {
 // and the EOS frame, which must end the stream. Every failure is a
 // typed error: the header's own, ErrFrameType for a code frame ('F' or
 // 'D') or unknown marker, ErrLimit for a frame over the limits,
-// ErrChecksum, ErrTruncated, ErrPlanes for cube bits that break the
-// test-set invariants, and ErrTrailing for bytes after EOS.
+// ErrChecksum, ErrTruncated, errPlanes for cube bits that break the
+// test-set invariants, and errTrailing for bytes after EOS.
 func ReadPlanes(r io.Reader) (Header, *bitvec.CubeSet, error) {
 	wr, err := NewReader(r)
 	if err != nil {
@@ -240,7 +240,7 @@ func (r *Reader) readPlanes() (*bitvec.CubeSet, error) {
 			}
 			if _, err := r.r.ReadByte(); err != io.EOF {
 				if err == nil {
-					return nil, fmt.Errorf("%w after the EOS frame", ErrTrailing)
+					return nil, fmt.Errorf("%w after the EOS frame", errTrailing)
 				}
 				return nil, err
 			}
@@ -257,15 +257,15 @@ func (r *Reader) readPlanes() (*bitvec.CubeSet, error) {
 // for one cube wider than blk, a buffer grown as its bytes arrive),
 // verifies the CRC, then loads its cubes.
 func (r *Reader) readPlanesFrame(ld *bitvec.PlaneLoader, blk []byte) error {
-	if r.frames+1 > MaxFrames {
-		return fmt.Errorf("%w: more than %d frames", ErrLimit, MaxFrames)
+	if r.frames+1 > maxFrames {
+		return fmt.Errorf("%w: more than %d frames", ErrLimit, maxFrames)
 	}
 	count, consumed, err := readUvarint(r.r)
 	if err != nil {
 		return truncErr(err, fmt.Sprintf("planes frame %d pattern count", r.frames))
 	}
 	pb := bitvec.PlaneBytes(r.hdr.Width)
-	if count == 0 || count > MaxFramePatterns || count > 1 && count > uint64(planeBlockBytes/pb) {
+	if count == 0 || count > maxFramePatterns || count > 1 && count > uint64(planeBlockBytes/pb) {
 		return fmt.Errorf("%w: planes frame %d pattern count %d (width %d)", ErrLimit, r.frames, count, r.hdr.Width)
 	}
 	n := int(count) * pb
@@ -286,7 +286,7 @@ func (r *Reader) readPlanesFrame(ld *bitvec.PlaneLoader, blk []byte) error {
 		return err
 	}
 	if err := ld.Load(payload); err != nil {
-		return fmt.Errorf("%w: frame %d: %v", ErrPlanes, r.frames, err)
+		return fmt.Errorf("%w: frame %d: %v", errPlanes, r.frames, err)
 	}
 	r.frames++
 	r.patterns += int(count)

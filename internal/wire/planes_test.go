@@ -132,7 +132,7 @@ const planesPerByte = 8
 func TestPlanesHostileShapes(t *testing.T) {
 	two := buildSet(7, 4097, 64, 0.5) // two frames: 4096 cubes, then 1
 	twoMsg := encodePlanes(t, Header{Cfg: planesCfg, Width: 64}, two)
-	wideHdr := EncodeHeader(Header{Cfg: planesCfg, Width: MaxWidth})
+	wideHdr := EncodeHeader(Header{Cfg: planesCfg, Width: maxWidth})
 
 	onX := make([]byte, 16) // one 64-bit cube: value word, care word
 	onX[0] = 1              // value bit 0 set, care bit 0 clear
@@ -153,15 +153,15 @@ func TestPlanesHostileShapes(t *testing.T) {
 	}{
 		{"width 2^24, 10-byte body", wideHdr[:10], ErrTruncated},
 		{"width 2^24, one cube announced, few bytes", append(append(bytes.Clone(wideHdr), framePlanes, 1), make([]byte, 100)...), ErrTruncated},
-		{"frame claiming 2^24 patterns", append(EncodeHeader(Header{Cfg: planesCfg, Width: 64}), appendUvarint([]byte{framePlanes}, MaxFramePatterns)...), ErrLimit},
-		{"frame claiming 2^24+1 patterns", append(EncodeHeader(Header{Cfg: planesCfg, Width: 64}), appendUvarint([]byte{framePlanes}, MaxFramePatterns+1)...), ErrLimit},
+		{"frame claiming 2^24 patterns", append(EncodeHeader(Header{Cfg: planesCfg, Width: 64}), appendUvarint([]byte{framePlanes}, maxFramePatterns)...), ErrLimit},
+		{"frame claiming 2^24+1 patterns", append(EncodeHeader(Header{Cfg: planesCfg, Width: 64}), appendUvarint([]byte{framePlanes}, maxFramePatterns+1)...), ErrLimit},
 		{"frame over one block", planesMessage(64, 4097, planesFrame(4097, make([]byte, 4097*16))), ErrLimit},
 		{"empty frame", planesMessage(64, 0, planesFrame(0, nil)), ErrLimit},
-		{"value bit on an X", planesMessage(64, 1, planesFrame(1, onX)), ErrPlanes},
-		{"bit beyond width", planesMessage(60, 1, planesFrame(1, beyond)), ErrPlanes},
+		{"value bit on an X", planesMessage(64, 1, planesFrame(1, onX)), errPlanes},
+		{"bit beyond width", planesMessage(60, 1, planesFrame(1, beyond)), errPlanes},
 		{"flipped payload byte", flipped, ErrChecksum},
 		{"flipped CRC byte", flippedCRC, ErrChecksum},
-		{"trailing bytes", append(bytes.Clone(twoMsg), 0), ErrTrailing},
+		{"trailing bytes", append(bytes.Clone(twoMsg), 0), errTrailing},
 		{"code frame in a planes message", planesMessage(64, 1, codeFrame), ErrFrameType},
 		{"dict frame in a planes message", planesMessage(64, 0, encodeDictRef(DictRef{})), ErrFrameType},
 		{"EOS totals off", append(EncodeHeader(Header{Cfg: planesCfg, Width: 64}), encodeEOS(0, 1)...), ErrTruncated},

@@ -60,11 +60,11 @@ import (
 	"lzwtc/internal/core"
 )
 
-// Magic is the 4-byte container signature.
-var Magic = [4]byte{'L', 'Z', 'W', 'W'}
+// containerMagic is the 4-byte container signature.
+var containerMagic = [4]byte{'L', 'Z', 'W', 'W'}
 
-// Version is the current format version. Readers reject anything newer.
-const Version = 1
+// formatVersion is the current format version. Readers reject anything newer.
+const formatVersion = 1
 
 // Typed decode errors. Wrapped errors carry position detail; test with
 // errors.Is. A truncation also wraps its cause: io.ErrUnexpectedEOF when
@@ -85,17 +85,17 @@ var (
 	ErrFrameType = errors.New("wire: unknown frame type")
 	// ErrLimit reports a length field exceeding the format's hard bounds.
 	ErrLimit = errors.New("wire: length field exceeds format limit")
-	// ErrClosed reports a write to a closed Writer.
-	ErrClosed = errors.New("wire: writer closed")
+	// errClosed reports a write to a closed Writer.
+	errClosed = errors.New("wire: writer closed")
 	// ErrDictFrame reports a misplaced or repeated dictionary-reference
 	// frame, or one on a FullReset container (a frame boundary resets
 	// the dictionary, so a preload reference is meaningless there).
 	ErrDictFrame = errors.New("wire: invalid dictionary reference frame")
-	// ErrPlanes reports cube planes that break the test-set invariants:
+	// errPlanes reports cube planes that break the test-set invariants:
 	// a value bit set on a don't-care, or a bit at or beyond the width.
-	ErrPlanes = errors.New("wire: invalid cube planes")
-	// ErrTrailing reports bytes after the EOS frame of a planes message.
-	ErrTrailing = errors.New("wire: trailing bytes")
+	errPlanes = errors.New("wire: invalid cube planes")
+	// errTrailing reports bytes after the EOS frame of a planes message.
+	errTrailing = errors.New("wire: trailing bytes")
 	// ErrConfig reports a checksum-valid header whose configuration no
 	// compressor can have written: an unknown policy, or a Config that
 	// fails core.Config.Validate.
@@ -110,22 +110,22 @@ const (
 	framePlanes = 'P'
 )
 
-// DictRefLen is the byte length of each content address in a
+// dictRefLen is the byte length of each content address in a
 // dictionary-reference frame (SHA-256).
-const DictRefLen = 32
+const dictRefLen = 32
 
 // DictRef names a shared preloaded dictionary by content address: Key
 // locates it in a dictionary store, Digest (SHA-256 of the canonical
 // LZWD blob) proves the resolved dictionary is the one the compressor
 // used.
 type DictRef struct {
-	Key    [DictRefLen]byte
-	Digest [DictRefLen]byte
+	Key    [dictRefLen]byte
+	Digest [dictRefLen]byte
 }
 
 // encodeDictRef renders the dictionary-reference region.
 func encodeDictRef(ref DictRef) []byte {
-	b := make([]byte, 0, 1+2*DictRefLen+4)
+	b := make([]byte, 0, 1+2*dictRefLen+4)
 	b = append(b, frameDict)
 	b = append(b, ref.Key[:]...)
 	b = append(b, ref.Digest[:]...)
@@ -137,16 +137,16 @@ func encodeDictRef(ref DictRef) []byte {
 // (the paper's largest set is ~200k bits) while keeping a hostile
 // header from requesting gigabytes.
 const (
-	// MaxWidth bounds the pattern width carried in the header.
-	MaxWidth = 1 << 24
-	// MaxFramePatterns bounds one frame's pattern count.
-	MaxFramePatterns = 1 << 24
-	// MaxFrameCodes bounds one frame's code count.
-	MaxFrameCodes = 1 << 26
-	// MaxFrameInputBits bounds one frame's unpadded input length.
-	MaxFrameInputBits = 1 << 30
-	// MaxFrames bounds the container's frame count.
-	MaxFrames = 1 << 20
+	// maxWidth bounds the pattern width carried in the header.
+	maxWidth = 1 << 24
+	// maxFramePatterns bounds one frame's pattern count.
+	maxFramePatterns = 1 << 24
+	// maxFrameCodes bounds one frame's code count.
+	maxFrameCodes = 1 << 26
+	// maxFrameInputBits bounds one frame's unpadded input length.
+	maxFrameInputBits = 1 << 30
+	// maxFrames bounds the container's frame count.
+	maxFrames = 1 << 20
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -189,8 +189,8 @@ const maxHeaderBytes = 4 + 1 + 7*binary.MaxVarintLen64 + 4
 // appendHeader appends the header region to b.
 func appendHeader(b []byte, h Header) []byte {
 	start := len(b)
-	b = append(b, Magic[:]...)
-	b = append(b, Version)
+	b = append(b, containerMagic[:]...)
+	b = append(b, formatVersion)
 	b = appendUvarint(b, uint64(h.Cfg.CharBits))
 	b = appendUvarint(b, uint64(h.Cfg.DictSize))
 	b = appendUvarint(b, uint64(h.Cfg.EntryBits))
@@ -242,7 +242,7 @@ const maxCodeBits = 24
 // count or width must produce a typed error, never a giant allocation,
 // an index panic or a code wider than the format allows.
 func unpackCodes(data []byte, n, cb int) ([]core.Code, error) {
-	if n < 0 || n > MaxFrameCodes {
+	if n < 0 || n > maxFrameCodes {
 		return nil, fmt.Errorf("%w: code count %d", ErrLimit, n)
 	}
 	if cb <= 0 || cb > maxCodeBits {
@@ -279,8 +279,8 @@ func NewWriter(w io.Writer, hdr Header) (*Writer, error) {
 	if err := hdr.Cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if hdr.Width <= 0 || hdr.Width > MaxWidth {
-		return nil, fmt.Errorf("wire: pattern width %d out of range [1,%d]", hdr.Width, MaxWidth)
+	if hdr.Width <= 0 || hdr.Width > maxWidth {
+		return nil, fmt.Errorf("wire: pattern width %d out of range [1,%d]", hdr.Width, maxWidth)
 	}
 	if _, err := w.Write(EncodeHeader(hdr)); err != nil {
 		return nil, err
@@ -300,7 +300,7 @@ func (w *Writer) WriteDictRef(ref DictRef) error {
 		return w.err
 	}
 	if w.closed {
-		return ErrClosed
+		return errClosed
 	}
 	if w.wroteDict {
 		return fmt.Errorf("%w: already written", ErrDictFrame)
@@ -327,19 +327,19 @@ func (w *Writer) WriteFrame(f *Frame) error {
 		return w.err
 	}
 	if w.closed {
-		return ErrClosed
+		return errClosed
 	}
-	if f.Patterns <= 0 || f.Patterns > MaxFramePatterns {
-		return fmt.Errorf("wire: frame pattern count %d out of range [1,%d]", f.Patterns, MaxFramePatterns)
+	if f.Patterns <= 0 || f.Patterns > maxFramePatterns {
+		return fmt.Errorf("wire: frame pattern count %d out of range [1,%d]", f.Patterns, maxFramePatterns)
 	}
-	if f.InputBits < 0 || f.InputBits > MaxFrameInputBits {
-		return fmt.Errorf("wire: frame input bits %d out of range [0,%d]", f.InputBits, MaxFrameInputBits)
+	if f.InputBits < 0 || f.InputBits > maxFrameInputBits {
+		return fmt.Errorf("wire: frame input bits %d out of range [0,%d]", f.InputBits, maxFrameInputBits)
 	}
-	if len(f.Codes) > MaxFrameCodes {
-		return fmt.Errorf("wire: frame code count %d exceeds %d", len(f.Codes), MaxFrameCodes)
+	if len(f.Codes) > maxFrameCodes {
+		return fmt.Errorf("wire: frame code count %d exceeds %d", len(f.Codes), maxFrameCodes)
 	}
-	if w.frames+1 > MaxFrames {
-		return fmt.Errorf("wire: frame count exceeds %d", MaxFrames)
+	if w.frames+1 > maxFrames {
+		return fmt.Errorf("wire: frame count exceeds %d", maxFrames)
 	}
 	for i, c := range f.Codes {
 		if int(c) >= w.hdr.Cfg.DictSize {
@@ -364,7 +364,7 @@ func (w *Writer) WriteResult(res *core.Result, patterns int) error {
 	return w.WriteFrame(&Frame{Patterns: patterns, InputBits: res.InputBits, Codes: res.Codes})
 }
 
-// Close writes the EOS frame. Further writes fail with ErrClosed;
+// Close writes the EOS frame. Further writes fail with errClosed;
 // closing twice is a no-op.
 func (w *Writer) Close() error {
 	if w.err != nil {
@@ -438,7 +438,7 @@ func readHeader(br byteReader) (Header, error) {
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
 		return Header{}, truncErr(err, "magic")
 	}
-	if magic != Magic {
+	if magic != containerMagic {
 		return Header{}, ErrBadMagic
 	}
 	version, err := br.ReadByte()
@@ -447,8 +447,8 @@ func readHeader(br byteReader) (Header, error) {
 	}
 	raw = append(raw, magic[:]...)
 	raw = append(raw, version)
-	if version != Version {
-		return Header{}, fmt.Errorf("%w: got %d, support <= %d", ErrVersion, version, Version)
+	if version != formatVersion {
+		return Header{}, fmt.Errorf("%w: got %d, support <= %d", ErrVersion, version, formatVersion)
 	}
 
 	var fields [7]uint64
@@ -481,7 +481,7 @@ func readHeader(br byteReader) (Header, error) {
 	if err := hdr.Cfg.Validate(); err != nil {
 		return Header{}, fmt.Errorf("%w: %w", ErrConfig, err)
 	}
-	if hdr.Width <= 0 || hdr.Width > MaxWidth {
+	if hdr.Width <= 0 || hdr.Width > maxWidth {
 		return Header{}, fmt.Errorf("%w: pattern width %d", ErrLimit, hdr.Width)
 	}
 	return hdr, nil
@@ -565,7 +565,7 @@ func (r *Reader) readDictFrame(raw []byte) error {
 	if r.hdr.Cfg.Full == core.FullReset {
 		return fmt.Errorf("%w: FullReset container cannot reference a dictionary", ErrDictFrame)
 	}
-	var body [2 * DictRefLen]byte
+	var body [2 * dictRefLen]byte
 	if n, err := io.ReadFull(r.r, body[:]); err != nil {
 		return truncErr(err, fmt.Sprintf("dict frame body: got %d of %d bytes", n, len(body)))
 	}
@@ -574,15 +574,15 @@ func (r *Reader) readDictFrame(raw []byte) error {
 		return err
 	}
 	ref := &DictRef{}
-	copy(ref.Key[:], body[:DictRefLen])
-	copy(ref.Digest[:], body[DictRefLen:])
+	copy(ref.Key[:], body[:dictRefLen])
+	copy(ref.Digest[:], body[dictRefLen:])
 	r.dictRef = ref
 	return nil
 }
 
 func (r *Reader) readDataFrame(raw []byte) (*Frame, error) {
-	if r.frames+1 > MaxFrames {
-		return nil, fmt.Errorf("%w: more than %d frames", ErrLimit, MaxFrames)
+	if r.frames+1 > maxFrames {
+		return nil, fmt.Errorf("%w: more than %d frames", ErrLimit, maxFrames)
 	}
 	var fields [3]uint64
 	for i := range fields {
@@ -594,13 +594,13 @@ func (r *Reader) readDataFrame(raw []byte) (*Frame, error) {
 		raw = append(raw, consumed...)
 	}
 	patterns, inputBits, nCodes := fields[0], fields[1], fields[2]
-	if patterns == 0 || patterns > MaxFramePatterns {
+	if patterns == 0 || patterns > maxFramePatterns {
 		return nil, fmt.Errorf("%w: frame %d pattern count %d", ErrLimit, r.frames, patterns)
 	}
-	if inputBits > MaxFrameInputBits {
+	if inputBits > maxFrameInputBits {
 		return nil, fmt.Errorf("%w: frame %d input bits %d", ErrLimit, r.frames, inputBits)
 	}
-	if nCodes > MaxFrameCodes {
+	if nCodes > maxFrameCodes {
 		return nil, fmt.Errorf("%w: frame %d code count %d", ErrLimit, r.frames, nCodes)
 	}
 	payloadLen := (int(nCodes)*r.cb + 7) / 8

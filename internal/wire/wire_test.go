@@ -281,7 +281,7 @@ func TestTypedErrors(t *testing.T) {
 	}
 
 	ver := bytes.Clone(data)
-	ver[4] = Version + 1
+	ver[4] = formatVersion + 1
 	if _, _, err := decodeContainer(ver); !errors.Is(err, ErrVersion) {
 		t.Fatalf("version: got %v", err)
 	}
@@ -318,7 +318,7 @@ func TestWriterMisuse(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.WriteFrame(&Frame{Patterns: 1, InputBits: 4, Codes: []core.Code{1}}); !errors.Is(err, ErrClosed) {
+	if err := w.WriteFrame(&Frame{Patterns: 1, InputBits: 4, Codes: []core.Code{1}}); !errors.Is(err, errClosed) {
 		t.Fatalf("write after close: got %v, want ErrClosed", err)
 	}
 	if err := w.Close(); err != nil {
@@ -361,7 +361,7 @@ func TestUnpackCodesHostileInputs(t *testing.T) {
 		want error
 	}{
 		{"negative count", -1, 12, data, ErrLimit},
-		{"count above MaxFrameCodes", MaxFrameCodes + 1, 12, data, ErrLimit},
+		{"count above MaxFrameCodes", maxFrameCodes + 1, 12, data, ErrLimit},
 		{"zero width", 4, 0, data, ErrLimit},
 		{"negative width", 4, -8, data, ErrLimit},
 		{"width above 64", 4, 65, data, ErrLimit},
@@ -369,7 +369,7 @@ func TestUnpackCodesHostileInputs(t *testing.T) {
 		{"width one above the format bound", 4, maxCodeBits + 1, data, ErrLimit},
 		{"count larger than payload", 32, 12, data, ErrTruncated},
 		{"widest code, one byte short", 5, maxCodeBits, data[:5*maxCodeBits/8-1], ErrTruncated},
-		{"huge count within limit, empty payload", MaxFrameCodes, maxCodeBits, nil, ErrTruncated},
+		{"huge count within limit, empty payload", maxFrameCodes, maxCodeBits, nil, ErrTruncated},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
