@@ -85,13 +85,15 @@ batch-bench:
 
 # Kernel smoke: the bit-sliced findChildMasked microbenchmarks
 # (Gosper-favored, chain-favored, all-X, TieWidest shapes), the exact
-# probe-table lookup they are measured against, and the decoder on both
+# probe-table lookup they are measured against, the decoder on both
 # string-fetch paths (one-word packed column, >64-bit and unbounded
-# parent walk) must run clean. Regression gating rides the grid gate
-# below — the chain-heavy and paper-default grid cases cover the same
-# shapes.
+# parent walk), and the twelve Table-3 profiles through Compress
+# (BenchmarkCompressPaperMix, without and with a registry recorder)
+# must run clean. Regression gating rides the grid gate below — the
+# chain-heavy and paper-default grid cases cover the same shapes.
 kernel-bench:
 	$(GO) test -run='^$$' -bench='BenchmarkFindChild(Masked|Exact)|BenchmarkDecompress$$' -benchtime=$(BENCHTIME) ./internal/core
+	$(GO) test -run='^$$' -bench='BenchmarkCompressPaperMix' -benchtime=$(BENCHTIME) .
 
 # Stream-codec smoke: the word-parallel cube-text parse and render, the
 # aligned serialize/deserialize copier, and the wire code packers must

@@ -8,6 +8,7 @@ package lzwtc
 // evaluation. Absolute rows are printed by `go run ./cmd/experiments`.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -18,6 +19,7 @@ import (
 	"lzwtc/internal/core"
 	"lzwtc/internal/experiments"
 	"lzwtc/internal/report"
+	"lzwtc/internal/telemetry"
 )
 
 func benchTable(b *testing.B, run func() (*report.Table, error), metricCol int, metric string) {
@@ -85,6 +87,44 @@ func BenchmarkFigure5HardwareCycleTrace(b *testing.B) {
 
 func BenchmarkFigure6MemoryReuse(b *testing.B) {
 	benchTable(b, experiments.Figure6, 0, "")
+}
+
+// BenchmarkCompressPaperMix compresses the twelve Table-3 profiles, each
+// at its own dictionary size under the default configuration, through
+// Compress as lzwtcd runs it: with no recorder, and with a recorder on a
+// metrics registry. One op is the whole mix; ns/char is over its
+// characters (every pattern padded to a character boundary).
+func BenchmarkCompressPaperMix(b *testing.B) {
+	type input struct {
+		ts  *TestSet
+		cfg Config
+	}
+	var mix []input
+	chars := 0
+	for _, p := range bench.Profiles() {
+		cfg := DefaultConfig()
+		cfg.DictSize = p.DictSize
+		ts := p.Generate()
+		mix = append(mix, input{ts, cfg})
+		chars += len(ts.Cubes) * cfg.PaddedWidth(ts.Width) / cfg.CharBits
+	}
+	for _, rc := range []struct {
+		name string
+		rec  *telemetry.Recorder
+	}{{"nil", nil}, {"registry", telemetry.New(telemetry.NewRegistry())}} {
+		b.Run(rc.name, func(b *testing.B) {
+			ctx := context.Background()
+			b.ReportAllocs()
+			for range b.N {
+				for _, in := range mix {
+					if _, err := Compress(ctx, in.ts, in.cfg, Options{Recorder: rc.rec}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*chars), "ns/char")
+		})
+	}
 }
 
 // --- Ablations -----------------------------------------------------------
@@ -215,13 +255,12 @@ func BenchmarkAblationPreload(b *testing.B) {
 	half := len(cs.Cubes) / 2
 	trainSet := &bitvec.CubeSet{Width: cs.Width, Cubes: cs.Cubes[:half]}
 	paySet := &bitvec.CubeSet{Width: cs.Width, Cubes: cs.Cubes[half:]}
-	train := trainSet.SerializeAligned(cfg.CharBits)
 	payload := paySet.SerializeAligned(cfg.CharBits)
 	orig := paySet.TotalBits()
 
 	var cold, warm float64
 	for i := 0; i < b.N; i++ {
-		pre, err := core.Train(train, cfg, 0)
+		pre, err := core.TrainSet(trainSet, cfg, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

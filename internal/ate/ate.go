@@ -38,12 +38,6 @@ func (t Tester) Validate() error {
 	return nil
 }
 
-// fits reports whether a test set of the given volume fits the vector
-// memory.
-func (t Tester) fits(bits int) bool {
-	return t.VectorMemBits == 0 || bits <= t.VectorMemBits
-}
-
 // DownloadTime returns the wall-clock time to deliver the given number
 // of tester cycles (for raw scan-in, cycles == bits).
 func (t Tester) DownloadTime(cycles int) time.Duration {

@@ -17,16 +17,6 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-func TestFits(t *testing.T) {
-	tr := Tester{ClockHz: 1e6, VectorMemBits: 1000}
-	if !tr.fits(1000) || tr.fits(1001) {
-		t.Fatal("Fits boundary wrong")
-	}
-	if !(Tester{ClockHz: 1e6}).fits(1 << 40) {
-		t.Fatal("unlimited memory should always fit")
-	}
-}
-
 func TestTiming(t *testing.T) {
 	tr := Tester{ClockHz: 1e6}
 	if got := tr.DownloadTime(2_000_000); got != 2*time.Second {

@@ -164,6 +164,10 @@ func compressInternal(ctx context.Context, cs *bitvec.CubeSet, cfg Config, pre *
 	e.traceStep(buffer, cs.Cubes[0], 0, nil, nil)
 
 	tieOldest := cfg.Tie == TieOldest
+	// The all-X walk jumps only when every dictionary string fits one
+	// word, so a whole path's span of characters fits the one care-plane
+	// window xRun reads. A traced run steps, one Figure 3 event a step.
+	jumps := tieOldest && packsStrings(cfg) && !e.tracing
 	// Loop-local mirrors of the result fields the hot path touches every
 	// character: appending through res.Codes and bumping res.Stats fields
 	// through the pointer defeats register allocation; these live in
@@ -175,29 +179,63 @@ func compressInternal(ctx context.Context, cs *bitvec.CubeSet, cfg Config, pre *
 	resFills = res.Stats.ResidualFills // first char may have residual-filled
 	maxChars, dictSize := d.maxChars, d.cfg.DictSize
 	direct := d.directBlocks
-	// The per-character chunk extraction is written out against the raw
-	// plane words (same contract as Vector.Chunk: bit pos+j at result bit
-	// j, X past the end). Every iteration of the match loop pays it, and
-	// the call + re-validation overhead of Chunk measurably shows next to
-	// the bit-sliced child kernel. pos < Width holds for every character
-	// start, so only the high word needs a bounds check; a shift by 64
-	// when off == 0 drops out as zero in Go. The walk starts at cube 0's
-	// second character.
+	// The scan starts at cube 0's second character.
 	pos := cc
 	for _, cube := range cs.Cubes {
 		valw, carew := cube.Planes()
 		for ; pos < width; pos += cc {
-			w, off := pos>>6, uint(pos&63)
-			val := valw[w] >> off & fullMask
-			care := carew[w] >> off & fullMask
-			if off+uint(cc) > 64 {
-				// Straddling word boundary — never taken when cc divides 64.
-				var hv, hc uint64
-				if w+1 < len(valw) {
-					hv, hc = valw[w+1], carew[w+1]
+			val, care := charAt(valw, carew, pos, cc, fullMask)
+			if care == 0 && tieOldest {
+				// The all-X walk (DESIGN.md §15): under TieOldest an all-X
+				// character always takes Buffer's oldest child, so a run of
+				// them follows the oldest-child path with no dispatch, until a
+				// cared character, a code without children (a leaf, often one
+				// at the C_MDATA bound) or the cube's end. Each step is one
+				// Figure 3 match. When the run covers the rest of the path,
+				// the walk jumps to its leaf in one oldest-column lookup;
+				// otherwise it steps, one chain-header load per character,
+				// tracing and oracle-checking each step as the dispatch below
+				// would (an oracle build replays a jump's steps). The
+				// character that stops the walk goes to the dispatch.
+				if jumps {
+					if xbits := xRun(carew, pos); xbits >= minJumpChars*cc {
+						if op, ok := d.oldestWithin(buffer, xbits/cc); ok && pos+int(op.depth-1)*cc < width {
+							from := buffer
+							buffer = op.leaf
+							bufLen += int(op.depth)
+							dynFills += int(op.depth)
+							if dictOracle {
+								d.checkJump(from, buffer, int(op.depth), fullMask)
+							}
+							if pos += int(op.depth) * cc; pos >= width {
+								break
+							}
+							val, care = charAt(valw, carew, pos, cc, fullMask)
+						}
+					}
 				}
-				val |= hv << (64 - off) & fullMask
-				care |= hc << (64 - off) & fullMask
+				for care == 0 {
+					ch := d.chain[buffer]
+					if ch.count == 0 {
+						break
+					}
+					if dictOracle {
+						d.checkRef(buffer, 0, 0, fullMask, ch.first, true)
+					}
+					buffer = ch.first
+					bufLen++
+					dynFills++
+					if e.tracing {
+						e.traceStep(buffer, cube, pos, nil, nil)
+					}
+					if pos += cc; pos >= width {
+						break
+					}
+					val, care = charAt(valw, carew, pos, cc, fullMask)
+				}
+				if pos >= width {
+					break
+				}
 			}
 			// Dispatch straight to the matcher arm: findChild is only the
 			// exact-vs-masked split plus the oracle cross-check, and its call
@@ -208,17 +246,16 @@ func compressInternal(ctx context.Context, cs *bitvec.CubeSet, cfg Config, pre *
 			if care == fullMask {
 				child, ok = d.lookupChild(buffer, val)
 			} else if tieOldest {
-				// TieOldest fast arms, sharing one chain-header load. All-X
-				// characters resolve positionally from the header alone and
-				// don't flip the dictionary into eager plane maintenance;
-				// single-block chains (the overwhelming shape) run the
-				// bit-sliced kernel right here, skipping the call. Longer
-				// chains and pre-sync dictionaries take the full path.
+				// TieOldest fast arm. An all-X character gets here only at a
+				// code without children, where the walk above stopped, so it
+				// misses on the count check and never flips the dictionary
+				// into eager plane maintenance. Single-block chains (the
+				// overwhelming shape) run the bit-sliced kernel right here,
+				// skipping the call. Longer chains and pre-sync dictionaries
+				// take the full path.
 				ch := d.chain[buffer]
 				if ch.count == 0 || val&^care != 0 {
 					// no children, or val demands bits outside its care mask
-				} else if care == 0 {
-					child, ok = ch.first, true
 				} else if d.anyMasked && int(ch.count) <= blockLanes {
 					// Under the direct block layout the plane and lane-code
 					// addresses come from the code itself, so these loads issue
@@ -350,6 +387,47 @@ func compressInternal(ctx context.Context, cs *bitvec.CubeSet, cfg Config, pre *
 	msp.End(telemetry.F("chars", nChars), telemetry.F("codes", len(res.Codes)))
 	recordCompressRun(rec, res.Stats)
 	return res, nil
+}
+
+// charAt reads the three-valued character at bit pos of a cube's value
+// and care plane words: the contract of Vector.Chunk (bit pos+j at
+// result bit j, X past the end) without its call and re-validation.
+// The match loop reading through Chunk instead measured 26 % slower on
+// BenchmarkCompressPaperMix (16 interleaved pairs). A CPU profile
+// charges about a quarter of the loop to these loads, but unpacking a
+// cube's characters into a buffer first measured no faster, so that
+// share is skid from the chain-header load that waits on them. pos <
+// Width holds for every character start, so only the high word needs a
+// bounds check; a shift by 64 when off == 0 drops out as zero in Go.
+// The straddle is never taken when C_C divides 64.
+func charAt(valw, carew []uint64, pos, cc int, fullMask uint64) (val, care uint64) {
+	w, off := pos>>6, uint(pos&63)
+	val = valw[w] >> off & fullMask
+	care = carew[w] >> off & fullMask
+	if off+uint(cc) > 64 && w+1 < len(valw) {
+		val |= valw[w+1] << (64 - off) & fullMask
+		care |= carew[w+1] << (64 - off) & fullMask
+	}
+	return val, care
+}
+
+// minJumpChars is the shortest run of all-X characters on which the
+// all-X walk looks up the oldest column. Shorter runs save few
+// chain-header loads by a jump, and on streams whose X bits are
+// scattered, where short runs are the rule, the column lookups cost
+// more than the jumps save.
+const minJumpChars = 4
+
+// xRun returns the number of don't-care bits from bit pos of a cube up
+// to its next cared bit, counting bits past the end as don't-cares; 64
+// when the 64 bits from pos are all don't-cares.
+func xRun(carew []uint64, pos int) int {
+	w, off := pos>>6, uint(pos&63)
+	win := carew[w] >> off
+	if off != 0 && w+1 < len(carew) {
+		win |= carew[w+1] << (64 - off)
+	}
+	return bits.TrailingZeros64(win)
 }
 
 type encoder struct {

@@ -36,7 +36,7 @@ func TestCubeSetMatchesSerializePath(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for cc := 1; cc <= 16; cc++ {
 		cfg := Config{CharBits: cc, DictSize: 1<<uint(cc) + 48, EntryBits: 64}
-		pre, err := Train(randomCube(rng, 40*cc+300, 0.7), cfg, 16)
+		pre, err := TrainSet(oneCube(randomCube(rng, 40*cc+300, 0.7)), cfg, 16)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,7 +154,7 @@ func TestMaxOutputBitsBoundsDecode(t *testing.T) {
 	} {
 		pres := []*Preload{nil}
 		if cfg.Full == FullFreeze {
-			pre, err := Train(randomCube(rng, 400, 0.9), cfg, 8)
+			pre, err := TrainSet(oneCube(randomCube(rng, 400, 0.9)), cfg, 8)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -119,7 +119,7 @@ func TestDecodeMatchesReference(t *testing.T) {
 				cfg := Config{CharBits: cc, DictSize: 1<<uint(cc) + 48, EntryBits: eb, Full: full}
 				pres := []*Preload{nil}
 				if full == FullFreeze {
-					pre, err := Train(randomCube(rng, 40*cc+300, 0.8), cfg, 16)
+					pre, err := TrainSet(oneCube(randomCube(rng, 40*cc+300, 0.8)), cfg, 16)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -116,7 +116,7 @@ func markSpecified(val, care []uint64, n int) {
 
 // decode replays a code stream through d — the one Figure 4 decoder
 // loop, shared by decompression (out = the sink over the output cubes)
-// and Train's dictionary rebuild (out = nil) — and returns the
+// and TrainSet's dictionary rebuild (out = nil) — and returns the
 // number of output bits the codes expand to. Per code it applies the
 // pending dictionary add, resolves the not-yet-defined case (Figure 4f)
 // and checks the stream; only the final fetch-and-write step depends on

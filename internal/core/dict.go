@@ -131,6 +131,19 @@ type dict struct {
 	// re-decides lazily.
 	tableLive bool
 
+	// oldest[c] records code c's oldest-child path, c → chain[c].first →
+	// …, as a code on the path and its distance from c. A record ends at
+	// the path's leaf when it is written; once that code gets a child,
+	// commitAdd records the child in the code's own entry, and
+	// oldestWithin follows the records on to the leaf. The compressor's
+	// all-X walk jumps a run of all-X characters to the leaf with it
+	// (compress.go). Like the probe table it is lazy: while pathLive is
+	// false the column is garbage and commitAdd skips it; an epoch's first
+	// jump attempt builds it (buildOldest). reset and reinit clear
+	// pathLive, so a decoder, which never walks, never pays for it.
+	oldest   []oldPath
+	pathLive bool
+
 	// ref is the retained map-based matcher, maintained and cross-checked
 	// against every lookup under the lzwtc_dictoracle build tag (nil
 	// otherwise).
@@ -166,6 +179,14 @@ type chainHdr struct {
 	tail  int32
 	count int32
 	first Code
+}
+
+// oldPath is one record of the oldest column: a code on the record
+// owner's oldest-child path, and the number of steps to it (0 for the
+// owner itself).
+type oldPath struct {
+	leaf  Code
+	depth int32
 }
 
 const noCode = ^Code(0)
@@ -315,6 +336,7 @@ func (d *dict) reinit(cfg Config) {
 	d.noChildIndex = false
 	d.anyMasked = false
 	d.tableLive = false
+	d.pathLive = false
 	if dictOracle {
 		d.ref = newRefMatcher(cfg)
 	}
@@ -404,6 +426,7 @@ func (d *dict) reset() {
 			d.chain[c].count = 0
 		}
 		d.tableLive = false
+		d.pathLive = false
 		d.usedBlk = d.overflowBase
 		if dictOracle {
 			d.ref.reset()
@@ -518,6 +541,12 @@ func (d *dict) commitAdd(parent Code, char uint64) Code {
 	if h.count == 0 {
 		h.first = c
 	}
+	if d.pathLive {
+		d.oldest[c] = oldPath{leaf: c}
+		if h.count == 0 {
+			d.oldest[parent] = oldPath{leaf: c, depth: 1}
+		}
+	}
 	hb := &d.blkHdr[tb]
 	ln := hb.len
 	d.blkCodes[int(tb)*blockLanes+int(ln)] = c
@@ -573,6 +602,48 @@ func (d *dict) growChain(parent Code, tb int32) int32 {
 	}
 	h.tail = nb
 	return nb
+}
+
+// buildOldest computes every live code's oldest-child path from the
+// chains. A child's code is always above its parent's (codes ascend
+// within an epoch, and literals sit below every string code), so one
+// descending sweep meets every oldest child before its parent.
+func (d *dict) buildOldest() {
+	if cap(d.oldest) < len(d.parent) {
+		d.oldest = make([]oldPath, len(d.parent))
+	}
+	d.oldest = d.oldest[:len(d.parent)]
+	for c := d.next; c > 0; {
+		c--
+		if ch := d.chain[c]; ch.count == 0 {
+			d.oldest[c] = oldPath{leaf: c}
+		} else {
+			p := d.oldest[ch.first]
+			d.oldest[c] = oldPath{leaf: p.leaf, depth: p.depth + 1}
+		}
+	}
+	d.pathLive = true
+}
+
+// oldestWithin returns code c's oldest-child path and true when the
+// path takes between 1 and most steps. The first call of an epoch
+// builds the column. A record may end short of the path's leaf, at a
+// code that has since got children; that code's own record leads on,
+// and the chase writes its progress back.
+func (d *dict) oldestWithin(c Code, most int) (oldPath, bool) {
+	if !d.pathLive {
+		d.buildOldest()
+	}
+	op := d.oldest[c]
+	for int(op.depth) <= most {
+		if d.chain[op.leaf].count == 0 {
+			return op, op.depth != 0
+		}
+		nx := d.oldest[op.leaf]
+		op = oldPath{leaf: nx.leaf, depth: op.depth + nx.depth}
+		d.oldest[c] = op
+	}
+	return op, false
 }
 
 // syncPlanes transposes the lanes appended since the block's last sync
@@ -727,6 +798,23 @@ func (d *dict) checkRef(code Code, val, care, fullMask uint64, c Code, ok bool) 
 	invariant.Check(rok == ok && (!ok || rc == c),
 		"core: flat matcher diverges from reference at code %d (val=%#x care=%#x): flat=(%d,%v) ref=(%d,%v)",
 		code, val, care, c, ok, rc, rok)
+}
+
+// checkJump replays a jump of the compressor's all-X walk under the
+// lzwtc_dictoracle build tag: each of its steps from code from is an
+// all-X lookup the reference matcher must answer with the oldest child,
+// the steps must end at the code the jump landed on, and that code must
+// have no child.
+func (d *dict) checkJump(from, to Code, steps int, fullMask uint64) {
+	code := from
+	for range steps {
+		first := d.chain[code].first
+		d.checkRef(code, 0, 0, fullMask, first, true)
+		code = first
+	}
+	invariant.Check(code == to,
+		"core: all-X jump from %d over %d steps lands at %d, its steps at %d", from, steps, to, code)
+	d.checkRef(to, 0, 0, fullMask, noCode, false)
 }
 
 // blockMatch is the match kernel: it returns the lanes of plane block b,

@@ -18,7 +18,7 @@ import (
 //
 // Strings must be prefix-closed in order: each string is inserted by
 // walking existing entries and must extend the dictionary by exactly its
-// last character (Train produces exactly this form).
+// last character (TrainSet produces exactly this form).
 type Preload struct {
 	Strings [][]uint64
 }
@@ -83,12 +83,6 @@ func (d *dict) preload(p *Preload) error {
 		d.commitAdd(cur, last)
 	}
 	return nil
-}
-
-// Train builds a preload dictionary from a training stream, a one-cube
-// TrainSet.
-func Train(stream *bitvec.Vector, cfg Config, maxEntries int) (*Preload, error) {
-	return TrainSet(oneCube(stream), cfg, maxEntries)
 }
 
 // TrainSet builds a preload dictionary from a training set: it

@@ -12,7 +12,7 @@ func TestTrainProducesPrefixClosedStrings(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	stream := randomCube(rng, 8000, 0.85)
 	cfg := Config{CharBits: 4, DictSize: 256, EntryBits: 32}
-	pre, err := Train(stream, cfg, 0)
+	pre, err := TrainSet(oneCube(stream), cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestTrainMaxEntries(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	stream := randomCube(rng, 8000, 0.85)
 	cfg := Config{CharBits: 4, DictSize: 256, EntryBits: 32}
-	pre, err := Train(stream, cfg, 10)
+	pre, err := TrainSet(oneCube(stream), cfg, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestPreloadRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	cfg := Config{CharBits: 4, DictSize: 512, EntryBits: 32}
 	train := randomCube(rng, 12000, 0.85)
-	pre, err := Train(train, cfg, 200)
+	pre, err := TrainSet(oneCube(train), cfg, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestPreloadImprovesSimilarPayload(t *testing.T) {
 			payload.Set(i, b)
 		}
 	}
-	pre, err := Train(train, cfg, 0)
+	pre, err := TrainSet(oneCube(train), cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestPreloadErrors(t *testing.T) {
 	}
 	// FullReset incompatibility.
 	rcfg := Config{CharBits: 2, DictSize: 16, EntryBits: 8, Full: FullReset}
-	if _, err := Train(bitvec.MustParse("0101"), rcfg, 0); err == nil {
+	if _, err := TrainSet(oneCube(bitvec.MustParse("0101")), rcfg, 0); err == nil {
 		t.Error("training with FullReset accepted")
 	}
 	pre := &Preload{Strings: [][]uint64{{1, 2}}}
@@ -140,7 +140,7 @@ func TestQuickPreloadRoundTrip(t *testing.T) {
 		cfg := Config{CharBits: 3, DictSize: 64, EntryBits: 12}
 		train := randomCube(rng, rng.Intn(3000), 0.8)
 		payload := randomCube(rng, rng.Intn(2000), 0.8)
-		pre, err := Train(train, cfg, 0)
+		pre, err := TrainSet(oneCube(train), cfg, 0)
 		if err != nil {
 			return false
 		}

@@ -325,7 +325,7 @@ func TestHardwarePreloadMatchesSoftware(t *testing.T) {
 	cfg := core.Config{CharBits: 4, DictSize: 128, EntryBits: 32}
 	train := randomCube(rng, 6000, 0.85)
 	payload := randomCube(rng, 4000, 0.85)
-	pre, err := core.Train(train, cfg, 0)
+	pre, err := core.TrainSet(&bitvec.CubeSet{Width: train.Len(), Cubes: []*bitvec.Vector{train}}, cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 // Package dictstore is the shared-dictionary cache tier: a
 // content-addressed store of trained preload dictionaries
 // (core.Preload), so repeat traffic over the same training corpus pays
-// core.Train once per fleet instead of once per request.
+// core.TrainSet once per fleet instead of once per request.
 //
 // Three layers compose:
 //
@@ -140,7 +140,7 @@ func BlobDigest(blob []byte) Digest {
 //	         | CRC32C over the entry region
 //
 // Each preload string extends exactly one earlier string (or literal)
-// by its final character — the invariant core.Train guarantees — so an
+// by its final character — the invariant core.TrainSet guarantees — so an
 // entry is just that (parent, char) edge: the blob grows with the
 // dictionary, not with the sum of string lengths, the same don't-care
 // structural compression ReducedLUT applies to precomputed tables.

@@ -15,7 +15,7 @@ func testConfig() core.Config {
 
 // testPreload is a small prefix-closed dictionary in creation order:
 // every string extends a literal or an earlier string by one character,
-// the exact shape core.Train emits.
+// the exact shape core.TrainSet emits.
 func testPreload() *core.Preload {
 	return &core.Preload{Strings: [][]uint64{
 		{1, 2},

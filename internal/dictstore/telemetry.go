@@ -19,7 +19,7 @@ const (
 	// metricDiskBytes gauges the blob bytes currently in the disk
 	// index.
 	metricDiskBytes = "lzwtc_dictstore_disk_bytes"
-	// metricTrains counts actual core.Train executions through the
+	// metricTrains counts actual core.TrainSet executions through the
 	// singleflight gate — under concurrent misses on one key this
 	// advances once, which the concurrency suite asserts.
 	metricTrains = "lzwtc_dictstore_trains_total"

@@ -174,13 +174,3 @@ func (s *State) evalOrder(inject func(int, bitvec.Bit) bitvec.Bit) {
 		s.vals[id] = v
 	}
 }
-
-// observations copies the observation-point values (POs then PPOs) into
-// a vector.
-func (s *State) observations() *bitvec.Vector {
-	out := bitvec.New(s.cb.ObsCount())
-	for i := 0; i < s.cb.ObsCount(); i++ {
-		out.Set(i, s.vals[s.cb.ObsAt(i)])
-	}
-	return out
-}

@@ -181,18 +181,3 @@ func BenchmarkParallelApply(b *testing.B) {
 		}
 	}
 }
-
-func TestObservations(t *testing.T) {
-	cb, _ := circuit.NewComb(circuit.S27())
-	st := NewState(cb)
-	if err := st.Apply(bitvec.MustParse("0000000")); err != nil {
-		t.Fatal(err)
-	}
-	obs := st.observations()
-	if obs.Len() != 4 { // 1 PO + 3 PPO
-		t.Fatalf("obs len = %d", obs.Len())
-	}
-	if obs.XCount() != 0 {
-		t.Fatal("concrete pattern produced X observations")
-	}
-}
