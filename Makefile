@@ -2,7 +2,7 @@ GO ?= go
 FUZZTIME ?= 10s
 BENCHTIME ?= 1x
 
-.PHONY: build fmt vet vet-concurrency test race lzwtcvet lzwtcvet-baseline dict-oracle fuzz telemetry-overhead trace-overhead batch-bench kernel-bench text-bench bench-json bench-gate bench-module cover lzwtcd-smoke loadgen-smoke api-count verify
+.PHONY: build fmt vet vet-concurrency test race lzwtcvet lzwtcvet-baseline dict-oracle poison fuzz telemetry-overhead trace-overhead batch-bench kernel-bench text-bench bench-json bench-gate bench-module cover lzwtcd-smoke loadgen-smoke api-count verify
 
 build:
 	$(GO) build ./...
@@ -48,6 +48,14 @@ vet-concurrency:
 # proof for the flat child index.
 dict-oracle:
 	$(GO) test -tags=lzwtc_dictoracle ./internal/core ./internal/parallel
+
+# Recycled-memory poison: under this build tag Release fills the plane
+# words it hands back with value bits on don't-cares and zeroes the
+# headers, and the slab pool poisons every slab it hands out, so a use
+# after release, or a reader that takes fresh memory to be zero, fails
+# the service, planes, async-job, differential and conformance suites.
+poison:
+	$(GO) test -tags=lzwtc_poison . ./internal/server ./internal/wire ./internal/bitvec ./internal/parallel ./internal/jobs ./internal/slab
 
 # Bounded fuzz smoke: each target gets FUZZTIME of coverage-guided
 # input on top of its checked-in seed corpus.
@@ -144,4 +152,4 @@ bench-module:
 api-count:
 	sh scripts/api_count.sh
 
-verify: build fmt vet vet-concurrency test race lzwtcvet lzwtcvet-baseline dict-oracle fuzz telemetry-overhead trace-overhead batch-bench kernel-bench text-bench bench-module cover lzwtcd-smoke loadgen-smoke api-count
+verify: build fmt vet vet-concurrency test race lzwtcvet lzwtcvet-baseline dict-oracle poison fuzz telemetry-overhead trace-overhead batch-bench kernel-bench text-bench bench-module cover lzwtcd-smoke loadgen-smoke api-count

@@ -314,7 +314,7 @@ func (c *Client) Compress(ctx context.Context, ts *lzwtc.TestSet, cfg lzwtc.Conf
 		return nil, err
 	}
 	defer resp.Body.Close() //nolint:errcheck // fully drained below
-	return c.readBounded(resp.Body)
+	return c.readBounded(resp)
 }
 
 // planesBody renders ts as a planes message under cfg, the request body
@@ -334,12 +334,25 @@ func planesBody(ts *lzwtc.TestSet, cfg lzwtc.Config) ([]byte, error) {
 	return body.Bytes(), nil
 }
 
-// readBounded buffers r up to Options.MaxResponseBytes and errors
-// loudly past it: a misbehaving (or impersonated) service must not be
-// able to grow the client's heap without limit.
-func (c *Client) readBounded(r io.Reader) ([]byte, error) {
+// readBounded buffers a reply body up to Options.MaxResponseBytes and
+// errors loudly past it: a misbehaving (or impersonated) service must
+// not be able to grow the client's heap without limit. A reply that
+// states its length is read into one buffer of that size, and one that
+// states a length over the cap fails before any read.
+func (c *Client) readBounded(resp *http.Response) ([]byte, error) {
 	limit := c.opts.MaxResponseBytes
-	data, err := io.ReadAll(io.LimitReader(r, limit+1))
+	n := resp.ContentLength
+	if n > limit {
+		return nil, c.capError()
+	}
+	if n >= 0 {
+		data := make([]byte, n)
+		if _, err := io.ReadFull(resp.Body, data); err != nil {
+			return nil, err
+		}
+		return data, nil
+	}
+	data, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
 	if err != nil {
 		return nil, err
 	}
@@ -396,7 +409,7 @@ func (c *Client) Metrics(ctx context.Context) (string, error) {
 		return "", err
 	}
 	defer resp.Body.Close() //nolint:errcheck // fully drained below
-	data, err := c.readBounded(resp.Body)
+	data, err := c.readBounded(resp)
 	return string(data), err
 }
 

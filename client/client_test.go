@@ -262,3 +262,28 @@ func TestResponseBodyCap(t *testing.T) {
 		t.Fatalf("Metrics body missing exposition content: %q", body)
 	}
 }
+
+// TestStatedLengthOverCapFailsBeforeReading: a reply whose
+// Content-Length is over Options.MaxResponseBytes fails with the cap
+// error at once, without waiting for a body the service never finishes.
+func TestStatedLengthOverCapFailsBeforeReading(t *testing.T) {
+	release := make(chan struct{})
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Length", "1048576")
+		_, _ = w.Write([]byte("lzwtcd_metric 1\n"))
+		w.(http.Flusher).Flush()
+		select {
+		case <-release:
+		case <-r.Context().Done():
+		}
+	}))
+	defer srv.Close()
+	defer close(release)
+
+	c := client.New(srv.URL, client.Options{MaxResponseBytes: 1024})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if _, err := c.Metrics(ctx); err == nil || !strings.Contains(err.Error(), "client cap") {
+		t.Fatalf("Metrics with a stated 1 MiB body over a 1 KiB cap: err = %v, want the cap error", err)
+	}
+}

@@ -53,7 +53,7 @@ func (c *Client) FetchDict(ctx context.Context, key string) ([]byte, error) {
 		return nil, err
 	}
 	defer resp.Body.Close() //nolint:errcheck // fully drained below
-	return c.readBounded(resp.Body)
+	return c.readBounded(resp)
 }
 
 // PushDict uploads a locally produced LZWD blob under its store key.

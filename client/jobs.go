@@ -65,7 +65,7 @@ func (c *Client) JobResult(ctx context.Context, id string) ([]byte, error) {
 		return nil, err
 	}
 	defer resp.Body.Close() //nolint:errcheck // fully drained below
-	return c.readBounded(resp.Body)
+	return c.readBounded(resp)
 }
 
 // CancelJob requests cancellation and returns the job's status after

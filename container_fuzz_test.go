@@ -233,7 +233,8 @@ const (
 // Decompress and DecodeWireResult then Result.Decompress. Each call must
 // return a typed error or a well-formed set, and allocate no more than
 // containerOverhead plus containerPerByte per byte, however large the
-// shape the container claims.
+// shape the container claims. Every set decoded is released, so later
+// inputs decode into recycled memory.
 func FuzzContainerDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("LZWW\x01"))
@@ -262,6 +263,7 @@ func FuzzContainerDecode(f *testing.F) {
 			t.Fatalf("Decompress allocated %d bytes for a %d-byte container", n, len(data))
 		}
 		checkDecoded(t, data, set, err)
+		set.Release()
 
 		var res *Result
 		if n := allocBytes(func() { res, err = DecodeWireResult(data) }); n > limit {
@@ -275,6 +277,7 @@ func FuzzContainerDecode(f *testing.F) {
 			t.Fatalf("Result.Decompress allocated %d bytes for a %d-byte container", n, len(data))
 		}
 		checkDecoded(t, data, set, err)
+		set.Release()
 	})
 }
 

@@ -21,9 +21,10 @@ import (
 	"io"
 	"math/bits"
 	"slices"
-	"sync"
+	"unsafe"
 
 	"lzwtc/internal/invariant"
+	"lzwtc/internal/slab"
 )
 
 // Bit is a three-valued logic bit.
@@ -506,6 +507,10 @@ func concat(vs ...*Vector) *Vector {
 type CubeSet struct {
 	Width int
 	Cubes []*Vector
+	// arena holds the memory the set's own cubes were cut from; nil for
+	// a set whose cubes were all made elsewhere (Add, or a literal over
+	// another set's cubes).
+	arena *cubeArena
 }
 
 // NewCubeSet returns an empty cube set of the given pattern width.
@@ -583,58 +588,228 @@ func DeserializeAligned(stream *Vector, width, charBits int) (*CubeSet, error) {
 	return cs, nil
 }
 
-// MakeCubeSet returns a set of count all-X cubes of the given width. The
-// count is known, so every cube comes from one arena chunk: three
-// allocations per set instead of three per cube. A decoder fills the
-// cubes in place through Planes, keeping the Vector invariants.
+// MakeCubeSet returns a set of count all-X cubes of the given width,
+// cut from the set's arena. A decoder fills the cubes in place through
+// Planes, keeping the Vector invariants.
 func MakeCubeSet(width, count int) *CubeSet {
 	cs := NewCubeSet(width)
 	if count <= 0 {
 		return cs
 	}
-	a := cubeArena{width: width, chunk: count}
-	cs.Cubes = make([]*Vector, count)
+	a := &cubeArena{width: width, left: count, spine: slab.Get[*Vector](count)}
+	cs.arena, cs.Cubes = a, a.spine
 	for i := range cs.Cubes {
 		cs.Cubes[i] = a.next()
 	}
 	return cs
 }
 
-// cubeArena hands out the cubes of one set from shared backing arrays:
-// a chunk of Vector headers and a chunk of plane words, chunk cubes per
-// chunk. Each plane is cut with a 3-index slice, so no cube can grow
-// into its neighbour. Cubes are short, so the cache-set note in New
-// does not apply. The arena never frees: at most one partly used chunk
-// is wasted per set.
-type cubeArena struct {
-	width  int
-	chunk  int      // cubes per chunk
-	vecs   []Vector // unused headers of the current chunk
-	planes []uint64 // unused plane words of the current chunk
+// newCube appends a fresh all-X cube from the set's arena and returns
+// it.
+func (cs *CubeSet) newCube() *Vector {
+	cs.grow(1)
+	v := cs.own().next()
+	cs.Cubes = append(cs.Cubes, v)
+	return v
 }
 
-// arenaChunkBytes sizes the plane chunk of a set whose cube count is
-// not known in advance, so unused plane space is bounded per set.
-const arenaChunkBytes = 8 << 10
+// own returns the set's arena, making it on first use.
+func (cs *CubeSet) own() *cubeArena {
+	if cs.arena == nil {
+		cs.arena = &cubeArena{width: cs.Width}
+	}
+	return cs.arena
+}
 
-// newCubeArena returns an arena for a set of unknown size: plane chunks
-// of about arenaChunkBytes, or one cube per chunk for wider cubes.
-func newCubeArena(width int) cubeArena {
-	words := 2 * ((width + 63) / 64)
-	return cubeArena{width: width, chunk: max(1, arenaChunkBytes/(8*words))}
+// grow makes room in Cubes for n more cubes. A new backing array comes
+// from the slab pool and is the arena's; the one it replaces goes back
+// when it was the arena's too.
+func (cs *CubeSet) grow(n int) {
+	if cap(cs.Cubes)-len(cs.Cubes) >= n {
+		return
+	}
+	a := cs.own()
+	spine := slab.Get[*Vector](max(len(cs.Cubes)+n, 2*cap(cs.Cubes), minSpine))[:len(cs.Cubes)]
+	copy(spine, cs.Cubes)
+	if a.spine != nil && unsafe.SliceData(a.spine) == unsafe.SliceData(cs.Cubes) {
+		putSpine(a.spine)
+	}
+	a.spine, cs.Cubes = spine, spine
+}
+
+// AppendSet moves o's cubes to the end of cs, together with the memory
+// o's arena drew, so that releasing cs releases both. o is left empty.
+func (cs *CubeSet) AppendSet(o *CubeSet) {
+	if len(cs.Cubes) == 0 && cs.arena == nil {
+		// Nothing to merge with: cs takes o over as it is.
+		cs.Cubes, cs.arena, o.Cubes, o.arena = o.Cubes, o.arena, nil, nil
+		return
+	}
+	cs.grow(len(o.Cubes))
+	cs.Cubes = append(cs.Cubes, o.Cubes...)
+	if oa := o.arena; oa != nil {
+		a := cs.own()
+		a.vecChunks = append(a.vecChunks, oa.vecChunks...)
+		a.planeChunks = append(a.planeChunks, oa.planeChunks...)
+		if oa.spine != nil {
+			putSpine(oa.spine)
+		}
+		*oa = cubeArena{}
+	}
+	o.Cubes, o.arena = nil, nil
+}
+
+// Release hands the memory the set's arena drew back to the slab pool.
+// Call it once nothing can still read or write the set's cubes: from
+// then on they belong to whoever draws that memory next. Release is a
+// no-op on a nil set, on a set already released, and on a set that owns
+// no cubes (one built with Add, or a literal over another set's cubes).
+// A set that shares a released set's cubes, such as
+// &CubeSet{Width: w, Cubes: cs.Cubes[:k]}, is a misuse.
+//
+// A set that is never released costs nothing more than one partly used
+// chunk of each kind: the GC takes its memory as it does any other.
+func (cs *CubeSet) Release() {
+	if cs == nil || cs.arena == nil {
+		return
+	}
+	a := cs.arena
+	// The cubes stay listed but can no longer be appended to: the array
+	// they sit in is the pool's now.
+	cs.Cubes, cs.arena = cs.Cubes[:len(cs.Cubes):len(cs.Cubes)], nil
+	for _, p := range a.planeChunks {
+		if poison {
+			poisonPlanes(p[:cap(p)], a.width)
+		}
+		slab.Put(p)
+	}
+	for _, v := range a.vecChunks {
+		if poison {
+			clear(v[:cap(v)])
+		}
+		slab.Put(v)
+	}
+	if a.spine != nil {
+		putSpine(a.spine)
+	}
+	*a = cubeArena{}
+}
+
+// putSpine puts back a Cubes backing array. Under lzwtc_poison it is
+// zeroed first, so a reader still holding it finds no cubes.
+func putSpine(s []*Vector) {
+	if poison {
+		clear(s[:cap(s)])
+	}
+	slab.Put(s)
+}
+
+// poisonPlanes fills a released plane chunk of width-bit cubes with
+// value bits on don't-cares, the one state no Vector may hold.
+func poisonPlanes(p []uint64, width int) {
+	w := (width + 63) / 64
+	for i := range p {
+		if i%(2*w) < w {
+			p[i] = ^uint64(0)
+		} else {
+			p[i] = 0
+		}
+	}
+}
+
+const (
+	// planeChunkWords is the plane words of an arena chunk of a set of
+	// unknown size: 8 KiB, eight cubes of 4096 bits or more of narrower
+	// ones. Wider cubes take chunks outside the pool.
+	planeChunkWords = 1 << 10
+	// maxPlaneChunkWords and maxVecChunk cap the chunks of a set of
+	// known size.
+	maxPlaneChunkWords = 8 * planeChunkWords
+	maxVecChunk        = 1 << 9
+	// minSpine is the least Cubes capacity a set grows to.
+	minSpine = 1 << 6
+)
+
+// cubeArena hands out the cubes of one set from chunks drawn from the
+// slab pool: chunks of Vector headers and chunks of plane words, each a
+// slab class size. Each plane is cut with a 3-index slice, so no cube
+// can grow into its neighbour. Cubes are short, so the cache-set note
+// in New does not apply. The arena records every chunk it drew, and
+// Release returns them. A set of unknown size draws chunks of one size;
+// a set of known size draws the largest chunks its cubes still fill, so
+// it takes few chunks. Either way at most one partly used chunk of each
+// kind is wasted per set.
+type cubeArena struct {
+	width  int
+	left   int      // cubes still to come when the count is known, else 0
+	vecs   []Vector // unused headers of the current chunk
+	planes []uint64 // unused plane words of the current chunk
+	// spine is the pooled backing array of the set's Cubes, nil until
+	// the set grows one.
+	spine       []*Vector
+	vecChunks   [][]Vector
+	planeChunks [][]uint64
 }
 
 // next returns a fresh all-X cube of the arena's width.
 func (a *cubeArena) next() *Vector {
 	w := (a.width + 63) / 64
 	if len(a.vecs) == 0 {
-		a.vecs = make([]Vector, a.chunk)
-		a.planes = make([]uint64, 2*w*a.chunk)
+		a.vecs = slab.Get[Vector](a.chunkLen(vecChunk(2*w), maxVecChunk, 1))
+		a.vecChunks = append(a.vecChunks, a.vecs)
+	}
+	if len(a.planes) < 2*w {
+		a.planes = a.drawPlanes(2 * w)
 	}
 	v, p := &a.vecs[0], a.planes
 	a.vecs, a.planes = a.vecs[1:], p[2*w:]
+	if a.left > 0 {
+		a.left--
+	}
 	*v = Vector{n: a.width, val: p[:w:w], care: p[w : 2*w : 2*w]}
 	return v
+}
+
+// drawPlanes returns a zeroed plane chunk for cubes of per words each.
+func (a *cubeArena) drawPlanes(per int) []uint64 {
+	if per > planeChunkWords/8 {
+		// Cubes this wide would leave up to an eighth of a pooled chunk
+		// unused: their chunks are cut to measure and left to the GC.
+		n := max(1, planeChunkWords/per)
+		if a.left > 0 {
+			n = min(n, a.left)
+		}
+		return make([]uint64, per*n)
+	}
+	p := slab.Get[uint64](a.chunkLen(planeChunkWords, maxPlaneChunkWords, per))
+	// A recycled chunk holds its last set's cubes.
+	clear(p)
+	a.planeChunks = append(a.planeChunks, p)
+	return p
+}
+
+// vecChunk is the Vector headers of a chunk of a set of unknown size,
+// for cubes of per plane words: the largest power of two no more than
+// the cubes one plane chunk holds, and at least 64. Empty cubes (per 0)
+// count as cubes of one-word planes.
+func vecChunk(per int) int {
+	return max(1<<6, 1<<(bits.Len(uint(max(1, planeChunkWords/max(per, 2))))-1))
+}
+
+// chunkLen is the length of the next chunk, in elements at per elements
+// a cube: unit for a set of unknown size; for one of known size, the
+// largest class size up to most that the cubes still to come fill, or
+// all they need when that is less than unit (Get rounds it up to a
+// class: the one partly used chunk).
+func (a *cubeArena) chunkLen(unit, most, per int) int {
+	if a.left == 0 {
+		return unit
+	}
+	need := a.left * per
+	if need <= unit {
+		return need
+	}
+	return 1 << (bits.Len(uint(min(need, most))) - 1)
 }
 
 // blockBytes is the unit cube text moves in: ReadCubes reads into a
@@ -643,13 +818,10 @@ func (a *cubeArena) next() *Vector {
 // write straight through instead of cutting it into 4 KiB steps.
 const blockBytes = 64 << 10
 
-// blockPool recycles text blocks. Every pooled block has length
-// blockBytes plus 8 bytes of slack for putText's last lane store; a
-// buffer the scanner grows for a long line is never put back.
-var blockPool = sync.Pool{New: func() any {
-	b := make([]byte, blockBytes+8)
-	return &b
-}}
+// blockSlab is the length of the slab WriteCubes renders into:
+// blockBytes plus 8 bytes of slack for putText's last lane store.
+// ReadCubes reads through a slab of blockBytes.
+const blockSlab = blockBytes + 8
 
 // maxLineBytes caps one cube-text line; the scanner grows its buffer on
 // demand up to this size.
@@ -660,12 +832,13 @@ const maxLineBytes = 1 << 24
 // equal width. The scanner reads through a pooled block, and each line
 // is parsed straight into the set's cube arena.
 func ReadCubes(r io.Reader) (*CubeSet, error) {
-	blk := blockPool.Get().(*[]byte)
-	defer blockPool.Put(blk)
+	// Only this slab goes back to the pool; a buffer the scanner grows
+	// for a long line is left to the GC.
+	blk := slab.Get[byte](blockBytes)
+	defer slab.Put(blk)
 	sc := bufio.NewScanner(r)
-	sc.Buffer((*blk)[:blockBytes:blockBytes], maxLineBytes)
+	sc.Buffer(blk, maxLineBytes)
 	var cs *CubeSet
-	var arena cubeArena
 	line := 0
 	for sc.Scan() {
 		line++
@@ -674,9 +847,10 @@ func ReadCubes(r io.Reader) (*CubeSet, error) {
 			continue
 		}
 		if cs == nil {
-			cs, arena = NewCubeSet(len(s)), newCubeArena(len(s))
+			cs = NewCubeSet(len(s))
 		}
 		if len(s) != cs.Width {
+			cs.Release()
 			// A bad character outranks the width mismatch.
 			v, err := parseText(s)
 			if err == nil {
@@ -684,13 +858,14 @@ func ReadCubes(r io.Reader) (*CubeSet, error) {
 			}
 			return nil, fmt.Errorf("line %d: %w", line, err)
 		}
-		v := arena.next()
+		v := cs.newCube()
 		if i := parseInto(v.val, v.care, s); i >= 0 {
+			cs.Release()
 			return nil, fmt.Errorf("line %d: %w", line, badChar(s[i], i))
 		}
-		cs.Cubes = append(cs.Cubes, v)
 	}
 	if err := sc.Err(); err != nil {
+		cs.Release()
 		return nil, err
 	}
 	if cs == nil {
@@ -703,9 +878,8 @@ func ReadCubes(r io.Reader) (*CubeSet, error) {
 // are rendered into a pooled block, and w gets one Write per full block
 // of blockBytes, plus one for the rest.
 func (cs *CubeSet) WriteCubes(w io.Writer) error {
-	blk := blockPool.Get().(*[]byte)
-	defer blockPool.Put(blk)
-	buf, n := *blk, 0
+	buf, n := slab.Get[byte](blockSlab), 0
+	defer slab.Put(buf)
 	for _, c := range cs.Cubes {
 		// Each step renders whole lanes up to the block's end, or the
 		// line's newline. A lane store may spill up to 7 characters

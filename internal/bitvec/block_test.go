@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"testing/iotest"
+
+	"lzwtc/internal/slab"
 )
 
 // Tests for the block I/O under ReadCubes and WriteCubes: text moves in
@@ -107,13 +109,14 @@ func TestReadCubesLinesAroundBlockSize(t *testing.T) {
 		}
 	}
 	// After lines that grew the scanner's buffer, the pool still hands
-	// out blocks of the fixed size: a grown buffer is never put back.
+	// out text blocks of the fixed size: a grown buffer is never put
+	// back.
 	for i := 0; i < 4; i++ {
-		blk := blockPool.Get().(*[]byte)
-		if len(*blk) != blockBytes+8 {
-			t.Fatalf("pooled block has %d bytes, want %d", len(*blk), blockBytes+8)
+		blk := slab.Get[byte](blockBytes)
+		if len(blk) != blockBytes || cap(blk) != blockBytes {
+			t.Fatalf("pooled block has %d/%d bytes, want %d", len(blk), cap(blk), blockBytes)
 		}
-		blockPool.Put(blk)
+		slab.Put(blk)
 	}
 }
 
@@ -123,7 +126,8 @@ func TestReadCubesLinesAroundBlockSize(t *testing.T) {
 func TestReadCubesArenaIsolation(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	for _, width := range []int{1, 64, 214, 4096, 40000} {
-		src := randomSet(rng, width, 2*newCubeArena(width).chunk+3, 0.5)
+		words := 2 * ((width + 63) / 64)
+		src := randomSet(rng, width, 2*max(1, planeChunkWords/words)+3, 0.5)
 		var text bytes.Buffer
 		if err := src.WriteCubes(&text); err != nil {
 			t.Fatal(err)
@@ -154,18 +158,48 @@ func TestReadCubesArenaIsolation(t *testing.T) {
 	}
 }
 
-// TestArenaWasteBounded: a set of unknown size wastes at most one
-// partly used chunk, whose plane words stay within arenaChunkBytes
-// unless a single cube is wider.
+// TestArenaWasteBounded: a set draws at most its cubes' plane words,
+// plus less than one cube per full chunk and one partly used chunk, and
+// at most one partly used chunk of headers; cubes too wide for a pooled
+// chunk draw nothing from the pool. Sets of known size (MakeCubeSet,
+// whose chunks grow with the set) and unknown size (ReadCubes) alike.
 func TestArenaWasteBounded(t *testing.T) {
-	for _, width := range []int{1, 63, 64, 214, 1000, 32768, 32769, 100000} {
-		a := newCubeArena(width)
+	rng := rand.New(rand.NewSource(35))
+	for _, width := range []int{1, 63, 64, 214, 1000, 4096, 4097, 40000} {
 		words := 2 * ((width + 63) / 64)
-		if got := 8 * words * a.chunk; got > max(arenaChunkBytes, 8*words) {
-			t.Fatalf("width %d: plane chunk of %d bytes", width, got)
+		counts := []int{1, 5, 64, 65, 300}
+		if width <= 1000 {
+			counts = append(counts, 3000) // several chunks of each size
 		}
-		if got := 8 * words * (a.chunk + 1); words < arenaChunkBytes/8 && got <= arenaChunkBytes {
-			t.Fatalf("width %d: plane chunk of %d cubes leaves room for another", width, a.chunk)
+		for _, n := range counts {
+			var text bytes.Buffer
+			if err := randomSet(rng, width, n, 0.5).WriteCubes(&text); err != nil {
+				t.Fatal(err)
+			}
+			read, err := ReadCubes(&text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, cs := range []*CubeSet{MakeCubeSet(width, n), read} {
+				planes, vecs := 0, 0
+				for _, p := range cs.arena.planeChunks {
+					planes += cap(p)
+				}
+				for _, v := range cs.arena.vecChunks {
+					vecs += cap(v)
+				}
+				if words > planeChunkWords/8 {
+					if planes != 0 {
+						t.Fatalf("width %d: %d plane words drawn from the pool", width, planes)
+					}
+				} else if planes > n*words*9/8+planeChunkWords {
+					t.Fatalf("width %d, %d cubes: %d plane words drawn for %d", width, n, planes, n*words)
+				}
+				if vecs > n+vecChunk(words) {
+					t.Fatalf("width %d, %d cubes: %d headers drawn", width, n, vecs)
+				}
+				cs.Release()
+			}
 		}
 	}
 }

@@ -36,32 +36,17 @@ func (v *Vector) PutPlaneWords(dst []byte, from int) int {
 	return n
 }
 
-// PlaneLoader builds a cube set from plane-form bytes. Cubes come from
-// the set's arena, which grows one chunk at a time as cubes arrive, so
-// memory tracks the bytes loaded rather than any announced count.
-type PlaneLoader struct {
-	cs    *CubeSet
-	arena cubeArena
-}
-
-// NewPlaneLoader returns a loader for an empty set of the given width.
-// It allocates no cube storage until the first Load.
-func NewPlaneLoader(width int) *PlaneLoader {
-	return &PlaneLoader{cs: NewCubeSet(width), arena: newCubeArena(width)}
-}
-
-// Set returns the cubes loaded so far.
-func (l *PlaneLoader) Set() *CubeSet { return l.cs }
-
-// Load appends the cubes in src, whose length must be a multiple of
-// PlaneBytes(width). A cube is rejected, and nothing after it loaded,
-// when a value bit is set where its care bit is clear, or when any bit
-// at or beyond the width is set: either would break the Vector
-// invariants every consumer relies on.
-func (l *PlaneLoader) Load(src []byte) error {
-	pb := PlaneBytes(l.cs.Width)
+// LoadPlanes appends the cubes in src, whose length must be a multiple
+// of PlaneBytes(Width), cutting them from the set's arena, which grows
+// one chunk at a time as cubes arrive, so memory tracks the bytes
+// loaded rather than any announced count. A cube is rejected, and
+// nothing after it loaded, when a value bit is set where its care bit is
+// clear, or when any bit at or beyond the width is set: either would
+// break the Vector invariants every consumer relies on.
+func (cs *CubeSet) LoadPlanes(src []byte) error {
+	pb := PlaneBytes(cs.Width)
 	if pb == 0 {
-		return fmt.Errorf("bitvec: invalid width %d", l.cs.Width)
+		return fmt.Errorf("bitvec: invalid width %d", cs.Width)
 	}
 	if len(src)%pb != 0 {
 		return fmt.Errorf("bitvec: %d plane bytes is not a whole number of %d-byte cubes", len(src), pb)
@@ -69,11 +54,11 @@ func (l *PlaneLoader) Load(src []byte) error {
 	w := pb / 16
 	// tail marks the bits at and past the width in a plane's last word.
 	var tail uint64
-	if r := l.cs.Width % 64; r != 0 {
+	if r := cs.Width % 64; r != 0 {
 		tail = ^uint64(0) << uint(r)
 	}
 	for off := 0; off < len(src); off += pb {
-		v := l.arena.next()
+		v := cs.newCube()
 		var onX uint64
 		for j := range w {
 			val := binary.LittleEndian.Uint64(src[off+8*j:])
@@ -81,13 +66,15 @@ func (l *PlaneLoader) Load(src []byte) error {
 			onX |= val &^ care
 			v.val[j], v.care[j] = val, care
 		}
+		// A rejected cube leaves the set; its arena space stays spent.
 		if onX != 0 {
-			return fmt.Errorf("bitvec: cube %d has a value bit set on an X", len(l.cs.Cubes))
+			cs.Cubes = cs.Cubes[:len(cs.Cubes)-1]
+			return fmt.Errorf("bitvec: cube %d has a value bit set on an X", len(cs.Cubes))
 		}
 		if v.care[w-1]&tail != 0 {
-			return fmt.Errorf("bitvec: cube %d has a bit set at or beyond width %d", len(l.cs.Cubes), l.cs.Width)
+			cs.Cubes = cs.Cubes[:len(cs.Cubes)-1]
+			return fmt.Errorf("bitvec: cube %d has a bit set at or beyond width %d", len(cs.Cubes), cs.Width)
 		}
-		l.cs.Cubes = append(l.cs.Cubes, v)
 	}
 	return nil
 }

@@ -92,8 +92,9 @@ func CompressShardedPreloaded(ctx context.Context, cs *bitvec.CubeSet, cfg core.
 // DecompressShardedPreloaded inverts CompressShardedPreloaded: each
 // shard decompresses concurrently with the preload reinstalled (a nil
 // pre is a cold start — the FullReset boundary semantics) and the
-// pattern groups concatenate in order. The output is exact:
-// byte-identical to decompressing each shard sequentially.
+// pattern groups concatenate in order into one set that owns every
+// group's memory. The output is exact: byte-identical to decompressing
+// each shard sequentially.
 func DecompressShardedPreloaded(ctx context.Context, shards []*core.Result, width int, patterns []int, pre *core.Preload, opts Options) (*bitvec.CubeSet, error) {
 	shardOpts := opts
 	shardOpts.Policy = FailFast
@@ -104,12 +105,15 @@ func DecompressShardedPreloaded(ctx context.Context, shards []*core.Result, widt
 		}
 		return set, nil
 	})
-	if err != nil {
-		return nil, fmt.Errorf("parallel: sharded decompression: %w", err)
-	}
 	out := bitvec.NewCubeSet(width)
 	for _, o := range outcomes {
-		out.Cubes = append(out.Cubes, o.Value.Cubes...)
+		if o.Value != nil {
+			out.AppendSet(o.Value)
+		}
+	}
+	if err != nil {
+		out.Release()
+		return nil, fmt.Errorf("parallel: sharded decompression: %w", err)
 	}
 	return out, nil
 }

@@ -101,6 +101,9 @@ func (s *Server) handleDictTrain(w http.ResponseWriter, r *http.Request) {
 	ent, src, err := s.dict.GetOrTrain(ctx, key, cfg, func(context.Context) (*core.Preload, error) {
 		return lzwtc.Train(ts, cfg, maxEntries)
 	})
+	// Training runs inside GetOrTrain, so nothing reads the cubes any
+	// more.
+	ts.Release()
 	if err != nil {
 		s.mapError(w, r, err)
 		return

@@ -6,10 +6,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
 
+	"lzwtc"
 	"lzwtc/internal/jobs"
 	"lzwtc/internal/telemetry"
 )
@@ -101,7 +103,15 @@ func (s *Server) compressJob(req compressRequest) jobs.RunFunc {
 			WithProcess(processName)
 		pr.SetTotal(shardTotal(len(req.ts.Cubes), req.shard))
 		var buf bytes.Buffer
-		res, err := s.compressToWire(ctx, nil, &buf, req, rec)
+		res, err := s.compressToWire(ctx, req, rec, func(_ *lzwtc.Result, size int) io.Writer {
+			// The finished job keeps the container until its TTL, so it
+			// is built in one buffer of its exact size.
+			buf.Grow(size)
+			return &buf
+		})
+		// Compression has joined every pool worker, so nothing reads the
+		// request's cubes any more.
+		req.ts.Release()
 		if err != nil {
 			return nil, err
 		}

@@ -597,7 +597,25 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if res, err := s.compressToWire(ctx, w.Header(), w, req, s.rec); err != nil && res == nil {
+	// The reply states its length, so the client reads it into one
+	// buffer of that size.
+	res, err := s.compressToWire(ctx, req, s.rec, func(res *lzwtc.Result, size int) io.Writer {
+		h := w.Header()
+		h.Set("Content-Type", "application/octet-stream")
+		h.Set("Content-Length", strconv.Itoa(size))
+		h.Set(HeaderPatterns, strconv.Itoa(res.Patterns))
+		h.Set(HeaderWidth, strconv.Itoa(res.Width))
+		h.Set(HeaderRatio, strconv.FormatFloat(res.Ratio(), 'g', -1, 64))
+		h.Set(HeaderShards, strconv.Itoa(len(res.Shards)))
+		if res.Dict != nil {
+			h.Set(HeaderDictKey, dictstore.Key(res.Dict.Key).String())
+		}
+		return w
+	})
+	// Compression has joined every pool worker, so nothing reads the
+	// request's cubes any more.
+	req.ts.Release()
+	if err != nil && res == nil {
 		s.mapError(w, r, err)
 	}
 	// A write failure after the headers went out is left as is: the
@@ -638,6 +656,7 @@ func (s *Server) readCompressRequest(ctx context.Context, w http.ResponseWriter,
 	if haveDict {
 		ent, ok := s.resolveDictParam(ctx, w, r, dictKey)
 		if !ok {
+			ts.Release()
 			return compressRequest{}, false
 		}
 		req.dict = ent
@@ -670,7 +689,11 @@ func (s *Server) readTestSet(ctx context.Context, w http.ResponseWriter, r *http
 	}
 	s.bytesIn.Add(body.n)
 	sp.End(telemetry.F("bytes", body.n), telemetry.F("planes", planes), telemetry.F("ok", err == nil))
-	return ts, err
+	if err != nil {
+		ts.Release()
+		return nil, err
+	}
+	return ts, nil
 }
 
 // countingReader counts the bytes read through it.
@@ -704,26 +727,18 @@ func hasMediaType(h, mt string) bool {
 // dictionary is a cold start, so every request runs lzwtc.Compress;
 // the container then goes out through WriteWire under a
 // lzwtc.SpanWireEncode span, with a 'D' frame exactly when the request
-// named a dictionary. h (nil for a job, whose result headers come from its
-// status) receives the response headers before the first container
-// byte reaches w. A nil result with an error means nothing was
-// written; a result with an error means the write failed part way.
-func (s *Server) compressToWire(ctx context.Context, h http.Header, w io.Writer, req compressRequest, rec *telemetry.Recorder) (*lzwtc.Result, error) {
+// named a dictionary. sink is called once the container's exact size is
+// known, before its first byte, and returns where the container goes.
+// A nil result with an error means nothing was written; a result with
+// an error means the write failed part way.
+func (s *Server) compressToWire(ctx context.Context, req compressRequest, rec *telemetry.Recorder, sink func(res *lzwtc.Result, size int) io.Writer) (*lzwtc.Result, error) {
 	opts := lzwtc.Options{Dict: req.dict, ShardPatterns: req.shard, Workers: s.cfg.Workers, Recorder: rec}
 	res, err := lzwtc.Compress(ctx, req.ts, req.cfg, opts)
 	if err != nil {
 		return nil, err
 	}
-	if h != nil {
-		h.Set("Content-Type", "application/octet-stream")
-		h.Set(HeaderPatterns, strconv.Itoa(res.Patterns))
-		h.Set(HeaderWidth, strconv.Itoa(res.Width))
-		h.Set(HeaderRatio, strconv.FormatFloat(res.Ratio(), 'g', -1, 64))
-		h.Set(HeaderShards, strconv.Itoa(len(res.Shards)))
-		if res.Dict != nil {
-			h.Set(HeaderDictKey, dictstore.Key(res.Dict.Key).String())
-		}
-	}
+	size := wire.ContainerSize(wire.Header{Cfg: res.Cfg, Width: res.Width}, res.Dict != nil, res.Shards, res.ShardPatterns)
+	w := sink(res, size)
 	_, sp := rec.StartSpan(ctx, lzwtc.SpanWireEncode)
 	err = res.WriteWire(w)
 	sp.End(telemetry.F("frames", len(res.Shards)), telemetry.F("ok", err == nil))
@@ -753,8 +768,11 @@ func (s *Server) handleDecompress(w http.ResponseWriter, r *http.Request) {
 	done := make(chan result, 1)
 	go func() {
 		// The decoder reads through br itself, so peeking the header
-		// costs no second read of the body.
-		br := bufio.NewReader(body)
+		// costs no second read of the body. Only this goroutine uses br,
+		// so it goes back to the pool here, whichever way the handler
+		// returned.
+		br := getBufReader(body)
+		defer putBufReader(br)
 		hdr, err := wire.PeekHeader(br)
 		var ts *lzwtc.TestSet
 		if err == nil {
@@ -767,6 +785,8 @@ func (s *Server) handleDecompress(w http.ResponseWriter, r *http.Request) {
 	}()
 	select {
 	case <-ctx.Done():
+		// The decode goroutine may still be writing its set: it is left
+		// to the GC, not released.
 		s.mapError(w, r, ctx.Err())
 		return
 	case res := <-done:
@@ -779,11 +799,31 @@ func (s *Server) handleDecompress(w http.ResponseWriter, r *http.Request) {
 		planes := hasMediaType(r.Header.Get("Accept"), MediaPlanes)
 		err := writeTestSet(w, res.hdr, res.ts, planes)
 		sp.End(telemetry.F("planes", planes), telemetry.F("ok", err == nil))
-		if err != nil {
-			return
+		if err == nil {
+			s.patternsOut.Add(int64(len(res.ts.Cubes)))
 		}
-		s.patternsOut.Add(int64(len(res.ts.Cubes)))
+		// The reply is written, so nothing reads the set any more.
+		res.ts.Release()
 	}
+}
+
+// bufReaders recycles the bufio.Readers decompress bodies are read
+// through.
+var bufReaders sync.Pool
+
+// getBufReader returns a pooled bufio.Reader over r.
+func getBufReader(r io.Reader) *bufio.Reader {
+	if br, ok := bufReaders.Get().(*bufio.Reader); ok {
+		br.Reset(r)
+		return br
+	}
+	return bufio.NewReader(r)
+}
+
+// putBufReader drops br's source and pools it.
+func putBufReader(br *bufio.Reader) {
+	br.Reset(nil)
+	bufReaders.Put(br)
 }
 
 // writeTestSet renders a decompress reply, as a planes message under

@@ -171,7 +171,8 @@ func FuzzWireRoundTrip(f *testing.F) {
 // FuzzPlanesDecode feeds arbitrary bytes to ReadPlanes: it must return
 // a typed error or a valid set, never panic. A valid set holds cubes of
 // the header's width that keep the Vector invariants (no value bit on
-// an X), and it re-encodes and decodes to the same cubes.
+// an X), and it re-encodes and decodes to the same cubes. Every set
+// decoded is released, so later inputs decode into recycled memory.
 func FuzzPlanesDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("LZWW\x01"))
@@ -215,12 +216,15 @@ func FuzzPlanesDecode(f *testing.F) {
 				t.Fatalf("cube %d changed in a re-encode", i)
 			}
 		}
+		back.Release()
+		cs.Release()
 	})
 }
 
 // FuzzPlanesRoundTrip sends a random set — width, count and X density
 // from the fuzzer — through WritePlanes and ReadPlanes and requires
-// every cube back unchanged, in exactly PlanesSize bytes.
+// every cube back unchanged, in exactly PlanesSize bytes. The decoded
+// set is released, so later inputs decode into recycled memory.
 func FuzzPlanesRoundTrip(f *testing.F) {
 	f.Add(int64(1), uint16(1), uint16(1), uint8(0))
 	f.Add(int64(2), uint16(64), uint16(300), uint8(50))
@@ -242,5 +246,6 @@ func FuzzPlanesRoundTrip(f *testing.F) {
 				t.Fatalf("cube %d: got %s, want %s", i, got.Cubes[i], cs.Cubes[i])
 			}
 		}
+		got.Release()
 	})
 }

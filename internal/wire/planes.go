@@ -1,14 +1,13 @@
 package wire
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
-	"sync"
 
 	"lzwtc/internal/bitvec"
+	"lzwtc/internal/slab"
 )
 
 // A planes message carries a test set between client and service in
@@ -35,12 +34,10 @@ const planeBlockBytes = 64 << 10
 // marker, count and CRC, and the EOS frame after the last.
 const planeBlockSlack = maxHeaderBytes + 1 + binary.MaxVarintLen64 + 4 + maxEOSBytes
 
-// planeBlocks recycles the blocks planes messages are written and read
-// through.
-var planeBlocks = sync.Pool{New: func() any {
-	b := make([]byte, 0, planeBlockBytes+planeBlockSlack)
-	return &b
-}}
+// planeBlock is the length of the slab a planes message is written
+// through. A reader reads each frame's words into a slab of their own
+// size (readPayload).
+const planeBlock = planeBlockBytes + planeBlockSlack
 
 // framePatterns is how many cubes of the given width one frame holds.
 func framePatterns(width int) int {
@@ -89,9 +86,9 @@ func PlanesSize(hdr Header, patterns int) int {
 // pooled block: w gets at most one Write per frame, and a cube wider
 // than a block in block-sized Writes.
 func WritePlanes(w io.Writer, hdr Header, cs *bitvec.CubeSet) error {
-	blk := planeBlocks.Get().(*[]byte)
-	defer planeBlocks.Put(blk)
-	e := planesEncoder{w: w, buf: (*blk)[:0]}
+	blk := slab.Get[byte](planeBlock)
+	defer slab.Put(blk)
+	e := planesEncoder{w: w, buf: blk[:0:planeBlock]}
 	return e.message(hdr, cs)
 }
 
@@ -208,7 +205,13 @@ func checkPlanes(hdr Header, cs *bitvec.CubeSet) error {
 // ErrChecksum, ErrTruncated, errPlanes for cube bits that break the
 // test-set invariants, and errTrailing for bytes after EOS.
 func ReadPlanes(r io.Reader) (Header, *bitvec.CubeSet, error) {
-	wr, err := NewReader(r)
+	br, ok := r.(byteReader)
+	if !ok {
+		b := getBufReader(r)
+		defer putBufReader(b)
+		br = b
+	}
+	wr, err := newReader(br)
 	if err != nil {
 		return Header{}, nil, err
 	}
@@ -219,44 +222,52 @@ func ReadPlanes(r io.Reader) (Header, *bitvec.CubeSet, error) {
 	return wr.hdr, cs, nil
 }
 
-// readPlanes reads the frames of a planes message after its header.
+// readPlanes reads the frames of a planes message after its header. On
+// an error the cubes read so far are released.
 func (r *Reader) readPlanes() (*bitvec.CubeSet, error) {
-	blk := planeBlocks.Get().(*[]byte)
-	defer planeBlocks.Put(blk)
-	ld := bitvec.NewPlaneLoader(r.hdr.Width)
+	cs := bitvec.NewCubeSet(r.hdr.Width)
+	if err := r.readPlanesInto(cs); err != nil {
+		cs.Release()
+		return nil, err
+	}
+	return cs, nil
+}
+
+// readPlanesInto loads every 'P' frame into cs and checks the EOS frame
+// that must end the stream.
+func (r *Reader) readPlanesInto(cs *bitvec.CubeSet) error {
 	for {
 		marker, err := r.r.ReadByte()
 		if err != nil {
-			return nil, truncErr(err, "stream ended before EOS frame")
+			return truncErr(err, "stream ended before EOS frame")
 		}
 		switch marker {
 		case framePlanes:
-			if err := r.readPlanesFrame(ld, (*blk)[:cap(*blk)]); err != nil {
-				return nil, err
+			if err := r.readPlanesFrame(cs); err != nil {
+				return err
 			}
 		case frameEOS:
 			if err := r.readEOSFrame([]byte{marker}); err != io.EOF {
-				return nil, err
+				return err
 			}
 			if _, err := r.r.ReadByte(); err != io.EOF {
 				if err == nil {
-					return nil, fmt.Errorf("%w after the EOS frame", errTrailing)
+					return fmt.Errorf("%w after the EOS frame", errTrailing)
 				}
-				return nil, err
+				return err
 			}
-			return ld.Set(), nil
+			return nil
 		case frameData, frameDict:
-			return nil, fmt.Errorf("%w: code frame %q at frame %d of a planes message", ErrFrameType, marker, r.frames)
+			return fmt.Errorf("%w: code frame %q at frame %d of a planes message", ErrFrameType, marker, r.frames)
 		default:
-			return nil, fmt.Errorf("%w: 0x%02x at frame %d", ErrFrameType, marker, r.frames)
+			return fmt.Errorf("%w: 0x%02x at frame %d", ErrFrameType, marker, r.frames)
 		}
 	}
 }
 
-// readPlanesFrame reads one 'P' frame after its marker into blk (or,
-// for one cube wider than blk, a buffer grown as its bytes arrive),
+// readPlanesFrame reads one 'P' frame after its marker into a slab,
 // verifies the CRC, then loads its cubes.
-func (r *Reader) readPlanesFrame(ld *bitvec.PlaneLoader, blk []byte) error {
+func (r *Reader) readPlanesFrame(cs *bitvec.CubeSet) error {
 	if r.frames+1 > maxFrames {
 		return fmt.Errorf("%w: more than %d frames", ErrLimit, maxFrames)
 	}
@@ -268,24 +279,18 @@ func (r *Reader) readPlanesFrame(ld *bitvec.PlaneLoader, blk []byte) error {
 	if count == 0 || count > maxFramePatterns || count > 1 && count > uint64(planeBlockBytes/pb) {
 		return fmt.Errorf("%w: planes frame %d pattern count %d (width %d)", ErrLimit, r.frames, count, r.hdr.Width)
 	}
-	n := int(count) * pb
 	crc := crc32.Update(crc32.Update(0, crcTable, []byte{framePlanes}), crcTable, consumed)
-	payload := blk[:min(n, len(blk))]
-	if n <= len(blk) {
-		if _, err := io.ReadFull(r.r, payload); err != nil {
-			return truncErr(err, fmt.Sprintf("planes frame %d payload", r.frames))
-		}
-	} else {
-		var wide bytes.Buffer
-		if _, err := io.CopyN(&wide, r.r, int64(n)); err != nil {
-			return truncErr(err, fmt.Sprintf("planes frame %d payload", r.frames))
-		}
-		payload = wide.Bytes()
+	// One cube wider than a block is trusted only as far as its bytes
+	// arrive: readPayload grows its slab with them.
+	payload, err := readPayload(r.r, int(count)*pb)
+	defer slab.Put(payload)
+	if err != nil {
+		return truncErr(err, fmt.Sprintf("planes frame %d payload", r.frames))
 	}
 	if err := checkCRC(r.r, crc32.Update(crc, crcTable, payload), fmt.Sprintf("planes frame %d", r.frames)); err != nil {
 		return err
 	}
-	if err := ld.Load(payload); err != nil {
+	if err := cs.LoadPlanes(payload); err != nil {
 		return fmt.Errorf("%w: frame %d: %v", errPlanes, r.frames, err)
 	}
 	r.frames++

@@ -113,8 +113,8 @@ func allocBytes(f func()) uint64 {
 }
 
 // planesOverhead is the allocation ReadPlanes may make whatever it
-// reads: the header reader's 4 KiB bufio buffer, one 64 KiB pooled
-// block if the pool is empty, the first arena chunk of a narrow set
+// reads: the header reader's 4 KiB bufio buffer, one 64 KiB payload
+// slab if the pool is empty, the first arena chunk of a narrow set
 // (8 KiB of planes, ≈29 KiB of cube headers) and small bookkeeping.
 // The hostile shapes below claim megabytes to gigabytes.
 const planesOverhead = 128 << 10

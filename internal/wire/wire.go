@@ -55,9 +55,11 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"sync"
 
 	"lzwtc/internal/bitio"
 	"lzwtc/internal/core"
+	"lzwtc/internal/slab"
 )
 
 // containerMagic is the 4-byte container signature.
@@ -201,11 +203,12 @@ func appendHeader(b []byte, h Header) []byte {
 	return binary.BigEndian.AppendUint32(b, crc32.Checksum(b[start:], crcTable))
 }
 
-// encodeFrame renders one data frame region. The codes are packed
+// encodeFrame renders one data frame region into a slab, which the
+// caller puts back once the frame is written. The codes are packed
 // MSB-first, the bit order core.Result.Pack emits for the ATE channel,
 // straight into the frame.
 func encodeFrame(f *Frame, cb int) []byte {
-	b := make([]byte, 0, 1+3*binary.MaxVarintLen64+(len(f.Codes)*cb+7)/8+4)
+	b := slab.Get[byte](1 + 3*binary.MaxVarintLen64 + (len(f.Codes)*cb+7)/8 + 4)[:0]
 	b = append(b, frameData)
 	b = appendUvarint(b, uint64(f.Patterns))
 	b = appendUvarint(b, uint64(f.InputBits))
@@ -236,8 +239,8 @@ func appendEOS(b []byte, frames, patterns int) []byte {
 const maxCodeBits = 24
 
 // unpackCodes reads n cb-bit codes packed MSB-first from data (plus zero
-// padding to the byte boundary). n and cb arrive from the decoded
-// stream, so the bounds are re-checked here — the function must stay
+// padding to the byte boundary) into a slab. n and cb arrive from the
+// decoded stream, so the bounds are re-checked here — the function must stay
 // safe even if a future caller forgets the frame-level limits: a hostile
 // count or width must produce a typed error, never a giant allocation,
 // an index panic or a code wider than the format allows.
@@ -252,11 +255,30 @@ func unpackCodes(data []byte, n, cb int) ([]core.Code, error) {
 		return nil, fmt.Errorf("%w: %d %d-bit codes need %d bytes, have %d",
 			ErrTruncated, n, cb, (n*cb+7)/8, len(data))
 	}
-	codes := make([]core.Code, n)
+	codes := slab.Get[core.Code](n)
 	if err := bitio.ReadCodes(codes, data, cb); err != nil {
+		slab.Put(codes)
 		return nil, fmt.Errorf("%w: %w", ErrTruncated, err)
 	}
 	return codes, nil
+}
+
+// ContainerSize returns the exact byte length of the code container a
+// Writer produces under hdr: a 'D' frame when dict is set, then one data
+// frame per shard, shard i holding patterns[i] patterns and the input
+// bits and codes of shards[i], then the EOS frame.
+func ContainerSize(hdr Header, dict bool, shards []*core.Result, patterns []int) int {
+	size := headerSize(hdr)
+	if dict {
+		size += 1 + 2*dictRefLen + 4
+	}
+	cb, total := hdr.Cfg.CodeBits(), 0
+	for i, sh := range shards {
+		n := len(sh.Codes)
+		size += 1 + uvarintLen(uint64(patterns[i])) + uvarintLen(uint64(sh.InputBits)) + uvarintLen(uint64(n)) + (n*cb+7)/8 + 4
+		total += patterns[i]
+	}
+	return size + eosSize(len(shards), total)
 }
 
 // Writer streams a container to an io.Writer: header up front, one
@@ -346,7 +368,10 @@ func (w *Writer) WriteFrame(f *Frame) error {
 			return fmt.Errorf("wire: frame code %d = %d exceeds dictionary size %d", i, c, w.hdr.Cfg.DictSize)
 		}
 	}
-	if _, err := w.w.Write(encodeFrame(f, w.cb)); err != nil {
+	b := encodeFrame(f, w.cb)
+	_, err := w.w.Write(b)
+	slab.Put(b)
+	if err != nil {
 		w.err = err
 		return err
 	}
@@ -404,6 +429,29 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if !ok {
 		br = bufio.NewReader(r)
 	}
+	return newReader(br)
+}
+
+// bufReaders recycles the bufio.Readers ReadPlanes reads through.
+var bufReaders sync.Pool
+
+// getBufReader returns a pooled bufio.Reader over r.
+func getBufReader(r io.Reader) *bufio.Reader {
+	if br, ok := bufReaders.Get().(*bufio.Reader); ok {
+		br.Reset(r)
+		return br
+	}
+	return bufio.NewReader(r)
+}
+
+// putBufReader drops br's source and pools it.
+func putBufReader(br *bufio.Reader) {
+	br.Reset(nil)
+	bufReaders.Put(br)
+}
+
+// newReader is NewReader over a reader that reads byte by byte.
+func newReader(br byteReader) (*Reader, error) {
 	hdr, err := readHeader(br)
 	if err != nil {
 		return nil, err
@@ -605,6 +653,7 @@ func (r *Reader) readDataFrame(raw []byte) (*Frame, error) {
 	}
 	payloadLen := (int(nCodes)*r.cb + 7) / 8
 	payload, err := readPayload(r.r, payloadLen)
+	defer slab.Put(payload)
 	if err != nil {
 		return nil, truncErr(err, fmt.Sprintf("frame %d payload: got %d of %d bytes", r.frames, len(payload), payloadLen))
 	}
@@ -626,6 +675,7 @@ func (r *Reader) readDataFrame(raw []byte) (*Frame, error) {
 	}
 	for i, c := range f.Codes {
 		if int(c) >= r.hdr.Cfg.DictSize {
+			slab.Put(codes)
 			return nil, fmt.Errorf("wire: frame %d code %d = %d exceeds dictionary size %d", r.frames, i, c, r.hdr.Cfg.DictSize)
 		}
 	}
@@ -663,21 +713,26 @@ func (r *Reader) checkShape(patterns, inputBits, nCodes uint64) error {
 // bytes actually arrive: the buffer grows with them.
 const exactPayloadBytes = 64 << 10
 
-// readPayload reads the n payload bytes of a frame. Up to
-// exactPayloadBytes it reads into one exactly sized buffer; above that
-// it grows the buffer by doubling as the bytes arrive, so a hostile
-// nCodes with a short body cannot force a giant up-front allocation.
-// On a short read it returns the bytes it got and the read error.
+// readPayload reads the n payload bytes of a frame into a slab, which
+// the caller puts back. Up to exactPayloadBytes it reads into one slab
+// of the announced size; above that it moves to a slab twice as large
+// each time the bytes fill one, so a hostile nCodes with a short body
+// cannot force a giant up-front allocation. On a short read it returns
+// the bytes it got and the read error.
 func readPayload(r io.Reader, n int) ([]byte, error) {
-	if n <= exactPayloadBytes {
-		buf := make([]byte, n)
-		got, err := io.ReadFull(r, buf)
-		return buf[:got], err
+	buf := slab.Get[byte](min(n, exactPayloadBytes))
+	got := 0
+	for {
+		m, err := io.ReadFull(r, buf[got:])
+		got += m
+		if err != nil || got == n {
+			return buf[:got], err
+		}
+		grown := slab.Get[byte](min(2*len(buf), n))
+		copy(grown, buf)
+		slab.Put(buf)
+		buf = grown
 	}
-	var b bytes.Buffer
-	b.Grow(exactPayloadBytes)
-	_, err := io.CopyN(&b, r, int64(n))
-	return b.Bytes(), err
 }
 
 // readEOSFrame validates the EOS totals and returns io.EOF on success.

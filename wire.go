@@ -8,6 +8,7 @@ import (
 
 	"lzwtc/internal/core"
 	"lzwtc/internal/parallel"
+	"lzwtc/internal/slab"
 	"lzwtc/internal/telemetry"
 	"lzwtc/internal/wire"
 )
@@ -114,7 +115,9 @@ func frameShard(cfg Config, f *wire.Frame) *core.Result {
 // returns a typed error before (or instead of) partial output. A
 // container naming a shared dictionary resolves it through
 // opts.Resolver once, before its first data frame, and fails with
-// ErrDictNotFound when there is no resolver.
+// ErrDictNotFound when there is no resolver. The returned set owns the
+// memory of every frame's cubes; a caller done with it may hand that
+// back with TestSet.Release.
 func Decompress(ctx context.Context, r io.Reader, opts Options) (*TestSet, error) {
 	wctx, sp := opts.Recorder.StartSpan(ctx, SpanWireDecode)
 	out, frames, err := decompressWire(wctx, r, opts)
@@ -122,14 +125,21 @@ func Decompress(ctx context.Context, r io.Reader, opts Options) (*TestSet, error
 	return out, err
 }
 
-// decompressWire is the one wire decode loop.
-func decompressWire(ctx context.Context, r io.Reader, opts Options) (*TestSet, int, error) {
+// decompressWire is the one wire decode loop. Each frame's codes go
+// back to the slab pool once the frame is decoded, and on an error the
+// cubes decoded so far are released.
+func decompressWire(ctx context.Context, r io.Reader, opts Options) (_ *TestSet, _ int, err error) {
 	wr, err := wire.NewReader(r)
 	if err != nil {
 		return nil, 0, err
 	}
 	hdr := wr.Header()
 	out := NewTestSet(hdr.Width)
+	defer func() {
+		if err != nil {
+			out.Release()
+		}
+	}()
 	var pre *Preload
 	for {
 		f, err := wr.ReadFrame()
@@ -148,10 +158,11 @@ func decompressWire(ctx context.Context, r io.Reader, opts Options) (*TestSet, i
 		}
 		// A nil preload is a cold start.
 		group, err := parallel.DecodeShard(ctx, frameShard(hdr.Cfg, f), hdr.Width, f.Patterns, pre, opts.Recorder)
+		slab.Put(f.Codes)
 		if err != nil {
 			return nil, wr.Frames(), fmt.Errorf("lzwtc: wire frame %d: %w", wr.Frames()-1, err)
 		}
-		out.Cubes = append(out.Cubes, group.Cubes...)
+		out.AppendSet(group)
 	}
 	return out, wr.Frames(), nil
 }

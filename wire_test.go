@@ -7,6 +7,7 @@ import (
 	"io"
 	"testing"
 
+	"lzwtc/internal/dictstore"
 	"lzwtc/internal/wire"
 )
 
@@ -207,5 +208,31 @@ func TestPlanesMessageIsNotAContainer(t *testing.T) {
 	}
 	if _, err := DecodeWireResult(msg.Bytes()); !errors.Is(err, wire.ErrFrameType) {
 		t.Fatalf("DecodeWireResult: got %v, want ErrFrameType", err)
+	}
+}
+
+// TestContainerSizeMatchesWriteWire: wire.ContainerSize, which the
+// service sends as the compress reply's Content-Length, is the exact
+// length of WriteWire's output for every conformance case, cold and
+// warm, as one shard and sharded.
+func TestContainerSizeMatchesWriteWire(t *testing.T) {
+	for _, c := range conformanceCases() {
+		ts := c.build()
+		ents := []*dictstore.Entry{nil}
+		if c.cfg.Full != FullReset { // a FullReset container names no dictionary
+			ents = append(ents, trainedEntry(t, ts, c.cfg))
+		}
+		for _, ent := range ents {
+			for _, shard := range []int{0, 3} {
+				res, err := Compress(context.Background(), ts, c.cfg, Options{Dict: ent, ShardPatterns: shard})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := wire.ContainerSize(wire.Header{Cfg: res.Cfg, Width: res.Width}, res.Dict != nil, res.Shards, res.ShardPatterns)
+				if want := len(wireBytes(t, res)); got != want {
+					t.Errorf("%s (warm %v, shard %d): ContainerSize %d, WriteWire wrote %d bytes", c.name, ent != nil, shard, got, want)
+				}
+			}
+		}
 	}
 }
