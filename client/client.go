@@ -334,11 +334,19 @@ func planesBody(ts *lzwtc.TestSet, cfg lzwtc.Config) ([]byte, error) {
 	return body.Bytes(), nil
 }
 
+// exactReplyBytes is the largest stated reply length read into one
+// buffer of that size. A larger stated length is only trusted as far as
+// the bytes actually arrive.
+const exactReplyBytes = 1 << 20
+
 // readBounded buffers a reply body up to Options.MaxResponseBytes and
 // errors loudly past it: a misbehaving (or impersonated) service must
 // not be able to grow the client's heap without limit. A reply that
-// states its length is read into one buffer of that size, and one that
-// states a length over the cap fails before any read.
+// states a length over the cap fails before any read. One that states
+// a length up to exactReplyBytes is read into one buffer of that size;
+// above that the buffer doubles as the bytes fill it, never past the
+// stated length, so one header line cannot make the client allocate
+// the whole cap.
 func (c *Client) readBounded(resp *http.Response) ([]byte, error) {
 	limit := c.opts.MaxResponseBytes
 	n := resp.ContentLength
@@ -346,11 +354,21 @@ func (c *Client) readBounded(resp *http.Response) ([]byte, error) {
 		return nil, c.capError()
 	}
 	if n >= 0 {
-		data := make([]byte, n)
-		if _, err := io.ReadFull(resp.Body, data); err != nil {
-			return nil, err
+		data := make([]byte, min(n, exactReplyBytes))
+		got := 0
+		for {
+			m, err := io.ReadFull(resp.Body, data[got:])
+			got += m
+			if err != nil {
+				return nil, err
+			}
+			if int64(got) == n {
+				return data, nil
+			}
+			grown := make([]byte, min(2*int64(len(data)), n))
+			copy(grown, data)
+			data = grown
 		}
-		return data, nil
 	}
 	data, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
 	if err != nil {

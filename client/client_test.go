@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -285,5 +286,30 @@ func TestStatedLengthOverCapFailsBeforeReading(t *testing.T) {
 	defer cancel()
 	if _, err := c.Metrics(ctx); err == nil || !strings.Contains(err.Error(), "client cap") {
 		t.Fatalf("Metrics with a stated 1 MiB body over a 1 KiB cap: err = %v, want the cap error", err)
+	}
+}
+
+// TestStatedLengthDoesNotPresizeTheCap: a reply that states a 1 GiB
+// length, within the default cap, and then sends no body fails without
+// the client allocating anything near the stated length up front.
+func TestStatedLengthDoesNotPresizeTheCap(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Length", "1073741824")
+		w.WriteHeader(http.StatusOK)
+	}))
+	defer srv.Close()
+
+	c := client.New(srv.URL, client.Options{})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := c.Metrics(ctx)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("Metrics with a stated 1 GiB body and none sent: err = nil, want a read error")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 64<<20 {
+		t.Fatalf("a stated 1 GiB length with no body allocated %d bytes, want at most 64 MiB", got)
 	}
 }

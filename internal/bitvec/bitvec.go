@@ -596,7 +596,7 @@ func MakeCubeSet(width, count int) *CubeSet {
 	if count <= 0 {
 		return cs
 	}
-	a := &cubeArena{width: width, left: count, spine: slab.Get[*Vector](count)}
+	a := &cubeArena{width: width, spine: slab.Get[*Vector](count)}
 	cs.arena, cs.Cubes = a, a.spine
 	for i := range cs.Cubes {
 		cs.Cubes[i] = a.next()
@@ -637,26 +637,27 @@ func (cs *CubeSet) grow(n int) {
 	a.spine, cs.Cubes = spine, spine
 }
 
-// AppendSet moves o's cubes to the end of cs, together with the memory
-// o's arena drew, so that releasing cs releases both. o is left empty.
-func (cs *CubeSet) AppendSet(o *CubeSet) {
-	if len(cs.Cubes) == 0 && cs.arena == nil {
-		// Nothing to merge with: cs takes o over as it is.
-		cs.Cubes, cs.arena, o.Cubes, o.arena = o.Cubes, o.arena, nil, nil
+// AppendSet moves src's cubes to the end of dst, together with the
+// memory src's arena drew, so that releasing dst releases both. src is
+// left empty.
+func AppendSet(dst, src *CubeSet) {
+	if len(dst.Cubes) == 0 && dst.arena == nil {
+		// Nothing to merge with: dst takes src over as it is.
+		dst.Cubes, dst.arena, src.Cubes, src.arena = src.Cubes, src.arena, nil, nil
 		return
 	}
-	cs.grow(len(o.Cubes))
-	cs.Cubes = append(cs.Cubes, o.Cubes...)
-	if oa := o.arena; oa != nil {
-		a := cs.own()
-		a.vecChunks = append(a.vecChunks, oa.vecChunks...)
-		a.planeChunks = append(a.planeChunks, oa.planeChunks...)
-		if oa.spine != nil {
-			putSpine(oa.spine)
+	dst.grow(len(src.Cubes))
+	dst.Cubes = append(dst.Cubes, src.Cubes...)
+	if sa := src.arena; sa != nil {
+		a := dst.own()
+		a.vecChunks = append(a.vecChunks, sa.vecChunks...)
+		a.planeChunks = append(a.planeChunks, sa.planeChunks...)
+		if sa.spine != nil {
+			putSpine(sa.spine)
 		}
-		*oa = cubeArena{}
+		*sa = cubeArena{}
 	}
-	o.Cubes, o.arena = nil, nil
+	src.Cubes, src.arena = nil, nil
 }
 
 // Release hands the memory the set's arena drew back to the slab pool.
@@ -718,14 +719,10 @@ func poisonPlanes(p []uint64, width int) {
 }
 
 const (
-	// planeChunkWords is the plane words of an arena chunk of a set of
-	// unknown size: 8 KiB, eight cubes of 4096 bits or more of narrower
-	// ones. Wider cubes take chunks outside the pool.
+	// planeChunkWords is the plane words of an arena chunk: 8 KiB, eight
+	// cubes of 4096 bits or more of narrower ones. Wider cubes take
+	// chunks outside the pool.
 	planeChunkWords = 1 << 10
-	// maxPlaneChunkWords and maxVecChunk cap the chunks of a set of
-	// known size.
-	maxPlaneChunkWords = 8 * planeChunkWords
-	maxVecChunk        = 1 << 9
 	// minSpine is the least Cubes capacity a set grows to.
 	minSpine = 1 << 6
 )
@@ -735,13 +732,11 @@ const (
 // slab class size. Each plane is cut with a 3-index slice, so no cube
 // can grow into its neighbour. Cubes are short, so the cache-set note
 // in New does not apply. The arena records every chunk it drew, and
-// Release returns them. A set of unknown size draws chunks of one size;
-// a set of known size draws the largest chunks its cubes still fill, so
-// it takes few chunks. Either way at most one partly used chunk of each
-// kind is wasted per set.
+// Release returns them. Chunks are one size whether or not the set's
+// count is known, so at most one partly used chunk of each kind is
+// wasted per set.
 type cubeArena struct {
 	width  int
-	left   int      // cubes still to come when the count is known, else 0
 	vecs   []Vector // unused headers of the current chunk
 	planes []uint64 // unused plane words of the current chunk
 	// spine is the pooled backing array of the set's Cubes, nil until
@@ -755,7 +750,7 @@ type cubeArena struct {
 func (a *cubeArena) next() *Vector {
 	w := (a.width + 63) / 64
 	if len(a.vecs) == 0 {
-		a.vecs = slab.Get[Vector](a.chunkLen(vecChunk(2*w), maxVecChunk, 1))
+		a.vecs = slab.Get[Vector](vecChunk(2 * w))
 		a.vecChunks = append(a.vecChunks, a.vecs)
 	}
 	if len(a.planes) < 2*w {
@@ -763,9 +758,6 @@ func (a *cubeArena) next() *Vector {
 	}
 	v, p := &a.vecs[0], a.planes
 	a.vecs, a.planes = a.vecs[1:], p[2*w:]
-	if a.left > 0 {
-		a.left--
-	}
 	*v = Vector{n: a.width, val: p[:w:w], care: p[w : 2*w : 2*w]}
 	return v
 }
@@ -775,41 +767,21 @@ func (a *cubeArena) drawPlanes(per int) []uint64 {
 	if per > planeChunkWords/8 {
 		// Cubes this wide would leave up to an eighth of a pooled chunk
 		// unused: their chunks are cut to measure and left to the GC.
-		n := max(1, planeChunkWords/per)
-		if a.left > 0 {
-			n = min(n, a.left)
-		}
-		return make([]uint64, per*n)
+		return make([]uint64, per*max(1, planeChunkWords/per))
 	}
-	p := slab.Get[uint64](a.chunkLen(planeChunkWords, maxPlaneChunkWords, per))
+	p := slab.Get[uint64](planeChunkWords)
 	// A recycled chunk holds its last set's cubes.
 	clear(p)
 	a.planeChunks = append(a.planeChunks, p)
 	return p
 }
 
-// vecChunk is the Vector headers of a chunk of a set of unknown size,
-// for cubes of per plane words: the largest power of two no more than
-// the cubes one plane chunk holds, and at least 64. Empty cubes (per 0)
-// count as cubes of one-word planes.
+// vecChunk is the Vector headers of a chunk, for cubes of per plane
+// words: the largest power of two no more than the cubes one plane
+// chunk holds, and at least 64. Empty cubes (per 0) count as cubes of
+// one-word planes.
 func vecChunk(per int) int {
 	return max(1<<6, 1<<(bits.Len(uint(max(1, planeChunkWords/max(per, 2))))-1))
-}
-
-// chunkLen is the length of the next chunk, in elements at per elements
-// a cube: unit for a set of unknown size; for one of known size, the
-// largest class size up to most that the cubes still to come fill, or
-// all they need when that is less than unit (Get rounds it up to a
-// class: the one partly used chunk).
-func (a *cubeArena) chunkLen(unit, most, per int) int {
-	if a.left == 0 {
-		return unit
-	}
-	need := a.left * per
-	if need <= unit {
-		return need
-	}
-	return 1 << (bits.Len(uint(min(need, most))) - 1)
 }
 
 // blockBytes is the unit cube text moves in: ReadCubes reads into a
@@ -817,11 +789,6 @@ func (a *cubeArena) chunkLen(unit, most, per int) int {
 // large enough that bufio layers under a connection pass each read and
 // write straight through instead of cutting it into 4 KiB steps.
 const blockBytes = 64 << 10
-
-// blockSlab is the length of the slab WriteCubes renders into:
-// blockBytes plus 8 bytes of slack for putText's last lane store.
-// ReadCubes reads through a slab of blockBytes.
-const blockSlab = blockBytes + 8
 
 // maxLineBytes caps one cube-text line; the scanner grows its buffer on
 // demand up to this size.
@@ -878,26 +845,35 @@ func ReadCubes(r io.Reader) (*CubeSet, error) {
 // are rendered into a pooled block, and w gets one Write per full block
 // of blockBytes, plus one for the rest.
 func (cs *CubeSet) WriteCubes(w io.Writer) error {
-	buf, n := slab.Get[byte](blockSlab), 0
+	buf, n := slab.Get[byte](blockBytes), 0
 	defer slab.Put(buf)
+	var lane [8]byte
 	for _, c := range cs.Cubes {
-		// Each step renders whole lanes up to the block's end, or the
-		// line's newline. A lane store may spill up to 7 characters
-		// into the slack; they move to the front after the Write.
 		for i := 0; i <= c.n; {
-			if i < c.n {
-				j := min(c.n, i+((blockBytes-n+7)&^7))
-				c.putText(buf[n:], i, j)
-				n, i = n+j-i, j
-			} else {
+			var carry []byte
+			switch j := min(c.n, i+(blockBytes-n)&^7); {
+			case i == c.n:
 				buf[n] = '\n'
 				n, i = n+1, i+1
+			case j > i:
+				// Whole lanes up to the block's end, or the line's: the
+				// last store stays inside the block.
+				c.putText(buf[n:], i, j)
+				n, i = n+j-i, j
+			default:
+				// Fewer than 8 bytes are left: the lane that straddles
+				// the block's end is rendered aside, and what does not
+				// fit moves on to the next block.
+				j = min(c.n, i+8)
+				c.putText(lane[:], i, j)
+				k := copy(buf[n:], lane[:j-i])
+				n, i, carry = n+k, j, lane[k:j-i]
 			}
-			if n >= blockBytes {
-				if _, err := w.Write(buf[:blockBytes]); err != nil {
+			if n == blockBytes {
+				if _, err := w.Write(buf); err != nil {
 					return err
 				}
-				n = copy(buf, buf[blockBytes:n])
+				n = copy(buf, carry)
 			}
 		}
 	}

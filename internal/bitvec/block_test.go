@@ -161,8 +161,8 @@ func TestReadCubesArenaIsolation(t *testing.T) {
 // TestArenaWasteBounded: a set draws at most its cubes' plane words,
 // plus less than one cube per full chunk and one partly used chunk, and
 // at most one partly used chunk of headers; cubes too wide for a pooled
-// chunk draw nothing from the pool. Sets of known size (MakeCubeSet,
-// whose chunks grow with the set) and unknown size (ReadCubes) alike.
+// chunk draw nothing from the pool. Sets of known size (MakeCubeSet)
+// and unknown size (ReadCubes) alike.
 func TestArenaWasteBounded(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
 	for _, width := range []int{1, 63, 64, 214, 1000, 4096, 4097, 40000} {

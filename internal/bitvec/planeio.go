@@ -36,14 +36,14 @@ func (v *Vector) PutPlaneWords(dst []byte, from int) int {
 	return n
 }
 
-// LoadPlanes appends the cubes in src, whose length must be a multiple
-// of PlaneBytes(Width), cutting them from the set's arena, which grows
-// one chunk at a time as cubes arrive, so memory tracks the bytes
-// loaded rather than any announced count. A cube is rejected, and
+// LoadPlanes appends to cs the cubes in src, whose length must be a
+// multiple of PlaneBytes(cs.Width), cutting them from the set's arena,
+// which grows one chunk at a time as cubes arrive, so memory tracks the
+// bytes loaded rather than any announced count. A cube is rejected, and
 // nothing after it loaded, when a value bit is set where its care bit is
 // clear, or when any bit at or beyond the width is set: either would
 // break the Vector invariants every consumer relies on.
-func (cs *CubeSet) LoadPlanes(src []byte) error {
+func LoadPlanes(cs *CubeSet, src []byte) error {
 	pb := PlaneBytes(cs.Width)
 	if pb == 0 {
 		return fmt.Errorf("bitvec: invalid width %d", cs.Width)

@@ -95,7 +95,7 @@ func TestAppendSetMovesOwnership(t *testing.T) {
 		for i, c := range part.Cubes {
 			c.copyRange(0, want.Cubes[lo+i], 0, 70)
 		}
-		out.AppendSet(part)
+		AppendSet(out, part)
 		if len(part.Cubes) != 0 || part.arena != nil {
 			t.Fatal("AppendSet left the source holding cubes")
 		}

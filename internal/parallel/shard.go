@@ -108,7 +108,7 @@ func DecompressShardedPreloaded(ctx context.Context, shards []*core.Result, widt
 	out := bitvec.NewCubeSet(width)
 	for _, o := range outcomes {
 		if o.Value != nil {
-			out.AppendSet(o.Value)
+			bitvec.AppendSet(out, o.Value)
 		}
 	}
 	if err != nil {

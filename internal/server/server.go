@@ -34,7 +34,6 @@
 package server
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -771,8 +770,8 @@ func (s *Server) handleDecompress(w http.ResponseWriter, r *http.Request) {
 		// costs no second read of the body. Only this goroutine uses br,
 		// so it goes back to the pool here, whichever way the handler
 		// returned.
-		br := getBufReader(body)
-		defer putBufReader(br)
+		br := wire.GetBufReader(body)
+		defer wire.PutBufReader(br)
 		hdr, err := wire.PeekHeader(br)
 		var ts *lzwtc.TestSet
 		if err == nil {
@@ -805,25 +804,6 @@ func (s *Server) handleDecompress(w http.ResponseWriter, r *http.Request) {
 		// The reply is written, so nothing reads the set any more.
 		res.ts.Release()
 	}
-}
-
-// bufReaders recycles the bufio.Readers decompress bodies are read
-// through.
-var bufReaders sync.Pool
-
-// getBufReader returns a pooled bufio.Reader over r.
-func getBufReader(r io.Reader) *bufio.Reader {
-	if br, ok := bufReaders.Get().(*bufio.Reader); ok {
-		br.Reset(r)
-		return br
-	}
-	return bufio.NewReader(r)
-}
-
-// putBufReader drops br's source and pools it.
-func putBufReader(br *bufio.Reader) {
-	br.Reset(nil)
-	bufReaders.Put(br)
 }
 
 // writeTestSet renders a decompress reply, as a planes message under

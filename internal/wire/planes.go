@@ -21,23 +21,15 @@ import (
 // A cube in plane form is its ⌈W/64⌉ value words, then its ⌈W/64⌉ care
 // words, little-endian (bitvec.PlaneBytes). A frame holds as many whole
 // cubes as fit in planeBlockBytes, or exactly one cube when a single
-// cube is wider than that, so writer and reader each move a frame
-// through one pooled block. Every frame is checked before its cubes are
+// cube is wider than that, so the writer moves a frame through one
+// pooled block of planeBlockBytes (in two Writes when its words fill the
+// block whole) and the reader reads each frame's words into a slab of
+// their own size (readPayload). Every frame is checked before its cubes are
 // stored, and cube storage grows only as frames arrive, so memory
 // tracks the bytes actually read.
 
 // planeBlockBytes bounds the cube words in one 'P' frame.
 const planeBlockBytes = 64 << 10
-
-// planeBlockSlack leaves room in a pooled block for the regions around
-// one frame's words: the header before the first frame, the frame's
-// marker, count and CRC, and the EOS frame after the last.
-const planeBlockSlack = maxHeaderBytes + 1 + binary.MaxVarintLen64 + 4 + maxEOSBytes
-
-// planeBlock is the length of the slab a planes message is written
-// through. A reader reads each frame's words into a slab of their own
-// size (readPayload).
-const planeBlock = planeBlockBytes + planeBlockSlack
 
 // framePatterns is how many cubes of the given width one frame holds.
 func framePatterns(width int) int {
@@ -83,12 +75,13 @@ func PlanesSize(hdr Header, patterns int) int {
 }
 
 // WritePlanes streams cs to w as a planes message under hdr, through a
-// pooled block: w gets at most one Write per frame, and a cube wider
-// than a block in block-sized Writes.
+// pooled block of planeBlockBytes: w gets one Write per frame that fits
+// the block with its marker, count and CRC, and any other frame in
+// block-sized Writes.
 func WritePlanes(w io.Writer, hdr Header, cs *bitvec.CubeSet) error {
-	blk := slab.Get[byte](planeBlock)
+	blk := slab.Get[byte](planeBlockBytes)
 	defer slab.Put(blk)
-	e := planesEncoder{w: w, buf: blk[:0:planeBlock]}
+	e := planesEncoder{w: w, buf: blk[:0]}
 	return e.message(hdr, cs)
 }
 
@@ -145,11 +138,11 @@ func (e *planesEncoder) message(hdr Header, cs *bitvec.CubeSet) error {
 }
 
 // frame encodes one 'P' frame of cubes. A frame that fits a block is
-// never split across flushes; the words of a wider cube stream through
+// never split across flushes; the words of a larger one stream through
 // the block.
 func (e *planesEncoder) frame(cubes []*bitvec.Vector) error {
 	need := 1 + uvarintLen(uint64(len(cubes))) + 4
-	if words := len(cubes) * bitvec.PlaneBytes(cubes[0].Len()); words <= planeBlockBytes {
+	if words := len(cubes) * bitvec.PlaneBytes(cubes[0].Len()); need+words <= planeBlockBytes {
 		need += words
 	}
 	if err := e.room(need); err != nil {
@@ -207,8 +200,8 @@ func checkPlanes(hdr Header, cs *bitvec.CubeSet) error {
 func ReadPlanes(r io.Reader) (Header, *bitvec.CubeSet, error) {
 	br, ok := r.(byteReader)
 	if !ok {
-		b := getBufReader(r)
-		defer putBufReader(b)
+		b := GetBufReader(r)
+		defer PutBufReader(b)
 		br = b
 	}
 	wr, err := newReader(br)
@@ -290,7 +283,7 @@ func (r *Reader) readPlanesFrame(cs *bitvec.CubeSet) error {
 	if err := checkCRC(r.r, crc32.Update(crc, crcTable, payload), fmt.Sprintf("planes frame %d", r.frames)); err != nil {
 		return err
 	}
-	if err := cs.LoadPlanes(payload); err != nil {
+	if err := bitvec.LoadPlanes(cs, payload); err != nil {
 		return fmt.Errorf("%w: frame %d: %v", errPlanes, r.frames, err)
 	}
 	r.frames++

@@ -28,7 +28,7 @@ func encodePlanes(t testing.TB, hdr Header, cs *bitvec.CubeSet) []byte {
 		t.Fatalf("message is %d bytes, PlanesSize says %d", w.Len(), size)
 	}
 	for _, n := range w.writes {
-		if n > planeBlockBytes+planeBlockSlack {
+		if n > planeBlockBytes {
 			t.Fatalf("a %d-byte Write exceeds one block", n)
 		}
 	}

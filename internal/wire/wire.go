@@ -222,9 +222,6 @@ func encodeEOS(frames, patterns int) []byte {
 	return appendEOS(make([]byte, 0, 16), frames, patterns)
 }
 
-// maxEOSBytes bounds the EOS region: marker, two uvarints and the CRC.
-const maxEOSBytes = 1 + 2*binary.MaxVarintLen64 + 4
-
 // appendEOS appends the end-of-stream frame to b.
 func appendEOS(b []byte, frames, patterns int) []byte {
 	start := len(b)
@@ -432,11 +429,13 @@ func NewReader(r io.Reader) (*Reader, error) {
 	return newReader(br)
 }
 
-// bufReaders recycles the bufio.Readers ReadPlanes reads through.
+// bufReaders recycles the bufio.Readers that planes messages and
+// decompress bodies are read through. A bufio.Reader keeps its buffer
+// to itself, so it is pooled whole rather than as a slab.
 var bufReaders sync.Pool
 
-// getBufReader returns a pooled bufio.Reader over r.
-func getBufReader(r io.Reader) *bufio.Reader {
+// GetBufReader returns a pooled bufio.Reader over r.
+func GetBufReader(r io.Reader) *bufio.Reader {
 	if br, ok := bufReaders.Get().(*bufio.Reader); ok {
 		br.Reset(r)
 		return br
@@ -444,8 +443,9 @@ func getBufReader(r io.Reader) *bufio.Reader {
 	return bufio.NewReader(r)
 }
 
-// putBufReader drops br's source and pools it.
-func putBufReader(br *bufio.Reader) {
+// PutBufReader drops br's source and pools it. br must not be used
+// after.
+func PutBufReader(br *bufio.Reader) {
 	br.Reset(nil)
 	bufReaders.Put(br)
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 
+	"lzwtc/internal/bitvec"
 	"lzwtc/internal/core"
 	"lzwtc/internal/parallel"
 	"lzwtc/internal/slab"
@@ -162,7 +163,7 @@ func decompressWire(ctx context.Context, r io.Reader, opts Options) (_ *TestSet,
 		if err != nil {
 			return nil, wr.Frames(), fmt.Errorf("lzwtc: wire frame %d: %w", wr.Frames()-1, err)
 		}
-		out.AppendSet(group)
+		bitvec.AppendSet(out, group)
 	}
 	return out, wr.Frames(), nil
 }
