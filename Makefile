@@ -2,7 +2,7 @@ GO ?= go
 FUZZTIME ?= 10s
 BENCHTIME ?= 1x
 
-.PHONY: build fmt vet vet-concurrency test race lzwtcvet lzwtcvet-baseline dict-oracle poison fuzz telemetry-overhead trace-overhead batch-bench kernel-bench text-bench bench-json bench-gate bench-module cover lzwtcd-smoke loadgen-smoke api-count verify
+.PHONY: build fmt vet vet-concurrency test race lzwtcvet dict-oracle poison fuzz telemetry-overhead trace-overhead batch-bench kernel-bench text-bench bench-json bench-gate bench-module cover lzwtcd-smoke loadgen-smoke api-count verify
 
 build:
 	$(GO) build ./...
@@ -29,11 +29,6 @@ race:
 # deadexport / staleignore). Non-zero exit on any finding.
 lzwtcvet:
 	$(GO) run ./cmd/lzwtcvet ./...
-
-# Baseline gate: fail only on findings absent from the committed
-# lzwtcvet_baseline.json ledger; stale ledger entries warn on stderr.
-lzwtcvet-baseline:
-	sh scripts/check_vet_baseline.sh
 
 # Focused pass over the two stock analyzers the lzwtcvet concurrency
 # checks complement: copylocks (mutexes passed by value anywhere, not
@@ -152,4 +147,4 @@ bench-module:
 api-count:
 	sh scripts/api_count.sh
 
-verify: build fmt vet vet-concurrency test race lzwtcvet lzwtcvet-baseline dict-oracle poison fuzz telemetry-overhead trace-overhead batch-bench kernel-bench text-bench bench-module cover lzwtcd-smoke loadgen-smoke api-count
+verify: build fmt vet vet-concurrency test race lzwtcvet dict-oracle poison fuzz telemetry-overhead trace-overhead batch-bench kernel-bench text-bench bench-module cover lzwtcd-smoke loadgen-smoke api-count

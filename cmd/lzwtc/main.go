@@ -260,11 +260,7 @@ func info(args []string) error {
 		return err
 	}
 	defer r.Close()
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return err
-	}
-	res, err := lzwtc.DecodeWireResult(data)
+	res, err := lzwtc.DecodeWireResult(r)
 	if err != nil {
 		return err
 	}

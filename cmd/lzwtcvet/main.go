@@ -1,18 +1,12 @@
 // Command lzwtcvet runs the repo-specific static-analysis suite over
 // the module.
 //
-//	lzwtcvet [-checks c1,c2] [-list] [-json] [-baseline file] [packages]
+//	lzwtcvet [-checks c1,c2] [-list] [packages]
 //
 // With no package patterns it analyzes ./... relative to the current
 // directory. It prints one `file:line:col: [check] message` line per
 // finding and exits 1 when any survive //lzwtcvet:ignore suppressions,
 // 2 on load or usage errors.
-//
-// -json emits the findings as a JSON array (the baseline format).
-// -baseline compares the findings against a committed baseline file:
-// only findings absent from the baseline fail the run, so CI catches
-// regressions while the accepted ledger stays reviewable; baseline
-// entries that no longer fire are reported as stale on stderr.
 package main
 
 import (
@@ -27,10 +21,8 @@ import (
 func main() {
 	checksFlag := flag.String("checks", "", "comma-separated subset of checks to run (default: all)")
 	list := flag.Bool("list", false, "print the check catalog and exit")
-	jsonOut := flag.Bool("json", false, "emit findings as a JSON array (baseline format)")
-	baseline := flag.String("baseline", "", "compare findings against this baseline file; fail only on new findings")
 	flag.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: lzwtcvet [-checks c1,c2] [-list] [-json] [-baseline file] [packages]")
+		fmt.Fprintln(os.Stderr, "usage: lzwtcvet [-checks c1,c2] [-list] [packages]")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -59,48 +51,8 @@ func main() {
 		os.Exit(2)
 	}
 
-	root, err := os.Getwd()
-	if err != nil {
-		root = ""
-	}
-	findings := analysis.ToJSON(root, diags)
-
-	if *baseline != "" {
-		base, err := analysis.LoadBaseline(*baseline)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "lzwtcvet: %v\n", err)
-			os.Exit(2)
-		}
-		fresh, stale := analysis.DiffBaseline(findings, base)
-		for _, f := range stale {
-			fmt.Fprintf(os.Stderr, "lzwtcvet: stale baseline entry: %s: [%s] %s\n", f.File, f.Check, f.Message)
-		}
-		if *jsonOut {
-			if err := analysis.WriteJSON(os.Stdout, fresh); err != nil {
-				fmt.Fprintf(os.Stderr, "lzwtcvet: %v\n", err)
-				os.Exit(2)
-			}
-		} else {
-			for _, f := range fresh {
-				fmt.Printf("%s:%d:%d: [%s] %s\n", f.File, f.Line, f.Col, f.Check, f.Message)
-			}
-		}
-		if len(fresh) > 0 {
-			fmt.Fprintf(os.Stderr, "lzwtcvet: %d new finding(s) not in baseline %s\n", len(fresh), *baseline)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *jsonOut {
-		if err := analysis.WriteJSON(os.Stdout, findings); err != nil {
-			fmt.Fprintf(os.Stderr, "lzwtcvet: %v\n", err)
-			os.Exit(2)
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Println(d.String())
-		}
+	for _, d := range diags {
+		fmt.Println(d.String())
 	}
 	if len(diags) > 0 {
 		fmt.Fprintf(os.Stderr, "lzwtcvet: %d finding(s) in %d package(s)\n", len(diags), len(pkgs))

@@ -96,7 +96,7 @@ func TestWireHostileFrameShapes(t *testing.T) {
 			for entry, decode := range map[string]func() error{
 				"Decompress": func() error { _, err := Decompress(context.Background(), bytes.NewReader(data), Options{}); return err },
 				"DecodeWireResult": func() error {
-					_, err := DecodeWireResult(data)
+					_, err := DecodeWireResult(bytes.NewReader(data))
 					return err
 				},
 			} {
@@ -146,7 +146,7 @@ func TestWireNoDataFrame(t *testing.T) {
 		for entry, decode := range map[string]func() error{
 			"Decompress": func() error { _, err := Decompress(context.Background(), bytes.NewReader(data), Options{}); return err },
 			"DecodeWireResult": func() error {
-				_, err := DecodeWireResult(data)
+				_, err := DecodeWireResult(bytes.NewReader(data))
 				return err
 			},
 			"wire.NewReader": func() error {
@@ -205,7 +205,7 @@ func TestWireBadConfigHeader(t *testing.T) {
 			for entry, decode := range map[string]func() error{
 				"Decompress": func() error { _, err := Decompress(context.Background(), bytes.NewReader(data), Options{}); return err },
 				"DecodeWireResult": func() error {
-					_, err := DecodeWireResult(data)
+					_, err := DecodeWireResult(bytes.NewReader(data))
 					return err
 				},
 				"wire.NewReader": func() error { _, err := wire.NewReader(bytes.NewReader(data)); return err },
@@ -229,12 +229,14 @@ const (
 	containerPerByte  = 1 << 10
 )
 
-// FuzzContainerDecode feeds arbitrary bytes to both container decoders:
-// Decompress and DecodeWireResult then Result.Decompress. Each call must
-// return a typed error or a well-formed set, and allocate no more than
-// containerOverhead plus containerPerByte per byte, however large the
-// shape the container claims. Every set decoded is released, so later
-// inputs decode into recycled memory.
+// FuzzContainerDecode feeds arbitrary bytes to every entry that reads a
+// container: Decompress, and its two steps DecodeWireResult and
+// Result.Decompress called apart. Each call must return a typed error
+// or a well-formed set, and allocate no more than containerOverhead
+// plus containerPerByte per byte, however large the shape the
+// container claims; that holds Decompress to it with every frame's
+// codes read before the first frame decodes. Every set decoded is
+// released, so later inputs decode into recycled memory.
 func FuzzContainerDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("LZWW\x01"))
@@ -266,7 +268,7 @@ func FuzzContainerDecode(f *testing.F) {
 		set.Release()
 
 		var res *Result
-		if n := allocBytes(func() { res, err = DecodeWireResult(data) }); n > limit {
+		if n := allocBytes(func() { res, err = DecodeWireResult(bytes.NewReader(data)) }); n > limit {
 			t.Fatalf("DecodeWireResult allocated %d bytes for a %d-byte container", n, len(data))
 		}
 		if err != nil {

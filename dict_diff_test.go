@@ -279,7 +279,7 @@ func TestDictDifferentialWireRoundTrip(t *testing.T) {
 						if warm && per == 0 && !bytes.Equal(want, inProcess) {
 							t.Fatal("wire 'D'-frame decompression diverged from in-process decompression")
 						}
-						decoded, err := DecodeWireResult(container)
+						decoded, err := DecodeWireResult(bytes.NewReader(container))
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -430,7 +430,7 @@ func TestDecodeWireResultCarriesDictRef(t *testing.T) {
 			ref := DictRef{Key: ent.Key, Digest: ent.Digest}
 			container := dictContainer(t, ts, cfg, ent)
 
-			res, err := DecodeWireResult(container)
+			res, err := DecodeWireResult(bytes.NewReader(container))
 			if err != nil {
 				t.Fatal(err)
 			}

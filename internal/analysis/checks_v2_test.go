@@ -1,12 +1,8 @@
 package analysis_test
 
 import (
-	"bytes"
 	"go/ast"
 	"go/parser"
-	"go/token"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"lzwtc/internal/analysis"
@@ -440,67 +436,4 @@ func Unjudged() int {
 }
 `}}, "panicpolicy", "staleignore")
 	expect(t, diags, "stale lzwtcvet:ignore: no panicpolicy finding fires here anymore")
-}
-
-func TestBaselineRoundTripAndDiff(t *testing.T) {
-	root := string(filepath.Separator) + filepath.Join("repo", "root")
-	diags := []analysis.Diagnostic{
-		{
-			Pos:   token.Position{Filename: filepath.Join(root, "internal", "wire", "wire.go"), Line: 12, Column: 3},
-			Check: "allocbound", Message: "m-alloc",
-		},
-		{
-			Pos:   token.Position{Filename: filepath.Join(root, "client", "client.go"), Line: 7, Column: 1},
-			Check: "goctx", Message: "m-go",
-		},
-	}
-	fs := analysis.ToJSON(root, diags)
-	if len(fs) != 2 {
-		t.Fatalf("ToJSON: got %d findings, want 2", len(fs))
-	}
-	// Sorted by file, and repo-relative with forward slashes regardless
-	// of platform.
-	if fs[0].File != "client/client.go" || fs[1].File != "internal/wire/wire.go" {
-		t.Fatalf("ToJSON paths not relative/sorted: %+v", fs)
-	}
-
-	path := filepath.Join(t.TempDir(), "baseline.json")
-	var buf bytes.Buffer
-	if err := analysis.WriteJSON(&buf, fs); err != nil {
-		t.Fatalf("WriteJSON: %v", err)
-	}
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatalf("write baseline: %v", err)
-	}
-	loaded, err := analysis.LoadBaseline(path)
-	if err != nil {
-		t.Fatalf("LoadBaseline: %v", err)
-	}
-	if len(loaded) != 2 || loaded[0] != fs[0] || loaded[1] != fs[1] {
-		t.Fatalf("round trip mismatch: %+v vs %+v", loaded, fs)
-	}
-
-	// The baseline match key is file+check+message: a finding that only
-	// drifted to another line is neither new nor stale.
-	drifted := []analysis.JSONFinding{
-		{File: "client/client.go", Line: 99, Col: 1, Check: "goctx", Message: "m-go"},
-		{File: "internal/parallel/pool.go", Line: 4, Col: 2, Check: "lockhygiene", Message: "m-new"},
-	}
-	fresh, stale := analysis.DiffBaseline(drifted, loaded)
-	if len(fresh) != 1 || fresh[0].Message != "m-new" {
-		t.Fatalf("DiffBaseline fresh = %+v, want the lockhygiene finding only", fresh)
-	}
-	if len(stale) != 1 || stale[0].Message != "m-alloc" {
-		t.Fatalf("DiffBaseline stale = %+v, want the fixed allocbound entry", stale)
-	}
-}
-
-func TestEmptyJSONIsArray(t *testing.T) {
-	var buf bytes.Buffer
-	if err := analysis.WriteJSON(&buf, nil); err != nil {
-		t.Fatalf("WriteJSON: %v", err)
-	}
-	if got := string(bytes.TrimSpace(buf.Bytes())); got != "[]" {
-		t.Fatalf("empty findings must serialize as an array, got %q", got)
-	}
 }

@@ -23,7 +23,7 @@
 //     errors.
 //
 // On top of the generic pool sit CompressJobs (test set × Config
-// batches) and, in shard.go, the sharded single-set mode.
+// batches) and, in shard.go, sharded single-set compression.
 package parallel
 
 import (

@@ -89,49 +89,6 @@ func CompressShardedPreloaded(ctx context.Context, cs *bitvec.CubeSet, cfg core.
 	return shards, patterns, nil
 }
 
-// DecompressShardedPreloaded inverts CompressShardedPreloaded: each
-// shard decompresses concurrently with the preload reinstalled (a nil
-// pre is a cold start — the FullReset boundary semantics) and the
-// pattern groups concatenate in order into one set that owns every
-// group's memory. The output is exact: byte-identical to decompressing
-// each shard sequentially.
-func DecompressShardedPreloaded(ctx context.Context, shards []*core.Result, width int, patterns []int, pre *core.Preload, opts Options) (*bitvec.CubeSet, error) {
-	shardOpts := opts
-	shardOpts.Policy = FailFast
-	outcomes, err := Map(ctx, shards, shardOpts, func(jctx context.Context, i int, sh *core.Result) (*bitvec.CubeSet, error) {
-		set, e := DecodeShard(jctx, sh, width, patterns[i], pre, opts.Recorder)
-		if e != nil {
-			return nil, fmt.Errorf("shard %d: %w", i, e)
-		}
-		return set, nil
-	})
-	out := bitvec.NewCubeSet(width)
-	for _, o := range outcomes {
-		if o.Value != nil {
-			bitvec.AppendSet(out, o.Value)
-		}
-	}
-	if err != nil {
-		out.Release()
-		return nil, fmt.Errorf("parallel: sharded decompression: %w", err)
-	}
-	return out, nil
-}
-
-// DecodeShard is the one frame decode body behind every decompressor
-// of codes: check that sh's input length is the given number of
-// patterns of the given width, each padded to a character boundary,
-// then decompress sh from pre (nil is a cold start) straight into them.
-func DecodeShard(ctx context.Context, sh *core.Result, width, patterns int, pre *core.Preload, rec *telemetry.Recorder) (*bitvec.CubeSet, error) {
-	if err := sh.Cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if slot := sh.Cfg.PaddedWidth(width); sh.InputBits != patterns*slot {
-		return nil, fmt.Errorf("input length %d bits is not %d patterns of %d padded bits", sh.InputBits, patterns, slot)
-	}
-	return core.DecompressWithPreloadObservedCtx(ctx, sh.Codes, sh.Cfg, pre, width, patterns, rec)
-}
-
 // shardRatioHist resolves the per-shard ratio histogram, nil-safe.
 func shardRatioHist(rec *telemetry.Recorder) *telemetry.Histogram {
 	reg := rec.Registry()

@@ -6,69 +6,12 @@ import (
 	"runtime"
 	"testing"
 
-	"lzwtc/internal/bitvec"
 	"lzwtc/internal/core"
 	"lzwtc/internal/telemetry"
 )
 
 func shardConfig() core.Config {
 	return core.Config{CharBits: 4, DictSize: 128, EntryBits: 16}
-}
-
-// TestShardedDecompressionExact: sharded compression decompresses to a
-// fully specified set that preserves every care bit, and is
-// byte-identical to decompressing each shard sequentially (the
-// FullReset-boundary contract).
-func TestShardedDecompressionExact(t *testing.T) {
-	cs := testSet(11, 37, 41, 0.7)
-	cfg := shardConfig()
-	for _, per := range []int{1, 4, 10, 37, 1000} {
-		shards, patterns, err := CompressShardedPreloaded(context.Background(), cs, cfg, nil, per, Options{Workers: 3})
-		if err != nil {
-			t.Fatalf("per=%d: %v", per, err)
-		}
-		total := 0
-		for _, n := range patterns {
-			total += n
-		}
-		if len(patterns) != len(shards) || total != len(cs.Cubes) {
-			t.Fatalf("per=%d: %d shards with %d patterns, want %d patterns", per, len(shards), total, len(cs.Cubes))
-		}
-		got, err := DecompressShardedPreloaded(context.Background(), shards, cs.Width, patterns, nil, Options{Workers: 3})
-		if err != nil {
-			t.Fatalf("per=%d decompress: %v", per, err)
-		}
-		if len(got.Cubes) != len(cs.Cubes) {
-			t.Fatalf("per=%d: %d patterns back, want %d", per, len(got.Cubes), len(cs.Cubes))
-		}
-		for i, c := range cs.Cubes {
-			if !c.CompatibleWith(got.Cubes[i]) {
-				t.Fatalf("per=%d: pattern %d violates its care bits", per, i)
-			}
-		}
-		// Byte-identical to the sequential per-shard pipeline.
-		want := bitvec.NewCubeSet(cs.Width)
-		for _, g := range SplitPatterns(cs, per) {
-			res, err := core.Compress(g.SerializeAligned(cfg.CharBits), cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			stream, err := core.Decompress(res.Codes, cfg, res.InputBits)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sub, err := bitvec.DeserializeAligned(stream, cs.Width, cfg.CharBits)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want.Cubes = append(want.Cubes, sub.Cubes...)
-		}
-		for i := range want.Cubes {
-			if !want.Cubes[i].Equal(got.Cubes[i]) {
-				t.Fatalf("per=%d: pattern %d differs from sequential per-shard pipeline", per, i)
-			}
-		}
-	}
 }
 
 // TestShardedMatchesSequentialShards: the packed per-shard streams the

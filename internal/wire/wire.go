@@ -548,12 +548,6 @@ func (r *Reader) DictRef() (DictRef, bool) {
 	return *r.dictRef, true
 }
 
-// Frames returns the number of data frames read so far.
-func (r *Reader) Frames() int { return r.frames }
-
-// Patterns returns the total patterns across frames read so far.
-func (r *Reader) Patterns() int { return r.patterns }
-
 // ReadFrame returns the next data frame, or io.EOF after a valid EOS
 // frame. Every other outcome is an error: ErrTruncated when the stream
 // ends early or holds no data frame, ErrChecksum on corruption,

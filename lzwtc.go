@@ -142,7 +142,8 @@ type Options struct {
 	// Resolver resolves the dictionary a container or Result names; a
 	// nil one fails such data with ErrDictNotFound.
 	Resolver DictResolver
-	// Workers bounds the shards run at once; <= 0 means GOMAXPROCS.
+	// Workers bounds the shards Compress runs at once; <= 0 means
+	// GOMAXPROCS. Decompression is one sequential loop over the shards.
 	Workers int
 	// Recorder receives metrics, events and trace spans; nil is
 	// untraced.
@@ -232,15 +233,59 @@ func compress(ctx context.Context, ts *TestSet, cfg Config, pre *Preload, ref *D
 
 // Decompress reconstructs the fully specified test set a decompressor
 // would deliver to the scan chain: every original care bit preserved,
-// every don't-care concretized. Shards decompress concurrently and
-// concatenate in order. A Result naming a dictionary resolves it
-// through opts.Resolver first.
+// every don't-care concretized. A Result naming a dictionary resolves
+// it through opts.Resolver first; then the shards decode one after
+// another, each from that same dictionary state, and concatenate in
+// order. On an error the output decoded so far is released.
 func (r *Result) Decompress(ctx context.Context, opts Options) (*TestSet, error) {
+	if err := r.checkShards(); err != nil {
+		return nil, err
+	}
 	pre, err := resolveDict(ctx, r.Dict, opts.Resolver)
 	if err != nil {
 		return nil, err
 	}
-	return parallel.DecompressShardedPreloaded(ctx, r.Shards, r.Width, r.ShardPatterns, pre, BatchOptions{Workers: opts.Workers, Recorder: opts.Recorder})
+	out := NewTestSet(r.Width)
+	for i, sh := range r.Shards {
+		group, err := decodeShard(ctx, sh, r.Width, r.ShardPatterns[i], pre, opts.Recorder)
+		if err != nil {
+			out.Release()
+			return nil, fmt.Errorf("lzwtc: shard %d: %w", i, err)
+		}
+		bitvec.AppendSet(out, group)
+	}
+	return out, nil
+}
+
+// checkShards reports a Result whose shard list cannot be written or
+// decoded: a pattern count missing for some shard, or a nil shard.
+func (r *Result) checkShards() error {
+	if len(r.ShardPatterns) != len(r.Shards) {
+		return fmt.Errorf("lzwtc: result has %d shards but %d shard pattern counts", len(r.Shards), len(r.ShardPatterns))
+	}
+	for i, sh := range r.Shards {
+		if sh == nil {
+			return fmt.Errorf("lzwtc: shard %d is nil", i)
+		}
+	}
+	return nil
+}
+
+// decodeShard is the one frame decode body: check that sh's input
+// length is the given number of patterns of the given width, each
+// padded to a character boundary, then decompress sh from pre (nil is
+// a cold start) straight into them. A canceled ctx stops it first.
+func decodeShard(ctx context.Context, sh *core.Result, width, patterns int, pre *Preload, rec *Recorder) (*TestSet, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if err := sh.Cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if slot := sh.Cfg.PaddedWidth(width); sh.InputBits != patterns*slot {
+		return nil, fmt.Errorf("input length %d bits is not %d patterns of %d padded bits", sh.InputBits, patterns, slot)
+	}
+	return core.DecompressWithPreloadObservedCtx(ctx, sh.Codes, sh.Cfg, pre, width, patterns, rec)
 }
 
 // DecompressedSetFromStream splits a concrete scan stream — e.g. the

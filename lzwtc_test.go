@@ -1,7 +1,9 @@
 package lzwtc
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -9,9 +11,12 @@ import (
 	"testing/quick"
 
 	"lzwtc/internal/atpg"
+	"lzwtc/internal/bitvec"
 	"lzwtc/internal/circuit"
+	"lzwtc/internal/core"
 	"lzwtc/internal/decomp"
 	"lzwtc/internal/mem"
+	"lzwtc/internal/parallel"
 	"lzwtc/internal/scan"
 )
 
@@ -91,7 +96,7 @@ func TestContainerRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	enc := wireBytes(t, res)
-	dec, err := DecodeWireResult(enc)
+	dec, err := DecodeWireResult(bytes.NewReader(enc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,10 +110,10 @@ func TestContainerRoundTrip(t *testing.T) {
 	if err := Verify(ts, back); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeWireResult(enc[:4]); err == nil {
+	if _, err := DecodeWireResult(bytes.NewReader(enc[:4])); err == nil {
 		t.Fatal("truncated container accepted")
 	}
-	if _, err := DecodeWireResult([]byte("xxxxxxxxxxxx")); err == nil {
+	if _, err := DecodeWireResult(bytes.NewReader([]byte("xxxxxxxxxxxx"))); err == nil {
 		t.Fatal("bad magic accepted")
 	}
 }
@@ -301,6 +306,99 @@ func TestHardwareEntryPointsRefuseShards(t *testing.T) {
 			case tc.shards > 1 && (err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%d shards", tc.shards))):
 				t.Errorf("%s on %d shards: got %v, want an error naming the shard count", name, tc.shards, err)
 			}
+		}
+	}
+}
+
+// TestShardedDecompressionExact: a sharded compression decompresses,
+// both as a Result and as its written container, to a fully specified
+// set that preserves every care bit and is byte-identical to
+// compressing and decompressing each shard alone (the FullReset
+// boundary contract).
+func TestShardedDecompressionExact(t *testing.T) {
+	ctx := context.Background()
+	cs := conformanceSet(11, 37, 41, 0.7)
+	cfg := Config{CharBits: 4, DictSize: 128, EntryBits: 16}
+	for _, per := range []int{1, 4, 10, 37, 1000} {
+		res, err := Compress(ctx, cs, cfg, Options{ShardPatterns: per, Workers: 3})
+		if err != nil {
+			t.Fatalf("per=%d: %v", per, err)
+		}
+		total := 0
+		for _, n := range res.ShardPatterns {
+			total += n
+		}
+		if len(res.ShardPatterns) != len(res.Shards) || total != len(cs.Cubes) {
+			t.Fatalf("per=%d: %d shards with %d patterns, want %d patterns", per, len(res.Shards), total, len(cs.Cubes))
+		}
+		// The sequential per-shard reference.
+		want := bitvec.NewCubeSet(cs.Width)
+		for _, g := range parallel.SplitPatterns(cs, per) {
+			sh, err := core.Compress(g.SerializeAligned(cfg.CharBits), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stream, err := core.Decompress(sh.Codes, cfg, sh.InputBits)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sub, err := bitvec.DeserializeAligned(stream, cs.Width, cfg.CharBits)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want.Cubes = append(want.Cubes, sub.Cubes...)
+		}
+		for name, decode := range map[string]func() (*TestSet, error){
+			"Result.Decompress": func() (*TestSet, error) { return res.Decompress(ctx, Options{}) },
+			"Decompress": func() (*TestSet, error) {
+				return Decompress(ctx, bytes.NewReader(wireBytes(t, res)), Options{})
+			},
+		} {
+			got, err := decode()
+			if err != nil {
+				t.Fatalf("per=%d %s: %v", per, name, err)
+			}
+			if err := Verify(cs, got); err != nil {
+				t.Fatalf("per=%d %s: %v", per, name, err)
+			}
+			for i := range want.Cubes {
+				if !want.Cubes[i].Equal(got.Cubes[i]) {
+					t.Fatalf("per=%d %s: pattern %d differs from the sequential per-shard pipeline", per, name, i)
+				}
+			}
+		}
+	}
+}
+
+// TestResultShardShapeChecked: a hand-built Result whose shard list
+// does not match its pattern counts, or holds a nil shard, fails
+// WriteWire and Result.Decompress with an error instead of a panic.
+func TestResultShardShapeChecked(t *testing.T) {
+	ctx := context.Background()
+	ts := conformanceSet(5, 12, 20, 0.5)
+	res, err := Compress(ctx, ts, Config{CharBits: 4, DictSize: 64, EntryBits: 16}, Options{ShardPatterns: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, bad := range map[string]func(r *Result){
+		"fewer ShardPatterns": func(r *Result) { r.ShardPatterns = r.ShardPatterns[:1] },
+		"more ShardPatterns":  func(r *Result) { r.ShardPatterns = append(r.ShardPatterns, 4) },
+		"nil shard":           func(r *Result) { r.Shards[1] = nil },
+	} {
+		r := *res
+		r.Shards = append([]*core.Result(nil), res.Shards...)
+		r.ShardPatterns = append([]int(nil), res.ShardPatterns...)
+		bad(&r)
+		var buf bytes.Buffer
+		if err := r.WriteWire(&buf); err == nil {
+			t.Errorf("%s: WriteWire accepted the Result", name)
+		} else if buf.Len() != 0 {
+			t.Errorf("%s: WriteWire wrote %d bytes before failing", name, buf.Len())
+		}
+		if _, err := r.Decompress(ctx, Options{}); err == nil {
+			t.Errorf("%s: Result.Decompress accepted the Result", name)
+		} else if errors.As(err, new(*PanicError)) {
+			t.Errorf("%s: Result.Decompress panicked: %v", name, err)
 		}
 	}
 }

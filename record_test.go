@@ -86,7 +86,7 @@ func TestRunRecordFromContainer(t *testing.T) {
 		t.Fatal(err)
 	}
 	container := wireBytes(t, res)
-	decoded, err := DecodeWireResult(container)
+	decoded, err := DecodeWireResult(bytes.NewReader(container))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,14 +1,10 @@
 package lzwtc
 
 import (
-	"bytes"
 	"context"
-	"fmt"
 	"io"
 
-	"lzwtc/internal/bitvec"
 	"lzwtc/internal/core"
-	"lzwtc/internal/parallel"
 	"lzwtc/internal/slab"
 	"lzwtc/internal/telemetry"
 	"lzwtc/internal/wire"
@@ -43,13 +39,16 @@ const (
 // order, and an explicit EOS frame. The output is tamper-evident
 // (per-region CRC32C) and truncation-evident (missing EOS). Each data
 // frame is independently decompressible (a frame boundary is a
-// FullReset), so a streaming reader can decompress shard by shard in
-// constant memory.
+// FullReset). Decompress verifies the whole container before it
+// decodes any frame; a wire.Reader still reads it frame by frame.
 func (r *Result) WriteWire(w io.Writer) error { return writeWire(w, r, r.Dict) }
 
 // writeWire is the one container writer: r's shards behind a 'D' frame
 // naming ref when ref is set.
 func writeWire(w io.Writer, r *Result, ref *DictRef) error {
+	if err := r.checkShards(); err != nil {
+		return err
+	}
 	ww, err := wire.NewWriter(w, wire.Header{Cfg: r.Cfg, Width: r.Width})
 	if err != nil {
 		return err
@@ -67,26 +66,45 @@ func writeWire(w io.Writer, r *Result, ref *DictRef) error {
 	return ww.Close()
 }
 
-// DecodeWireResult parses a wire container back into a Result, one
-// shard per data frame. A frame carries its codes, input length and
-// pattern count, so the Result's statistics hold the code counts and
-// compressed volume but none of the compressor's match or fill counts.
-// A 'D' frame's reference lands in Result.Dict, which
-// Result.Decompress resolves through Options.Resolver.
-func DecodeWireResult(data []byte) (*Result, error) {
-	wr, err := wire.NewReader(bytes.NewReader(data))
-	if err != nil {
+// DecodeWireResult reads a whole wire container into a Result, one
+// shard per data frame. Every region is verified before it returns, so
+// a corrupt or truncated container fails with a typed error and no
+// Result. A frame carries its codes, input length and pattern count,
+// so the Result's statistics hold the code counts and compressed
+// volume but none of the compressor's match or fill counts. A 'D'
+// frame's reference lands in Result.Dict, which Result.Decompress
+// resolves through Options.Resolver.
+func DecodeWireResult(r io.Reader) (*Result, error) {
+	// A wrapper small enough to inline: a caller that keeps the Result
+	// to itself, as Decompress does, holds it on its stack.
+	out := new(Result)
+	if err := out.readWire(r); err != nil {
 		return nil, err
 	}
+	return out, nil
+}
+
+// readWire is DecodeWireResult into out. On an error the codes read so
+// far go back to the slab pool.
+func (out *Result) readWire(r io.Reader) (err error) {
+	wr, err := wire.NewReader(r)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if err != nil {
+			putCodes(out)
+		}
+	}()
 	hdr := wr.Header()
-	out := &Result{Cfg: hdr.Cfg, Width: hdr.Width}
+	out.Cfg, out.Width = hdr.Cfg, hdr.Width
 	for {
 		f, err := wr.ReadFrame()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			return nil, err
+			return err
 		}
 		out.Shards = append(out.Shards, frameShard(hdr.Cfg, f))
 		out.ShardPatterns = append(out.ShardPatterns, f.Patterns)
@@ -94,9 +112,12 @@ func DecodeWireResult(data []byte) (*Result, error) {
 	}
 	out.OriginalBits = hdr.Width * out.Patterns
 	if ref, ok := wr.DictRef(); ok {
-		out.Dict = &ref
+		// Copied here, so that only a container with a 'D' frame
+		// allocates it.
+		d := ref
+		out.Dict = &d
 	}
-	return out, nil
+	return nil
 }
 
 // frameShard is the shard a data frame carries, with the statistics the
@@ -109,61 +130,34 @@ func frameShard(cfg Config, f *wire.Frame) *core.Result {
 	return sh
 }
 
-// Decompress streams any wire container — single-frame or sharded —
-// into the fully specified test set, decompressing frame by frame
-// under a SpanWireDecode span (each frame a nested core.decode span).
-// The whole container is verified: a corrupt or truncated stream
-// returns a typed error before (or instead of) partial output. A
-// container naming a shared dictionary resolves it through
-// opts.Resolver once, before its first data frame, and fails with
-// ErrDictNotFound when there is no resolver. The returned set owns the
-// memory of every frame's cubes; a caller done with it may hand that
-// back with TestSet.Release.
-func Decompress(ctx context.Context, r io.Reader, opts Options) (*TestSet, error) {
-	wctx, sp := opts.Recorder.StartSpan(ctx, SpanWireDecode)
-	out, frames, err := decompressWire(wctx, r, opts)
-	sp.End(telemetry.F("frames", frames), telemetry.F("ok", err == nil))
-	return out, err
+// putCodes hands the codes of every shard of a Result read from a
+// container back to the slab pool the wire reader drew them from.
+func putCodes(r *Result) {
+	for _, sh := range r.Shards {
+		slab.Put(sh.Codes)
+	}
 }
 
-// decompressWire is the one wire decode loop. Each frame's codes go
-// back to the slab pool once the frame is decoded, and on an error the
-// cubes decoded so far are released.
-func decompressWire(ctx context.Context, r io.Reader, opts Options) (_ *TestSet, _ int, err error) {
-	wr, err := wire.NewReader(r)
-	if err != nil {
-		return nil, 0, err
+// Decompress reads any wire container — single-frame or sharded — and
+// decompresses it into the fully specified test set: DecodeWireResult
+// then Result.Decompress, under a SpanWireDecode span (each frame a
+// nested core.decode span). The whole container is verified before
+// any frame is decoded: a corrupt or truncated stream returns a typed
+// error and no output. A container naming a shared dictionary resolves
+// it through opts.Resolver once, and fails with ErrDictNotFound when
+// there is no resolver. The returned set owns the memory of every
+// frame's cubes; a caller done with it may hand that back with
+// TestSet.Release.
+func Decompress(ctx context.Context, r io.Reader, opts Options) (*TestSet, error) {
+	wctx, sp := opts.Recorder.StartSpan(ctx, SpanWireDecode)
+	res, err := DecodeWireResult(r)
+	var out *TestSet
+	frames := 0
+	if err == nil {
+		frames = len(res.Shards)
+		out, err = res.Decompress(wctx, opts)
+		putCodes(res)
 	}
-	hdr := wr.Header()
-	out := NewTestSet(hdr.Width)
-	defer func() {
-		if err != nil {
-			out.Release()
-		}
-	}()
-	var pre *Preload
-	for {
-		f, err := wr.ReadFrame()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, wr.Frames(), err
-		}
-		// The 'D' frame precedes all data frames, so the reference is
-		// final by the time the first data frame arrives.
-		if ref, ok := wr.DictRef(); ok && pre == nil {
-			if pre, err = resolveDict(ctx, &ref, opts.Resolver); err != nil {
-				return nil, wr.Frames(), err
-			}
-		}
-		// A nil preload is a cold start.
-		group, err := parallel.DecodeShard(ctx, frameShard(hdr.Cfg, f), hdr.Width, f.Patterns, pre, opts.Recorder)
-		slab.Put(f.Codes)
-		if err != nil {
-			return nil, wr.Frames(), fmt.Errorf("lzwtc: wire frame %d: %w", wr.Frames()-1, err)
-		}
-		bitvec.AppendSet(out, group)
-	}
-	return out, wr.Frames(), nil
+	sp.End(telemetry.F("frames", frames), telemetry.F("ok", err == nil))
+	return out, err
 }

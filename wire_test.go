@@ -7,7 +7,9 @@ import (
 	"io"
 	"testing"
 
+	"lzwtc/internal/core"
 	"lzwtc/internal/dictstore"
+	"lzwtc/internal/telemetry"
 	"lzwtc/internal/wire"
 )
 
@@ -26,7 +28,7 @@ func TestWireRoundTripConformance(t *testing.T) {
 				t.Fatal(err)
 			}
 			data := wireBytes(t, res)
-			back, err := DecodeWireResult(data)
+			back, err := DecodeWireResult(bytes.NewReader(data))
 			if err != nil {
 				t.Fatalf("decode: %v", err)
 			}
@@ -98,7 +100,7 @@ func TestWireShardedRoundTrip(t *testing.T) {
 			}
 			assertSetsEqual(t, want, got)
 
-			decoded, err := DecodeWireResult(container)
+			decoded, err := DecodeWireResult(bytes.NewReader(container))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -126,20 +128,20 @@ func TestWireTypedErrorsAtRoot(t *testing.T) {
 	}
 	data := wireBytes(t, res)
 
-	if _, err := DecodeWireResult([]byte("XXXX")); !errors.Is(err, ErrWireBadMagic) {
+	if _, err := DecodeWireResult(bytes.NewReader([]byte("XXXX"))); !errors.Is(err, ErrWireBadMagic) {
 		t.Fatalf("magic: %v", err)
 	}
 	ver := bytes.Clone(data)
 	ver[4] = 0x7f
-	if _, err := DecodeWireResult(ver); !errors.Is(err, ErrWireVersion) {
+	if _, err := DecodeWireResult(bytes.NewReader(ver)); !errors.Is(err, ErrWireVersion) {
 		t.Fatalf("version: %v", err)
 	}
-	if _, err := DecodeWireResult(data[:len(data)-1]); !errors.Is(err, ErrWireTruncated) {
+	if _, err := DecodeWireResult(bytes.NewReader(data[:len(data)-1])); !errors.Is(err, ErrWireTruncated) {
 		t.Fatalf("truncated: %v", err)
 	}
 	flip := bytes.Clone(data)
 	flip[len(flip)-10] ^= 0x10
-	if _, err := DecodeWireResult(flip); !errors.Is(err, ErrWireChecksum) && !errors.Is(err, ErrWireTruncated) {
+	if _, err := DecodeWireResult(bytes.NewReader(flip)); !errors.Is(err, ErrWireChecksum) && !errors.Is(err, ErrWireTruncated) {
 		t.Fatalf("corrupt: %v", err)
 	}
 }
@@ -168,9 +170,9 @@ func assertSetsEqual(t *testing.T, want, got *TestSet) {
 	}
 }
 
-// TestWireStreamingWriterReader drives the root streaming entry points
-// over an io.Pipe: frames written on one side decompress on the other
-// without the whole container ever being in memory.
+// TestWireStreamingPipe drives the root entry points over an io.Pipe:
+// Decompress reads the container as the writer produces it, with no
+// whole copy of the container's bytes in memory.
 func TestWireStreamingPipe(t *testing.T) {
 	ts := conformanceSet(77, 9, 18, 0.7)
 	cfg := Config{CharBits: 2, DictSize: 16, EntryBits: 8}
@@ -206,7 +208,7 @@ func TestPlanesMessageIsNotAContainer(t *testing.T) {
 	if _, err := Decompress(context.Background(), bytes.NewReader(msg.Bytes()), Options{}); !errors.Is(err, wire.ErrFrameType) {
 		t.Fatalf("Decompress: got %v, want ErrFrameType", err)
 	}
-	if _, err := DecodeWireResult(msg.Bytes()); !errors.Is(err, wire.ErrFrameType) {
+	if _, err := DecodeWireResult(bytes.NewReader(msg.Bytes())); !errors.Is(err, wire.ErrFrameType) {
 		t.Fatalf("DecodeWireResult: got %v, want ErrFrameType", err)
 	}
 }
@@ -233,6 +235,57 @@ func TestContainerSizeMatchesWriteWire(t *testing.T) {
 					t.Errorf("%s (warm %v, shard %d): ContainerSize %d, WriteWire wrote %d bytes", c.name, ent != nil, shard, got, want)
 				}
 			}
+		}
+	}
+}
+
+// TestWireChecksumFailsBeforeAnyDecode: a container of 8 frames whose
+// last data frame fails its CRC is rejected with ErrWireChecksum before
+// any frame is decoded, so no core.decode span is recorded.
+func TestWireChecksumFailsBeforeAnyDecode(t *testing.T) {
+	ts := conformanceSet(29, 40, 24, 0.6)
+	cfg := Config{CharBits: 4, DictSize: 64, EntryBits: 16}
+	res, err := Compress(context.Background(), ts, cfg, Options{ShardPatterns: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Shards) != 8 {
+		t.Fatalf("%d shards, want 8", len(res.Shards))
+	}
+	// Write the frames one by one to find where the last one ends: its
+	// CRC is its last four bytes.
+	var buf bytes.Buffer
+	w, err := wire.NewWriter(&buf, wire.Header{Cfg: res.Cfg, Width: res.Width})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, sh := range res.Shards {
+		if err := w.WriteResult(sh, res.ShardPatterns[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lastCRC := buf.Len() - 1
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	if !bytes.Equal(data, wireBytes(t, res)) {
+		t.Fatal("frame-by-frame container differs from WriteWire")
+	}
+	data[lastCRC] ^= 0x01
+
+	var spans []string
+	rec := telemetry.New(nil, telemetry.SinkFunc(func(ev telemetry.Event) {
+		if sp, ok := telemetry.SpanRecordFromEvent(ev); ok {
+			spans = append(spans, sp.Name)
+		}
+	}))
+	if _, err := Decompress(context.Background(), bytes.NewReader(data), Options{Recorder: rec}); !errors.Is(err, ErrWireChecksum) {
+		t.Fatalf("Decompress: got %v, want ErrWireChecksum", err)
+	}
+	for _, name := range spans {
+		if name == core.SpanDecode {
+			t.Fatalf("a frame was decoded before the container verified; spans %v", spans)
 		}
 	}
 }
