@@ -2,7 +2,7 @@ GO ?= go
 FUZZTIME ?= 10s
 BENCHTIME ?= 1x
 
-.PHONY: build fmt vet vet-concurrency test race lzwtcvet dict-oracle poison fuzz telemetry-overhead trace-overhead batch-bench kernel-bench text-bench bench-json bench-gate bench-module cover lzwtcd-smoke loadgen-smoke api-count verify
+.PHONY: build fmt vet vet-concurrency test race lzwtcvet dict-oracle poison fuzz telemetry-overhead trace-overhead batch-bench kernel-bench text-bench bench-json bench-gate bench-module paper-golden cover lzwtcd-smoke loadgen-smoke api-count verify
 
 build:
 	$(GO) build ./...
@@ -105,6 +105,14 @@ text-bench:
 	$(GO) test -run='^$$' -bench='BenchmarkCubeText|BenchmarkAligned' -benchtime=$(BENCHTIME) ./internal/bitvec
 	$(GO) test -run='^$$' -bench='BenchmarkPackCodes|BenchmarkUnpackCodes' -benchtime=$(BENCHTIME) ./internal/wire
 
+# Paper golden for the multichain extension (about 24 s, so it stays
+# out of `go test ./...`, where TestPaperGoldens pins every other table
+# and figure): its rendering must match the committed golden byte for
+# byte. Regenerate after an intentional change with
+# `go run ./cmd/experiments -run multichain > internal/experiments/testdata/multichain.golden`.
+paper-golden:
+	$(GO) run ./cmd/experiments -run multichain | cmp - internal/experiments/testdata/multichain.golden
+
 # Coverage gate: total statement coverage must stay at or above the
 # floor in scripts/check_coverage.sh (raise it as coverage grows).
 cover:
@@ -147,4 +155,4 @@ bench-module:
 api-count:
 	sh scripts/api_count.sh
 
-verify: build fmt vet vet-concurrency test race lzwtcvet dict-oracle poison fuzz telemetry-overhead trace-overhead batch-bench kernel-bench text-bench bench-module cover lzwtcd-smoke loadgen-smoke api-count
+verify: build fmt vet vet-concurrency test race lzwtcvet dict-oracle poison fuzz telemetry-overhead trace-overhead batch-bench kernel-bench text-bench bench-module paper-golden cover lzwtcd-smoke loadgen-smoke api-count
