@@ -40,9 +40,14 @@ vet-concurrency:
 # Differential dictionary oracle: under this build tag every dict keeps
 # the historical map-based matcher as a shadow and cross-checks every
 # findChild, so the whole core test suite doubles as an equivalence
-# proof for the flat child index.
+# proof for the flat child index. The root's batch and shard
+# differential tests run under it too, by name: the rest of the root
+# suite holds allocation bounds the oracle's reference matcher breaks.
+ORACLE_ROOT_TESTS = ^(TestCompressBatchMatchesSequential|TestCompressBatchReportsBadJobs|TestBatchRecyclesDictArena|TestShardedMatchesSequentialShards|TestShardRatioCostMeasured|TestShardTelemetry|TestBatchTraceLinkage|TestShardedTraceLinkage)$$
+
 dict-oracle:
-	$(GO) test -tags=lzwtc_dictoracle ./internal/core ./internal/parallel
+	$(GO) test -tags=lzwtc_dictoracle ./internal/core
+	$(GO) test -tags=lzwtc_dictoracle -run '$(ORACLE_ROOT_TESTS)' .
 
 # Recycled-memory poison: under this build tag Release fills the plane
 # words it hands back with value bits on don't-cares and zeroes the
@@ -80,11 +85,12 @@ telemetry-overhead:
 trace-overhead:
 	sh scripts/check_trace_overhead.sh
 
-# Batch pool smoke: the parallel engine's throughput benchmarks must run
-# clean at every worker count. Raise BENCHTIME for real scaling numbers
-# on a multicore machine (patterns/s at 1, 4 and NumCPU workers).
+# Batch pool smoke: CompressBatch's throughput at every worker count
+# and sharded Compress's throughput and ratio cost must run clean.
+# Raise BENCHTIME for real scaling numbers on a multicore machine
+# (patterns/s at 1, 4 and NumCPU workers).
 batch-bench:
-	$(GO) test -run='^$$' -bench='BenchmarkBatchCompress' -benchtime=$(BENCHTIME) ./internal/parallel
+	$(GO) test -run='^$$' -bench='BenchmarkBatchCompress|BenchmarkShardedCompress' -benchtime=$(BENCHTIME) .
 
 # Kernel smoke: the bit-sliced findChildMasked microbenchmarks
 # (Gosper-favored, chain-favored, all-X, TieWidest shapes), the exact

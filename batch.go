@@ -2,9 +2,11 @@ package lzwtc
 
 import (
 	"context"
+	"fmt"
 
 	"lzwtc/internal/core"
 	"lzwtc/internal/parallel"
+	"lzwtc/internal/telemetry"
 )
 
 // BatchOptions configures a concurrent batch run (the same in-module
@@ -50,23 +52,67 @@ type BatchResult struct {
 
 // CompressBatch compresses jobs across a bounded worker pool. Results
 // land in job order and each is byte-identical to what Compress returns
-// for the same (set, config) pair — the batch engine only supplies the
-// outer loop. The context cancels the batch; the overall error is the
-// context's error, or (under FailFast) the first job error.
+// for the same (set, config) pair: both run compressGroups. The context
+// cancels the batch; the overall error is the context's error, or
+// (under FailFast) the first job error.
 func CompressBatch(ctx context.Context, jobs []BatchJob, opts BatchOptions) ([]BatchResult, error) {
-	pjobs := make([]parallel.Job, len(jobs))
-	for i, j := range jobs {
-		pjobs[i] = parallel.Job{Name: j.Name, Set: j.Set, Cfg: j.Cfg}
-	}
-	results, err := parallel.CompressJobs(ctx, pjobs, opts)
+	outcomes, err := compressGroups(ctx, jobs, nil, opts, func(i int) string {
+		return fmt.Sprintf("job %q", jobs[i].Name)
+	})
 	out := make([]BatchResult, len(jobs))
-	for i, r := range results {
-		out[i] = BatchResult{Job: jobs[i], Err: r.Err}
-		if r.Err == nil {
-			out[i].Result = newResult(jobs[i].Set, jobs[i].Cfg, []*core.Result{r.Res}, []int{len(jobs[i].Set.Cubes)})
+	for i, o := range outcomes {
+		out[i] = BatchResult{Job: jobs[i], Err: o.Err}
+		if o.Err == nil {
+			out[i].Result = newResult(jobs[i].Set, jobs[i].Cfg, []*core.Result{o.Value}, []int{len(jobs[i].Set.Cubes)})
 		}
 	}
 	return out, err
+}
+
+// Registry metric names of compressGroups: every compressed group
+// counts as one shard, and its ratio is observed, so the cost of
+// shard-boundary dictionary resets shows as a distribution.
+const (
+	metricShards     = "lzwtc_batch_shards_total"
+	metricShardRatio = "lzwtc_batch_shard_ratio"
+)
+
+// shardRatioBuckets returns the histogram bounds for per-shard
+// compression ratios: the paper's Table 3 spans 23–89%, and sharding
+// can push small shards negative (expansion), hence the low tail.
+func shardRatioBuckets() []float64 {
+	return []float64{-0.5, -0.25, 0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1}
+}
+
+// compressGroups is the one compression body on the pool: parallel.Map
+// runs it once per group, and each group is validated, compressed from
+// pre (nil is a cold start) and counted as one shard, its ratio
+// observed. Compress hands it its shards, CompressBatch one group per
+// job. A group's error names it by label(i).
+func compressGroups(ctx context.Context, groups []BatchJob, pre *Preload, opts BatchOptions, label func(i int) string) ([]parallel.Outcome[*core.Result], error) {
+	var shards *telemetry.Counter
+	var ratios *telemetry.Histogram
+	if reg := opts.Recorder.Registry(); reg != nil {
+		shards = reg.Counter(metricShards, "shards compressed")
+		ratios = reg.Histogram(metricShardRatio, "per-shard compression ratio", shardRatioBuckets())
+	}
+	return parallel.Map(ctx, groups, opts, func(jctx context.Context, i int, g BatchJob) (*core.Result, error) {
+		if err := g.Cfg.Validate(); err != nil {
+			return nil, fmt.Errorf("lzwtc: %s: %w", label(i), err)
+		}
+		if g.Set == nil || len(g.Set.Cubes) == 0 {
+			return nil, fmt.Errorf("lzwtc: %s: empty test set", label(i))
+		}
+		res, err := core.CompressWithPreloadObservedCtx(jctx, g.Set, g.Cfg, pre, opts.Recorder)
+		if err != nil {
+			return nil, fmt.Errorf("lzwtc: %s: %w", label(i), err)
+		}
+		shards.Inc()
+		if bits := g.Set.TotalBits(); bits > 0 {
+			ratios.Observe(1 - float64(res.Stats.CompressedBits)/float64(bits))
+		}
+		return res, nil
+	})
 }
 
 // newResult assembles the Result of compressing ts as the given shards.

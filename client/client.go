@@ -41,7 +41,8 @@ type Options struct {
 	// HTTPClient is the transport; nil means http.DefaultClient.
 	HTTPClient *http.Client
 	// Retries is the number of re-attempts after the first try on a
-	// retryable failure; negative means 0. Default 2.
+	// retryable failure; zero or negative means none, so the zero
+	// Options never retries.
 	Retries int
 	// Backoff is the first retry delay, doubling per attempt; <= 0
 	// means 100ms.

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"lzwtc"
+	"lzwtc/internal/core"
 )
 
 // batchManifestJob is one parsed manifest line: a cube file and its
@@ -298,37 +299,8 @@ func applyManifestOption(cfg *lzwtc.Config, kv string) error {
 		case "entry":
 			cfg.EntryBits = n
 		}
-	case "fill":
-		switch val {
-		case "zero":
-			cfg.Fill = lzwtc.FillZero
-		case "one":
-			cfg.Fill = lzwtc.FillOne
-		case "repeat":
-			cfg.Fill = lzwtc.FillRepeat
-		default:
-			return fmt.Errorf("unknown fill policy %q (want zero, one or repeat)", val)
-		}
-	case "tie":
-		switch val {
-		case "oldest":
-			cfg.Tie = lzwtc.TieOldest
-		case "newest":
-			cfg.Tie = lzwtc.TieNewest
-		case "widest":
-			cfg.Tie = lzwtc.TieWidest
-		default:
-			return fmt.Errorf("unknown tie policy %q (want oldest, newest or widest)", val)
-		}
-	case "full":
-		switch val {
-		case "freeze":
-			cfg.Full = lzwtc.FullFreeze
-		case "reset":
-			cfg.Full = lzwtc.FullReset
-		default:
-			return fmt.Errorf("unknown full policy %q (want freeze or reset)", val)
-		}
+	case "fill", "tie", "full":
+		return core.ParsePolicy(cfg, key, val)
 	default:
 		return fmt.Errorf("unknown option %q (want char, dict, entry, fill, tie or full)", key)
 	}

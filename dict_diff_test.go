@@ -240,11 +240,20 @@ func TestDictDifferentialWireRoundTrip(t *testing.T) {
 							t.Fatal("CompressShardedPreloaded + WriteWireDict/WriteWireSharded differ from Compress + WriteWire")
 						}
 						var observedBuf bytes.Buffer
-						if err := res.WriteWireObserved(ctx, &observedBuf, nil); err != nil {
+						var encodeSpans int
+						encRec := telemetry.New(nil, telemetry.SinkFunc(func(ev telemetry.Event) {
+							if sp, ok := telemetry.SpanRecordFromEvent(ev); ok && sp.Name == SpanWireEncode {
+								encodeSpans++
+							}
+						}))
+						if err := res.WriteWireObserved(ctx, &observedBuf, encRec); err != nil {
 							t.Fatal(err)
 						}
 						if !bytes.Equal(observedBuf.Bytes(), container) {
 							t.Fatal("WriteWireObserved differs from WriteWire")
+						}
+						if encodeSpans != 1 {
+							t.Fatalf("WriteWireObserved recorded %d %s spans, want 1", encodeSpans, SpanWireEncode)
 						}
 						if !warm {
 							sharded, err := CompressSharded(ctx, ts, cfg, per, BatchOptions{})

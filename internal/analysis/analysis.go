@@ -176,12 +176,14 @@ func DefaultConfig() Config {
 		BlockingCalls:     []string{"(*net/http.Client).Do", "net/http.Get", "net/http.Post"},
 		TelemetryPaths:    []string{"internal/telemetry"},
 		MetricNameAllow:   []string{"internal/telemetry.phaseMetricName"},
-		MetricAssertPaths: []string{"internal/server", "internal/parallel", "internal/jobs", "internal/dictstore"},
+		MetricAssertPaths: []string{"lzwtc", "internal/server", "internal/parallel", "internal/jobs", "internal/dictstore"},
 	}
 }
 
 // matchPath reports whether an import path matches one of the
-// configured patterns.
+// configured patterns: "p/..." matches p and everything under it, a
+// pattern without a slash names one whole path (the module root, as
+// "lzwtc"), and any other pattern matches as a path suffix.
 func matchPath(path string, patterns []string) bool {
 	for _, pat := range patterns {
 		if prefix, ok := strings.CutSuffix(pat, "/..."); ok {
@@ -190,7 +192,7 @@ func matchPath(path string, patterns []string) bool {
 			}
 			continue
 		}
-		if path == pat || strings.HasSuffix(path, "/"+pat) {
+		if path == pat || strings.Contains(pat, "/") && strings.HasSuffix(path, "/"+pat) {
 			return true
 		}
 	}

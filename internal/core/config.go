@@ -19,6 +19,7 @@ package core
 import (
 	"fmt"
 	"math/bits"
+	"strings"
 )
 
 // Code is a compressed LZW code. Codes 0..2^C_C-1 denote literal
@@ -94,6 +95,36 @@ func (p FillPolicy) String() string {
 	default:
 		return fmt.Sprintf("FillPolicy(%d)", uint8(p))
 	}
+}
+
+// ParsePolicy sets the policy key names on cfg ("fill", "tie" or
+// "full") from its String form: the inverse of FillPolicy.String,
+// TieBreak.String and FullPolicy.String. An unknown key or name is an
+// error and leaves cfg unchanged.
+//
+//lzwtcvet:ignore configbeforeuse sets one field; the caller validates the finished Config
+func ParsePolicy(cfg *Config, key, name string) error {
+	switch key {
+	case "fill":
+		return parsePolicy(&cfg.Fill, key, name, FillZero, FillOne, FillRepeat)
+	case "tie":
+		return parsePolicy(&cfg.Tie, key, name, TieOldest, TieNewest, TieWidest)
+	case "full":
+		return parsePolicy(&cfg.Full, key, name, FullFreeze, FullReset)
+	}
+	return fmt.Errorf("core: unknown policy %q (want fill, tie or full)", key)
+}
+
+// parsePolicy sets *dst to the one of ps whose String is name.
+func parsePolicy[P fmt.Stringer](dst *P, key, name string, ps ...P) error {
+	names := make([]string, len(ps))
+	for i, p := range ps {
+		if names[i] = p.String(); names[i] == name {
+			*dst = p
+			return nil
+		}
+	}
+	return fmt.Errorf("core: unknown %s policy %q (want %s)", key, name, strings.Join(names, ", "))
 }
 
 // Config carries the LZW configurator parameters (Section 3: "the LZW

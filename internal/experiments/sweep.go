@@ -10,7 +10,6 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 
 	"lzwtc/internal/bench"
 	"lzwtc/internal/bitvec"
@@ -48,35 +47,45 @@ func table4Config(cc int) core.Config {
 	return cfg
 }
 
+// sweepCell is one Tables 4–5 grid point: a circuit's set under one
+// configuration.
+type sweepCell struct {
+	set *bitvec.CubeSet
+	cfg core.Config
+}
+
 // sweepGrid runs a circuit × config grid through the pool and renders
 // one table row per circuit with one ratio column per config.
-func sweepGrid(ctx context.Context, workers int, t *report.Table, cfgs []core.Config, label func(core.Config) string) (*report.Table, error) {
+func sweepGrid(ctx context.Context, workers int, t *report.Table, cfgs []core.Config) (*report.Table, error) {
 	ps, sets, err := sweepSets()
 	if err != nil {
 		return nil, err
 	}
-	jobs := make([]parallel.Job, 0, len(ps)*len(cfgs))
-	for i, p := range ps {
+	cells := make([]sweepCell, 0, len(ps)*len(cfgs))
+	for _, set := range sets {
 		for _, cfg := range cfgs {
-			jobs = append(jobs, parallel.Job{
-				Name: fmt.Sprintf("%s/%s", p.Name, label(cfg)),
-				Set:  sets[i],
-				Cfg:  cfg,
-			})
+			cells = append(cells, sweepCell{set: set, cfg: cfg})
 		}
 	}
-	results, err := parallel.CompressJobs(ctx, jobs, parallel.Options{Workers: workers})
+	outcomes, err := parallel.Map(ctx, cells, parallel.Options{Workers: workers},
+		func(_ context.Context, _ int, c sweepCell) (float64, error) {
+			res, err := compressSet(c.set, c.cfg)
+			if err != nil {
+				return 0, err
+			}
+			return ratioVs(res, c.set.TotalBits()), nil
+		})
 	if err != nil {
 		return nil, err
 	}
 	for i, p := range ps {
 		row := []interface{}{p.Name}
 		for j := range cfgs {
-			r := results[i*len(cfgs)+j]
-			if r.Err != nil {
-				return nil, r.Err
+			o := outcomes[i*len(cfgs)+j]
+			if o.Err != nil {
+				return nil, o.Err
 			}
-			row = append(row, r.Ratio())
+			row = append(row, o.Value)
 		}
 		t.Add(row...)
 	}
@@ -94,9 +103,7 @@ func table4Ctx(ctx context.Context, workers int) (*report.Table, error) {
 	for _, cc := range []int{1, 4, 7, 10} {
 		cfgs = append(cfgs, table4Config(cc))
 	}
-	return sweepGrid(ctx, workers, t, cfgs, func(c core.Config) string {
-		return fmt.Sprintf("cc=%d", c.CharBits)
-	})
+	return sweepGrid(ctx, workers, t, cfgs)
 }
 
 // table5Ctx is Table 5 on the batch pool: the 5-circuit × C_MDATA grid
@@ -110,9 +117,7 @@ func table5Ctx(ctx context.Context, workers int) (*report.Table, error) {
 	for _, eb := range entrySweep() {
 		cfgs = append(cfgs, core.Config{CharBits: 7, DictSize: 1024, EntryBits: eb})
 	}
-	return sweepGrid(ctx, workers, t, cfgs, func(c core.Config) string {
-		return fmt.Sprintf("eb=%d", c.EntryBits)
-	})
+	return sweepGrid(ctx, workers, t, cfgs)
 }
 
 // t6cell is one Table 6 grid point: col -1 measures the longest
@@ -131,8 +136,7 @@ type t6value struct {
 }
 
 // table6Ctx is Table 6 on the batch pool. Each cell needs a compression
-// plus a cycle-accurate decompressor run, so the grid goes through
-// parallel.Map directly rather than CompressJobs. workers <= 0 means
+// plus a cycle-accurate decompressor run. workers <= 0 means
 // GOMAXPROCS.
 func table6Ctx(ctx context.Context, workers int) (*report.Table, error) {
 	t := &report.Table{

@@ -69,7 +69,10 @@ func waitTerminal(t *testing.T, m *Manager, id string) Status {
 func quickJob(payload *Payload, err error) RunFunc {
 	return func(ctx context.Context, pr *Progress) (*Payload, error) {
 		pr.SetTotal(1)
-		pr.Add(1)
+		// Progress is a sink on the job's recorder and counts the pool's
+		// batch.job spans, as in the server's job runner.
+		_, sp := telemetry.New(nil, pr).StartSpan(ctx, parallel.EventJob)
+		sp.End()
 		return payload, err
 	}
 }

@@ -82,14 +82,6 @@ func (p *Progress) SetTotal(n int) {
 	}
 }
 
-// Add advances the done counter directly, for run bodies that do not
-// route progress through the telemetry sink.
-func (p *Progress) Add(n int) {
-	if p != nil {
-		p.done.Add(int64(n))
-	}
-}
-
 // Snapshot returns the current (done, total) pair.
 func (p *Progress) Snapshot() (done, total int) {
 	if p == nil {

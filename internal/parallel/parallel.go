@@ -1,15 +1,15 @@
-// Package parallel is the batch compression engine: a bounded worker
-// pool that fans a queue of independent jobs — test set × configuration
-// points of the paper's parameter grid — across GOMAXPROCS-scaled
-// workers with deterministic, input-ordered results.
+// Package parallel is the worker pool: a bounded pool that fans a
+// queue of independent jobs across GOMAXPROCS-scaled workers with
+// deterministic, input-ordered results.
 //
 // The paper's compressor is inherently sequential per stream (the
 // dynamic don't-care walk threads dictionary state through every
 // character), so single-stream latency is fixed by the algorithm.
-// Batch throughput is not: test sets for different cores and different
-// configurator points share nothing, exactly like the independent
-// blocks a hardware LZ4 accelerator pipelines. This package supplies
-// that outer loop once, with the properties every caller needs:
+// Throughput over many streams is not: test sets for different cores,
+// configurator points and shards share nothing, exactly like the
+// independent blocks a hardware LZ4 accelerator pipelines. This package
+// supplies that outer loop once, with the properties every caller
+// needs:
 //
 //   - results land at the index of their job, regardless of worker
 //     count or completion order, so parallel output is byte-identical
@@ -22,8 +22,10 @@
 //     the first failure, CollectAll runs everything and reports per-job
 //     errors.
 //
-// On top of the generic pool sit CompressJobs (test set × Config
-// batches) and, in shard.go, sharded single-set compression.
+// The pool knows nothing of compression: the root package's one
+// compression body runs on it for Compress (one job per shard) and
+// CompressBatch (one job per batch entry), and the experiment sweeps
+// run their grids on it. shard.go splits a set into shards.
 package parallel
 
 import (
@@ -35,8 +37,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"lzwtc/internal/bitvec"
-	"lzwtc/internal/core"
 	"lzwtc/internal/telemetry"
 )
 
@@ -205,75 +205,4 @@ func runRecovered[T, R any](ctx context.Context, i int, item T, fn func(context.
 		}
 	}()
 	return fn(ctx, i, item)
-}
-
-// Job is one batch compression unit: a test set under a configuration.
-type Job struct {
-	// Name labels the job in results, telemetry and batch records.
-	Name string
-	// Set is the test set; it is only read, so one set may back many
-	// jobs (a parameter sweep over a single circuit).
-	Set *bitvec.CubeSet
-	// Cfg is the LZW configuration for this job.
-	Cfg core.Config
-}
-
-// JobResult is one finished compression job in a batch.
-type JobResult struct {
-	Job Job
-	// Res is the compressed stream; nil when Err is set.
-	Res *core.Result
-	// OriginalBits is the unpadded test-set volume ratios are computed
-	// against, mirroring the root API.
-	OriginalBits int
-	Err          error
-}
-
-// Ratio returns the job's compression ratio against the unpadded
-// volume, 0 for failed or empty jobs.
-func (r JobResult) Ratio() float64 {
-	if r.Res == nil || r.OriginalBits == 0 {
-		return 0
-	}
-	return 1 - float64(r.Res.Stats.CompressedBits)/float64(r.OriginalBits)
-}
-
-// CompressJobs compresses a batch of jobs across the pool. Each job
-// compresses its set pattern by pattern under its own character size,
-// exactly as the sequential root API does, so results are
-// byte-identical to a one-job-at-a-time loop. The returned slice always
-// has one entry per job, in job order.
-func CompressJobs(ctx context.Context, jobs []Job, opts Options) ([]JobResult, error) {
-	outcomes, err := Map(ctx, jobs, opts, func(jctx context.Context, _ int, j Job) (JobResult, error) {
-		res, e := compressJob(jctx, j, opts.Recorder)
-		if e != nil {
-			return JobResult{}, e
-		}
-		return JobResult{Job: j, Res: res, OriginalBits: j.Set.TotalBits()}, nil
-	})
-	results := make([]JobResult, len(jobs))
-	for i, o := range outcomes {
-		results[i] = o.Value
-		if o.Err != nil {
-			results[i] = JobResult{Job: jobs[i], Err: o.Err}
-		}
-	}
-	return results, err
-}
-
-// compressJob runs one job body: validate, then compress with a cold
-// start. ctx carries the job's trace span, so the core phases attribute
-// under it.
-func compressJob(ctx context.Context, j Job, rec *telemetry.Recorder) (*core.Result, error) {
-	if err := j.Cfg.Validate(); err != nil {
-		return nil, fmt.Errorf("parallel: job %q: %w", j.Name, err)
-	}
-	if j.Set == nil || len(j.Set.Cubes) == 0 {
-		return nil, fmt.Errorf("parallel: job %q: empty test set", j.Name)
-	}
-	res, err := core.CompressWithPreloadObservedCtx(ctx, j.Set, j.Cfg, nil, rec)
-	if err != nil {
-		return nil, fmt.Errorf("parallel: job %q: %w", j.Name, err)
-	}
-	return res, nil
 }

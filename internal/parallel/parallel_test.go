@@ -1,120 +1,16 @@
 package parallel
 
 import (
-	"bytes"
 	"context"
 	"errors"
-	"fmt"
-	"math/rand"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"lzwtc/internal/bitvec"
-	"lzwtc/internal/core"
 	"lzwtc/internal/telemetry"
 )
-
-// testSet builds a deterministic cube set with the given don't-care
-// density; the generator is intentionally independent of bench's so the
-// differential tests do not share a code path with the workloads.
-func testSet(seed int64, patterns, width int, xDensity float64) *bitvec.CubeSet {
-	rng := rand.New(rand.NewSource(seed))
-	cs := bitvec.NewCubeSet(width)
-	for p := 0; p < patterns; p++ {
-		v := bitvec.New(width)
-		for i := 0; i < width; i++ {
-			if rng.Float64() >= xDensity {
-				v.Set(i, bitvec.Bit(rng.Intn(2)))
-			}
-		}
-		if err := cs.Add(v); err != nil {
-			panic(err)
-		}
-	}
-	return cs
-}
-
-// testJobs builds a job grid: a few seeded sets crossed with a few
-// configurations, including FullReset and the DictSize==2^CharBits
-// edge.
-func testJobs() []Job {
-	sets := []*bitvec.CubeSet{
-		testSet(1, 40, 61, 0.8),
-		testSet(2, 25, 33, 0.5),
-		testSet(3, 10, 97, 0.95),
-		testSet(4, 17, 24, 0.0),
-	}
-	cfgs := []core.Config{
-		{CharBits: 4, DictSize: 64, EntryBits: 16},
-		{CharBits: 2, DictSize: 16, EntryBits: 8, Full: core.FullReset},
-		{CharBits: 3, DictSize: 8, EntryBits: 9, Full: core.FullReset}, // literal-only edge
-		{CharBits: 7, DictSize: 256, EntryBits: 63, Tie: core.TieNewest},
-	}
-	var jobs []Job
-	for si, s := range sets {
-		for ci, cfg := range cfgs {
-			jobs = append(jobs, Job{Name: fmt.Sprintf("set%d/cfg%d", si, ci), Set: s, Cfg: cfg})
-		}
-	}
-	return jobs
-}
-
-// sequentialResults compresses the jobs one at a time through the same
-// public entry points the root API uses.
-func sequentialResults(t *testing.T, jobs []Job) []*core.Result {
-	t.Helper()
-	out := make([]*core.Result, len(jobs))
-	for i, j := range jobs {
-		res, err := core.Compress(j.Set.SerializeAligned(j.Cfg.CharBits), j.Cfg)
-		if err != nil {
-			t.Fatalf("sequential %s: %v", j.Name, err)
-		}
-		out[i] = res
-	}
-	return out
-}
-
-// TestParallelMatchesSequential is the differential property: for every
-// worker count and job order, the pool's output is byte-identical to
-// the sequential loop, result i always belonging to job i.
-func TestParallelMatchesSequential(t *testing.T) {
-	jobs := testJobs()
-	want := sequentialResults(t, jobs)
-
-	workerCounts := []int{1, runtime.NumCPU(), 2 * runtime.NumCPU()}
-	for _, workers := range workerCounts {
-		for trial := 0; trial < 3; trial++ {
-			// Shuffle the submission order; expectations follow the
-			// permutation, so this also proves order-independence.
-			perm := rand.New(rand.NewSource(int64(workers*100 + trial))).Perm(len(jobs))
-			shuffled := make([]Job, len(jobs))
-			for i, p := range perm {
-				shuffled[i] = jobs[p]
-			}
-			results, err := CompressJobs(context.Background(), shuffled, Options{Workers: workers})
-			if err != nil {
-				t.Fatalf("workers=%d trial=%d: %v", workers, trial, err)
-			}
-			for i, r := range results {
-				if r.Err != nil {
-					t.Fatalf("workers=%d job %s: %v", workers, r.Job.Name, r.Err)
-				}
-				exp := want[perm[i]]
-				if !bytes.Equal(r.Res.Pack(), exp.Pack()) {
-					t.Fatalf("workers=%d job %s: packed stream differs from sequential", workers, r.Job.Name)
-				}
-				if r.Res.Stats != exp.Stats {
-					t.Fatalf("workers=%d job %s: stats differ: %+v vs %+v", workers, r.Job.Name, r.Res.Stats, exp.Stats)
-				}
-				if r.OriginalBits != shuffled[i].Set.TotalBits() {
-					t.Fatalf("workers=%d job %s: OriginalBits %d, want %d", workers, r.Job.Name, r.OriginalBits, shuffled[i].Set.TotalBits())
-				}
-			}
-		}
-	}
-}
 
 // waitGoroutines polls until the goroutine count settles back to at
 // most base, failing after the deadline — the leak guard for
@@ -268,34 +164,32 @@ func TestCollectAllRunsEverything(t *testing.T) {
 	}
 }
 
-func TestCompressJobsReportsBadJobs(t *testing.T) {
-	good := testSet(9, 5, 16, 0.5)
-	jobs := []Job{
-		{Name: "ok", Set: good, Cfg: core.Config{CharBits: 4, DictSize: 32, EntryBits: 8}},
-		{Name: "bad-cfg", Set: good, Cfg: core.Config{CharBits: 0, DictSize: 32}},
-		{Name: "empty", Set: bitvec.NewCubeSet(16), Cfg: core.Config{CharBits: 4, DictSize: 32, EntryBits: 8}},
-	}
-	results, err := CompressJobs(context.Background(), jobs, Options{Policy: CollectAll})
-	if err != nil {
-		t.Fatalf("collect-all: %v", err)
-	}
-	if results[0].Err != nil || results[0].Res == nil {
-		t.Fatalf("good job failed: %v", results[0].Err)
-	}
-	if results[1].Err == nil || results[2].Err == nil {
-		t.Fatalf("bad jobs did not error: %v / %v", results[1].Err, results[2].Err)
-	}
-	if results[1].Res != nil || results[2].Res != nil {
-		t.Fatal("failed jobs carry results")
-	}
-}
-
+// TestPoolTelemetry: a clean run counts every job, drains the queue
+// and in-flight gauges, and closes one batch.job span per job with
+// status ok.
 func TestPoolTelemetry(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	rec := telemetry.New(reg)
-	jobs := testJobs()
-	if _, err := CompressJobs(context.Background(), jobs, Options{Workers: 4, Recorder: rec}); err != nil {
+	var mu sync.Mutex
+	var jobSpans []telemetry.SpanRecord
+	rec := telemetry.New(reg, telemetry.SinkFunc(func(ev telemetry.Event) {
+		if sp, ok := telemetry.SpanRecordFromEvent(ev); ok && sp.Name == EventJob {
+			mu.Lock()
+			jobSpans = append(jobSpans, sp)
+			mu.Unlock()
+		}
+	}))
+	jobs := make([]int, 16)
+	if _, err := Map(context.Background(), jobs, Options{Workers: 4, Recorder: rec},
+		func(_ context.Context, i int, _ int) (int, error) { return i, nil }); err != nil {
 		t.Fatal(err)
+	}
+	if len(jobSpans) != len(jobs) {
+		t.Fatalf("%q spans = %d, want %d", EventJob, len(jobSpans), len(jobs))
+	}
+	for _, sp := range jobSpans {
+		if sp.Attrs["status"] != "ok" {
+			t.Fatalf("job span status = %q: %+v", sp.Attrs["status"], sp)
+		}
 	}
 	snap := reg.Snapshot()
 	counters := map[string]int64{}
@@ -393,47 +287,5 @@ func TestMapSingleJob(t *testing.T) {
 	})
 	if !errors.Is(err, context.Canceled) || !errors.Is(outcomes[0].Err, context.Canceled) || ran {
 		t.Fatalf("pre-canceled single job: err %v, outcome %v, ran %v", err, outcomes[0].Err, ran)
-	}
-}
-
-// TestBatchRecyclesDictArena pins the arena contract for the pool: every
-// job acquires exactly one dictionary (recycles + misses == jobs), and a
-// batch with more jobs than workers reuses dictionaries released by
-// earlier jobs rather than allocating fresh ones throughout.
-func TestBatchRecyclesDictArena(t *testing.T) {
-	// Many copies of the same moderate config so released dictionaries
-	// always fit the next acquisition.
-	set := testSet(9, 12, 48, 0.7)
-	cfg := core.Config{CharBits: 4, DictSize: 128, EntryBits: 20}
-	var jobs []Job
-	for i := 0; i < 48; i++ {
-		jobs = append(jobs, Job{Name: fmt.Sprintf("job%d", i), Set: set, Cfg: cfg})
-	}
-
-	reg := telemetry.NewRegistry()
-	opts := Options{Workers: 2, Recorder: telemetry.New(reg)}
-	if _, err := CompressJobs(context.Background(), jobs, opts); err != nil {
-		t.Fatal(err)
-	}
-
-	var recycles, misses int64
-	for _, c := range reg.Snapshot().Counters {
-		switch c.Name {
-		case core.MetricDictPoolRecycles:
-			recycles = c.Value
-		case core.MetricDictPoolMisses:
-			misses = c.Value
-		}
-	}
-	if recycles+misses != int64(len(jobs)) {
-		t.Fatalf("recycles(%d) + misses(%d) = %d, want one acquisition per job (%d)",
-			recycles, misses, recycles+misses, len(jobs))
-	}
-	// 48 jobs over 2 workers: at most a handful of dictionaries can be
-	// live at once, so the vast majority of acquisitions must recycle.
-	// (sync.Pool may shed entries under GC pressure, hence > 0 rather
-	// than an exact count.)
-	if recycles == 0 {
-		t.Fatalf("no dictionary recycled across %d same-config jobs (misses=%d)", len(jobs), misses)
 	}
 }

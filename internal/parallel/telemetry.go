@@ -11,27 +11,16 @@ import (
 // carrying the job index, outcome and duration (as a batch.job span).
 const EventJob = "batch.job"
 
-// Registry metric names for the batch engine. Queue depth and in-flight
-// are gauges sampled at dispatch/completion; the rest aggregate across
-// runs. The shard ratio histogram (shard.go) records each shard's
-// compression ratio so the cost of shard-boundary dictionary resets is
-// visible as a distribution, not just an aggregate.
+// Registry metric names for the pool. Queue depth and in-flight are
+// gauges sampled at dispatch/completion; the rest aggregate across
+// runs.
 const (
 	MetricQueueDepth = "lzwtc_batch_queue_depth"
 	metricInFlight   = "lzwtc_batch_jobs_inflight"
 	metricJobs       = "lzwtc_batch_jobs_total"
 	metricJobErrors  = "lzwtc_batch_job_errors_total"
 	metricJobPanics  = "lzwtc_batch_job_panics_total"
-	metricShards     = "lzwtc_batch_shards_total"
-	metricShardRatio = "lzwtc_batch_shard_ratio"
 )
-
-// shardRatioBuckets returns the histogram bounds for per-shard
-// compression ratios: the paper's Table 3 spans 23–89%, and sharding
-// can push small shards negative (expansion), hence the low tail.
-func shardRatioBuckets() []float64 {
-	return []float64{-0.5, -0.25, 0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1}
-}
 
 // poolMetrics holds one run's instruments, resolved once so workers
 // never touch the registry by name. All fields are nil-safe; a nil

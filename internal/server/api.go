@@ -296,33 +296,12 @@ func parseCompressQuery(v url.Values) (core.Config, int, error) {
 	if shard < 0 {
 		return cfg, 0, fmt.Errorf("server: parameter shard=%d must be >= 0", shard)
 	}
-	switch s := v.Get(paramFill); s {
-	case "", "zero":
-		cfg.Fill = core.FillZero
-	case "one":
-		cfg.Fill = core.FillOne
-	case "repeat":
-		cfg.Fill = core.FillRepeat
-	default:
-		return cfg, 0, fmt.Errorf("server: unknown fill policy %q", s)
-	}
-	switch s := v.Get(paramTie); s {
-	case "", "oldest":
-		cfg.Tie = core.TieOldest
-	case "newest":
-		cfg.Tie = core.TieNewest
-	case "widest":
-		cfg.Tie = core.TieWidest
-	default:
-		return cfg, 0, fmt.Errorf("server: unknown tie policy %q", s)
-	}
-	switch s := v.Get(paramFull); s {
-	case "", "freeze":
-		cfg.Full = core.FullFreeze
-	case "reset":
-		cfg.Full = core.FullReset
-	default:
-		return cfg, 0, fmt.Errorf("server: unknown full policy %q", s)
+	for _, key := range []string{paramFill, paramTie, paramFull} {
+		if s := v.Get(key); s != "" {
+			if err := core.ParsePolicy(&cfg, key, s); err != nil {
+				return cfg, 0, fmt.Errorf("server: %w", err)
+			}
+		}
 	}
 	if err := cfg.Validate(); err != nil {
 		return cfg, 0, err

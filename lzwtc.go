@@ -218,13 +218,28 @@ func Compress(ctx context.Context, ts *TestSet, cfg Config, opts Options) (*Resu
 	return compress(ctx, ts, cfg, pre, ref, opts.ShardPatterns, BatchOptions{Workers: opts.Workers, Recorder: opts.Recorder})
 }
 
-// compress is the one compression body: ts in shards of at most
-// patternsPerShard patterns (<= 0 is one shard), every shard from pre
-// (nil is a cold start), and ref as the Result's Dict.
+// compress splits ts into shards of at most patternsPerShard patterns
+// (<= 0 is one shard) and runs compressGroups over them under
+// FailFast, every shard from pre (nil is a cold start), with ref as
+// the Result's Dict. Sharding is all-or-nothing: a partial shard
+// sequence cannot be decompressed into the set.
 func compress(ctx context.Context, ts *TestSet, cfg Config, pre *Preload, ref *DictRef, patternsPerShard int, opts BatchOptions) (*Result, error) {
-	shards, patterns, err := parallel.CompressShardedPreloaded(ctx, ts, cfg, pre, patternsPerShard, opts)
+	sets := parallel.SplitPatterns(ts, patternsPerShard)
+	groups := make([]BatchJob, len(sets))
+	for i, g := range sets {
+		groups[i] = BatchJob{Set: g, Cfg: cfg}
+	}
+	opts.Policy = parallel.FailFast
+	outcomes, err := compressGroups(ctx, groups, pre, opts, func(i int) string {
+		return fmt.Sprintf("shard %d", i)
+	})
 	if err != nil {
 		return nil, err
+	}
+	shards := make([]*core.Result, len(outcomes))
+	patterns := make([]int, len(outcomes))
+	for i, o := range outcomes {
+		shards[i], patterns[i] = o.Value, len(sets[i].Cubes)
 	}
 	res := newResult(ts, cfg, shards, patterns)
 	res.Dict = ref

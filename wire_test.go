@@ -288,4 +288,7 @@ func TestWireChecksumFailsBeforeAnyDecode(t *testing.T) {
 			t.Fatalf("a frame was decoded before the container verified; spans %v", spans)
 		}
 	}
+	if len(spans) == 0 || spans[len(spans)-1] != SpanWireDecode {
+		t.Fatalf("Decompress did not end under a %s span; spans %v", SpanWireDecode, spans)
+	}
 }
