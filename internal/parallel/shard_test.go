@@ -1,33 +1,18 @@
 package parallel
 
 import (
-	"math/rand"
 	"testing"
 
 	"lzwtc/internal/bitvec"
 )
 
-// testSet builds a deterministic cube set with the given don't-care
-// density.
-func testSet(seed int64, patterns, width int, xDensity float64) *bitvec.CubeSet {
-	rng := rand.New(rand.NewSource(seed))
-	cs := bitvec.NewCubeSet(width)
-	for p := 0; p < patterns; p++ {
-		v := bitvec.New(width)
-		for i := 0; i < width; i++ {
-			if rng.Float64() >= xDensity {
-				v.Set(i, bitvec.Bit(rng.Intn(2)))
-			}
-		}
-		if err := cs.Add(v); err != nil {
-			panic(err)
+func TestSplitPatternsBounds(t *testing.T) {
+	cs := bitvec.NewCubeSet(8)
+	for range 10 {
+		if err := cs.Add(bitvec.New(8)); err != nil {
+			t.Fatal(err)
 		}
 	}
-	return cs
-}
-
-func TestSplitPatternsBounds(t *testing.T) {
-	cs := testSet(15, 10, 8, 0.5)
 	if got := SplitPatterns(cs, 0); len(got) != 1 || got[0] != cs {
 		t.Fatal("per<=0 must return the whole set")
 	}

@@ -299,7 +299,7 @@ func parseCompressQuery(v url.Values) (core.Config, int, error) {
 	for _, key := range []string{paramFill, paramTie, paramFull} {
 		if s := v.Get(key); s != "" {
 			if err := core.ParsePolicy(&cfg, key, s); err != nil {
-				return cfg, 0, fmt.Errorf("server: %w", err)
+				return cfg, 0, err
 			}
 		}
 	}
