@@ -18,11 +18,20 @@ vet:
 test:
 	$(GO) test ./...
 
+# The root package's tests of the worker pool: CompressBatch and sharded
+# Compress against the sequential loop, the shared dict arena, the shard
+# metrics and the span tree written from many workers. The race and
+# dict-oracle gates run them by name, because the rest of the root suite
+# holds allocation bounds that neither -race (whose sync.Pool drops a
+# share of every Put) nor the oracle's reference matcher keeps.
+ROOT_POOL_TESTS = ^(TestCompressBatchMatchesSequential|TestCompressBatchReportsBadJobs|TestBatchRecyclesDictArena|TestShardedMatchesSequentialShards|TestShardRatioCostMeasured|TestShardTelemetry|TestBatchTraceLinkage|TestShardedTraceLinkage)$$
+
 # The race path covers the library packages, the client included (its
-# retry loop keeps concurrent state); cmd/ and examples/ are thin
-# front ends over them.
+# retry loop keeps concurrent state), and the root's pool tests; cmd/
+# and examples/ are thin front ends over them.
 race:
 	$(GO) test -race ./internal/... ./client/...
+	$(GO) test -race -run '$(ROOT_POOL_TESTS)' .
 
 # Repo-specific static analysis (bitwidth / droppederror / panicpolicy /
 # configbeforeuse / allocbound / goctx / lockhygiene / metricname /
@@ -40,14 +49,11 @@ vet-concurrency:
 # Differential dictionary oracle: under this build tag every dict keeps
 # the historical map-based matcher as a shadow and cross-checks every
 # findChild, so the whole core test suite doubles as an equivalence
-# proof for the flat child index. The root's batch and shard
-# differential tests run under it too, by name: the rest of the root
-# suite holds allocation bounds the oracle's reference matcher breaks.
-ORACLE_ROOT_TESTS = ^(TestCompressBatchMatchesSequential|TestCompressBatchReportsBadJobs|TestBatchRecyclesDictArena|TestShardedMatchesSequentialShards|TestShardRatioCostMeasured|TestShardTelemetry|TestBatchTraceLinkage|TestShardedTraceLinkage)$$
-
+# proof for the flat child index. The root's pool tests run under it
+# too, by name (ROOT_POOL_TESTS above).
 dict-oracle:
 	$(GO) test -tags=lzwtc_dictoracle ./internal/core
-	$(GO) test -tags=lzwtc_dictoracle -run '$(ORACLE_ROOT_TESTS)' .
+	$(GO) test -tags=lzwtc_dictoracle -run '$(ROOT_POOL_TESTS)' .
 
 # Recycled-memory poison: under this build tag Release fills the plane
 # words it hands back with value bits on don't-cares and zeroes the

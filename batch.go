@@ -85,10 +85,11 @@ func shardRatioBuckets() []float64 {
 }
 
 // compressGroups is the one compression body on the pool: parallel.Map
-// runs it once per group, and each group is validated, compressed from
-// pre (nil is a cold start) and counted as one shard, its ratio
-// observed. Compress hands it its shards, CompressBatch one group per
-// job. A group's error names it by label(i).
+// runs it once per group, and each group is compressed from pre (nil is
+// a cold start; the core validates the Config) and counted as one
+// shard, its ratio observed. Compress hands it its shards,
+// CompressBatch one group per job. A group's error names it by
+// label(i).
 func compressGroups(ctx context.Context, groups []BatchJob, pre *Preload, opts BatchOptions, label func(i int) string) ([]parallel.Outcome[*core.Result], error) {
 	var shards *telemetry.Counter
 	var ratios *telemetry.Histogram
@@ -97,9 +98,6 @@ func compressGroups(ctx context.Context, groups []BatchJob, pre *Preload, opts B
 		ratios = reg.Histogram(metricShardRatio, "per-shard compression ratio", shardRatioBuckets())
 	}
 	return parallel.Map(ctx, groups, opts, func(jctx context.Context, i int, g BatchJob) (*core.Result, error) {
-		if err := g.Cfg.Validate(); err != nil {
-			return nil, fmt.Errorf("lzwtc: %s: %w", label(i), err)
-		}
 		if g.Set == nil || len(g.Set.Cubes) == 0 {
 			return nil, fmt.Errorf("lzwtc: %s: empty test set", label(i))
 		}

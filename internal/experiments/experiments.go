@@ -49,7 +49,7 @@ func lz77Config(p bench.Profile) lz77.Config {
 // compressLZW runs the full paper pipeline for one profile and returns
 // the result plus the ratio against the unpadded volume.
 func compressLZW(p bench.Profile, cfg core.Config) (*core.Result, float64, error) {
-	res, err := compressSet(p.Generate(), cfg)
+	res, err := compressSet(context.Background(), p.Generate(), cfg)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -57,9 +57,10 @@ func compressLZW(p bench.Profile, cfg core.Config) (*core.Result, float64, error
 }
 
 // compressSet compresses a test set pattern by pattern, each pattern
-// padded to a character boundary: the service's compression.
-func compressSet(cs *bitvec.CubeSet, cfg core.Config) (*core.Result, error) {
-	return core.CompressWithPreloadObservedCtx(context.Background(), cs, cfg, nil, nil)
+// padded to a character boundary: the service's compression. A canceled
+// ctx stops it between patterns.
+func compressSet(ctx context.Context, cs *bitvec.CubeSet, cfg core.Config) (*core.Result, error) {
+	return core.CompressWithPreloadObservedCtx(ctx, cs, cfg, nil, nil)
 }
 
 func ratioVs(res *core.Result, origBits int) float64 {
@@ -160,7 +161,7 @@ func Table3() (*report.Table, error) {
 	for _, p := range bench.Profiles() {
 		cs := p.Generate()
 		cfg := LZWConfig(p)
-		res, err := compressSet(cs, cfg)
+		res, err := compressSet(context.Background(), cs, cfg)
 		if err != nil {
 			return nil, err
 		}

@@ -7,6 +7,7 @@ package experiments
 // independent of the scan architecture.
 
 import (
+	"context"
 	"fmt"
 
 	"lzwtc/internal/atpg"
@@ -103,7 +104,7 @@ func multichain() (*report.Table, error) {
 			streams++
 			total += cs.TotalBits()
 			cfg := core.Config{CharBits: 7, DictSize: 512, EntryBits: 63}
-			res, err := compressSet(cs, cfg)
+			res, err := compressSet(context.Background(), cs, cfg)
 			if err != nil {
 				return nil, err
 			}

@@ -10,6 +10,7 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 
 	"lzwtc/internal/bench"
 	"lzwtc/internal/bitvec"
@@ -48,30 +49,32 @@ func table4Config(cc int) core.Config {
 }
 
 // sweepCell is one Tables 4–5 grid point: a circuit's set under one
-// configuration.
+// configuration, named circuit/label in its error.
 type sweepCell struct {
-	set *bitvec.CubeSet
-	cfg core.Config
+	name string
+	set  *bitvec.CubeSet
+	cfg  core.Config
 }
 
 // sweepGrid runs a circuit × config grid through the pool and renders
-// one table row per circuit with one ratio column per config.
-func sweepGrid(ctx context.Context, workers int, t *report.Table, cfgs []core.Config) (*report.Table, error) {
+// one table row per circuit with one ratio column per config; label
+// names a config in a failed cell's error.
+func sweepGrid(ctx context.Context, workers int, t *report.Table, cfgs []core.Config, label func(core.Config) string) (*report.Table, error) {
 	ps, sets, err := sweepSets()
 	if err != nil {
 		return nil, err
 	}
 	cells := make([]sweepCell, 0, len(ps)*len(cfgs))
-	for _, set := range sets {
+	for i, p := range ps {
 		for _, cfg := range cfgs {
-			cells = append(cells, sweepCell{set: set, cfg: cfg})
+			cells = append(cells, sweepCell{name: p.Name + "/" + label(cfg), set: sets[i], cfg: cfg})
 		}
 	}
 	outcomes, err := parallel.Map(ctx, cells, parallel.Options{Workers: workers},
-		func(_ context.Context, _ int, c sweepCell) (float64, error) {
-			res, err := compressSet(c.set, c.cfg)
+		func(jctx context.Context, _ int, c sweepCell) (float64, error) {
+			res, err := compressSet(jctx, c.set, c.cfg)
 			if err != nil {
-				return 0, err
+				return 0, fmt.Errorf("experiments: %s: %w", c.name, err)
 			}
 			return ratioVs(res, c.set.TotalBits()), nil
 		})
@@ -103,7 +106,9 @@ func table4Ctx(ctx context.Context, workers int) (*report.Table, error) {
 	for _, cc := range []int{1, 4, 7, 10} {
 		cfgs = append(cfgs, table4Config(cc))
 	}
-	return sweepGrid(ctx, workers, t, cfgs)
+	return sweepGrid(ctx, workers, t, cfgs, func(c core.Config) string {
+		return fmt.Sprintf("cc=%d", c.CharBits)
+	})
 }
 
 // table5Ctx is Table 5 on the batch pool: the 5-circuit × C_MDATA grid
@@ -117,7 +122,9 @@ func table5Ctx(ctx context.Context, workers int) (*report.Table, error) {
 	for _, eb := range entrySweep() {
 		cfgs = append(cfgs, core.Config{CharBits: 7, DictSize: 1024, EntryBits: eb})
 	}
-	return sweepGrid(ctx, workers, t, cfgs)
+	return sweepGrid(ctx, workers, t, cfgs, func(c core.Config) string {
+		return fmt.Sprintf("eb=%d", c.EntryBits)
+	})
 }
 
 // t6cell is one Table 6 grid point: col -1 measures the longest
@@ -158,10 +165,10 @@ func table6Ctx(ctx context.Context, workers int) (*report.Table, error) {
 		}
 	}
 	outcomes, err := parallel.Map(ctx, cells, parallel.Options{Workers: workers},
-		func(_ context.Context, _ int, c t6cell) (t6value, error) {
-			res, err := compressSet(sets[c.circuit], c.cfg)
+		func(jctx context.Context, _ int, c t6cell) (t6value, error) {
+			res, err := compressSet(jctx, sets[c.circuit], c.cfg)
 			if err != nil {
-				return t6value{}, err
+				return t6value{}, fmt.Errorf("experiments: %s/eb=%d: %w", ps[c.circuit].Name, c.cfg.EntryBits, err)
 			}
 			if c.col < 0 {
 				return t6value{longestBits: res.Stats.MaxEntryChars * 7}, nil
